@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod failpoints;
 pub mod metrics;
 pub mod multiway;
 pub mod partition;
@@ -70,3 +69,7 @@ pub use skinner_codegen::{
 // The persistent morsel pool and its schedule-perturbation test layer,
 // re-exported so drivers and test harnesses need no direct dependency.
 pub use skinner_pool::{schedule, WorkerPool};
+
+// The fault-injection registry lives in `skinner-storage` (the record
+// codec checks its I/O sites); re-exported so every site keeps its path.
+pub use skinner_storage::failpoints;

@@ -1,12 +1,11 @@
-//! Crash-safe persistence of the knowledge store.
-//!
-//! Same durability contract as the service layer's learning-cache
-//! persistence, applied to the knowledge store's (much smaller)
-//! entries:
+//! Crash-safe persistence of the knowledge store: one checksummed
+//! record file ([`skinner_storage::codec`]: atomic save, tolerant load)
+//! with the learning cache's durability contract, applied to the
+//! knowledge store's (much smaller) entries. Corruption costs some
+//! priors, never availability.
 //!
 //! ```text
-//! header : magic "SKKS" | format version u32
-//! record : payload len u32 | FxHasher checksum of payload u64 | payload
+//! magic "SKKS", format version 1; one record per entry:
 //! payload: tag u8 (0 = table entry, 1 = edge entry, 2 = reward scale)
 //!          fingerprint string (empty for the scale record)
 //!          table: name, version, sel_sum bits, count
@@ -15,156 +14,64 @@
 //!          scale: ln(per-run mean reward) sum bits, run count
 //! ```
 //!
-//! All integers little-endian, strings u32-length-prefixed UTF-8.
-//! Writes are atomic (`.tmp` sibling + fsync + rename + directory
-//! fsync); the loader skips corrupt records, stops at a torn tail, and
-//! loads nothing from a foreign header — corruption costs some priors,
-//! never availability. Fault-injection sites: `knowledge.read`,
-//! `knowledge.write`, `knowledge.fsync`, `knowledge.rename` (see
+//! Fault-injection sites: `knowledge.read`, `knowledge.write`,
+//! `knowledge.fsync`, `knowledge.rename` (see
 //! [`skinner_engine::failpoints`]).
 
 use crate::store::{EdgeStat, KnowledgeStore, TableStat};
-use skinner_engine::failpoints;
-use skinner_storage::hash::FxHasher;
-use std::fs::{File, OpenOptions};
-use std::hash::Hasher;
-use std::io::{self, Read, Write};
+pub use skinner_storage::codec::LoadReport as KnowledgeLoadReport;
+use skinner_storage::codec::{put_f64, put_str, put_u32, put_u64, put_u8, Cursor, RecordFile};
+use std::io;
 use std::path::Path;
 
-/// File magic: "SKinner Knowledge Store".
-const MAGIC: [u8; 4] = *b"SKKS";
-/// Format version; bump on any wire change (old files then load empty).
-const FORMAT_VERSION: u32 = 1;
-/// Upper bound on a single record's payload (a corrupt length prefix
-/// must not trigger an absurd allocation).
-const MAX_RECORD_BYTES: usize = 1 << 20;
+/// The knowledge-store file: magic "SKinner Knowledge Store", format
+/// version 1 (bump on any change to the bytes), payloads capped at
+/// 1 MiB.
+const FILE: RecordFile = RecordFile {
+    magic: *b"SKKS",
+    version: 1,
+    max_record_bytes: 1 << 20,
+    sites: "knowledge",
+};
 
 const TAG_TABLE: u8 = 0;
 const TAG_EDGE: u8 = 1;
 const TAG_SCALE: u8 = 2;
 
-/// What a load pass observed, mirroring the learning cache's report so
-/// operators can tell "clean start" from "survived corruption".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KnowledgeLoadReport {
-    /// Entries decoded and seeded into the store.
-    pub loaded: usize,
-    /// Records skipped: checksum mismatch or undecodable payload.
-    pub corrupt: usize,
-    /// Entries skipped because their catalog versions no longer match.
-    pub stale: usize,
-    /// True if the file ended mid-record (torn tail after a crash).
-    pub truncated: bool,
-    /// True if the file had a foreign magic or format version.
-    pub format_mismatch: bool,
-}
-
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn encode_table(fingerprint: &str, s: &TableStat) -> Vec<u8> {
     let mut p = Vec::with_capacity(64);
-    p.push(TAG_TABLE);
+    put_u8(&mut p, TAG_TABLE);
     put_str(&mut p, fingerprint);
     put_str(&mut p, &s.name);
     put_u64(&mut p, s.version);
-    put_u64(&mut p, s.sel_sum.to_bits());
+    put_f64(&mut p, s.sel_sum);
     put_u64(&mut p, s.count);
     p
 }
 
 fn encode_edge(fingerprint: &str, s: &EdgeStat) -> Vec<u8> {
     let mut p = Vec::with_capacity(96);
-    p.push(TAG_EDGE);
+    put_u8(&mut p, TAG_EDGE);
     put_str(&mut p, fingerprint);
     put_u32(&mut p, s.deps.len() as u32);
     for (name, version) in &s.deps {
         put_str(&mut p, name);
         put_u64(&mut p, *version);
     }
-    put_u64(&mut p, s.fwd.0.to_bits());
+    put_f64(&mut p, s.fwd.0);
     put_u64(&mut p, s.fwd.1);
-    put_u64(&mut p, s.rev.0.to_bits());
+    put_f64(&mut p, s.rev.0);
     put_u64(&mut p, s.rev.1);
     p
 }
 
 fn encode_scale(sum: f64, runs: u64) -> Vec<u8> {
     let mut p = Vec::with_capacity(32);
-    p.push(TAG_SCALE);
+    put_u8(&mut p, TAG_SCALE);
     put_str(&mut p, "");
-    put_u64(&mut p, sum.to_bits());
+    put_f64(&mut p, sum);
     put_u64(&mut p, runs);
     p
-}
-
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(payload);
-    h.finish()
-}
-
-// ---------------------------------------------------------------------
-// Decoding (bounds-checked cursor; any overrun = corrupt record)
-// ---------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 /// One decoded entry.
@@ -183,7 +90,7 @@ fn decode_record(payload: &[u8]) -> Option<Decoded> {
         TAG_TABLE => {
             let name = c.str()?;
             let version = c.u64()?;
-            let sel_sum = f64::from_bits(c.u64()?);
+            let sel_sum = c.f64()?;
             let count = c.u64()?;
             if !sel_sum.is_finite() || sel_sum < 0.0 {
                 return None;
@@ -199,18 +106,13 @@ fn decode_record(payload: &[u8]) -> Option<Decoded> {
             )
         }
         TAG_EDGE => {
-            let n_deps = c.u32()? as usize;
-            if n_deps > 16 {
-                return None;
-            }
-            let mut deps = Vec::with_capacity(n_deps);
-            for _ in 0..n_deps {
-                let name = c.str()?;
-                let version = c.u64()?;
-                deps.push((name, version));
-            }
-            let fwd = (f64::from_bits(c.u64()?), c.u64()?);
-            let rev = (f64::from_bits(c.u64()?), c.u64()?);
+            // A dep is a name (≥ 4 bytes) and a version (8 bytes).
+            let n_deps = c.count(12)?;
+            let deps = (0..n_deps)
+                .map(|_| Some((c.str()?, c.u64()?)))
+                .collect::<Option<_>>()?;
+            let fwd = (c.f64()?, c.u64()?);
+            let rev = (c.f64()?, c.u64()?);
             if !fwd.0.is_finite() || !rev.0.is_finite() {
                 return None;
             }
@@ -218,7 +120,7 @@ fn decode_record(payload: &[u8]) -> Option<Decoded> {
         }
         TAG_SCALE => {
             // A log-sum: negative for sub-1.0 per-run means.
-            let sum = f64::from_bits(c.u64()?);
+            let sum = c.f64()?;
             let runs = c.u64()?;
             if !sum.is_finite() {
                 return None;
@@ -227,136 +129,52 @@ fn decode_record(payload: &[u8]) -> Option<Decoded> {
         }
         _ => return None,
     };
-    if !c.done() {
-        // Trailing garbage inside a checksummed record: corrupt.
-        return None;
-    }
-    Some(decoded)
+    c.done().then_some(decoded)
 }
 
-// ---------------------------------------------------------------------
-// File I/O
-// ---------------------------------------------------------------------
-
-/// Serialize the store to `path` atomically (assemble in `path.tmp`,
-/// fsync, rename, fsync the directory). Returns the entry count
-/// written. A crash at any point leaves the previous file (or no file)
-/// intact.
+/// Serialize the store to `path` atomically (see [`RecordFile::save`]).
+/// Returns the entry count written; the reward-scale record rides along
+/// uncounted.
 pub fn save(store: &KnowledgeStore, path: &Path) -> io::Result<usize> {
     let (tables, edges) = store.export();
-    let tmp = tmp_path(path);
-    let mut buf = Vec::with_capacity(4096);
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    let mut n = 0usize;
     let (scale_sum, scale_runs) = store.scale_raw();
+    let mut payloads = Vec::with_capacity(1 + tables.len() + edges.len());
     if scale_runs > 0 {
-        frame(&mut buf, &encode_scale(scale_sum, scale_runs));
+        payloads.push(encode_scale(scale_sum, scale_runs));
     }
-    for (fp, s) in &tables {
-        frame(&mut buf, &encode_table(fp, s));
-        n += 1;
-    }
-    for (fp, s) in &edges {
-        frame(&mut buf, &encode_edge(fp, s));
-        n += 1;
-    }
-
-    let mut f = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)?;
-    failpoints::io_check("knowledge.write")?;
-    f.write_all(&buf)?;
-    failpoints::io_check("knowledge.fsync")?;
-    f.sync_all()?;
-    drop(f);
-    failpoints::io_check("knowledge.rename")?;
-    std::fs::rename(&tmp, path)?;
-    // Best-effort directory fsync: failure here cannot un-rename.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(n)
-}
-
-fn frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    payloads.extend(tables.iter().map(|(fp, s)| encode_table(fp, s)));
+    payloads.extend(edges.iter().map(|(fp, s)| encode_edge(fp, s)));
+    FILE.save(path, &payloads)?;
+    Ok(tables.len() + edges.len())
 }
 
 /// Load every decodable entry from `path` into `store`, keeping only
 /// entries whose every `(table, version)` dependency satisfies
-/// `is_current`. Degradation, not failure: corrupt records are skipped,
-/// a torn tail stops the scan, a foreign header loads nothing. A
-/// missing file is a fresh start. Only an I/O error reading the file
-/// itself is an `Err`.
+/// `is_current` (the others count as `stale`). Corruption degrades as
+/// [`RecordFile::load`] describes; a missing file is a fresh start.
 pub fn load_with(
     store: &mut KnowledgeStore,
     path: &Path,
     is_current: impl Fn(&str, u64) -> bool,
 ) -> io::Result<KnowledgeLoadReport> {
-    let mut report = KnowledgeLoadReport::default();
-    failpoints::io_check("knowledge.read")?;
-    let mut buf = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut buf)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(report),
-        Err(e) => return Err(e),
-    }
-
-    if buf.len() < 8 || buf[..4] != MAGIC || buf[4..8] != FORMAT_VERSION.to_le_bytes() {
-        report.format_mismatch = true;
-        return Ok(report);
-    }
-
-    let mut pos = 8usize;
-    while pos < buf.len() {
-        // Frame: len u32 | checksum u64 | payload.
-        if pos + 12 > buf.len() {
-            report.truncated = true;
-            break;
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let want = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().unwrap());
-        if len > MAX_RECORD_BYTES || pos + 12 + len > buf.len() {
-            report.truncated = true;
-            break;
-        }
-        let payload = &buf[pos + 12..pos + 12 + len];
-        pos += 12 + len;
-        if checksum(payload) != want {
-            report.corrupt += 1;
-            continue;
-        }
-        match decode_record(payload) {
-            Some(Decoded::Table(fp, s)) => {
-                if is_current(&s.name, s.version) {
-                    store.seed_table_entry(fp, s);
-                    report.loaded += 1;
-                } else {
-                    report.stale += 1;
-                }
+    let (records, mut report) = FILE.load(path, decode_record)?;
+    for record in records {
+        match record {
+            Decoded::Table(fp, s) if is_current(&s.name, s.version) => {
+                store.seed_table_entry(fp, s)
             }
-            Some(Decoded::Edge(fp, s)) => {
-                if s.deps.iter().all(|(n, v)| is_current(n, *v)) {
-                    store.seed_edge_entry(fp, s);
-                    report.loaded += 1;
-                } else {
-                    report.stale += 1;
-                }
+            Decoded::Edge(fp, s) if s.deps.iter().all(|(n, v)| is_current(n, *v)) => {
+                store.seed_edge_entry(fp, s)
             }
-            Some(Decoded::Scale(sum, runs)) => {
+            Decoded::Scale(sum, runs) => {
                 // Calibration, not an entry: merged, never counted.
                 store.seed_scale_entry(sum, runs);
+                report.loaded -= 1;
             }
-            None => report.corrupt += 1,
+            Decoded::Table(..) | Decoded::Edge(..) => {
+                report.loaded -= 1;
+                report.stale += 1;
+            }
         }
     }
     Ok(report)
@@ -367,15 +185,10 @@ pub fn load(store: &mut KnowledgeStore, path: &Path) -> io::Result<KnowledgeLoad
     load_with(store, path, |_, _| true)
 }
 
-fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{EdgeObs, KnowledgeConfig, Observation, TableObs};
 
     fn sample() -> KnowledgeStore {
         let mut store = KnowledgeStore::default();
@@ -420,7 +233,6 @@ mod tests {
         let path = d.join("knowledge.bin");
         let store = sample();
         assert_eq!(save(&store, &path).unwrap(), 3);
-        assert!(!tmp_path(&path).exists(), "atomic write leaves no tmp");
 
         let mut back = KnowledgeStore::default();
         let report = load(&mut back, &path).unwrap();
@@ -457,39 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_keeps_complete_prefix() {
-        let d = dir("skinner_knowledge_torn");
-        let path = d.join("knowledge.bin");
-        save(&sample(), &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        // Cut mid-way through the final record (simulated torn write).
-        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-        let mut back = KnowledgeStore::default();
-        let report = load(&mut back, &path).unwrap();
-        assert_eq!(report.loaded, 2);
-        assert!(report.truncated);
-        assert_eq!(back.len(), (2, 0));
-        std::fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn corrupt_record_is_skipped_others_survive() {
-        let d = dir("skinner_knowledge_corrupt");
-        let path = d.join("knowledge.bin");
-        save(&sample(), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one byte inside the FIRST record's payload.
-        let first_payload_at = 8 + 12;
-        bytes[first_payload_at + 3] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let mut back = KnowledgeStore::default();
-        let report = load(&mut back, &path).unwrap();
-        assert_eq!(report.loaded, 2);
-        assert_eq!(report.corrupt, 1);
-        std::fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
     fn stale_versions_are_filtered_at_load() {
         let d = dir("skinner_knowledge_stale");
         let path = d.join("knowledge.bin");
@@ -508,14 +287,67 @@ mod tests {
     }
 
     #[test]
-    fn foreign_header_loads_nothing() {
-        let d = dir("skinner_knowledge_magic");
+    fn saturated_counts_load_and_keep_accumulating() {
+        // A checksum-valid file may carry counts at u64::MAX. Merging the
+        // scale, folding another run into the entries and evicting among
+        // them at capacity must saturate, not overflow.
+        let d = dir("skinner_knowledge_saturated");
         let path = d.join("knowledge.bin");
-        std::fs::write(&path, b"NOPE\x01\x00\x00\x00rest").unwrap();
-        let mut back = KnowledgeStore::default();
-        let report = load(&mut back, &path).unwrap();
-        assert!(back.is_empty());
-        assert!(report.format_mismatch);
+        let deps = vec![("a".to_string(), 3), ("b".to_string(), 1)];
+        let mut store = KnowledgeStore::default();
+        store.seed_table_entry(
+            "tbl:a|".into(),
+            TableStat {
+                name: "a".into(),
+                version: 3,
+                sel_sum: 0.5,
+                count: u64::MAX,
+            },
+        );
+        store.seed_edge_entry(
+            "edge:a~b".into(),
+            EdgeStat {
+                deps: deps.clone(),
+                fwd: (1.0, u64::MAX),
+                rev: (1.0, u64::MAX),
+            },
+        );
+        store.seed_scale_entry(-1.0, u64::MAX);
+        save(&store, &path).unwrap();
+
+        let mut back = KnowledgeStore::new(KnowledgeConfig {
+            capacity: 1,
+            ..KnowledgeConfig::default()
+        });
+        back.seed_scale_entry(-1.0, 1);
+        assert_eq!(load(&mut back, &path).unwrap().loaded, 2);
+        let edge = |fingerprint: &str| EdgeObs {
+            fingerprint: fingerprint.into(),
+            deps: deps.clone(),
+            fwd: (1.0, 3),
+            rev: (0.5, 2),
+        };
+        back.record(&Observation {
+            tables: vec![TableObs {
+                fingerprint: "tbl:a|".into(),
+                name: "a".into(),
+                version: 3,
+                filtered: 1,
+                base: 2,
+            }],
+            edges: vec![edge("edge:a~b")],
+        });
+        let (tables, edges) = back.export();
+        assert_eq!(tables[0].1.count, u64::MAX);
+        assert_eq!((edges[0].1.fwd.1, edges[0].1.rev.1), (u64::MAX, u64::MAX));
+        assert_eq!(back.scale_raw().1, u64::MAX);
+
+        back.record(&Observation {
+            tables: vec![],
+            edges: vec![edge("edge:b~a")],
+        });
+        assert_eq!(back.len(), (1, 1));
+        assert_eq!(back.stats().evicted, 1);
         std::fs::remove_dir_all(&d).ok();
     }
 }

@@ -253,7 +253,7 @@ impl KnowledgeStore {
         let run_slices: u64 = obs.edges.iter().map(|e| e.fwd.1 + e.rev.1).sum();
         if run_slices > 0 && run_reward > 0.0 {
             self.scale.0 += (run_reward / run_slices as f64).ln();
-            self.scale.1 += 1;
+            self.scale.1 = self.scale.1.saturating_add(1);
         }
         for t in &obs.tables {
             if t.base == 0 {
@@ -286,7 +286,7 @@ impl KnowledgeStore {
                 entry.count = 0;
             }
             entry.sel_sum += sel;
-            entry.count += 1;
+            entry.count = entry.count.saturating_add(1);
         }
         for e in &obs.edges {
             let total = e.fwd.0 + e.rev.0;
@@ -300,7 +300,7 @@ impl KnowledgeStore {
                     &mut self.edges,
                     self.config.capacity,
                     &mut self.stats.evicted,
-                    |s| s.fwd.1 + s.rev.1,
+                    edge_weight,
                 )
             {
                 continue;
@@ -324,9 +324,9 @@ impl KnowledgeStore {
             // to have the largest reward scale own the aggregate.
             let share = (e.fwd.0 / total).clamp(0.0, 1.0);
             entry.fwd.0 += share;
-            entry.fwd.1 += e.fwd.1;
+            entry.fwd.1 = entry.fwd.1.saturating_add(e.fwd.1);
             entry.rev.0 += 1.0 - share;
-            entry.rev.1 += e.rev.1;
+            entry.rev.1 = entry.rev.1.saturating_add(e.rev.1);
         }
     }
 
@@ -530,7 +530,7 @@ impl KnowledgeStore {
     pub fn seed_scale_entry(&mut self, sum: f64, runs: u64) {
         if sum.is_finite() {
             self.scale.0 += sum;
-            self.scale.1 += runs;
+            self.scale.1 = self.scale.1.saturating_add(runs);
         }
     }
 
@@ -557,12 +557,19 @@ impl KnowledgeStore {
                 &mut self.edges,
                 self.config.capacity,
                 &mut self.stats.evicted,
-                |s| s.fwd.1 + s.rev.1,
+                edge_weight,
             )
         {
             self.edges.insert(fingerprint, stat);
         }
     }
+}
+
+/// Eviction weight of an edge entry: its slices in both directions.
+/// Loaded counts may sit at `u64::MAX`, so the sum saturates like every
+/// count update does.
+fn edge_weight(s: &EdgeStat) -> u64 {
+    s.fwd.1.saturating_add(s.rev.1)
 }
 
 /// Make room for one new entry: evict the least-observed entry when the

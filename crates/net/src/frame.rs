@@ -1,11 +1,12 @@
 //! The framing layer of the wire protocol: length-prefixed, checksummed
 //! frames over any `Read`/`Write` byte stream.
 //!
-//! Mirrors the conventions of the learning-cache persistence format
-//! (`skinner_service::persist`): a fixed magic, little-endian integers,
-//! a `u32` length prefix bounded against absurd allocations, and an
-//! `FxHasher` checksum over the payload — a corrupted or truncated
-//! frame is *detected*, never silently mis-parsed.
+//! After a fixed magic and a type byte, a frame is one record of the
+//! shared codec ([`skinner_storage::codec`], as the learning cache and
+//! the knowledge store write them): a `u32` length prefix bounded
+//! against absurd allocations and an `FxHasher` checksum over the
+//! payload — a corrupted or truncated frame is *detected*, never
+//! silently mis-parsed.
 //!
 //! # Frame layout
 //!
@@ -36,8 +37,8 @@
 //! [`skinner_engine::failpoints`]).
 
 use skinner_engine::failpoints;
-use skinner_storage::hash::FxHasher;
-use std::hash::Hasher;
+pub use skinner_storage::codec::checksum;
+use skinner_storage::codec::put_record;
 use std::io::{self, Read, Write};
 
 /// Frame magic: "SKinner Net Frame".
@@ -101,13 +102,6 @@ impl FrameType {
     }
 }
 
-/// The payload checksum (FxHasher, as the persistence format uses).
-pub fn checksum(payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(payload);
-    h.finish()
-}
-
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -123,9 +117,7 @@ pub fn write_frame(w: &mut impl Write, ty: FrameType, payload: &[u8]) -> io::Res
     let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
     buf.extend_from_slice(&MAGIC);
     buf.push(ty as u8);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    put_record(&mut buf, payload);
     w.write_all(&buf)?;
     w.flush()
 }

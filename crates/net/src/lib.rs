@@ -7,14 +7,14 @@
 //! Layers, bottom up:
 //!
 //! * [`frame`] — length-prefixed, checksummed frames (magic `SKNF`,
-//!   `FxHasher` checksum — the same defensive conventions as the
-//!   learning-cache persistence format). Corruption and truncation are
-//!   *detected*, and the error taxonomy distinguishes a clean close,
-//!   an idle poll tick, a peer stalled mid-frame, and an unresyncable
-//!   protocol violation.
+//!   then one record of the shared [`skinner_storage::codec`], as the
+//!   learning cache and knowledge store write them). Corruption and
+//!   truncation are *detected*, and the error taxonomy distinguishes a
+//!   clean close, an idle poll tick, a peer stalled mid-frame, and an
+//!   unresyncable protocol violation.
 //! * [`proto`] — the typed messages (`Hello`/`Welcome`/`Busy`/`Query`/
-//!   `Cancel`/`RowBatch`/`Error`/`Stats`/`Goodbye`/`Shutdown`) over a
-//!   bounds-checked cursor codec.
+//!   `Cancel`/`RowBatch`/`Error`/`Stats`/`Goodbye`/`Shutdown`) over the
+//!   codec's bounds-checked cursor.
 //! * [`server`] — the accept loop (shared with the Unix repl server via
 //!   [`skinner_service::serve_accept_loop`]), a reader + executor
 //!   thread pair per connection (the reader lands `Cancel` frames

@@ -1,128 +1,17 @@
 //! Message payloads of the wire protocol: the typed layer above
 //! [`frame`](crate::frame).
 //!
-//! Every encoder uses the persistence conventions (little-endian,
-//! `u32`-length-prefixed UTF-8 strings); every decoder runs over a
-//! bounds-checked cursor where *any* overrun or trailing garbage makes
-//! the whole payload invalid — a frame that passed its checksum but
-//! decodes wrong is a protocol violation, not a guess.
-//!
-//! Result cells reuse the storage [`Value`] type with a 1-byte tag:
-//! `0` NULL, `1` Int, `2` Float (IEEE bits), `3` Str, `4` Date,
-//! `5` Interval.
+//! Encoders and decoders use the shared record codec
+//! ([`skinner_storage::codec`]): every decoder runs over its
+//! bounds-checked cursor, where *any* overrun, hostile count or trailing
+//! garbage makes the whole payload invalid — a frame that passed its
+//! checksum but decodes wrong is a protocol violation, not a guess.
+//! Result cells are the codec's tagged [`Value`] cells ([`put_value`]).
 
 use crate::frame::FrameType;
+pub use skinner_storage::codec::put_value;
+use skinner_storage::codec::{get_value, put_str, put_u32, put_u64, put_u8, Cursor};
 use skinner_storage::Value;
-
-// ---------------------------------------------------------------------
-// Encoding / decoding primitives
-// ---------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        Some(self.u64()? as i64)
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-/// Encode one result cell (used by the server, the verification path of
-/// the load harness, and the tests).
-pub fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(out, 0),
-        Value::Int(i) => {
-            put_u8(out, 1);
-            put_u64(out, *i as u64);
-        }
-        Value::Float(f) => {
-            put_u8(out, 2);
-            put_u64(out, f.to_bits());
-        }
-        Value::Str(s) => {
-            put_u8(out, 3);
-            put_str(out, s);
-        }
-        Value::Date(d) => {
-            put_u8(out, 4);
-            put_u64(out, *d as u64);
-        }
-        Value::Interval(d) => {
-            put_u8(out, 5);
-            put_u64(out, *d as u64);
-        }
-    }
-}
-
-fn get_value(c: &mut Cursor<'_>) -> Option<Value> {
-    Some(match c.u8()? {
-        0 => Value::Null,
-        1 => Value::Int(c.i64()?),
-        2 => Value::Float(f64::from_bits(c.u64()?)),
-        3 => Value::str(c.str()?),
-        4 => Value::Date(c.i64()?),
-        5 => Value::Interval(c.i64()?),
-        _ => return None,
-    })
-}
 
 /// Encode one whole row — the canonical per-row byte form the load
 /// harness sorts and compares for result verification (the engine's
@@ -439,26 +328,18 @@ impl Message {
                 let flags = c.u8()?;
                 let mut columns = Vec::new();
                 if flags & BATCH_FIRST != 0 {
-                    let n = c.u32()? as usize;
                     // Each column name costs ≥ 4 bytes on the wire.
-                    if n > payload.len() / 4 {
-                        return None;
-                    }
+                    let n = c.count(4)?;
                     for _ in 0..n {
                         columns.push(c.str()?);
                     }
                 }
-                let n_rows = c.u32()? as usize;
-                // Each row costs ≥ 4 bytes (its cell count) on the wire.
-                if n_rows > payload.len() / 4 {
-                    return None;
-                }
+                // Each row costs ≥ 4 bytes (its cell count), each cell
+                // ≥ 1 (its tag).
+                let n_rows = c.count(4)?;
                 let mut rows = Vec::with_capacity(n_rows);
                 for _ in 0..n_rows {
-                    let n_cells = c.u32()? as usize;
-                    if n_cells > payload.len() {
-                        return None;
-                    }
+                    let n_cells = c.count(1)?;
                     let mut row = Vec::with_capacity(n_cells);
                     for _ in 0..n_cells {
                         row.push(get_value(&mut c)?);
@@ -491,11 +372,8 @@ impl Message {
             },
             FrameType::StatsRequest => Message::StatsRequest,
             FrameType::Stats => {
-                let n = c.u32()? as usize;
                 // Each pair costs ≥ 12 bytes on the wire.
-                if n > payload.len() / 12 {
-                    return None;
-                }
+                let n = c.count(12)?;
                 let mut counters = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k = c.str()?;

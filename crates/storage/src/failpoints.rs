@@ -2,7 +2,10 @@
 //!
 //! A tiny failpoint registry used by the robustness test suites to
 //! inject deterministic faults — panics, I/O errors, cancellations —
-//! at named sites inside the engine and the service layer.
+//! at named sites inside the engine, the service layer and the record
+//! codec. It lives in `skinner-storage` (std only) so the
+//! [`codec`](crate::codec) can check its I/O sites; `skinner-engine`
+//! re-exports it as `skinner_engine::failpoints`.
 //!
 //! Design constraints, in order:
 //!
@@ -36,10 +39,12 @@
 //!
 //! | site | layer | effect |
 //! |------|-------|--------|
-//! | `engine.slice` | slice loop top | `panic` aborts the query mid-run; `cancel` stops it as if the client cancelled |
+//! | `engine.slice` | slice loop top | `panic` aborts the query mid-run |
+//! | `engine.cancel` | slice loop top | `cancel` stops the query as if the client cancelled |
 //! | `partition.chunk` | parallel chunk worker | `panic` inside a scoped worker thread |
 //! | `budget.acquire` | service admission | `panic` while the budget lock is held (poisons it) |
-//! | `persist.write` / `persist.fsync` / `persist.rename` / `persist.read` | cache persistence I/O | `err` surfaces as `std::io::Error`, `panic` aborts mid-write |
+//! | `persist.write` / `persist.fsync` / `persist.rename` / `persist.read` | learning-cache persistence I/O | `err` surfaces as `std::io::Error`, `panic` aborts mid-write |
+//! | `knowledge.write` / `knowledge.fsync` / `knowledge.rename` / `knowledge.read` | knowledge-store persistence I/O | as `persist.*` |
 //! | `net.read` / `net.write` | wire-protocol framing (`skinner-net`) | `err` surfaces as a transport failure; the connection unwinds, the server survives |
 
 use std::collections::HashMap;

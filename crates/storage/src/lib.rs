@@ -17,7 +17,11 @@
 //!   support the "jump to the next tuple index ≥ i that satisfies the
 //!   equality predicate" probe used by the multi-way join (§4.5),
 //! * [`hash`] — a vendored FxHash-style hasher used on all hot paths
-//!   (row-id sets, result dedup, index probes).
+//!   (row-id sets, result dedup, index probes),
+//! * [`codec`] — the one little-endian, checksummed record codec shared
+//!   by the learning cache, the knowledge store and the wire protocol,
+//! * [`failpoints`] — the fault-injection registry the codec's I/O sites
+//!   (and the engine's and service's) check.
 //!
 //! The crate is deliberately free of query semantics: predicates and
 //! expressions live in `skinner-query`, execution in `skinner-engine` and
@@ -28,8 +32,10 @@
 
 pub mod bitmap;
 pub mod catalog;
+pub mod codec;
 pub mod column;
 pub mod error;
+pub mod failpoints;
 pub mod hash;
 pub mod index;
 pub mod table;

@@ -148,10 +148,12 @@ impl<A> TreeSnapshot<A> {
     }
 
     /// Rebuild a snapshot from [`to_parts`](Self::to_parts) data.
-    /// Returns `None` unless the reassembled tree is structurally sound
-    /// (action/child arity matches, child indices in bounds) — the
-    /// defense that lets the persistence loader reject a corrupt or
-    /// hand-mangled record instead of panicking later inside `choose`.
+    /// Returns `None` unless the reassembled tree is one the learner can
+    /// produce: structurally sound (action/child arity matches, child
+    /// indices in bounds) and every `reward_sum` finite and in
+    /// `[0, visits]` — the defense that lets the persistence loader
+    /// reject a corrupt or hand-mangled record instead of panicking
+    /// later inside `choose`, or starving arms behind a NaN bound.
     pub fn from_parts(nodes: Vec<SnapshotNode<A>>, rounds: u64) -> Option<Self> {
         let snap = TreeSnapshot {
             nodes: nodes
@@ -168,8 +170,10 @@ impl<A> TreeSnapshot<A> {
         snap.well_formed().then_some(snap)
     }
 
-    /// Structural sanity: every child index in range, child slots match
-    /// action slots, and the root exists.
+    /// Sanity: the root exists, child slots match action slots, every
+    /// child index is in range, and every reward sum is one `update` can
+    /// reach (it clamps each reward to `[0, 1]`). A NaN sum would make
+    /// every UCB bound NaN, and `pick_child` would pick arm 0 forever.
     fn well_formed(&self) -> bool {
         !self.nodes.is_empty()
             && self.nodes.iter().all(|n| {
@@ -177,6 +181,7 @@ impl<A> TreeSnapshot<A> {
                     && n.children
                         .iter()
                         .all(|&c| c == UNEXPANDED || c < self.nodes.len())
+                    && (0.0..=n.visits as f64).contains(&n.reward_sum)
             })
     }
 }
@@ -651,6 +656,34 @@ mod tests {
         bad[0].children.pop();
         assert!(TreeSnapshot::from_parts(bad, rounds).is_none());
         assert!(TreeSnapshot::<usize>::from_parts(vec![], 0).is_none());
+    }
+
+    #[test]
+    fn from_parts_rejects_reward_sums_update_cannot_produce() {
+        let tree = |reward_sum: f64| {
+            TreeSnapshot::from_parts(
+                vec![
+                    SnapshotNode {
+                        visits: 4,
+                        reward_sum: 2.0,
+                        actions: vec![0usize, 1],
+                        children: vec![1, UNEXPANDED],
+                    },
+                    SnapshotNode {
+                        visits: 3,
+                        reward_sum,
+                        actions: vec![],
+                        children: vec![],
+                    },
+                ],
+                4,
+            )
+        };
+        assert!(tree(0.0).is_some());
+        assert!(tree(3.0).is_some());
+        for bad in [f64::NAN, f64::INFINITY, -0.5, 3.5] {
+            assert!(tree(bad).is_none(), "reward_sum {bad} accepted");
+        }
     }
 
     #[test]
