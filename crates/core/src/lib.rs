@@ -13,6 +13,8 @@
 //! * [`postprocess`](mod@postprocess) — grouping, aggregation, sorting,
 //!   DISTINCT, LIMIT (§3: "post-processing involves grouping,
 //!   aggregation, and sorting").
+//! * [`MinMaxFold`] — a global MIN/MAX folded while Skinner-C's join
+//!   runs, in place of a deduplicated result set and post-processing.
 //!
 //! The [`SkinnerDB`] type bundles a variant choice with post-processing
 //! behind one `execute(query) -> QueryResult` call.
@@ -20,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fold;
 pub mod postprocess;
 pub mod pyramid;
 pub mod result;
@@ -27,6 +30,7 @@ pub mod skinner_db;
 pub mod skinner_g;
 pub mod skinner_h;
 
+pub use fold::MinMaxFold;
 pub use postprocess::{postprocess, project_tuple};
 pub use pyramid::PyramidTimeouts;
 pub use result::ResultTable;

@@ -1,11 +1,15 @@
 //! Post-processing: projection, aggregation, grouping, sorting (§3).
 //!
-//! The join phase (any variant) produces distinct result tuples as base
-//! row ids per table. This module materializes the SELECT list on top:
-//! plain expression projection, aggregates (COUNT/SUM/MIN/MAX/AVG) with
-//! optional GROUP BY, DISTINCT, ORDER BY, LIMIT — covering every query
-//! shape in the paper's benchmarks (JOB uses MIN aggregates, TPC-H adds
-//! grouping and ordering).
+//! [`postprocess`] materializes the SELECT list on top of distinct join
+//! tuples (base row ids per table): plain expression projection,
+//! aggregates (COUNT/SUM/MIN/MAX/AVG) with optional GROUP BY, DISTINCT,
+//! ORDER BY, LIMIT — covering every query shape in the paper's
+//! benchmarks (JOB uses MIN aggregates, TPC-H adds grouping and
+//! ordering). Skinner-G/H and the plain engines always hand it their
+//! distinct tuples; Skinner-C does too, except for a global MIN/MAX
+//! ([`Query::folds_into_min_max`]), which [`MinMaxFold`](crate::MinMaxFold)
+//! folds while the join runs with the same accumulators and the same
+//! DISTINCT/ORDER BY/LIMIT tail.
 
 use crate::result::ResultTable;
 use skinner_query::{Agg, AggFunc, Query, SelectItem, TupleContext};
@@ -46,9 +50,20 @@ fn key_of(v: &Value) -> Key {
     }
 }
 
+/// `x` against `y` for MIN/MAX: [`Value::sql_cmp`], except that NaN
+/// sorts above every number and equals itself (PostgreSQL's order), so
+/// an extremum does not depend on the order rows arrive in.
+fn min_max_cmp(x: &Value, y: &Value) -> Option<Ordering> {
+    x.sql_cmp(y).or_else(|| {
+        let number = |v: &Value| matches!(v, Value::Int(_) | Value::Float(_));
+        let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+        (number(x) && number(y)).then(|| nan(x).cmp(&nan(y)))
+    })
+}
+
 /// Aggregate accumulator.
 #[derive(Debug, Clone)]
-enum Acc {
+pub(crate) enum Acc {
     Count(u64),
     SumFloat(f64, bool),
     Min(Option<Value>),
@@ -57,7 +72,7 @@ enum Acc {
 }
 
 impl Acc {
-    fn new(agg: &Agg) -> Acc {
+    pub(crate) fn new(agg: &Agg) -> Acc {
         match agg.func {
             AggFunc::Count => Acc::Count(0),
             AggFunc::Sum => Acc::SumFloat(0.0, false),
@@ -67,7 +82,7 @@ impl Acc {
         }
     }
 
-    fn update(&mut self, v: Option<&Value>) {
+    pub(crate) fn update(&mut self, v: Option<&Value>) {
         match self {
             Acc::Count(n) => {
                 // COUNT(*) counts rows; COUNT(expr) counts non-NULL.
@@ -90,7 +105,7 @@ impl Acc {
                     if !x.is_null()
                         && cur
                             .as_ref()
-                            .is_none_or(|c| x.sql_cmp(c) == Some(Ordering::Less))
+                            .is_none_or(|c| min_max_cmp(x, c) == Some(Ordering::Less))
                     {
                         *cur = Some(x.clone());
                     }
@@ -101,7 +116,7 @@ impl Acc {
                     if !x.is_null()
                         && cur
                             .as_ref()
-                            .is_none_or(|c| x.sql_cmp(c) == Some(Ordering::Greater))
+                            .is_none_or(|c| min_max_cmp(x, c) == Some(Ordering::Greater))
                     {
                         *cur = Some(x.clone());
                     }
@@ -118,7 +133,7 @@ impl Acc {
         }
     }
 
-    fn finish(&self) -> Value {
+    pub(crate) fn finish(&self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(*n as i64),
             Acc::SumFloat(s, seen) => {
@@ -149,13 +164,12 @@ impl Acc {
 ///
 /// `tuples` is flat row-major with stride `query.num_tables()`; each slot
 /// holds a base row id of the corresponding FROM table.
-pub fn postprocess(query: &Query, tuples: &[RowId], _result_count: u64) -> ResultTable {
+pub fn postprocess(query: &Query, tuples: &[RowId]) -> ResultTable {
     let tables: Vec<TableRef> = query.tables.iter().map(|b| b.table.clone()).collect();
     let m = query.num_tables().max(1);
-    let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
     let grouped = query.has_aggregates() || !query.group_by.is_empty();
 
-    let mut rows: Vec<Vec<Value>> = if grouped {
+    let rows: Vec<Vec<Value>> = if grouped {
         aggregate_rows(query, tuples, &tables, m)
     } else {
         tuples
@@ -163,7 +177,13 @@ pub fn postprocess(query: &Query, tuples: &[RowId], _result_count: u64) -> Resul
             .map(|tup| project_tuple(query, tup, &tables))
             .collect()
     };
+    finish_rows(query, rows)
+}
 
+/// Apply DISTINCT, ORDER BY and LIMIT to the output rows and name the
+/// columns.
+pub(crate) fn finish_rows(query: &Query, mut rows: Vec<Vec<Value>>) -> ResultTable {
+    let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
     if query.distinct {
         let mut seen: FxHashMap<Vec<Key>, ()> = FxHashMap::default();
         rows.retain(|row| {
@@ -350,7 +370,7 @@ mod tests {
         let amt = qb.col("sales.amount").unwrap();
         qb.select_expr(amt.clone().mul(Expr::lit(2)), "double");
         let q = qb.build().unwrap();
-        let t = postprocess(&q, &all_tuples(), 5);
+        let t = postprocess(&q, &all_tuples());
         assert_eq!(t.columns, vec!["double"]);
         assert_eq!(t.rows[0], vec![Value::Int(20)]);
         assert_eq!(t.num_rows(), 5);
@@ -372,7 +392,7 @@ mod tests {
         qb.group_by(region);
         qb.order_by("region", true);
         let q = qb.build().unwrap();
-        let t = postprocess(&q, &all_tuples(), 5);
+        let t = postprocess(&q, &all_tuples());
         assert_eq!(t.num_rows(), 2);
         // east: 10+30+50=90, n=3, avg=30, min=10, max=50
         assert_eq!(
@@ -398,7 +418,7 @@ mod tests {
         qb.select_agg(AggFunc::Count, None, "n");
         qb.select_agg(AggFunc::Sum, Some(amount), "total");
         let q = qb.build().unwrap();
-        let t = postprocess(&q, &[], 0);
+        let t = postprocess(&q, &[]);
         assert_eq!(t.num_rows(), 1);
         assert_eq!(t.rows[0], vec![Value::Int(0), Value::Null]);
     }
@@ -411,7 +431,7 @@ mod tests {
         qb.select_col("sales.region").unwrap();
         qb.distinct();
         let q = qb.build().unwrap();
-        let t = postprocess(&q, &all_tuples(), 5);
+        let t = postprocess(&q, &all_tuples());
         assert_eq!(t.num_rows(), 2);
 
         let mut qb = QueryBuilder::new(&cat);
@@ -419,7 +439,7 @@ mod tests {
         qb.select_col("sales.amount").unwrap();
         qb.limit(3);
         let q = qb.build().unwrap();
-        let t = postprocess(&q, &all_tuples(), 5);
+        let t = postprocess(&q, &all_tuples());
         assert_eq!(t.num_rows(), 3);
     }
 
@@ -431,7 +451,7 @@ mod tests {
         qb.select_col("sales.amount").unwrap();
         qb.order_by("amount", false);
         let q = qb.build().unwrap();
-        let t = postprocess(&q, &all_tuples(), 5);
+        let t = postprocess(&q, &all_tuples());
         let vals: Vec<i64> = t.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(vals, vec![50, 40, 30, 20, 10]);
     }
@@ -456,7 +476,7 @@ mod tests {
         let x = qb.col("t.x").unwrap();
         qb.select_agg(AggFunc::Count, Some(x), "n");
         let q = qb.build().unwrap();
-        let t = postprocess(&q, &[0, 1, 2], 3);
+        let t = postprocess(&q, &[0, 1, 2]);
         assert_eq!(t.rows[0], vec![Value::Int(2)]);
     }
 }

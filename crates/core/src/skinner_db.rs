@@ -4,11 +4,14 @@
 //! post-processor behind one `execute` call, and provides [`run_engine`]
 //! to run a plain simulated engine end-to-end for baseline comparisons.
 
+use crate::fold::MinMaxFold;
 use crate::postprocess::postprocess;
 use crate::result::ResultTable;
 use crate::skinner_g::{SkinnerG, SkinnerGConfig};
 use crate::skinner_h::{PlanSource, SkinnerH, SkinnerHConfig};
-use skinner_engine::{ExecMetrics, RunOptions, SkinnerC, SkinnerCConfig, StopReason};
+use skinner_engine::{
+    ExecMetrics, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason,
+};
 use skinner_query::{Query, TableId};
 use skinner_simdb::exec::ExecOptions;
 use skinner_simdb::Engine;
@@ -34,7 +37,9 @@ pub struct RunStats {
     pub join_phase: Duration,
     /// Post-processing wall time.
     pub postprocess: Duration,
-    /// Distinct join result tuples (before post-processing).
+    /// Distinct join result tuples (before post-processing). A
+    /// Skinner-C run that folded a global MIN/MAX counts emitted tuples
+    /// instead, duplicates included (see [`MinMaxFold`]).
     pub result_count: u64,
     /// Time slices (C) or engine invocations (G/H).
     pub slices: u64,
@@ -71,6 +76,23 @@ pub struct QueryResult {
     pub stats: RunStats,
 }
 
+impl QueryResult {
+    /// Build the result table with `post` after a join phase that
+    /// started at `start`: `post`'s time becomes `stats.postprocess`,
+    /// the time since `start` becomes `stats.total`.
+    pub fn finish(
+        start: Instant,
+        mut stats: RunStats,
+        post: impl FnOnce() -> ResultTable,
+    ) -> QueryResult {
+        let post_start = Instant::now();
+        let table = post();
+        stats.postprocess = post_start.elapsed();
+        stats.total = start.elapsed();
+        QueryResult { table, stats }
+    }
+}
+
 /// SkinnerDB: regret-bounded query evaluation.
 pub struct SkinnerDB {
     variant: Variant,
@@ -105,9 +127,14 @@ impl SkinnerDB {
     }
 
     /// Execute `query` end to end (join phase + post-processing).
+    ///
+    /// Skinner-C folds a global MIN/MAX ([`Query::folds_into_min_max`])
+    /// into a [`MinMaxFold`] while the join runs; every other query, and
+    /// every query on Skinner-G/H, is post-processed from its distinct
+    /// join tuples.
     pub fn execute(&self, query: &Query) -> QueryResult {
         let start = Instant::now();
-        let (tuples, stride, mut stats) = match &self.variant {
+        let (tuples, stats) = match &self.variant {
             Variant::C(cfg) => {
                 // LIMIT pushdown: when each distinct join tuple maps to
                 // exactly one output row, the join phase stops as soon as
@@ -116,17 +143,14 @@ impl SkinnerDB {
                     target_rows: query.join_limit(),
                     ..Default::default()
                 };
-                let out = SkinnerC::new(*cfg).run_with(query, &opts);
-                let stats = RunStats {
-                    join_phase: out.metrics.preprocess_time + out.metrics.join_time,
-                    result_count: out.result_count,
-                    slices: out.metrics.slices,
-                    final_order: Some(out.final_order.clone()),
-                    stop: Some(out.stop),
-                    metrics: Some(out.metrics),
-                    ..Default::default()
-                };
-                (out.tuples, out.num_tables, stats)
+                let engine = SkinnerC::new(*cfg);
+                if query.folds_into_min_max() {
+                    let mut fold = MinMaxFold::new(query);
+                    let out = engine.run_into(query, &opts, &mut fold);
+                    return QueryResult::finish(start, c_stats(out), || fold.finish());
+                }
+                let mut out = engine.run_with(query, &opts);
+                (std::mem::take(&mut out.tuples), c_stats(out))
             }
             Variant::G(engine, cfg) => {
                 let out = SkinnerG::new(engine.as_ref(), *cfg).run(query);
@@ -136,7 +160,7 @@ impl SkinnerDB {
                     slices: out.iterations,
                     ..Default::default()
                 };
-                (out.tuples, out.num_tables, stats)
+                (out.tuples, stats)
             }
             Variant::H(engine, cfg) => {
                 let out = SkinnerH::new(engine.as_ref(), *cfg).run(query);
@@ -147,15 +171,23 @@ impl SkinnerDB {
                     plan_source: Some(out.source),
                     ..Default::default()
                 };
-                (out.tuples, out.num_tables, stats)
+                (out.tuples, stats)
             }
         };
+        QueryResult::finish(start, stats, || postprocess(query, &tuples))
+    }
+}
 
-        let post_start = Instant::now();
-        let table = postprocess(query, &tuples, (tuples.len() / stride.max(1)) as u64);
-        stats.postprocess = post_start.elapsed();
-        stats.total = start.elapsed();
-        QueryResult { table, stats }
+/// The statistics of a Skinner-C join phase.
+fn c_stats(out: SkinnerOutcome) -> RunStats {
+    RunStats {
+        join_phase: out.metrics.preprocess_time + out.metrics.join_time,
+        result_count: out.result_count,
+        slices: out.metrics.slices,
+        final_order: Some(out.final_order),
+        stop: Some(out.stop),
+        metrics: Some(out.metrics),
+        ..Default::default()
     }
 }
 
@@ -164,23 +196,15 @@ impl SkinnerDB {
 pub fn run_engine(engine: &dyn Engine, query: &Query, opts: &ExecOptions) -> QueryResult {
     let start = Instant::now();
     let out = engine.execute(query, opts);
-    let join_phase = start.elapsed();
-    let post_start = Instant::now();
-    let table = postprocess(query, &out.tuples, out.result_count);
-    let postprocess_time = post_start.elapsed();
-    QueryResult {
-        table,
-        stats: RunStats {
-            total: start.elapsed(),
-            join_phase,
-            postprocess: postprocess_time,
-            result_count: out.result_count,
-            slices: 1,
-            final_order: Some(out.join_order),
-            cout: Some(out.intermediate_cardinality),
-            ..Default::default()
-        },
-    }
+    let stats = RunStats {
+        join_phase: start.elapsed(),
+        result_count: out.result_count,
+        slices: 1,
+        final_order: Some(out.join_order),
+        cout: Some(out.intermediate_cardinality),
+        ..Default::default()
+    };
+    QueryResult::finish(start, stats, || postprocess(query, &out.tuples))
 }
 
 #[cfg(test)]
@@ -306,6 +330,38 @@ mod tests {
         let r = SkinnerDB::skinner_c(SkinnerCConfig::default()).execute(&q);
         assert_eq!(r.stats.stop, Some(StopReason::Completed));
         assert_eq!(r.stats.result_count, 200);
+    }
+
+    #[test]
+    fn global_min_max_folds_without_a_result_set() {
+        let cat = catalog();
+        // `cut` 0 filters `a` to nothing: the join phase never starts.
+        for cut in [30, 0] {
+            let mut qb = QueryBuilder::new(&cat);
+            qb.table("a").unwrap();
+            qb.table("b").unwrap();
+            let j = qb.col("a.k").unwrap().eq(qb.col("b.k").unwrap());
+            let f = qb.col("a.v").unwrap().lt(skinner_query::Expr::lit(cut));
+            qb.filter(j);
+            qb.filter(f);
+            let (av, bv) = (qb.col("a.v").unwrap(), qb.col("b.v").unwrap());
+            qb.select_agg(AggFunc::Min, Some(av), "lo");
+            qb.select_agg(AggFunc::Max, Some(bv), "hi");
+            let q = qb.build().unwrap();
+            assert!(q.folds_into_min_max());
+            let oracle = run_engine(&ColEngine::new(), &q, &ExecOptions::default());
+            let r = SkinnerDB::skinner_c(SkinnerCConfig {
+                budget: 16,
+                ..Default::default()
+            })
+            .execute(&q);
+            assert_eq!(r.table, oracle.table, "cut {cut}");
+            let m = r.stats.metrics.as_ref().expect("C metrics");
+            assert_eq!(m.result_bytes, 0);
+            // Emitted tuples, duplicates included.
+            assert_eq!(r.stats.result_count, m.result_attempts);
+            assert!(r.stats.result_count >= oracle.stats.result_count);
+        }
     }
 
     #[test]

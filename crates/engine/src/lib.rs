@@ -52,7 +52,7 @@ pub mod reward;
 pub mod skinner_c;
 
 pub use metrics::ExecMetrics;
-pub use multiway::{ContinueResult, LimitSink, MultiwayJoin, ResultSink};
+pub use multiway::{Collector, ContinueResult, LimitSink, MultiwayJoin, ResultSink};
 pub use partition::PartitionSpec;
 pub use prepare::PreparedQuery;
 // The codegen tier's public surface, re-exported for drivers that

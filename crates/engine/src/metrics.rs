@@ -84,9 +84,11 @@ pub struct ExecMetrics {
     pub tracker_nodes: usize,
     /// Progress-trie bytes.
     pub tracker_bytes: usize,
-    /// Distinct result tuples (Fig. 8c).
+    /// Distinct result tuples (Fig. 8c). A run that folds a global
+    /// MIN/MAX instead of deduplicating (`SkinnerC::run_into`) reports
+    /// emitted tuples here, duplicates included, like `result_attempts`.
     pub result_tuples: usize,
-    /// Result-set bytes.
+    /// Result-set bytes (0 when the run folded instead of storing).
     pub result_bytes: usize,
     /// Hash-index bytes.
     pub index_bytes: usize,

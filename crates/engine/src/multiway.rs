@@ -65,7 +65,38 @@ impl ResultSink for ResultSet {
 
     #[inline]
     fn approx_bytes(&self) -> usize {
-        ResultSet::approx_bytes(self, self.stride)
+        ResultSet::approx_bytes(self)
+    }
+}
+
+/// A sink a whole Skinner-C run collects into (see
+/// `SkinnerC::run_into`): the driver reads its size for LIMIT pushdown
+/// and the run's metrics, and takes its tuples at the end.
+pub trait Collector: ResultSink {
+    /// Tuples collected: distinct tuples for a deduplicating set, every
+    /// emitted tuple for a sink that cannot tell duplicates apart.
+    fn collected(&self) -> usize;
+
+    /// Insert attempts so far, duplicates included.
+    fn attempts(&self) -> u64;
+
+    /// Take the flat row-major tuple arena (`stride` row ids per tuple),
+    /// leaving the collector empty. Sinks that keep no tuples return an
+    /// empty vector.
+    fn take_flat(&mut self, stride: usize) -> Vec<RowId>;
+}
+
+impl Collector for ResultSet {
+    fn collected(&self) -> usize {
+        self.len
+    }
+
+    fn attempts(&self) -> u64 {
+        self.attempts
+    }
+
+    fn take_flat(&mut self, stride: usize) -> Vec<RowId> {
+        std::mem::take(self).into_flat(stride)
     }
 }
 
@@ -85,8 +116,9 @@ impl ResultSink for CountingSink {
     }
 }
 
-/// The LIMIT-pushdown sink: delegates to a [`ResultSet`] and reports
-/// fullness once `target` *distinct* tuples exist, which suspends the
+/// The LIMIT-pushdown sink: delegates to a [`Collector`] (a
+/// [`ResultSet`] in practice) and reports fullness once `target`
+/// *distinct* tuples exist, which suspends the
 /// running slice (see [`ResultSink::is_full`]). Used by the Skinner-C
 /// driver when [`Query::join_limit`](skinner_query::Query::join_limit)
 /// allows the join phase to stop early instead of materializing the
@@ -98,24 +130,24 @@ impl ResultSink for CountingSink {
 /// suspend as soon as the slice-wide emission count covers the remaining
 /// capacity (conservatively — re-emissions of earlier slices' tuples
 /// count too, and the driver re-checks the deduped total afterwards).
-pub struct LimitSink<'a> {
-    inner: &'a mut ResultSet,
+pub struct LimitSink<'a, C: Collector> {
+    inner: &'a mut C,
     target: u64,
 }
 
-impl<'a> LimitSink<'a> {
+impl<'a, C: Collector> LimitSink<'a, C> {
     /// Wrap `inner`, reporting full at `target` distinct tuples.
-    pub fn new(inner: &'a mut ResultSet, target: u64) -> LimitSink<'a> {
+    pub fn new(inner: &'a mut C, target: u64) -> LimitSink<'a, C> {
         LimitSink { inner, target }
     }
 
     /// True once the target is reached.
     pub fn full(&self) -> bool {
-        self.inner.len() as u64 >= self.target
+        self.inner.collected() as u64 >= self.target
     }
 }
 
-impl ResultSink for LimitSink<'_> {
+impl<C: Collector> ResultSink for LimitSink<'_, C> {
     #[inline]
     fn insert(&mut self, tuple: &[RowId]) -> bool {
         self.inner.insert(tuple)
@@ -128,7 +160,7 @@ impl ResultSink for LimitSink<'_> {
 
     #[inline]
     fn remaining_capacity(&self) -> Option<u64> {
-        Some(self.target.saturating_sub(self.inner.len() as u64))
+        Some(self.target.saturating_sub(self.inner.collected() as u64))
     }
 
     #[inline]
@@ -410,8 +442,7 @@ impl ResultSet {
     }
 
     /// Approximate heap footprint in bytes (Figure 8c).
-    pub fn approx_bytes(&self, stride: usize) -> usize {
-        let _ = stride;
+    pub fn approx_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<RowId>()
             + self.slots.len() * std::mem::size_of::<u32>()
             + self.hashes.capacity() * std::mem::size_of::<u64>()

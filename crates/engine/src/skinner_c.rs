@@ -14,7 +14,7 @@
 //! for the Table 5 ablation — uniformly at random.
 
 use crate::metrics::ExecMetrics;
-use crate::multiway::{ContinueResult, LimitSink, MultiwayJoin, ResultSet, ResultSink};
+use crate::multiway::{Collector, ContinueResult, LimitSink, MultiwayJoin, ResultSet, ResultSink};
 use crate::prepare::{OrderPlan, PreparedQuery};
 use crate::progress::ProgressTracker;
 use crate::reward::{reward, RewardKind};
@@ -158,7 +158,10 @@ pub struct RunOptions<'a> {
     /// table), checked at every slice boundary like `cancel` and
     /// `deadline`. Exceeding it stops the run with
     /// [`StopReason::MemoryExceeded`]; the tuples produced so far are a
-    /// valid distinct prefix. `None` (the default) is unbounded.
+    /// valid distinct prefix. `None` (the default) is unbounded. The cap
+    /// counts what the run's sink holds ([`ResultSink::approx_bytes`]):
+    /// a sink that folds tuples instead of storing them (a global
+    /// MIN/MAX, see `SkinnerC::run_into`) holds no arena and never trips.
     pub max_result_bytes: Option<usize>,
     /// Capture a [`LearnedState`] in the outcome for the learning cache.
     pub capture_learning: bool,
@@ -191,11 +194,14 @@ pub struct LearnedState {
 #[derive(Debug)]
 pub struct SkinnerOutcome {
     /// Distinct result tuples, flat row-major (stride = num tables, slots
-    /// in FROM order; values are base row ids).
+    /// in FROM order; values are base row ids). Empty for a run into a
+    /// sink that keeps no tuples ([`SkinnerC::run_into`]).
     pub tuples: Vec<RowId>,
     /// Number of query tables (stride).
     pub num_tables: usize,
-    /// Distinct result count.
+    /// Distinct result count; for a run into a folding sink, the number
+    /// of emitted tuples (duplicates included — such a sink cannot tell
+    /// them apart).
     pub result_count: u64,
     /// The most-visited join order at termination (replayed in other
     /// engines for Tables 3/4).
@@ -278,6 +284,22 @@ impl SkinnerC {
     /// distinct-tuple target for LIMIT pushdown, and capture of the
     /// learned state for the service layer's cross-query cache.
     pub fn run_with(&self, query: &Query, opts: &RunOptions<'_>) -> SkinnerOutcome {
+        self.run_into(query, opts, &mut ResultSet::new())
+    }
+
+    /// [`run_with`](SkinnerC::run_with), collecting every emitted tuple
+    /// into `sink` instead of a fresh [`ResultSet`]. The learner reads
+    /// only cursors (see [`crate::reward`]), so slices, steps and the
+    /// learned order do not depend on the sink; the outcome's
+    /// `result_count`, `tuples` and result metrics are whatever the sink
+    /// reports. A sink that folds tuples without deduplicating them
+    /// (a global MIN/MAX) reports emitted tuples, not distinct ones.
+    pub fn run_into<S: Collector>(
+        &self,
+        query: &Query,
+        opts: &RunOptions<'_>,
+        sink: &mut S,
+    ) -> SkinnerOutcome {
         let cfg = &self.config;
         let m = query.num_tables();
         let pq = PreparedQuery::new(query, cfg.use_indexes, cfg.threads);
@@ -329,7 +351,6 @@ impl SkinnerC {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15);
         let mut tracker = ProgressTracker::new(m);
         let mut offsets = vec![0u32; m];
-        let mut results = ResultSet::new();
         let mut join = MultiwayJoin::with_pool(&pq, cfg.threads, opts.pool.clone());
         // Pool-reuse accounting: the per-run delta of pool thread spawns
         // must be 0 after the pool's one-time warm-up. Both counters are
@@ -428,17 +449,17 @@ impl SkinnerC {
             }
             let (res, steps) = match opts.target_rows {
                 Some(target) => {
-                    let mut sink = LimitSink::new(&mut results, target);
-                    planned.run_slice(&mut join, &order, &offsets, &mut state, budget, &mut sink)
+                    let mut limited = LimitSink::new(&mut *sink, target);
+                    planned.run_slice(
+                        &mut join,
+                        &order,
+                        &offsets,
+                        &mut state,
+                        budget,
+                        &mut limited,
+                    )
                 }
-                None => planned.run_slice(
-                    &mut join,
-                    &order,
-                    &offsets,
-                    &mut state,
-                    budget,
-                    &mut results,
-                ),
+                None => planned.run_slice(&mut join, &order, &offsets, &mut state, budget, sink),
             };
             metrics.steps += steps;
 
@@ -481,7 +502,7 @@ impl SkinnerC {
             // join result is no longer needed.
             if !finished {
                 if let Some(target) = opts.target_rows {
-                    if results.len() as u64 >= target {
+                    if sink.collected() as u64 >= target {
                         stop = StopReason::RowTarget;
                         finished = true;
                     }
@@ -495,7 +516,7 @@ impl SkinnerC {
             // most its own emissions, which the step budget bounds.
             if !finished {
                 if let Some(cap) = opts.max_result_bytes {
-                    if ResultSink::approx_bytes(&results) > cap {
+                    if sink.approx_bytes() > cap {
                         stop = StopReason::MemoryExceeded;
                         finished = true;
                     }
@@ -519,9 +540,9 @@ impl SkinnerC {
         metrics.uct_bytes = tree.approx_bytes();
         metrics.tracker_nodes = tracker.num_nodes();
         metrics.tracker_bytes = tracker.approx_bytes();
-        metrics.result_tuples = results.len();
-        metrics.result_bytes = results.approx_bytes(m);
-        metrics.result_attempts = results.attempts;
+        metrics.result_tuples = sink.collected();
+        metrics.result_bytes = sink.approx_bytes();
+        metrics.result_attempts = sink.attempts();
 
         let final_order = match cfg.policy {
             OrderPolicy::Uct => tree.best_path(),
@@ -545,9 +566,9 @@ impl SkinnerC {
             None
         };
 
-        let result_count = results.len() as u64;
+        let result_count = sink.collected() as u64;
         SkinnerOutcome {
-            tuples: results.into_flat(m),
+            tuples: sink.take_flat(m),
             num_tables: m,
             result_count,
             final_order,

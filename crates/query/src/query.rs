@@ -176,6 +176,31 @@ impl Query {
         self.select.iter().any(SelectItem::is_agg)
     }
 
+    /// True iff the query is a global MIN/MAX: a non-empty SELECT list of
+    /// only `MIN`/`MAX` aggregates and no GROUP BY.
+    ///
+    /// Folding a join tuple into a MIN or a MAX twice gives the same
+    /// answer as folding it once, so such a query can fold tuples as the
+    /// join emits them — duplicates from join-order switches included —
+    /// without deduplicating them first. DISTINCT, ORDER BY and LIMIT act
+    /// on the single output row and do not change this.
+    pub fn folds_into_min_max(&self) -> bool {
+        !self.select.is_empty()
+            && self.group_by.is_empty()
+            && self.select.iter().all(|item| {
+                matches!(
+                    item,
+                    SelectItem::Agg {
+                        agg: Agg {
+                            func: AggFunc::Min | AggFunc::Max,
+                            ..
+                        },
+                        ..
+                    }
+                )
+            })
+    }
+
     /// The LIMIT that can be pushed into the join phase, if any.
     ///
     /// Each distinct join tuple maps to exactly one output row iff the
@@ -375,5 +400,41 @@ mod tests {
             name: "n".into(),
         });
         assert!(q.has_aggregates());
+    }
+
+    #[test]
+    fn min_max_fold_classification() {
+        let agg = |func| SelectItem::Agg {
+            agg: Agg {
+                func,
+                arg: Some(Expr::col(0, 1)),
+            },
+            name: "x".into(),
+        };
+        let mut q = two_table_query();
+        q.select = vec![agg(AggFunc::Min), agg(AggFunc::Max)];
+        assert!(q.folds_into_min_max());
+        // DISTINCT, ORDER BY and LIMIT act on the one output row.
+        q.distinct = true;
+        q.order_by.push(OrderKey {
+            output: 0,
+            asc: false,
+        });
+        q.limit = Some(0);
+        assert!(q.folds_into_min_max());
+        // A duplicate-sensitive aggregate, a plain expression, grouping
+        // or an empty SELECT list each need distinct tuples.
+        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg] {
+            q.select = vec![agg(AggFunc::Min), agg(func)];
+            assert!(!q.folds_into_min_max(), "{func:?}");
+        }
+        q.select = two_table_query().select;
+        assert!(!q.folds_into_min_max());
+        q.select = vec![agg(AggFunc::Max)];
+        q.group_by.push(Expr::col(0, 0));
+        assert!(!q.folds_into_min_max());
+        q.group_by.clear();
+        q.select.clear();
+        assert!(!q.folds_into_min_max());
     }
 }

@@ -10,9 +10,10 @@
 
 use crate::budget::{AdmissionError, CoreBudget};
 use crate::cache::{CacheStats, LearningCache, TableDeps, DEFAULT_CACHE_CAPACITY};
-use skinner_core::{postprocess, project_tuple, QueryResult, RunStats};
+use skinner_core::{postprocess, project_tuple, MinMaxFold, QueryResult, RunStats};
+use skinner_engine::multiway::ResultSet;
 use skinner_engine::{
-    KernelCache, KernelCacheStats, LearnedState, RunOptions, SkinnerC, SkinnerCConfig,
+    Collector, KernelCache, KernelCacheStats, LearnedState, RunOptions, SkinnerC, SkinnerCConfig,
     SkinnerOutcome, StopReason, WorkerPool, DEFAULT_KERNEL_CACHE_CAPACITY,
 };
 use skinner_knowledge::{observe, KnowledgeConfig, KnowledgeStats, KnowledgeStore};
@@ -52,7 +53,10 @@ pub struct ServiceConfig {
     /// its streamed prefix (flagged via `RunStats::stop`), any other
     /// query fails with [`ServiceError::MemoryExceeded`] instead of
     /// growing until the OS kills the process. Individual executions
-    /// may override it ([`ExecuteOptions::max_result_bytes`]).
+    /// may override it ([`ExecuteOptions::max_result_bytes`]). A global
+    /// MIN/MAX folds its tuples instead of storing them
+    /// ([`Query::folds_into_min_max`]), holds no arena and never trips
+    /// the budget.
     pub max_result_bytes: Option<usize>,
     /// Seed cold UCT trees with cross-query knowledge priors (on by
     /// default; requires `learning_cache`). Priors only shift the
@@ -609,18 +613,19 @@ impl QueryService {
         st.catalog.get(name).is_ok() && st.table_versions.get(name).copied().unwrap_or(0) == version
     }
 
-    /// Run the join phase of `query` through admission, the learning
-    /// cache (when `use_learning`), and the engine's per-run controls.
-    /// Returns the raw outcome plus `RunStats` with everything except
-    /// `postprocess`/`total` filled in (the caller finalizes those
+    /// Run the join phase of `query` into `sink` through admission, the
+    /// learning cache (when `use_learning`), and the engine's per-run
+    /// controls. Returns the raw outcome plus `RunStats` with everything
+    /// except `postprocess`/`total` filled in (the caller finalizes those
     /// around its own materialization or streaming).
-    fn run_query(
+    fn run_query<S: Collector>(
         &self,
         query: &Query,
         deps: &TableDeps,
         opts: &ExecuteOptions,
         start: Instant,
         use_learning: bool,
+        sink: &mut S,
     ) -> Result<(SkinnerOutcome, RunStats), ServiceError> {
         let use_learning = use_learning && self.config.learning_cache;
         let key = use_learning.then(|| TemplateKey::of(query));
@@ -694,7 +699,7 @@ impl QueryService {
             kernel_cache: Some(&self.kernels),
             pool: Some(self.pool.clone()),
         };
-        let mut out = SkinnerC::new(engine_cfg).run_with(query, &run_opts);
+        let mut out = SkinnerC::new(engine_cfg).run_into(query, &run_opts, sink);
         drop(grant);
 
         match out.stop {
@@ -778,6 +783,10 @@ impl QueryService {
         Ok((out, stats))
     }
 
+    /// Run `query` and materialize its result: a global MIN/MAX
+    /// ([`Query::folds_into_min_max`]) folds into a [`MinMaxFold`] while
+    /// the join runs, every other query is post-processed from its
+    /// distinct join tuples.
     fn execute_query(
         &self,
         query: &Query,
@@ -786,13 +795,16 @@ impl QueryService {
         start: Instant,
         use_learning: bool,
     ) -> Result<QueryResult, ServiceError> {
-        let (out, mut stats) = self.run_query(query, deps, opts, start, use_learning)?;
-        let post_start = Instant::now();
-        let stride = out.num_tables.max(1);
-        let table = postprocess(query, &out.tuples, (out.tuples.len() / stride) as u64);
-        stats.postprocess = post_start.elapsed();
-        stats.total = start.elapsed();
-        Ok(QueryResult { table, stats })
+        if query.folds_into_min_max() {
+            let mut fold = MinMaxFold::new(query);
+            let (_, stats) = self.run_query(query, deps, opts, start, use_learning, &mut fold)?;
+            return Ok(QueryResult::finish(start, stats, || fold.finish()));
+        }
+        let mut results = ResultSet::new();
+        let (out, stats) = self.run_query(query, deps, opts, start, use_learning, &mut results)?;
+        Ok(QueryResult::finish(start, stats, || {
+            postprocess(query, &out.tuples)
+        }))
     }
 }
 
@@ -914,7 +926,9 @@ impl Session {
                 }
                 return Ok(result.stats);
             }
-            let (out, mut stats) = service.run_query(&query, &deps, opts, start, true)?;
+            let mut results = ResultSet::new();
+            let (out, mut stats) =
+                service.run_query(&query, &deps, opts, start, true, &mut results)?;
             let post_start = Instant::now();
             let tables: Vec<TableRef> = query.tables.iter().map(|b| b.table.clone()).collect();
             let m = out.num_tables.max(1);

@@ -366,6 +366,76 @@ fn composite_template_warm_survives_catalog_invalidation() {
     );
 }
 
+/// Template 2 answered by nested loops over the catalog: `(MIN(s.v),
+/// MAX(s.v))` over `s ⋈ u` on `k` with `s.v > constant`.
+fn min_max_oracle(cat: &Catalog, constant: i64) -> Vec<skinner_storage::Value> {
+    use skinner_storage::Value;
+    let ints = |table: &str, col: usize| -> Vec<i64> {
+        let t = cat.get(table).expect("table");
+        (0..t.num_rows())
+            .map(|r| t.column(col).get(r).as_int().expect("int"))
+            .collect()
+    };
+    let (sk, sv, uk) = (ints("s", 0), ints("s", 1), ints("u", 0));
+    let hits: Vec<i64> = sk
+        .iter()
+        .zip(&sv)
+        .filter(|&(k, &v)| v > constant && uk.contains(k))
+        .map(|(_, &v)| v)
+        .collect();
+    let wrap = |v: Option<&i64>| v.map_or(Value::Null, |&v| Value::Int(v));
+    vec![wrap(hits.iter().min()), wrap(hits.iter().max())]
+}
+
+#[test]
+fn global_min_max_folds_cold_warm_and_streamed() {
+    // Template 2 is a global MIN/MAX: the service folds it while the
+    // join runs instead of deduplicating tuples. Cold, warm (learning
+    // cache hit) and streamed answers must all equal the oracle — the
+    // last constant empties the join, which yields one row of NULLs.
+    let svc = service(41);
+    let cat = catalog(41);
+    let mut session = svc.session();
+    for constant in [25, 400, 10_000] {
+        let q = sql(2, constant);
+        let want = vec![min_max_oracle(&cat, constant)];
+        let cold = session.execute(&q).expect("cold");
+        assert_eq!(cold.table.rows, want, "cold, constant {constant}");
+        let m = cold.stats.metrics.as_ref().expect("metrics");
+        assert_eq!(m.result_bytes, 0, "a fold stores no tuples");
+        let warm = session.execute(&q).expect("warm");
+        assert!(warm.stats.cache_hit);
+        assert_eq!(warm.table.rows, want, "warm, constant {constant}");
+        let mut streamed = Vec::new();
+        session
+            .execute_streaming(&q, &Default::default(), |row| {
+                streamed.push(row.to_vec());
+                true
+            })
+            .expect("streamed");
+        assert_eq!(streamed, want, "streamed, constant {constant}");
+    }
+}
+
+#[test]
+fn global_min_max_needs_no_result_memory() {
+    // A fold builds no tuple arena, so a byte budget far below any
+    // arena cannot trip it — while the GROUP BY template still does
+    // (see the two tests below).
+    use skinner_service::ExecuteOptions;
+    let svc = service(43);
+    let opts = ExecuteOptions {
+        max_result_bytes: Some(64),
+        ..Default::default()
+    };
+    let r = svc
+        .session()
+        .execute_with(&sql(2, 25), &opts)
+        .expect("no arena, no trip");
+    assert_eq!(r.table.rows, vec![min_max_oracle(&catalog(43), 25)]);
+    assert_eq!(svc.stats().memory_exceeded, 0);
+}
+
 #[test]
 fn memory_budget_fails_cleanly_without_limit() {
     use skinner_service::{ExecuteOptions, ServiceError};

@@ -15,7 +15,10 @@
 //!   prefix + plan-bound suffix split tier — asserted below (a refusal
 //!   to compile is a test failure, not a fallback),
 //! * the full Skinner-C engine (heavy order switching) is checked
-//!   against the vectorized column engine.
+//!   against the vectorized column engine,
+//! * a global MIN/MAX, folded while the join runs, is checked against
+//!   the column engine and against post-processed distinct tuples, with
+//!   the learner's slices, steps and final order unchanged.
 //!
 //! The partitioned runs also drive the **pool/schedule surface**: each
 //! case randomizes the worker-pool size (1/2/4/8 workers, all distinct
@@ -255,6 +258,67 @@ fn random_valid_order(q: &Query, seed: u64) -> Vec<usize> {
         chosen.insert(t);
     }
     order
+}
+
+/// A global MIN/MAX variant of a fuzz case: one to three MIN/MAX items,
+/// each over a bare column of any FROM table (Int, Float, Str, Date, all
+/// possibly NULL) or a computed expression (sums, and quotients that can
+/// be NULL, infinite or NaN); one case in five adds an unsatisfiable
+/// filter (an empty join), and LIMIT is none, 0 or 1.
+fn min_max_variant(q: &Query, seed: u64) -> Query {
+    use skinnerdb::query::{Agg, BinOp, SelectItem};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut q = q.clone();
+    let m = q.num_tables();
+    // Every table's last column is `v`, drawn from 0..20.
+    let widths: Vec<usize> = q.tables.iter().map(|b| b.table.schema().len()).collect();
+    let any_col = |rng: &mut SmallRng| {
+        let t = rng.gen_range(0..m);
+        Expr::col(t, rng.gen_range(0..widths[t]))
+    };
+    // `v < k` as 0.0 or 1.0.
+    let flag = |rng: &mut SmallRng| {
+        let t = rng.gen_range(0..m);
+        Expr::col(t, widths[t] - 1)
+            .lt(Expr::lit(rng.gen_range(0..20i64)))
+            .mul(Expr::lit(1.0))
+    };
+    let quotient = |left: Expr, right: Expr| Expr::Binary {
+        op: BinOp::Div,
+        left: Box::new(left),
+        right: Box::new(right),
+    };
+    q.select = (0..rng.gen_range(1..4usize))
+        .map(|i| {
+            let arg = match rng.gen_range(0..5) {
+                0 => any_col(&mut rng).add(any_col(&mut rng)),
+                1 => quotient(any_col(&mut rng), any_col(&mut rng)),
+                // NaN (0/0) next to numbers and infinities (1/0): an
+                // extremum that must not depend on the emission order.
+                2 => quotient(flag(&mut rng), flag(&mut rng)),
+                _ => any_col(&mut rng),
+            };
+            let func = if rng.gen_range(0..2) == 0 {
+                AggFunc::Min
+            } else {
+                AggFunc::Max
+            };
+            SelectItem::Agg {
+                agg: Agg {
+                    func,
+                    arg: Some(arg),
+                },
+                name: format!("a{i}"),
+            }
+        })
+        .collect();
+    if rng.gen_range(0..5) == 0 {
+        let t = rng.gen_range(0..m);
+        q.predicates
+            .push(Expr::col(t, widths[t] - 1).lt(Expr::lit(-1)));
+    }
+    q.limit = [None, None, Some(0), Some(1)][rng.gen_range(0..4)];
+    q
 }
 
 fn sorted_tuples(rs: &ResultSet) -> Vec<Vec<u32>> {
@@ -608,6 +672,56 @@ proptest! {
             seeded_tuples, cold_tuples,
             "prior-seeded run diverged from cold run (codegen {})", codegen
         );
+    }
+
+    #[test]
+    fn fuzz_min_max_fold_matches_oracle(
+        (_cat, q) in arb_fuzz_case(),
+        seed in any::<u64>(),
+    ) {
+        // A global MIN/MAX folds emitted tuples, duplicates included,
+        // instead of deduplicating them into a ResultSet. Its answer must
+        // equal both the column engine's and Skinner-C's own distinct
+        // tuples post-processed; and since the learner reads only
+        // cursors, the folded run must take the very slices, steps and
+        // final order of the deduplicating run. Sequential and
+        // partitioned (SKINNER_TEST_THREADS, default 4).
+        use skinnerdb::engine::RunOptions;
+        let q = min_max_variant(&q, seed);
+        prop_assert!(q.folds_into_min_max());
+        let oracle = run_engine(&ColEngine::new(), &q, &ExecOptions::default()).table;
+        let parallel = std::env::var("SKINNER_TEST_THREADS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(4);
+        for threads in [1, parallel] {
+            let config = SkinnerCConfig { budget: 16, threads, ..Default::default() };
+            let folded = SkinnerDB::skinner_c(config).execute(&q);
+            let deduped = SkinnerC::new(config).run_with(&q, &RunOptions::default());
+            prop_assert_eq!(&folded.table, &oracle, "fold vs column engine, threads {}", threads);
+            prop_assert_eq!(
+                &folded.table, &postprocess(&q, &deduped.tuples),
+                "fold vs post-processed tuples, threads {}", threads
+            );
+            // A MIN or MAX may not depend on the order tuples arrive in.
+            let reversed: Vec<u32> =
+                deduped.tuples.chunks(q.num_tables()).rev().flatten().copied().collect();
+            prop_assert_eq!(
+                &folded.table, &postprocess(&q, &reversed),
+                "fold vs reversed tuples, threads {}", threads
+            );
+            let m = folded.stats.metrics.as_ref().expect("Skinner-C metrics");
+            prop_assert_eq!(m.slices, deduped.metrics.slices, "threads {}", threads);
+            prop_assert_eq!(m.steps, deduped.metrics.steps, "threads {}", threads);
+            prop_assert_eq!(
+                folded.stats.final_order.as_ref(), Some(&deduped.final_order),
+                "threads {}", threads
+            );
+            prop_assert_eq!(m.result_bytes, 0);
+            // The fold counts emissions: at least the distinct tuples.
+            prop_assert_eq!(m.result_attempts, deduped.metrics.result_attempts);
+            prop_assert!(folded.stats.result_count >= deduped.result_count);
+        }
     }
 
     #[test]
