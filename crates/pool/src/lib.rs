@@ -635,6 +635,9 @@ mod tests {
 
     #[test]
     fn perturbed_schedules_do_not_change_results() {
+        let _seed = schedule::TEST_SEED_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let pool = WorkerPool::new(3);
         let reference: Vec<u64> = (0..32).map(|i| i * 7 + 1).collect();
         for seed in [1u64, 0xDEAD, 0x5EED5EED] {

@@ -108,12 +108,24 @@ pub fn pick(n: usize) -> Option<usize> {
     next(0x71C7).map(|h| (h % n as u64) as usize)
 }
 
+/// Serializes the unit tests that arm or clear the process-global seed:
+/// the test harness runs them on parallel threads.
+#[cfg(test)]
+pub(crate) static TEST_SEED_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn seed_lock() -> std::sync::MutexGuard<'static, ()> {
+        TEST_SEED_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn seed_arms_and_clears() {
+        let _seed = seed_lock();
         clear();
         set_seed(42);
         assert_eq!(current(), Some(42));
@@ -129,6 +141,7 @@ mod tests {
 
     #[test]
     fn picks_stay_in_range() {
+        let _seed = seed_lock();
         set_seed(0xA11CE);
         for n in 1..16 {
             for _ in 0..64 {
