@@ -10,11 +10,6 @@
 //! this bench prices against the plan-bound composite probe
 //! (per-advance hash probe + binary search + residual re-check).
 //!
-//! A third configuration re-runs the compiled kernel with the
-//! chain-class dispatch hoist disabled (`with_mixed_class`), so the
-//! delta between `fused` and `mixed` isolates exactly the per-establish
-//! jump dispatch that the homogeneous `FusedChain` class removes.
-//!
 //! Run with `cargo bench --bench join_fused`. Mean ns per full join and
 //! the speedup ratios are merged into `BENCH_join.json` (repo root)
 //! under the `codegen_fused` key. The acceptance bar is ≥ 1.4× over the
@@ -22,7 +17,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use skinner_engine::multiway::CountingSink;
-use skinner_engine::{CompiledKernel, KernelClass, MultiwayJoin, PreparedQuery};
+use skinner_engine::{JumpKind, MultiwayJoin, PreparedQuery};
 use skinner_query::{Query, QueryBuilder};
 use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, ValueType};
 
@@ -96,16 +91,15 @@ fn bench_fused(c: &mut Criterion) {
         let order: Vec<usize> = (0..m).collect();
         let plan = pq.plan_order(&order);
         let kernel = plan.compile_kernel(None).expect("composite chains compile");
-        assert_eq!(
-            kernel.class(),
-            KernelClass::FusedChain,
+        assert!(
+            kernel.key().jumps()[1..]
+                .iter()
+                .all(|&k| k == JumpKind::Fused),
             "m={m}: every jump must be a fused-key posting cursor"
         );
-        let mixed = CompiledKernel::with_mixed_class(*kernel.key(), kernel.positions().to_vec())
-            .expect("same shape");
         let offsets = vec![0u32; m];
 
-        // All three configurations must emit the same tuples before we
+        // Both configurations must emit the same tuples before we
         // time them.
         let attempts = |run: &mut dyn FnMut(&mut CountingSink)| {
             let mut sink = CountingSink::default();
@@ -117,16 +111,11 @@ fn bench_fused(c: &mut Criterion) {
             let mut state = offsets.clone();
             join.continue_join_compiled(&kernel, &offsets, &mut state, u64::MAX, s);
         });
-        let a_mixed = attempts(&mut |s| {
-            let mut state = offsets.clone();
-            join.continue_join_compiled(&mixed, &offsets, &mut state, u64::MAX, s);
-        });
         let a_bound = attempts(&mut |s| {
             let mut state = offsets.clone();
             join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, s);
         });
         assert_eq!(a_fused, a_bound, "m={m}: fused/bound tuple mismatch");
-        assert_eq!(a_fused, a_mixed, "m={m}: fused/mixed tuple mismatch");
         assert!(a_fused > 0, "m={m}: empty join benches nothing");
 
         group.bench_with_input(BenchmarkId::new("fused", format!("m{m}")), &m, |b, _| {
@@ -135,15 +124,6 @@ fn bench_fused(c: &mut Criterion) {
                 let mut state = offsets.clone();
                 let mut sink = CountingSink::default();
                 join.continue_join_compiled(&kernel, &offsets, &mut state, u64::MAX, &mut sink);
-                criterion::black_box(sink.attempts)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("mixed", format!("m{m}")), &m, |b, _| {
-            let mut join = MultiwayJoin::new(&pq);
-            b.iter(|| {
-                let mut state = offsets.clone();
-                let mut sink = CountingSink::default();
-                join.continue_join_compiled(&mixed, &offsets, &mut state, u64::MAX, &mut sink);
                 criterion::black_box(sink.attempts)
             })
         });
@@ -186,7 +166,7 @@ fn main() {
     section.push_str("    \"mean_ns\": {\n");
     let mut names = Vec::new();
     for m in MIN_TABLES..=MAX_TABLES {
-        for tier in ["fused", "mixed", "bound"] {
+        for tier in ["fused", "bound"] {
             names.push(format!("join_fused/{tier}/m{m}"));
         }
     }
@@ -206,16 +186,6 @@ fn main() {
             if m < MAX_TABLES { ", " } else { "" }
         ));
         println!("m{m}: fused {sp:.2}x over bound");
-    }
-    section.push_str(" },\n");
-    section.push_str("    \"dispatch_hoist_speedup\": { ");
-    for m in MIN_TABLES..=MAX_TABLES {
-        let sp = get(&format!("join_fused/mixed/m{m}")) / get(&format!("join_fused/fused/m{m}"));
-        section.push_str(&format!(
-            "\"m{m}\": {sp:.2}{}",
-            if m < MAX_TABLES { ", " } else { "" }
-        ));
-        println!("m{m}: chain class {sp:.2}x over forced-mixed dispatch");
     }
     section.push_str(" }\n  }");
     let path = std::path::Path::new(concat!(

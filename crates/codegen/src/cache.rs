@@ -5,23 +5,20 @@
 //! as long as one execution. What outlives the execution — and is worth
 //! sharing across slices, orders, queries, and service sessions — is the
 //! *resolution* of a shape: whether a compiled kernel exists for a
-//! [`KernelKey`] and which [`KernelClass`] executes it. The resolution
-//! depends only on the key's table count and per-position jump kinds —
-//! not on its predicate fingerprint — so the memo is keyed on exactly
-//! that projection ([`KernelKey::class_key`]): two templates that
+//! [`KernelKey`]. The resolution depends only on the key's per-position
+//! jump kinds — not on its predicate fingerprint — so the memo is keyed
+//! on exactly that projection ([`KernelKey::jumps`]): two templates that
 //! differ only in predicate shapes share one entry.
 //!
-//! The key domain is finite in principle (arities × jump-kind
-//! combinations), but a process-lifetime cache on a server must not
-//! rely on that: the cache is **byte-accounted and LRU-bounded**,
-//! mirroring the service layer's `LearningCache::with_limits`. Entries
-//! are fixed-size, so the byte bound is `entries × ENTRY_BYTES`; when
-//! either the entry capacity or the byte budget would be exceeded, the
-//! least-recently-used entry is evicted (never the one just touched,
-//! unless it is alone and oversized — then it is dropped entirely).
+//! A process-lifetime cache on a server must not rely on the shape
+//! domain staying small: the cache is **byte-accounted and
+//! LRU-bounded**, mirroring the service layer's
+//! `LearningCache::with_limits`. When either the entry capacity or the
+//! byte budget would be exceeded, the least-recently-used entry is
+//! evicted (never the one just touched, unless it is alone and
+//! oversized — then it is dropped entirely).
 
-use crate::kernel::KernelClass;
-use crate::key::{ClassKey, KernelKey};
+use crate::key::{JumpKind, KernelKey};
 use skinner_storage::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -31,11 +28,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// adversarially many distinct shapes stays bounded.
 pub const DEFAULT_KERNEL_CACHE_CAPACITY: usize = 4096;
 
-/// Approximate heap bytes per memoized shape (map key + value + LRU
-/// stamp). Entries are fixed-size, so byte accounting is exact up to
-/// hash-map overhead.
-const ENTRY_BYTES: usize =
-    std::mem::size_of::<ClassKey>() + std::mem::size_of::<Entry>() + std::mem::size_of::<u64>();
+/// Approximate heap bytes of one memoized shape of `tables` positions
+/// (map key + its jump kinds + value), up to hash-map overhead.
+fn entry_bytes(tables: usize) -> usize {
+    std::mem::size_of::<Box<[JumpKind]>>()
+        + tables * std::mem::size_of::<JumpKind>()
+        + std::mem::size_of::<Entry>()
+}
 
 /// Aggregate kernel-cache counters (monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,20 +49,27 @@ pub struct KernelCacheStats {
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    class: Option<KernelClass>,
+    supported: bool,
     /// Logical LRU stamp (from the cache's clock, not wall time).
     last_used: u64,
 }
 
+/// The memo table and its accounted bytes, guarded together.
+#[derive(Debug, Default)]
+struct Memo {
+    entries: FxHashMap<Box<[JumpKind]>, Entry>,
+    bytes: usize,
+}
+
 /// Thread-safe shape-resolution cache with LRU eviction. Entries are
-/// tiny (a class key and a resolved class), data-independent, and never
-/// invalidated: a shape resolves the same way regardless of catalog
-/// contents, so unlike the learning cache this cache survives table
-/// replacement. Both the entry count and the accounted bytes are
+/// tiny (a jump-kind sequence and whether it compiles), data-independent,
+/// and never invalidated: a shape resolves the same way regardless of
+/// catalog contents, so unlike the learning cache this cache survives
+/// table replacement. Both the entry count and the accounted bytes are
 /// bounded (see [`KernelCache::with_limits`]).
 #[derive(Debug)]
 pub struct KernelCache {
-    entries: Mutex<FxHashMap<ClassKey, Entry>>,
+    memo: Mutex<Memo>,
     /// Logical clock stamping entry use for LRU ordering.
     clock: AtomicU64,
     capacity: usize,
@@ -91,7 +97,7 @@ impl KernelCache {
     /// Exceeding either bound evicts least-recently-used entries.
     pub fn with_limits(capacity: usize, max_bytes: Option<usize>) -> KernelCache {
         KernelCache {
-            entries: Mutex::new(FxHashMap::default()),
+            memo: Mutex::new(Memo::default()),
             clock: AtomicU64::new(0),
             capacity: capacity.max(1),
             max_bytes,
@@ -107,65 +113,60 @@ impl KernelCache {
     }
 
     /// A poisoned mutex only means another thread panicked mid-insert;
-    /// the map itself is always structurally valid, so recover it.
-    fn lock_entries(&self) -> MutexGuard<'_, FxHashMap<ClassKey, Entry>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    /// the memo itself is always structurally valid, so recover it.
+    fn lock_memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn over(&self, len: usize) -> bool {
-        len > self.capacity || self.max_bytes.is_some_and(|mb| len * ENTRY_BYTES > mb)
+    fn over(&self, memo: &Memo) -> bool {
+        memo.entries.len() > self.capacity || self.max_bytes.is_some_and(|mb| memo.bytes > mb)
     }
 
-    /// Resolve `key` to its kernel class (`None` = no compiled kernel
-    /// for the shape), computing and memoizing via `analyze` on a miss.
-    /// Memoization is by [`KernelKey::class_key`] — the projection the
-    /// resolution actually depends on. A hit refreshes the entry's LRU
-    /// stamp; a miss inserts and then evicts the coldest entries until
-    /// the capacity and byte bounds hold again (sparing the fresh entry
-    /// unless it alone exceeds the byte budget, in which case it is
-    /// dropped — the resolution is still returned).
-    pub fn resolve(
-        &self,
-        key: &KernelKey,
-        analyze: impl FnOnce() -> Option<KernelClass>,
-    ) -> Option<KernelClass> {
-        let class_key = key.class_key();
+    /// Resolve `key` to whether a compiled kernel exists for its shape,
+    /// computing and memoizing via `analyze` on a miss. Memoization is by
+    /// [`KernelKey::jumps`] — the projection the resolution actually
+    /// depends on. A hit refreshes the entry's LRU stamp; a miss inserts
+    /// and then evicts the coldest entries until the capacity and byte
+    /// bounds hold again (sparing the fresh entry unless it alone exceeds
+    /// the byte budget, in which case it is dropped — the resolution is
+    /// still returned).
+    pub fn resolve(&self, key: &KernelKey, analyze: impl FnOnce() -> bool) -> bool {
+        let jumps = key.jumps();
         let now = self.tick();
-        let mut entries = self.lock_entries();
-        if let Some(e) = entries.get_mut(&class_key) {
+        let mut memo = self.lock_memo();
+        if let Some(e) = memo.entries.get_mut(jumps) {
             e.last_used = now;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return e.class;
+            return e.supported;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let class = analyze();
-        entries.insert(
-            class_key,
+        let supported = analyze();
+        memo.entries.insert(
+            jumps.into(),
             Entry {
-                class,
+                supported,
                 last_used: now,
             },
         );
-        while self.over(entries.len()) {
-            let coldest = entries
+        memo.bytes += entry_bytes(jumps.len());
+        while self.over(&memo) {
+            let coldest = memo
+                .entries
                 .iter()
-                .filter(|(k, _)| **k != class_key || entries.len() == 1)
+                .filter(|(k, _)| ***k != *jumps || memo.entries.len() == 1)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match coldest {
-                Some(k) => {
-                    entries.remove(&k);
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
+                .map(|(k, _)| k.clone());
+            let Some(k) = coldest else { break };
+            memo.entries.remove(&k);
+            memo.bytes -= entry_bytes(k.len());
+            self.evicted.fetch_add(1, Ordering::Relaxed);
         }
-        class
+        supported
     }
 
     /// Number of memoized shapes.
     pub fn len(&self) -> usize {
-        self.lock_entries().len()
+        self.lock_memo().entries.len()
     }
 
     /// True if nothing is memoized yet.
@@ -184,22 +185,20 @@ impl KernelCache {
 
     /// Approximate heap bytes held by the memo table.
     pub fn approx_bytes(&self) -> usize {
-        self.len() * ENTRY_BYTES
+        self.lock_memo().bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::JumpKind;
 
     fn key(kinds: &[JumpKind]) -> KernelKey {
-        KernelKey::new(kinds.len(), kinds.iter().map(|&k| (k, &[][..], false)))
+        KernelKey::new(kinds.iter().map(|&k| (k, &[][..], false)))
     }
 
-    /// A distinct class key per index: vary the jump-kind pattern via
-    /// the arity-padded positions (arities 2..=6 × kind choices give
-    /// plenty of distinct shapes for pressure tests).
+    /// A distinct jump-kind sequence per index: arities 2 to 6 × kind
+    /// choices give plenty of distinct shapes for pressure tests.
     fn distinct_key(i: usize) -> KernelKey {
         let kinds = [
             JumpKind::Int,
@@ -226,34 +225,28 @@ mod tests {
         let cache = KernelCache::new();
         let a = key(&[JumpKind::Scan, JumpKind::Int]);
         let b = key(&[JumpKind::Scan, JumpKind::Other]);
-        assert_eq!(
-            cache.resolve(&a, || Some(KernelClass::IntChain)),
-            Some(KernelClass::IntChain)
-        );
+        assert!(cache.resolve(&a, || true));
         // Hit: the closure must not run again.
-        assert_eq!(
-            cache.resolve(&a, || panic!("analyzed twice")),
-            Some(KernelClass::IntChain)
-        );
+        assert!(cache.resolve(&a, || panic!("analyzed twice")));
         // Unsupported shapes are memoized too.
-        assert_eq!(cache.resolve(&b, || None), None);
-        assert_eq!(cache.resolve(&b, || panic!("analyzed twice")), None);
+        assert!(!cache.resolve(&b, || false));
+        assert!(!cache.resolve(&b, || panic!("analyzed twice")));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (2, 2));
         assert_eq!(s.evicted, 0);
         assert_eq!(cache.len(), 2);
-        assert!(cache.approx_bytes() > 0);
+        assert_eq!(cache.approx_bytes(), 2 * entry_bytes(2));
     }
 
     #[test]
     fn capacity_evicts_least_recently_used() {
         let cache = KernelCache::with_limits(2, None);
         let (a, b, c) = (distinct_key(0), distinct_key(1), distinct_key(2));
-        cache.resolve(&a, || Some(KernelClass::Mixed));
-        cache.resolve(&b, || Some(KernelClass::Mixed));
+        cache.resolve(&a, || true);
+        cache.resolve(&b, || true);
         // Touch `a` so `b` is the coldest.
         cache.resolve(&a, || panic!("hit expected"));
-        cache.resolve(&c, || Some(KernelClass::Mixed));
+        cache.resolve(&c, || true);
         assert_eq!(cache.len(), 2);
         // `a` and `c` survive; `b` was evicted and re-analyzes.
         cache.resolve(&a, || panic!("a must survive"));
@@ -261,7 +254,7 @@ mod tests {
         let mut b_reanalyzed = false;
         cache.resolve(&b, || {
             b_reanalyzed = true;
-            Some(KernelClass::Mixed)
+            true
         });
         assert!(b_reanalyzed, "b must have been evicted");
         assert!(cache.stats().evicted > 0);
@@ -269,14 +262,14 @@ mod tests {
 
     #[test]
     fn byte_bound_holds_under_insert_pressure() {
-        // Budget for three entries; insert 40 distinct shapes and check
-        // the bound after every store.
-        let budget = 3 * ENTRY_BYTES;
+        // Budget for three entries of the widest test shape; insert 40
+        // distinct shapes and check the bound after every store.
+        let budget = 3 * entry_bytes(6);
         let cache = KernelCache::with_limits(usize::MAX, Some(budget));
         let mut inserted = 0u32;
         for i in 0..40 {
             let k = distinct_key(i);
-            cache.resolve(&k, || Some(KernelClass::Mixed));
+            cache.resolve(&k, || true);
             inserted += 1;
             assert!(
                 cache.approx_bytes() <= budget,
@@ -296,11 +289,9 @@ mod tests {
         // dropped (resolution still returned), leaving the cache empty.
         let cache = KernelCache::with_limits(usize::MAX, Some(1));
         let k = distinct_key(0);
-        assert_eq!(
-            cache.resolve(&k, || Some(KernelClass::Mixed)),
-            Some(KernelClass::Mixed)
-        );
+        assert!(cache.resolve(&k, || true));
         assert!(cache.is_empty());
+        assert_eq!(cache.approx_bytes(), 0);
         assert!(cache.stats().evicted > 0);
     }
 }

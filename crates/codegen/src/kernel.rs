@@ -1,21 +1,22 @@
-//! The compiled join kernels: monomorphized, straight-line DFS loops
-//! specialized on a join-order shape.
+//! The compiled join kernel: one straight-line DFS loop per join order,
+//! specialized on the order's shape.
 //!
 //! The plan-bound kernel in `skinner-engine` already resolves every
 //! table/column/index indirection at plan time, but its inner loop is
 //! still one generic routine: each tuple advance re-dispatches on
 //! `Option<BoundJump>` and the `KeyCol` variant, and each index jump
 //! re-probes the hash map and binary-searches the posting list. The
-//! kernels here go the rest of the way to the paper's §6 compilation:
+//! kernel here goes the rest of the way to the paper's §6 compilation:
 //!
-//! * **Const-generic arity** — one kernel instance per table count
-//!   (2..=6), so position arrays are fixed-size and bounds checks
-//!   vanish.
-//! * **Class-typed jumps** — the per-position jump code is selected by a
-//!   zero-sized class type ([`KernelClass`]): the homogeneous hot shapes
-//!   (integer FK chains, fused composite-key chains, string/nullable
-//!   key chains, pure scans) compile with *no* jump dispatch at all;
-//!   only genuinely heterogeneous mixes pay a per-advance match.
+//! * **Whole orders of any arity** — one kernel covers every position of
+//!   an order of [`MIN_KERNEL_TABLES`](crate::MIN_KERNEL_TABLES) or more tables; its candidate
+//!   cursors are sized to the order at run time. The cursor it persists
+//!   therefore covers the whole order, and every slice stops at its step
+//!   budget — the unit the paper's regret bound counts.
+//! * **Jump dispatch only on descent** — descending into a position
+//!   matches its jump kind once to establish a candidate cursor; every
+//!   later advance at that position is dispatch-free (it only branches
+//!   on whether the cursor walks postings or scans).
 //! * **Postings cursors** — descending into an index-driven position
 //!   probes the hash index **once** for the current predecessor key and
 //!   then walks the sorted posting list with a cursor; every subsequent
@@ -43,7 +44,7 @@
 //! are identical. The differential properties in `tests/property.rs`
 //! check this byte for byte.
 
-use crate::key::{JumpKind, KernelKey, MAX_KERNEL_TABLES, MIN_KERNEL_TABLES};
+use crate::key::{JumpKind, KernelKey};
 use crate::sink::{ContinueResult, ResultSink};
 use skinner_query::BoundPred;
 use skinner_storage::{Column, HashIndex, RowId};
@@ -134,111 +135,30 @@ pub struct KernelPosition<'a> {
     pub elided: bool,
 }
 
-/// Which monomorphized kernel family executes an order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelClass {
-    /// Position 0 scans; every later position has an [`KernelJump::IntEq`]
-    /// jump — the indexed FK-chain hot shape, compiled with zero jump
-    /// dispatch.
-    IntChain,
-    /// Position 0 scans; every later position has a
-    /// [`KernelJump::FusedEq`] jump — the composite-key link-table hot
-    /// shape (JOB-style correlated joins), compiled with zero jump
-    /// dispatch.
-    FusedChain,
-    /// Position 0 scans; every later position has a
-    /// [`KernelJump::KeyEq`] jump (string/nullable key chains) —
-    /// compiled with zero jump dispatch.
-    KeyChain,
-    /// Every position scans (no usable indexes) — compiled with zero
-    /// jump dispatch.
-    Scan,
-    /// Any genuinely heterogeneous supported mix (e.g. float jumps,
-    /// partial index coverage, int + fused): one jump-kind match per
-    /// establish. The homogeneous chains above exist precisely so the
-    /// hot shapes never pay this dispatch.
-    Mixed,
-}
-
-impl KernelClass {
-    /// Classify a supported shape from its per-position jump kinds
-    /// (position 0 must be `Scan`; `Other` kinds are the caller's job to
-    /// reject via [`KernelKey::supported`]).
-    pub fn of(kinds: impl IntoIterator<Item = JumpKind>) -> KernelClass {
-        let kinds: Vec<JumpKind> = kinds.into_iter().collect();
-        let chain = |k: JumpKind| {
-            kinds.len() > 1 && kinds[0] == JumpKind::Scan && kinds[1..].iter().all(|&x| x == k)
-        };
-        if kinds.iter().all(|&k| k == JumpKind::Scan) {
-            KernelClass::Scan
-        } else if chain(JumpKind::Int) {
-            KernelClass::IntChain
-        } else if chain(JumpKind::Fused) {
-            KernelClass::FusedChain
-        } else if chain(JumpKind::Key) {
-            KernelClass::KeyChain
-        } else {
-            KernelClass::Mixed
-        }
-    }
-}
-
-/// A join order compiled into a specialized kernel: fixed-arity position
-/// array plus the class-typed entry point. Borrows the prepared query's
-/// column slices and indexes (same lifetime discipline as the engine's
-/// bound `OrderPlan`); build one per (query, order) and reuse it across
-/// every time slice and every partitioned chunk.
+/// A join order compiled into a specialized kernel: one position per
+/// join-order position. Borrows the prepared query's column slices and
+/// indexes (same lifetime discipline as the engine's bound `OrderPlan`);
+/// build one per (query, order) and reuse it across every time slice and
+/// every partitioned chunk.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel<'a> {
     key: KernelKey,
-    class: KernelClass,
     positions: Vec<KernelPosition<'a>>,
 }
 
 impl<'a> CompiledKernel<'a> {
-    /// Assemble a kernel from compiled positions. Returns `None` when no
-    /// specialized kernel exists for the shape (arity outside
-    /// [`MIN_KERNEL_TABLES`]`..=`[`MAX_KERNEL_TABLES`] — longer orders
-    /// compile a `MAX`-position prefix instead, see the engine's split
-    /// tier).
+    /// Assemble a kernel from compiled positions, one per join-order
+    /// position. Returns `None` when the shape has no compiled kernel
+    /// (see [`KernelKey::supported`]: fewer than [`MIN_KERNEL_TABLES`](crate::MIN_KERNEL_TABLES)
+    /// tables, or a reserved [`JumpKind::Other`] position).
     pub fn new(key: KernelKey, positions: Vec<KernelPosition<'a>>) -> Option<CompiledKernel<'a>> {
-        let m = positions.len();
-        if !(MIN_KERNEL_TABLES..=MAX_KERNEL_TABLES).contains(&m) || !key.supported() {
-            return None;
-        }
-        debug_assert_eq!(key.tables(), m);
-        let class = KernelClass::of(positions.iter().map(|p| p.jump.kind()));
-        Some(CompiledKernel {
-            key,
-            class,
-            positions,
-        })
-    }
-
-    /// Like [`new`](CompiledKernel::new), but forcing the general
-    /// [`KernelClass::Mixed`] entry point even when a dispatch-free
-    /// chain class exists for the shape. The per-establish jump match
-    /// this re-introduces is what `benches/join_fused.rs` measures;
-    /// differential tests use it to prove the chain classes and the
-    /// general class enumerate identical tuples.
-    pub fn with_mixed_class(
-        key: KernelKey,
-        positions: Vec<KernelPosition<'a>>,
-    ) -> Option<CompiledKernel<'a>> {
-        CompiledKernel::new(key, positions).map(|mut k| {
-            k.class = KernelClass::Mixed;
-            k
-        })
+        debug_assert_eq!(key.tables(), positions.len());
+        key.supported().then_some(CompiledKernel { key, positions })
     }
 
     /// The shape key this kernel was compiled for.
     pub fn key(&self) -> &KernelKey {
         &self.key
-    }
-
-    /// The kernel family executing this order.
-    pub fn class(&self) -> KernelClass {
-        self.class
     }
 
     /// Number of join-order positions.
@@ -271,7 +191,6 @@ impl<'a> CompiledKernel<'a> {
     /// the caller's per-table base-row scratch. Semantics — including
     /// the suspend/resume cursor contract and emit order — match the
     /// engine's plan-bound kernel exactly.
-    #[allow(clippy::too_many_arguments)]
     pub fn run<R: ResultSink>(
         &self,
         offsets: &[u32],
@@ -281,43 +200,12 @@ impl<'a> CompiledKernel<'a> {
         rows: &mut [RowId],
         results: &mut R,
     ) -> (ContinueResult, u64) {
-        macro_rules! dispatch {
-            ($($m:literal),*) => {
-                match (self.positions.len(), self.class) {
-                    $(
-                        ($m, KernelClass::IntChain) => run_kernel::<$m, IntChain, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                        ($m, KernelClass::FusedChain) => run_kernel::<$m, FusedChain, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                        ($m, KernelClass::KeyChain) => run_kernel::<$m, KeyChain, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                        ($m, KernelClass::Scan) => run_kernel::<$m, ScanOnly, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                        ($m, KernelClass::Mixed) => run_kernel::<$m, Mixed, R>(
-                            self.positions[..].try_into().expect("arity"),
-                            offsets, state, budget, end0, rows, results,
-                        ),
-                    )*
-                    (m, _) => unreachable!("no compiled kernel for {m} tables"),
-                }
-            };
-        }
-        dispatch!(2, 3, 4, 5, 6)
+        run_kernel(&self.positions, offsets, state, budget, end0, rows, results)
     }
 }
 
 /// Candidate cursor at one position: either a posting-list walk
-/// (`list`/`idx`) or a consecutive scan (`scan`). Which field is live is
-/// statically known per class (the `postings` flag exists only for the
-/// [`Mixed`] class).
+/// (`list`/`idx`, `postings` set) or a consecutive scan (`scan`).
 #[derive(Clone, Copy)]
 struct CandCur<'a> {
     list: &'a [u32],
@@ -336,26 +224,6 @@ impl CandCur<'_> {
 }
 
 #[inline(always)]
-fn begin_scan<'a>(min: u32) -> (CandCur<'a>, u32) {
-    (
-        CandCur {
-            list: &[],
-            idx: 0,
-            scan: min.saturating_add(1),
-            postings: false,
-        },
-        min,
-    )
-}
-
-#[inline(always)]
-fn next_scan(cur: &mut CandCur<'_>) -> u32 {
-    let c = cur.scan;
-    cur.scan = c.saturating_add(1);
-    c
-}
-
-#[inline(always)]
 fn begin_postings<'a>(index: &'a HashIndex, key: i64, min: u32, card: u32) -> (CandCur<'a>, u32) {
     let list = index.probe(key);
     let idx = list.partition_point(|&p| p < min) as u32;
@@ -369,13 +237,6 @@ fn begin_postings<'a>(index: &'a HashIndex, key: i64, min: u32, card: u32) -> (C
         },
         first,
     )
-}
-
-#[inline(always)]
-fn next_postings(cur: &mut CandCur<'_>, card: u32) -> u32 {
-    let c = cur.list.get(cur.idx as usize).copied().unwrap_or(card);
-    cur.idx += 1;
-    c
 }
 
 /// Posting-cursor establish for hash-derived keys (fused composite keys,
@@ -394,209 +255,68 @@ fn begin_keyed<'a>(
         Some(k) => begin_postings(index, k, min, card),
         None => (
             CandCur {
-                list: &[],
-                idx: 0,
-                scan: 0,
                 postings: true,
+                ..CandCur::EMPTY
             },
             card,
         ),
     }
 }
 
-/// Class-typed candidate iteration: the monomorphization axis that
-/// removes jump dispatch from the hot loop.
-trait ClassSpec {
-    /// Establish the candidate sequence at position `i` with minimum
-    /// candidate `min`; returns the cursor and the first candidate
-    /// (`card` when exhausted).
-    fn begin<'a>(
-        i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32);
-    /// The next candidate at position `i` (`card` when exhausted).
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32;
-}
-
-/// FK-chain hot shape: position 0 scans, positions 1.. walk integer
-/// posting lists. No jump dispatch survives monomorphization.
-struct IntChain;
-
-impl ClassSpec for IntChain {
-    #[inline(always)]
-    fn begin<'a>(
-        i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        if i == 0 {
-            begin_scan(min)
-        } else {
-            match pos.jump {
-                KernelJump::IntEq { keys, src, index } => {
-                    begin_postings(index, keys[rows[src] as usize], min, pos.card)
-                }
-                _ => unreachable!("IntChain position without IntEq jump"),
-            }
+/// Establish the candidate sequence at `pos` with minimum candidate
+/// `min` — the one jump-kind match per descent. Returns the cursor and
+/// the first candidate (`card` when there is none).
+#[inline(always)]
+fn begin<'a>(pos: &KernelPosition<'a>, rows: &[RowId], min: u32) -> (CandCur<'a>, u32) {
+    match pos.jump {
+        KernelJump::Scan => (
+            CandCur {
+                scan: min.saturating_add(1),
+                ..CandCur::EMPTY
+            },
+            min,
+        ),
+        KernelJump::IntEq { keys, src, index } => {
+            begin_postings(index, keys[rows[src] as usize], min, pos.card)
         }
-    }
-
-    #[inline(always)]
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        if cur.postings {
-            next_postings(cur, pos.card)
-        } else {
-            next_scan(cur)
+        KernelJump::FloatEq { keys, src, index } => {
+            let key = skinner_storage::f64_key(keys[rows[src] as usize]);
+            begin_postings(index, key, min, pos.card)
+        }
+        KernelJump::FusedEq { keys, src, index } => {
+            begin_keyed(index, keys[rows[src] as usize], min, pos.card)
+        }
+        KernelJump::KeyEq { col, src, index } => {
+            begin_keyed(index, col.join_key(rows[src] as usize), min, pos.card)
         }
     }
 }
 
-/// Composite-key link-table hot shape: position 0 scans, positions 1..
-/// walk fused-key posting lists. No jump dispatch survives
-/// monomorphization.
-struct FusedChain;
-
-impl ClassSpec for FusedChain {
-    #[inline(always)]
-    fn begin<'a>(
-        i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        if i == 0 {
-            begin_scan(min)
-        } else {
-            match pos.jump {
-                KernelJump::FusedEq { keys, src, index } => {
-                    begin_keyed(index, keys[rows[src] as usize], min, pos.card)
-                }
-                _ => unreachable!("FusedChain position without FusedEq jump"),
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        if cur.postings {
-            next_postings(cur, pos.card)
-        } else {
-            next_scan(cur)
-        }
+/// The next candidate at `pos` (`card` when exhausted). Dispatch-free:
+/// it branches only on the cursor's postings flag.
+#[inline(always)]
+fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
+    if cur.postings {
+        let c = cur.list.get(cur.idx as usize).copied().unwrap_or(pos.card);
+        cur.idx += 1;
+        c
+    } else {
+        let c = cur.scan;
+        cur.scan = c.saturating_add(1);
+        c
     }
 }
 
-/// String/nullable key-chain shape: position 0 scans, positions 1..
-/// walk `join_key`-driven posting lists. No jump dispatch survives
-/// monomorphization.
-struct KeyChain;
-
-impl ClassSpec for KeyChain {
-    #[inline(always)]
-    fn begin<'a>(
-        i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        if i == 0 {
-            begin_scan(min)
-        } else {
-            match pos.jump {
-                KernelJump::KeyEq { col, src, index } => {
-                    begin_keyed(index, col.join_key(rows[src] as usize), min, pos.card)
-                }
-                _ => unreachable!("KeyChain position without KeyEq jump"),
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        if cur.postings {
-            next_postings(cur, pos.card)
-        } else {
-            next_scan(cur)
-        }
-    }
-}
-
-/// Pure scan shape (no usable indexes): candidates are consecutive
-/// filtered positions everywhere.
-struct ScanOnly;
-
-impl ClassSpec for ScanOnly {
-    #[inline(always)]
-    fn begin<'a>(
-        _i: usize,
-        _pos: &KernelPosition<'a>,
-        _rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        begin_scan(min)
-    }
-
-    #[inline(always)]
-    fn next(_pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        next_scan(cur)
-    }
-}
-
-/// Arbitrary supported mix: one jump-kind match per establish (the
-/// advance itself is dispatch-free — it only branches on the cursor's
-/// postings flag). Homogeneous shapes never land here; see the chain
-/// classes.
-struct Mixed;
-
-impl ClassSpec for Mixed {
-    #[inline(always)]
-    fn begin<'a>(
-        _i: usize,
-        pos: &KernelPosition<'a>,
-        rows: &[RowId],
-        min: u32,
-    ) -> (CandCur<'a>, u32) {
-        match pos.jump {
-            KernelJump::Scan => begin_scan(min),
-            KernelJump::IntEq { keys, src, index } => {
-                begin_postings(index, keys[rows[src] as usize], min, pos.card)
-            }
-            KernelJump::FloatEq { keys, src, index } => {
-                let key = skinner_storage::f64_key(keys[rows[src] as usize]);
-                begin_postings(index, key, min, pos.card)
-            }
-            KernelJump::FusedEq { keys, src, index } => {
-                begin_keyed(index, keys[rows[src] as usize], min, pos.card)
-            }
-            KernelJump::KeyEq { col, src, index } => {
-                begin_keyed(index, col.join_key(rows[src] as usize), min, pos.card)
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
-        if cur.postings {
-            next_postings(cur, pos.card)
-        } else {
-            next_scan(cur)
-        }
-    }
-}
-
-/// The compiled DFS join loop, monomorphized per (arity, class, sink).
+/// The compiled DFS join loop over a whole join order, monomorphized
+/// per sink.
 ///
 /// Cursor contract (identical to the engine's plan-bound kernel): on
 /// entry `state` holds restored per-table coordinates; on `BudgetSpent`
 /// it holds the exact resume point (the not-yet-evaluated candidate at
 /// the active position, floors below it); on `Exhausted` the left-most
 /// coordinate is at or past `end0`.
-#[allow(clippy::too_many_arguments)]
-fn run_kernel<const M: usize, C: ClassSpec, R: ResultSink>(
-    positions: &[KernelPosition<'_>; M],
+fn run_kernel<R: ResultSink>(
+    positions: &[KernelPosition<'_>],
     offsets: &[u32],
     state: &mut [u32],
     budget: u64,
@@ -604,22 +324,19 @@ fn run_kernel<const M: usize, C: ClassSpec, R: ResultSink>(
     rows: &mut [RowId],
     results: &mut R,
 ) -> (ContinueResult, u64) {
+    let m = positions.len();
     let t0 = positions[0].table;
     if state[t0] >= end0 {
         return (ContinueResult::Exhausted, 0);
     }
-    let mut curs = [CandCur::EMPTY; M];
+    let mut curs = vec![CandCur::EMPTY; m];
     let mut i = 0usize;
     let mut steps = 0u64;
     // Establish position 0 at the restored coordinate; deeper positions
     // are established as the walk-down descends (each `begin` re-probes
     // with the by-then-current predecessor tuple — the O(m) re-walk the
     // suspend/resume contract requires).
-    {
-        let (cur, first) = C::begin(0, &positions[0], rows, state[t0]);
-        curs[0] = cur;
-        state[t0] = first;
-    }
+    (curs[0], state[t0]) = begin(&positions[0], rows, state[t0]);
     loop {
         steps += 1;
         if steps > budget {
@@ -644,31 +361,29 @@ fn run_kernel<const M: usize, C: ClassSpec, R: ResultSink>(
             state[t] = offsets[t];
             i -= 1;
             let prev = &positions[i];
-            state[prev.table] = C::next(prev, &mut curs[i]);
+            state[prev.table] = next(prev, &mut curs[i]);
             continue;
         }
         rows[t] = pos.base[s as usize];
         if pos.preds.iter().all(|p| p.eval(rows)) {
-            if i + 1 == M {
+            if i + 1 == m {
                 results.insert(rows);
                 // Advance past the emitted tuple *before* any sink-driven
                 // early exit (LIMIT pushdown), so a resumed slice always
                 // makes progress even when the suspension was triggered
                 // by a re-emission of an earlier slice's tuple (the
                 // partitioned path's shared quota counter counts those).
-                state[t] = C::next(pos, &mut curs[i]);
+                state[t] = next(pos, &mut curs[i]);
                 if results.is_full() {
                     return (ContinueResult::BudgetSpent, steps);
                 }
             } else {
                 i += 1;
                 let nxt = &positions[i];
-                let (cur, first) = C::begin(i, nxt, rows, state[nxt.table]);
-                curs[i] = cur;
-                state[nxt.table] = first;
+                (curs[i], state[nxt.table]) = begin(nxt, rows, state[nxt.table]);
             }
         } else {
-            state[t] = C::next(pos, &mut curs[i]);
+            state[t] = next(pos, &mut curs[i]);
         }
     }
 }
@@ -765,7 +480,6 @@ mod tests {
             },
         ];
         let key = KernelKey::new(
-            2,
             positions
                 .iter()
                 .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
@@ -782,7 +496,6 @@ mod tests {
         let expected = vec![vec![0, 1], vec![1, 0], vec![1, 2], vec![3, 0], vec![3, 2]];
         for elide in [true, false] {
             let k = int_join_kernel(&ts, &b0, &b1, &idx, elide, &pred);
-            assert_eq!(k.class(), KernelClass::IntChain);
             let offsets = vec![0u32; 2];
             let mut state = vec![0u32; 2];
             let mut rows = vec![0u32; 2];
@@ -947,13 +660,11 @@ mod tests {
             },
         ];
         let key = KernelKey::new(
-            2,
             positions
                 .iter()
                 .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
         );
         let scan = CompiledKernel::new(key, positions).expect("supported");
-        assert_eq!(scan.class(), KernelClass::Scan);
         let offsets = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut run = |k: &CompiledKernel<'_>| {
@@ -1019,13 +730,11 @@ mod tests {
             },
         ];
         let key = KernelKey::new(
-            2,
             positions
                 .iter()
                 .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
         );
         let k = CompiledKernel::new(key, positions).expect("supported");
-        assert_eq!(k.class(), KernelClass::Mixed);
         assert_eq!(k.key().jump(1), JumpKind::Float);
         let offsets = vec![0u32; 2];
         let mut state = vec![0u32; 2];
@@ -1075,7 +784,6 @@ mod tests {
             },
         ];
         let key = KernelKey::new(
-            2,
             positions
                 .iter()
                 .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
@@ -1092,7 +800,6 @@ mod tests {
         let idx = HashIndex::from_keys(&probe_keys);
         let (b0, b1) = (base(3), base(4));
         let k = fused_kernel(&src_keys, &idx, &b0, &b1);
-        assert_eq!(k.class(), KernelClass::FusedChain);
         assert_eq!(k.key().jump(1), JumpKind::Fused);
         let offsets = vec![0u32; 2];
         let mut state = vec![0u32; 2];
@@ -1110,34 +817,6 @@ mod tests {
         // Row 1 (NULL component) matches nothing; NULL postings (probe
         // row 3) are never enumerated.
         assert_eq!(out.tuples, vec![vec![0, 1], vec![0, 2], vec![2, 0]]);
-    }
-
-    #[test]
-    fn forced_mixed_class_agrees_with_fused_chain() {
-        let src_keys = vec![Some(10i64), None, Some(20)];
-        let probe_keys = vec![Some(20i64), Some(10), Some(10), None];
-        let idx = HashIndex::from_keys(&probe_keys);
-        let (b0, b1) = (base(3), base(4));
-        let chain = fused_kernel(&src_keys, &idx, &b0, &b1);
-        let mixed = CompiledKernel::with_mixed_class(*chain.key(), chain.positions().to_vec())
-            .expect("supported");
-        assert_eq!(mixed.class(), KernelClass::Mixed);
-        let offsets = vec![0u32; 2];
-        let mut rows = vec![0u32; 2];
-        let mut run = |k: &CompiledKernel<'_>| {
-            let mut state = vec![0u32; 2];
-            let mut out = Collect::default();
-            k.run(
-                &offsets,
-                &mut state,
-                u64::MAX,
-                k.card0(),
-                &mut rows,
-                &mut out,
-            );
-            out.tuples
-        };
-        assert_eq!(run(&chain), run(&mixed));
     }
 
     #[test]
@@ -1174,13 +853,11 @@ mod tests {
             },
         ];
         let key = KernelKey::new(
-            2,
             positions
                 .iter()
                 .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
         );
         let k = CompiledKernel::new(key, positions).expect("string keys compile");
-        assert_eq!(k.class(), KernelClass::KeyChain);
         assert_eq!(k.key().jump(1), JumpKind::Key);
         let offsets = vec![0u32; 2];
         let mut state = vec![0u32; 2];
@@ -1200,6 +877,64 @@ mod tests {
         assert_eq!(out.tuples, vec![vec![0, 1], vec![0, 3], vec![2, 0]]);
     }
 
+    /// A pure-scan kernel with one position per base slice (no
+    /// predicates: a cross product).
+    fn scan_kernel<'a>(bases: &'a [Vec<RowId>]) -> CompiledKernel<'a> {
+        let positions: Vec<KernelPosition<'a>> = bases
+            .iter()
+            .enumerate()
+            .map(|(t, b)| KernelPosition {
+                table: t,
+                card: b.len() as u32,
+                base: b,
+                preds: vec![],
+                jump: KernelJump::Scan,
+                elided: false,
+            })
+            .collect();
+        let key = KernelKey::new(positions.iter().map(|p| (p.jump.kind(), &[][..], false)));
+        CompiledKernel::new(key, positions).expect("scan shapes compile")
+    }
+
+    #[test]
+    fn long_orders_compile_whole_and_slice_within_budget() {
+        // Nine tables: one kernel covers every position, and every
+        // slice stops at its budget while resuming exactly.
+        let bases: Vec<Vec<RowId>> = (0..9).map(|_| base(2)).collect();
+        let k = scan_kernel(&bases);
+        assert_eq!(k.num_tables(), 9);
+        let offsets = vec![0u32; 9];
+        let mut rows = vec![0u32; 9];
+        let mut one_shot = Collect::default();
+        let mut state = offsets.clone();
+        k.run(&offsets, &mut state, u64::MAX, 2, &mut rows, &mut one_shot);
+        assert_eq!(one_shot.tuples.len(), 512);
+        let budget = 4 * 9;
+        let mut sliced = Collect::default();
+        let mut state = offsets.clone();
+        loop {
+            let (res, steps) = k.run(&offsets, &mut state, budget, 2, &mut rows, &mut sliced);
+            assert!(steps <= budget, "slice took {steps} > {budget} steps");
+            if res == ContinueResult::Exhausted {
+                break;
+            }
+        }
+        assert_eq!(sliced.tuples, one_shot.tuples);
+
+        // An empty last table: nothing joins, yet one slice still stops
+        // at exactly its budget instead of enumerating the prefixes.
+        let mut bases: Vec<Vec<RowId>> = (0..10).map(|_| base(4)).collect();
+        bases[9].clear();
+        let k = scan_kernel(&bases);
+        let offsets = vec![0u32; 10];
+        let mut state = offsets.clone();
+        let mut rows = vec![0u32; 10];
+        let mut out = Collect::default();
+        let (res, steps) = k.run(&offsets, &mut state, 500, 4, &mut rows, &mut out);
+        assert_eq!((res, steps), (ContinueResult::BudgetSpent, 500));
+        assert!(out.tuples.is_empty());
+    }
+
     #[test]
     fn unsupported_shapes_refuse_to_build() {
         let ts = tables();
@@ -1213,7 +948,6 @@ mod tests {
             elided: false,
         }];
         let key = KernelKey::new(
-            1,
             one.iter()
                 .map(|p| (p.jump.kind(), p.preds.as_slice(), false)),
         );

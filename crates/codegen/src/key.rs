@@ -15,13 +15,9 @@ use skinner_storage::hash::FxHasher;
 use std::fmt;
 use std::hash::Hasher;
 
-/// Smallest join-order arity with a compiled kernel.
+/// Smallest join-order arity with a compiled kernel. There is no
+/// largest: one kernel covers a whole order of any length.
 pub const MIN_KERNEL_TABLES: usize = 2;
-/// Largest arity a single compiled kernel covers. Longer orders are
-/// *split*: the engine compiles a `MAX_KERNEL_TABLES`-position prefix
-/// and drives the plan-bound suffix through the
-/// [`ResultSink`](crate::ResultSink) seam.
-pub const MAX_KERNEL_TABLES: usize = 6;
 
 /// The kind of tuple advance at one join-order position, as seen by the
 /// kernel compiler (the shape-level projection of the engine's bound
@@ -57,36 +53,29 @@ pub enum JumpKind {
     Other,
 }
 
-/// Shape identity of a compiled kernel: table count, per-position jump
-/// kind, and a fingerprint of the per-position predicate shapes (variant
-/// tags plus elision flags, no constants). Equal keys ⇒ the same
-/// monomorphized kernel instance executes the order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Shape identity of a compiled kernel: per-position jump kinds (their
+/// count is the table count) and a fingerprint of the per-position
+/// predicate shapes (variant tags plus elision flags, no constants).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KernelKey {
-    /// Number of joined tables (join-order positions).
-    tables: u8,
-    /// Jump kind per position (`Scan`-padded past `tables`).
-    jumps: [JumpKind; MAX_KERNEL_TABLES],
+    /// Jump kind per join-order position.
+    jumps: Box<[JumpKind]>,
     /// Structural fingerprint of the per-position predicate sets.
     pred_fp: u64,
 }
 
 impl KernelKey {
-    /// Build the key for an order of `m` tables from per-position
-    /// `(jump kind, predicate set, jump-predicate elided)` descriptions.
-    /// `positions` must yield exactly `m` entries; `m` may exceed
-    /// [`MAX_KERNEL_TABLES`] (the key then reports itself unsupported).
-    pub fn new<'a, I>(m: usize, positions: I) -> KernelKey
+    /// Build the key of an order from its per-position `(jump kind,
+    /// predicate set, jump-predicate elided)` descriptions, one per
+    /// join-order position.
+    pub fn new<'a, I>(positions: I) -> KernelKey
     where
         I: IntoIterator<Item = (JumpKind, &'a [BoundPred<'a>], bool)>,
     {
-        let mut jumps = [JumpKind::Scan; MAX_KERNEL_TABLES];
+        let mut jumps = Vec::new();
         let mut h = FxHasher::default();
-        h.write_usize(m);
-        for (i, (kind, preds, elided)) in positions.into_iter().enumerate() {
-            if i < MAX_KERNEL_TABLES {
-                jumps[i] = kind;
-            }
+        for (kind, preds, elided) in positions {
+            jumps.push(kind);
             h.write_u8(kind as u8);
             h.write_u8(u8::from(elided));
             h.write_usize(preds.len());
@@ -95,15 +84,14 @@ impl KernelKey {
             }
         }
         KernelKey {
-            tables: m.min(u8::MAX as usize) as u8,
-            jumps,
+            jumps: jumps.into_boxed_slice(),
             pred_fp: h.finish(),
         }
     }
 
     /// Number of joined tables.
     pub fn tables(&self) -> usize {
-        self.tables as usize
+        self.jumps.len()
     }
 
     /// Jump kind at position `i` (`Scan` past the table count).
@@ -111,37 +99,29 @@ impl KernelKey {
         self.jumps.get(i).copied().unwrap_or(JumpKind::Scan)
     }
 
+    /// The per-position jump kinds: the projection of this key that
+    /// [`supported`](KernelKey::supported) depends on, and so what the
+    /// [`KernelCache`](crate::KernelCache) memoizes.
+    pub fn jumps(&self) -> &[JumpKind] {
+        &self.jumps
+    }
+
     /// The predicate-shape fingerprint.
     pub fn pred_fingerprint(&self) -> u64 {
         self.pred_fp
     }
 
-    /// Whether a compiled kernel exists for this shape: arity within
-    /// `2..=6` and no [`JumpKind::Other`] position.
+    /// Whether a compiled kernel exists for this shape: at least
+    /// [`MIN_KERNEL_TABLES`] tables and no [`JumpKind::Other`] position.
     pub fn supported(&self) -> bool {
-        (MIN_KERNEL_TABLES..=MAX_KERNEL_TABLES).contains(&self.tables())
-            && self.jumps[..self.tables().min(MAX_KERNEL_TABLES)]
-                .iter()
-                .all(|k| *k != JumpKind::Other)
-    }
-
-    /// The projection of this key that kernel-class resolution depends
-    /// on: table count and per-position jump kinds, *without* the
-    /// predicate fingerprint. This is what the
-    /// [`KernelCache`](crate::KernelCache) memoizes — its domain is
-    /// finite, so the cache is naturally bounded.
-    pub fn class_key(&self) -> ClassKey {
-        ClassKey {
-            tables: self.tables,
-            jumps: self.jumps,
-        }
+        self.tables() >= MIN_KERNEL_TABLES && !self.jumps.contains(&JumpKind::Other)
     }
 
     /// A stable 64-bit digest of the whole key (logging, cache dumps).
     pub fn digest(&self) -> u64 {
         let mut h = FxHasher::default();
-        h.write_u8(self.tables);
-        for k in &self.jumps {
+        h.write_usize(self.tables());
+        for k in self.jumps.iter() {
             h.write_u8(*k as u8);
         }
         h.write_u64(self.pred_fp);
@@ -149,19 +129,11 @@ impl KernelKey {
     }
 }
 
-/// The class-determining projection of a [`KernelKey`]: table count +
-/// per-position jump kinds (see [`KernelKey::class_key`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClassKey {
-    tables: u8,
-    jumps: [JumpKind; MAX_KERNEL_TABLES],
-}
-
 impl fmt::Display for KernelKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "m{}[", self.tables)?;
-        for i in 0..self.tables().min(MAX_KERNEL_TABLES) {
-            let c = match self.jumps[i] {
+        write!(f, "m{}[", self.tables())?;
+        for k in self.jumps.iter() {
+            let c = match k {
                 JumpKind::Scan => 's',
                 JumpKind::Int => 'i',
                 JumpKind::Float => 'f',
@@ -179,34 +151,38 @@ impl fmt::Display for KernelKey {
 mod tests {
     use super::*;
 
-    fn key(m: usize, kinds: &[JumpKind]) -> KernelKey {
-        KernelKey::new(m, kinds.iter().map(|&k| (k, &[][..], false)))
+    fn key(kinds: &[JumpKind]) -> KernelKey {
+        KernelKey::new(kinds.iter().map(|&k| (k, &[][..], false)))
     }
 
     #[test]
     fn supported_range_and_kinds() {
-        assert!(key(2, &[JumpKind::Scan, JumpKind::Int]).supported());
-        assert!(key(6, &[JumpKind::Scan; 6]).supported());
-        assert!(!key(1, &[JumpKind::Scan]).supported());
-        assert!(!key(7, &[JumpKind::Scan; 7]).supported());
-        assert!(!key(3, &[JumpKind::Scan, JumpKind::Other, JumpKind::Int]).supported());
-        // Fused and string/nullable keys compile now.
-        assert!(key(2, &[JumpKind::Scan, JumpKind::Fused]).supported());
-        assert!(key(3, &[JumpKind::Scan, JumpKind::Key, JumpKind::Fused]).supported());
+        assert!(key(&[JumpKind::Scan, JumpKind::Int]).supported());
+        assert!(key(&[JumpKind::Scan; 6]).supported());
+        assert!(!key(&[JumpKind::Scan]).supported());
+        assert!(!key(&[]).supported());
+        // No arity ceiling: long orders compile as one kernel.
+        assert!(key(&[JumpKind::Scan; 7]).supported());
+        assert!(key(&[JumpKind::Int; 12]).supported());
+        assert!(!key(&[JumpKind::Scan, JumpKind::Other, JumpKind::Int]).supported());
+        // `Other` anywhere refuses, including past the sixth position.
+        let mut late_other = vec![JumpKind::Int; 9];
+        late_other[8] = JumpKind::Other;
+        assert!(!key(&late_other).supported());
+        // Fused and string/nullable keys compile.
+        assert!(key(&[JumpKind::Scan, JumpKind::Fused]).supported());
+        assert!(key(&[JumpKind::Scan, JumpKind::Key, JumpKind::Fused]).supported());
     }
 
     #[test]
     fn display_covers_all_kinds() {
-        let k = key(
-            5,
-            &[
-                JumpKind::Scan,
-                JumpKind::Int,
-                JumpKind::Float,
-                JumpKind::Fused,
-                JumpKind::Key,
-            ],
-        );
+        let k = key(&[
+            JumpKind::Scan,
+            JumpKind::Int,
+            JumpKind::Float,
+            JumpKind::Fused,
+            JumpKind::Key,
+        ]);
         assert_eq!(
             format!("{k}"),
             format!("m5[sifuk]#{:08x}", k.pred_fingerprint() as u32)
@@ -215,16 +191,15 @@ mod tests {
 
     #[test]
     fn keys_distinguish_shapes() {
-        let a = key(3, &[JumpKind::Scan, JumpKind::Int, JumpKind::Int]);
-        let b = key(3, &[JumpKind::Scan, JumpKind::Int, JumpKind::Float]);
-        let c = key(
-            4,
-            &[JumpKind::Scan, JumpKind::Int, JumpKind::Int, JumpKind::Int],
-        );
+        let a = key(&[JumpKind::Scan, JumpKind::Int, JumpKind::Int]);
+        let b = key(&[JumpKind::Scan, JumpKind::Int, JumpKind::Float]);
+        let c = key(&[JumpKind::Scan, JumpKind::Int, JumpKind::Int, JumpKind::Int]);
         assert_ne!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a, key(3, &[JumpKind::Scan, JumpKind::Int, JumpKind::Int]));
+        assert_eq!(a, key(&[JumpKind::Scan, JumpKind::Int, JumpKind::Int]));
         assert_ne!(a.digest(), b.digest());
+        assert_eq!(a.tables(), 3);
+        assert_eq!(a.jump(2), JumpKind::Int);
         assert_eq!(
             format!("{a}"),
             format!("m3[sii]#{:08x}", a.pred_fingerprint() as u32)

@@ -9,13 +9,14 @@
 //! takes are branch-free. This crate is the safe-Rust analogue, one
 //! layer above the engine's plan-time binding:
 //!
-//! * [`KernelKey`] — the *shape* of a (query, order) pair: table count,
-//!   per-position key-column kind, predicate-shape fingerprint. Equal
-//!   keys execute on the same monomorphized kernel instance.
-//! * [`CompiledKernel`] — a bound order compiled into a fixed-arity,
-//!   class-typed DFS loop (see [`kernel`]): const-generic table count
-//!   (2..=6), posting-list cursors instead of per-advance index probes,
-//!   and elision of index-implied equality predicates.
+//! * [`KernelKey`] — the *shape* of a (query, order) pair: per-position
+//!   key-column kind (whose count is the table count) and a
+//!   predicate-shape fingerprint.
+//! * [`CompiledKernel`] — a bound order compiled into one DFS loop over
+//!   the whole order (see [`kernel`]): any arity of
+//!   [`MIN_KERNEL_TABLES`] or more, posting-list cursors instead of
+//!   per-advance index probes, and elision of index-implied equality
+//!   predicates.
 //! * [`KernelCache`] — memoizes shape resolutions across slices, orders,
 //!   queries, and service sessions, so repeated shapes (including warm
 //!   service-layer templates) skip kernel-construction analysis. The
@@ -27,12 +28,12 @@
 //! compiled kernel. Every multi-table jump shape compiles: integer and
 //! float keys, fused composite keys ([`KernelJump::FusedEq`]), and
 //! string/nullable keys ([`KernelJump::KeyEq`], with an explicit
-//! null-reject). Orders longer than [`MAX_KERNEL_TABLES`] compile a
-//! 6-position prefix that drives the plan-bound suffix through the
-//! [`ResultSink`] seam (the engine's split tier). All tiers speak the
-//! [`ResultSink`] protocol defined here and produce byte-for-byte
-//! identical results; the differential properties in the workspace's
-//! `tests/property.rs` and `tests/fuzz_differential.rs` enforce that.
+//! null-reject), at any order length — the compiled kernel's cursor
+//! covers the whole order, so every time slice stops at its step budget.
+//! All tiers speak the [`ResultSink`] protocol defined here and produce
+//! byte-for-byte identical results; the differential properties in the
+//! workspace's `tests/property.rs` and `tests/fuzz_differential.rs`
+//! enforce that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +44,6 @@ pub mod key;
 pub mod sink;
 
 pub use cache::{KernelCache, KernelCacheStats, DEFAULT_KERNEL_CACHE_CAPACITY};
-pub use kernel::{CompiledKernel, KernelClass, KernelJump, KernelPosition};
-pub use key::{ClassKey, JumpKind, KernelKey, MAX_KERNEL_TABLES, MIN_KERNEL_TABLES};
+pub use kernel::{CompiledKernel, KernelJump, KernelPosition};
+pub use key::{JumpKind, KernelKey, MIN_KERNEL_TABLES};
 pub use sink::{ContinueResult, ResultSink};

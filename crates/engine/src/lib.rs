@@ -26,10 +26,10 @@
 //! `ARCHITECTURE.md`): the generic reference kernel (differential
 //! oracle), the plan-bound kernel ([`OrderPlan`](prepare::OrderPlan):
 //! typed slices, direct index references), or — for supported shapes —
-//! a compiled kernel from [`skinner_codegen`] (const-generic arity,
-//! posting-list cursors, elided index-implied predicates). Tier
-//! selection is per order with automatic fallback; all tiers produce
-//! byte-for-byte identical results.
+//! a compiled kernel from [`skinner_codegen`] (one loop over the whole
+//! order at any arity, posting-list cursors, elided index-implied
+//! predicates). Tier selection is per order with automatic fallback;
+//! all tiers produce byte-for-byte identical results.
 //!
 //! Beyond the paper's implementation, the join phase can run each slice
 //! across multiple workers by offset-range partitioning of the
@@ -63,8 +63,8 @@ pub use skinner_c::{
     LearnedState, OrderPolicy, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason,
 };
 pub use skinner_codegen::{
-    CompiledKernel, JumpKind, KernelCache, KernelCacheStats, KernelClass, KernelJump, KernelKey,
-    KernelPosition, DEFAULT_KERNEL_CACHE_CAPACITY,
+    CompiledKernel, JumpKind, KernelCache, KernelCacheStats, KernelJump, KernelKey, KernelPosition,
+    DEFAULT_KERNEL_CACHE_CAPACITY,
 };
 // The persistent morsel pool and its schedule-perturbation test layer,
 // re-exported so drivers and test harnesses need no direct dependency.

@@ -53,15 +53,14 @@ pub struct ExecMetrics {
     /// `(a, b)` (and vice versa under `(b, a)`), so the knowledge store
     /// can compare the two precedence directions of each edge.
     pub edge_rewards: FxHashMap<(TableId, TableId), (f64, u64)>,
-    /// Join orders compiled to the codegen tier (specialized kernels),
-    /// including orders above the kernel arity ceiling whose compiled
-    /// prefix drives the plan-bound suffix (the split tier).
+    /// Join orders compiled to the codegen tier (one specialized kernel
+    /// over the whole order, at any length).
     pub codegen_orders: usize,
     /// Join orders that fell back to the plan-bound kernel because no
     /// compiled kernel exists for their shape. Every multi-table jump
-    /// shape now compiles (integer, float, fused composite, and
-    /// string/nullable keys; long orders split), so this stays 0 unless
-    /// a plan produces the reserved escape-hatch jump kind. Only
+    /// shape compiles (integer, float, fused composite, and
+    /// string/nullable keys, at any order length), so this stays 0
+    /// unless a plan produces the reserved escape-hatch jump kind. Only
     /// counted when the codegen tier is enabled.
     pub fallback_orders: usize,
     /// Slices executed on a compiled kernel (the rest ran plan-bound).

@@ -213,105 +213,6 @@ impl ResultSink for ShardSink<'_> {
     }
 }
 
-/// A sink that forwards inserts but never reports full: the split
-/// tier's suffix expansion must run each prefix tuple's suffix to
-/// exhaustion — letting a LIMIT stop mid-suffix would leave a
-/// half-expanded prefix tuple behind the advancing prefix cursor
-/// (missed tuples on resume). Fullness is observed only by the outer
-/// prefix kernel's per-step poll, where the cursor is valid.
-struct Unstoppable<'a, R: ResultSink> {
-    inner: &'a mut R,
-}
-
-impl<R: ResultSink> ResultSink for Unstoppable<'_, R> {
-    #[inline]
-    fn insert(&mut self, tuple: &[RowId]) -> bool {
-        self.inner.insert(tuple)
-    }
-}
-
-/// The split tier's bridge between a compiled prefix kernel and the
-/// plan-bound suffix: every prefix tuple the kernel emits is expanded
-/// through the remaining join-order positions before the kernel
-/// advances.
-///
-/// Soundness hinges on two invariants. (1) Each `insert` runs the
-/// suffix to **exhaustion** (unbounded budget, [`Unstoppable`] inner
-/// sink), so the prefix cursor never advances past a half-expanded
-/// prefix tuple: everything lexicographically below ⟨prefix cursor,
-/// suffix floors⟩ is fully joined. (2) The suffix cursor lives in this
-/// sink's private scratch, reset to the offset floors on every
-/// expansion, and never escapes into the global state — so the slice
-/// cursor the caller persists and restores covers the prefix
-/// coordinates alone, with suffix coordinates pinned at their floors
-/// exactly like the plan-bound tier's end-of-tuple state.
-///
-/// Suffix steps count against `budget`; once spent, `is_full` trips and
-/// the prefix kernel's per-step poll suspends the slice with a valid
-/// cursor (bounded overshoot: at most one prefix tuple's suffix past
-/// the budget).
-struct SuffixSink<'a, 'p, R: ResultSink> {
-    inner: &'a mut R,
-    suffix: &'a [BoundPosition<'p>],
-    offsets: &'a [u32],
-    /// Private suffix cursor (indexed by table id, like all state).
-    state: Vec<u32>,
-    /// Private row buffer seeded from each emitted prefix tuple.
-    rows: Vec<RowId>,
-    /// Suffix steps consumed so far.
-    steps: u64,
-    /// Suffix-step budget for this slice (the chunk budget when
-    /// partitioned).
-    budget: u64,
-}
-
-impl<'a, 'p, R: ResultSink> SuffixSink<'a, 'p, R> {
-    fn new(
-        inner: &'a mut R,
-        suffix: &'a [BoundPosition<'p>],
-        offsets: &'a [u32],
-        budget: u64,
-    ) -> SuffixSink<'a, 'p, R> {
-        SuffixSink {
-            inner,
-            suffix,
-            offsets,
-            state: offsets.to_vec(),
-            rows: vec![0; offsets.len()],
-            steps: 0,
-            budget,
-        }
-    }
-}
-
-impl<R: ResultSink> ResultSink for SuffixSink<'_, '_, R> {
-    fn insert(&mut self, prefix: &[RowId]) -> bool {
-        self.rows.copy_from_slice(prefix);
-        self.state.copy_from_slice(self.offsets);
-        let end0 = self.suffix[0].card;
-        let mut sink = Unstoppable {
-            inner: &mut *self.inner,
-        };
-        let (res, steps) = run_plan_kernel(
-            self.suffix,
-            self.offsets,
-            &mut self.state,
-            u64::MAX,
-            end0,
-            &mut self.rows,
-            &mut sink,
-        );
-        debug_assert_eq!(res, ContinueResult::Exhausted);
-        self.steps = self.steps.saturating_add(steps);
-        true
-    }
-
-    #[inline]
-    fn is_full(&self) -> bool {
-        self.steps >= self.budget || self.inner.is_full()
-    }
-}
-
 /// Deduplicating result set over tuple-index vectors (paper: "we add
 /// tuple index vectors into a result set, avoiding duplicate entries").
 ///
@@ -659,78 +560,21 @@ impl<'a> MultiwayJoin<'a> {
         kernel.run(offsets, state, budget, end0, &mut self.rows, results)
     }
 
-    /// Execute a *split* order (arity above the compiled-kernel
-    /// ceiling): `kernel` — compiled from the first
-    /// `kernel.num_tables()` positions of `plan` — drives the prefix,
-    /// and every prefix tuple it emits is expanded through the
-    /// plan-bound suffix (`plan.positions[kernel.num_tables()..]`) to
-    /// exhaustion via the private `SuffixSink`. The persisted cursor covers the
-    /// prefix coordinates with the same contract as the other tiers;
-    /// suffix coordinates are pinned at their offset floors across
-    /// suspensions (the live suffix cursor is sink-private scratch).
-    ///
-    /// Returned steps are prefix kernel steps plus suffix steps, so
-    /// reward accounting stays comparable to the plan-bound tier on the
-    /// same order; the total may overshoot `budget` by one prefix
-    /// tuple's suffix expansion (the suffix never stops mid-tuple —
-    /// see `SuffixSink` for why that is load-bearing). Partitioning
-    /// works as in the other tiers: each chunk wraps its shard in a
-    /// private `SuffixSink`.
+    /// Forwards to [`continue_join_compiled`](MultiwayJoin::continue_join_compiled);
+    /// `plan` is unused. Kept only for callers that still branch on
+    /// `kernel.num_tables() < order.len()`, such as the replay in
+    /// `benchmark/src/layers.rs`. Every compiled kernel covers its whole
+    /// order, so that branch is never taken.
     pub fn continue_join_split<R: ResultSink>(
         &mut self,
         kernel: &CompiledKernel<'_>,
-        plan: &OrderPlan<'_>,
+        _plan: &OrderPlan<'_>,
         offsets: &[u32],
         state: &mut [u32],
         budget: u64,
         results: &mut R,
     ) -> (ContinueResult, u64) {
-        let k = kernel.num_tables();
-        let m = plan.positions.len();
-        debug_assert!(k < m, "split tier requires a strict prefix");
-        debug_assert!(kernel
-            .positions()
-            .iter()
-            .zip(plan.positions.iter())
-            .all(|(kp, pp)| kp.table == pp.table));
-        let suffix = &plan.positions[k..];
-        let t0 = kernel.table0();
-        let end0 = kernel.card0();
-
-        // Pin the suffix coordinates to their floors: the suffix cursor
-        // lives in the sink's scratch, never in the global state.
-        for p in suffix {
-            state[p.table] = offsets[p.table];
-        }
-
-        // Immediate exhaustion (restored past the end).
-        if state[t0] >= end0 {
-            return (ContinueResult::Exhausted, 0);
-        }
-
-        if self.threads > 1 {
-            let spec = PartitionSpec::split(state[t0], end0, self.threads);
-            if spec.len() > 1 {
-                let run_chunk = |state: &mut [u32],
-                                 chunk_budget: u64,
-                                 hi: u32,
-                                 rows: &mut [RowId],
-                                 sink: &mut ShardSink<'_>| {
-                    let mut suffixed = SuffixSink::new(sink, suffix, offsets, chunk_budget);
-                    let (res, ksteps) =
-                        kernel.run(offsets, state, chunk_budget, hi, rows, &mut suffixed);
-                    (res, ksteps.saturating_add(suffixed.steps))
-                };
-                return self.continue_join_partitioned(
-                    m, t0, end0, &spec, offsets, state, budget, results, run_chunk,
-                );
-            }
-        }
-        self.chunks_run += 1;
-        let mut suffixed = SuffixSink::new(results, suffix, offsets, budget);
-        let (res, ksteps) = kernel.run(offsets, state, budget, end0, &mut self.rows, &mut suffixed);
-        let steps = ksteps.saturating_add(suffixed.steps);
-        (res, steps)
+        self.continue_join_compiled(kernel, offsets, state, budget, results)
     }
 
     /// The parallel slice, shared by the plan-bound and compiled tiers:

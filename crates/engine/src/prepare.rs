@@ -37,7 +37,7 @@
 //! tracked in ROADMAP.md.
 
 use skinner_codegen::{
-    CompiledKernel, JumpKind, KernelCache, KernelClass, KernelJump, KernelKey, KernelPosition,
+    CompiledKernel, JumpKind, KernelCache, KernelJump, KernelKey, KernelPosition,
 };
 use skinner_query::{compile_predicates, BoundPred, CompiledPred, Query, TableId, TableSet};
 use skinner_storage::table::TableRef;
@@ -582,73 +582,51 @@ impl<'a> OrderPlan<'a> {
     /// instance, so the key is what the cross-query
     /// [`KernelCache`] memoizes.
     pub fn kernel_key(&self) -> KernelKey {
-        Self::key_of(&self.positions)
-    }
-
-    /// The shape key of the *compiled portion* of this plan: the whole
-    /// order for arity ≤ [`skinner_codegen::MAX_KERNEL_TABLES`]; for
-    /// longer orders, the
-    /// 6-position compiled prefix (the plan-bound suffix executes tier 2
-    /// through the split driver and has no shape key).
-    pub fn compiled_prefix_key(&self) -> KernelKey {
-        let prefix = self.positions.len().min(skinner_codegen::MAX_KERNEL_TABLES);
-        Self::key_of(&self.positions[..prefix])
-    }
-
-    fn key_of(positions: &[BoundPosition<'_>]) -> KernelKey {
-        KernelKey::new(
-            positions.len(),
-            positions.iter().map(|p| {
-                let kind = match &p.jump {
-                    None => JumpKind::Scan,
-                    Some(j) => match j.key {
-                        KeyCol::Int(_) => JumpKind::Int,
-                        KeyCol::Float(_) => JumpKind::Float,
-                        // Hash-derived keys: compiled, never elided.
-                        KeyCol::Fused(_) => JumpKind::Fused,
-                        KeyCol::Other(_) => JumpKind::Key,
-                    },
-                };
-                let elided = kind == JumpKind::Int
-                    && p.jump
-                        .as_ref()
-                        .is_some_and(|j| p.preds[j.pred].is_exact_int_eq());
-                (kind, p.preds.as_slice(), elided)
-            }),
-        )
+        KernelKey::new(self.positions.iter().map(|p| {
+            let kind = match &p.jump {
+                None => JumpKind::Scan,
+                Some(j) => match j.key {
+                    KeyCol::Int(_) => JumpKind::Int,
+                    KeyCol::Float(_) => JumpKind::Float,
+                    // Hash-derived keys: compiled, never elided.
+                    KeyCol::Fused(_) => JumpKind::Fused,
+                    KeyCol::Other(_) => JumpKind::Key,
+                },
+            };
+            let elided = kind == JumpKind::Int
+                && p.jump
+                    .as_ref()
+                    .is_some_and(|j| p.preds[j.pred].is_exact_int_eq());
+            (kind, p.preds.as_slice(), elided)
+        }))
     }
 
     /// Compile this plan into a specialized kernel (the codegen
-    /// execution tier), or `None` when the shape has no compiled kernel
-    /// — a single-table order, or a reserved [`JumpKind::Other`]
-    /// position (no current binder produces one) — in which case the
-    /// caller keeps executing the plan-bound kernel.
+    /// execution tier) covering every position of the order, or `None`
+    /// when the shape has no compiled kernel — a single-table order, or
+    /// a reserved [`JumpKind::Other`] position (no current binder
+    /// produces one) — in which case the caller keeps executing the
+    /// plan-bound kernel.
     ///
-    /// Every multi-table jump shape compiles: integer and float keys,
-    /// fused composite keys, and string/nullable keys (hash-driven
-    /// posting cursors with an explicit null-reject; never elided, so
-    /// every driving conjunct is re-verified). Orders longer than
-    /// `MAX_KERNEL_TABLES` compile their 6-position *prefix*; the
-    /// returned kernel then covers fewer tables than the plan
-    /// (`kernel.num_tables() < positions.len()`) and the engine drives
-    /// the plan-bound suffix through the split tier.
+    /// Every multi-table jump shape compiles, at any order length:
+    /// integer and float keys, fused composite keys, and string/nullable
+    /// keys (hash-driven posting cursors with an explicit null-reject;
+    /// never elided, so every driving conjunct is re-verified).
     ///
     /// `cache` (when given) memoizes the shape resolution across
-    /// queries: a hit skips the per-position support and elision
-    /// analysis. The returned kernel borrows the same prepared-query
-    /// data as the plan itself.
+    /// queries: a hit skips the support analysis. The returned kernel
+    /// borrows the same prepared-query data as the plan itself.
     pub fn compile_kernel(&self, cache: Option<&KernelCache>) -> Option<CompiledKernel<'a>> {
-        let prefix = self.positions.len().min(skinner_codegen::MAX_KERNEL_TABLES);
-        let key = self.compiled_prefix_key();
-        let analyze = || {
-            key.supported()
-                .then(|| KernelClass::of((0..key.tables()).map(|i| key.jump(i))))
+        let key = self.kernel_key();
+        let supported = match cache {
+            Some(cache) => cache.resolve(&key, || key.supported()),
+            None => key.supported(),
         };
-        match cache {
-            Some(cache) => cache.resolve(&key, analyze)?,
-            None => analyze()?,
-        };
-        let positions = self.positions[..prefix]
+        if !supported {
+            return None;
+        }
+        let positions = self
+            .positions
             .iter()
             .map(|p| {
                 let (jump, elided) = match &p.jump {
@@ -1002,13 +980,13 @@ mod tests {
             }
             // The bound plan carries the fused key source and composite
             // index — and the shape compiles: fused keys drive a
-            // posting-cursor jump (FusedChain class, re-verified).
+            // posting-cursor jump (re-verified, never elided).
             let plan = p.plan_order(&order);
             let bound = plan.positions[1].jump.as_ref().expect("bound jump");
             assert!(matches!(bound.key, KeyCol::Fused(_)));
             assert!(plan.kernel_key().supported());
             let kernel = plan.compile_kernel(None).expect("fused shape compiles");
-            assert_eq!(kernel.class(), KernelClass::FusedChain);
+            assert_eq!(kernel.positions()[1].jump.kind(), JumpKind::Fused);
             assert_eq!(kernel.num_tables(), 2);
         }
 

@@ -68,9 +68,8 @@ pub struct SkinnerCConfig {
     /// Execute join orders on the codegen tier (per-shape compiled
     /// kernels, see `skinner-codegen`) instead of the plan-bound
     /// kernel. Every multi-table jump shape compiles — integer, float,
-    /// fused composite, and string/nullable keys — and orders above the
-    /// kernel arity ceiling run a compiled 6-position prefix driving
-    /// the plan-bound suffix (the split tier). Results are identical in
+    /// fused composite, and string/nullable keys — at any order length,
+    /// as one kernel over the whole order. Results are identical in
     /// every case (the differential properties enforce it), so this
     /// switch only trades compilation for interpretation.
     pub codegen: bool,
@@ -587,9 +586,7 @@ struct PlannedOrder<'a> {
 }
 
 impl PlannedOrder<'_> {
-    /// Run one slice on the best available tier: full compiled kernel
-    /// when it covers the whole order, compiled prefix + plan-bound
-    /// suffix (split tier) when the order is longer than the kernel,
+    /// Run one slice on the compiled kernel when the shape has one,
     /// plan-bound otherwise.
     fn run_slice<R: ResultSink>(
         &self,
@@ -601,12 +598,7 @@ impl PlannedOrder<'_> {
         results: &mut R,
     ) -> (ContinueResult, u64) {
         match &self.kernel {
-            Some(kernel) if kernel.num_tables() == order.len() => {
-                join.continue_join_compiled(kernel, offsets, state, budget, results)
-            }
-            Some(kernel) => {
-                join.continue_join_split(kernel, &self.plan, offsets, state, budget, results)
-            }
+            Some(kernel) => join.continue_join_compiled(kernel, offsets, state, budget, results),
             None => join.continue_join(order, &self.plan, offsets, state, budget, results),
         }
     }
@@ -614,12 +606,11 @@ impl PlannedOrder<'_> {
 
 /// Bind one join order for execution: the plan-bound tier always, the
 /// compiled tier when codegen is on (counted into the metrics either
-/// way). Every multi-table shape compiles — integer, float, fused
-/// composite, and string/nullable keys; orders above the kernel arity
-/// ceiling compile a prefix for the split tier — so `fallback_orders`
-/// only counts the reserved escape hatch no current binder produces.
-/// Single-table orders have no join loop to specialize and are not
-/// counted as fallbacks.
+/// way). Every multi-table shape compiles at any order length —
+/// integer, float, fused composite, and string/nullable keys — so
+/// `fallback_orders` only counts the reserved escape hatch no current
+/// binder produces. Single-table orders have no join loop to specialize
+/// and are not counted as fallbacks.
 fn bind_order<'p>(
     pq: &'p PreparedQuery,
     codegen: bool,
@@ -917,7 +908,7 @@ mod tests {
         })
         .run(&q);
         assert_eq!(on.result_count, expected);
-        // Int FK chain within 2..=6 tables: every order compiles.
+        // Int FK chain: every order compiles.
         assert!(on.metrics.codegen_orders > 0);
         assert_eq!(on.metrics.fallback_orders, 0);
         assert_eq!(on.metrics.codegen_slices, on.metrics.slices);
@@ -981,11 +972,8 @@ mod tests {
         assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
     }
 
-    #[test]
-    fn seven_table_chain_splits_and_stays_correct() {
-        // Arity above MAX_KERNEL_TABLES: the compiled 6-position prefix
-        // drives the plan-bound suffix (split tier); counted as a
-        // codegen order, not a fallback.
+    /// Seven int-keyed tables chained on `k` (each key twice per table).
+    fn seven_table_chain() -> (Catalog, Query) {
         let mut cat = Catalog::new();
         for t in 0..7 {
             cat.register(
@@ -1010,50 +998,54 @@ mod tests {
         }
         qb.select_col("c0.k").unwrap();
         let q = qb.build().unwrap();
+        (cat, q)
+    }
+
+    #[test]
+    fn seven_table_chain_compiles_whole_order_and_stays_correct() {
+        // One compiled kernel covers all seven positions, and its slices
+        // stop at the budget; counted as a codegen order, not a fallback.
+        let (_cat, q) = seven_table_chain();
+        let pq = PreparedQuery::new(&q, true, 1);
+        let order: Vec<usize> = (0..7).collect();
+        let plan = pq.plan_order(&order);
+        let kernel = plan.compile_kernel(None).expect("long order compiles");
+        assert_eq!(kernel.num_tables(), 7);
+        let mut join = MultiwayJoin::new(&pq);
+        let offsets = vec![0u32; 7];
+        let mut state = offsets.clone();
+        let mut rs = ResultSet::new();
+        loop {
+            let (res, steps) =
+                join.continue_join_compiled(&kernel, &offsets, &mut state, 40, &mut rs);
+            assert!(steps <= 40, "slice took {steps} steps");
+            if res == ContinueResult::Exhausted {
+                break;
+            }
+        }
+        // Each key appears twice per table; 3 keys × 2^7 combinations.
+        assert_eq!(rs.len(), 3 * 128);
+
         let out = SkinnerC::new(SkinnerCConfig {
             budget: 200,
             ..Default::default()
         })
         .run(&q);
-        // Each key appears twice per table; 3 keys × 2^7 combinations.
         assert_eq!(out.result_count, 3 * 128);
-        assert!(out.metrics.codegen_orders > 0, "prefix must compile");
+        assert!(out.metrics.codegen_orders > 0, "long orders must compile");
         assert_eq!(out.metrics.fallback_orders, 0);
         assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
     }
 
     #[test]
-    fn seven_table_chain_split_agrees_with_plan_bound_partitioned() {
-        // The split tier under partitioning, checked byte-for-byte
-        // against the plan-bound tier on the same 7-table query, with a
-        // budget small enough to force many suspend/resume cycles
-        // through the split cursor contract.
-        let mut cat = Catalog::new();
-        for t in 0..7 {
-            cat.register(
-                Table::new(
-                    format!("c{t}"),
-                    Schema::new([ColumnDef::new("k", ValueType::Int)]),
-                    vec![Column::from_ints((0..6).map(|i| i % 3).collect())],
-                )
-                .unwrap(),
-            );
-        }
-        let mut qb = QueryBuilder::new(&cat);
-        for t in 0..7 {
-            qb.table(&format!("c{t}")).unwrap();
-        }
-        for t in 0..6 {
-            let j = qb
-                .col(&format!("c{t}.k"))
-                .unwrap()
-                .eq(qb.col(&format!("c{}.k", t + 1)).unwrap());
-            qb.filter(j);
-        }
-        qb.select_col("c0.k").unwrap();
-        let q = qb.build().unwrap();
+    fn seven_table_chain_compiled_agrees_with_plan_bound_partitioned() {
+        // The whole-order kernel under partitioning, checked
+        // byte-for-byte against the plan-bound tier on the same 7-table
+        // query, with a budget small enough to force many
+        // suspend/resume cycles.
+        let (_cat, q) = seven_table_chain();
         for threads in [1, 4] {
-            let split = SkinnerC::new(SkinnerCConfig {
+            let compiled = SkinnerC::new(SkinnerCConfig {
                 budget: 64,
                 threads,
                 ..Default::default()
@@ -1066,14 +1058,15 @@ mod tests {
                 ..Default::default()
             })
             .run(&q);
-            assert_eq!(split.result_count, 3 * 128, "threads={threads}");
+            assert_eq!(compiled.result_count, 3 * 128, "threads={threads}");
             assert_eq!(plan_bound.result_count, 3 * 128);
-            let mut a: Vec<&[u32]> = split.tuples.chunks_exact(7).collect();
+            let mut a: Vec<&[u32]> = compiled.tuples.chunks_exact(7).collect();
             let mut b: Vec<&[u32]> = plan_bound.tuples.chunks_exact(7).collect();
             a.sort();
             b.sort();
             assert_eq!(a, b, "threads={threads}");
-            assert_eq!(split.metrics.fallback_orders, 0);
+            assert_eq!(compiled.metrics.fallback_orders, 0);
+            assert_eq!(compiled.metrics.codegen_slices, compiled.metrics.slices);
         }
     }
 

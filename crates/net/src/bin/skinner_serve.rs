@@ -10,8 +10,10 @@
 //! synthetic JOB-like IMDB catalog. Shutdown is protocol-driven: a
 //! client sends a `Shutdown` frame (e.g. `skinner-load --shutdown`),
 //! the server stops accepting, drains in-flight connections, flushes
-//! the learning cache, and exits — printing post-drain resource
-//! accounting so operators (and CI) can confirm nothing leaked.
+//! the learning cache and knowledge store, and exits — printing
+//! post-drain resource accounting so operators (and CI) can confirm
+//! nothing leaked. `--cache FILE` warm-starts both from `FILE` and
+//! `FILE.knowledge` before serving.
 
 use skinner_net::{NetServer, ServerConfig};
 use skinner_service::{repl, CachePersister};
@@ -68,31 +70,17 @@ fn main() {
 
     let service = repl::demo_service(scale, seed, threads);
 
-    // Warm-start from the persisted learning cache, then keep flushing
-    // it in the background (and once more after the drain).
-    let mut persister = None;
-    if let Some(path) = &cache {
-        match service.load_learning_cache(path) {
-            Ok(report) => eprintln!(
-                "skinner-serve: cache loaded: {} entries ({} stale, {} corrupt{}{})",
-                report.loaded,
-                report.stale,
-                report.corrupt,
-                if report.truncated { ", truncated" } else { "" },
-                if report.format_mismatch {
-                    ", format mismatch"
-                } else {
-                    ""
-                },
-            ),
-            Err(e) => eprintln!("skinner-serve: cache load failed: {e}"),
-        }
-        persister = Some(CachePersister::start(
+    // Warm-start from the persisted learning cache and knowledge store,
+    // then keep flushing both in the background (and once more after
+    // the drain).
+    let persister = cache.as_ref().map(|path| {
+        service.warm_start(path).log("skinner-serve: ");
+        CachePersister::start(
             service.clone(),
             path.clone(),
             Duration::from_secs(persist_secs),
-        ));
-    }
+        )
+    });
 
     let listener = match TcpListener::bind(&listen) {
         Ok(l) => l,

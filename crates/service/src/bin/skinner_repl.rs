@@ -88,20 +88,7 @@ fn main() {
          \\tables \\stats \\cache \\quit \\shutdown)"
     );
     if let Some(cache) = &cache {
-        match service.load_learning_cache(cache) {
-            Ok(report) => eprintln!(
-                "learning cache warm start: {} loaded, {} corrupt, {} stale",
-                report.loaded, report.corrupt, report.stale
-            ),
-            Err(e) => eprintln!("learning cache load failed: {e}"),
-        }
-        match service.load_knowledge(&skinner_service::knowledge_path(cache)) {
-            Ok(report) => eprintln!(
-                "knowledge warm start: {} loaded, {} corrupt, {} stale",
-                report.loaded, report.corrupt, report.stale
-            ),
-            Err(e) => eprintln!("knowledge load failed: {e}"),
-        }
+        service.warm_start(cache).log("");
     }
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();

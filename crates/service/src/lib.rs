@@ -75,7 +75,7 @@ pub mod service;
 pub use budget::{CoreBudget, CoreGrant};
 pub use cache::{CacheStats, LearningCache};
 pub use listener::{serve_accept_loop, Acceptor, ShutdownFlag};
-pub use persist::{knowledge_path, CachePersister, LoadReport};
+pub use persist::{knowledge_path, CachePersister, LoadReport, WarmStart};
 pub use service::{
     CancelToken, ConnectionGuard, ExecuteOptions, QueryService, ServiceConfig, ServiceError,
     ServiceStats, Session,

@@ -238,6 +238,55 @@ impl QueryService {
             self.table_is_current(name, version)
         })
     }
+
+    /// Warm-start from a `--cache` location: the learning cache from
+    /// `cache_path` and the knowledge store from its [`knowledge_path`]
+    /// sibling — the two files a [`CachePersister`] on the same path
+    /// writes. Load both before starting that persister; otherwise its
+    /// first flush overwrites a file that was never read.
+    pub fn warm_start(&self, cache_path: &Path) -> WarmStart {
+        WarmStart {
+            learning: self.load_learning_cache(cache_path),
+            knowledge: self.load_knowledge(&knowledge_path(cache_path)),
+        }
+    }
+}
+
+/// What [`QueryService::warm_start`] loaded from each file.
+#[derive(Debug)]
+pub struct WarmStart {
+    /// The learning-cache file's report.
+    pub learning: io::Result<LoadReport>,
+    /// The knowledge-store file's report.
+    pub knowledge: io::Result<LoadReport>,
+}
+
+impl WarmStart {
+    /// Report both loads on stderr, one line each, every line starting
+    /// with `prefix`: `learning cache warm start: N loaded, N corrupt,
+    /// N stale`, then the same for `knowledge` (or `… load failed: …`).
+    pub fn log(&self, prefix: &str) {
+        for (what, report) in [
+            ("learning cache", &self.learning),
+            ("knowledge", &self.knowledge),
+        ] {
+            match report {
+                Ok(r) => eprintln!(
+                    "{prefix}{what} warm start: {} loaded, {} corrupt, {} stale{}{}",
+                    r.loaded,
+                    r.corrupt,
+                    r.stale,
+                    if r.truncated { " (truncated tail)" } else { "" },
+                    if r.format_mismatch {
+                        " (format mismatch)"
+                    } else {
+                        ""
+                    },
+                ),
+                Err(e) => eprintln!("{prefix}{what} load failed: {e}"),
+            }
+        }
+    }
 }
 
 /// The knowledge store's on-disk sibling of a learning-cache file:

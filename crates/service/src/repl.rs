@@ -388,33 +388,10 @@ pub fn serve_unix_with(
 ) -> std::io::Result<()> {
     use std::os::unix::net::UnixListener;
 
-    if let Some(cache) = &opts.cache_path {
-        match service.load_learning_cache(cache) {
-            Ok(report) => eprintln!(
-                "skinner-repl: learning cache warm start: {} loaded, {} corrupt, {} stale{}",
-                report.loaded,
-                report.corrupt,
-                report.stale,
-                if report.truncated {
-                    " (truncated tail)"
-                } else {
-                    ""
-                }
-            ),
-            Err(e) => eprintln!("skinner-repl: learning cache load failed: {e}"),
-        }
-        match service.load_knowledge(&crate::persist::knowledge_path(cache)) {
-            Ok(report) => eprintln!(
-                "skinner-repl: knowledge warm start: {} loaded, {} corrupt, {} stale",
-                report.loaded, report.corrupt, report.stale
-            ),
-            Err(e) => eprintln!("skinner-repl: knowledge load failed: {e}"),
-        }
-    }
-    let persister = opts
-        .cache_path
-        .as_ref()
-        .map(|cache| CachePersister::start(service.clone(), cache.clone(), opts.persist_interval));
+    let persister = opts.cache_path.as_ref().map(|cache| {
+        service.warm_start(cache).log("skinner-repl: ");
+        CachePersister::start(service.clone(), cache.clone(), opts.persist_interval)
+    });
 
     // A stale socket file from a previous run would fail the bind.
     let _ = std::fs::remove_file(path);

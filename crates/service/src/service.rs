@@ -215,8 +215,8 @@ pub struct ServiceStats {
     pub knowledge: KnowledgeStats,
     /// Kernel-shape cache counters (codegen tier, see `skinner-codegen`).
     pub kernels: KernelCacheStats,
-    /// Join orders executed on a compiled kernel, including long orders
-    /// whose 6-table prefix compiled and drove the plan-bound suffix.
+    /// Join orders executed on a compiled kernel (one kernel over the
+    /// whole order, at any length).
     pub codegen_orders: u64,
     /// Join orders that fell back to the plan-bound tier with codegen
     /// enabled. Only the reserved escape-hatch jump shape falls back,

@@ -9,10 +9,11 @@
 //! service answered.
 
 use skinner_engine::SkinnerCConfig;
-use skinner_service::{QueryService, ServiceConfig};
+use skinner_service::{knowledge_path, CachePersister, QueryService, ServiceConfig};
 use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, ValueType};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn catalog(seed: u64) -> Catalog {
     use rand::rngs::SmallRng;
@@ -90,6 +91,39 @@ fn restarted_service_starts_warm() {
     assert!(b.stats.cache_hit);
     assert_eq!(b.table, expected_b);
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn warm_start_keeps_knowledge_across_persister_restarts() {
+    // A server restarted on the same `--cache` path warm-starts both
+    // files, runs a persister on that path, and flushes at shutdown. The
+    // knowledge it loaded must survive into the next restart: a
+    // persister started over an unloaded store would overwrite the
+    // knowledge file with nothing.
+    let path = tmp("restarts.bin");
+    let first = service(45);
+    first.session().execute(SQL_A).expect("run");
+    let persister = CachePersister::start(first.clone(), &path, Duration::from_secs(3600));
+    assert_eq!(persister.shutdown().expect("flush"), 1);
+
+    let mut knowledge = Vec::new();
+    for _restart in 0..2 {
+        let svc = service(45);
+        let warm = svc.warm_start(&path);
+        let (learning, known) = (warm.learning.expect("load"), warm.knowledge.expect("load"));
+        assert_eq!(
+            (learning.loaded, learning.corrupt, learning.stale),
+            (1, 0, 0)
+        );
+        assert!(known.loaded > 0, "knowledge store was not persisted");
+        knowledge.push(known.loaded);
+        CachePersister::start(svc, &path, Duration::from_secs(3600))
+            .shutdown()
+            .expect("flush");
+    }
+    assert_eq!(knowledge[0], knowledge[1], "a restart lost knowledge");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(knowledge_path(&path)).ok();
 }
 
 #[test]

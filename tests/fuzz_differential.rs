@@ -10,10 +10,10 @@
 //! * the plan-bound kernel runs in small slices, sequential **and**
 //!   offset-range partitioned,
 //! * the codegen tier runs on **every** multi-table shape — integer,
-//!   float, fused composite, string and nullable keys all compile, and
-//!   orders longer than the kernel arity ceiling run the compiled
-//!   prefix + plan-bound suffix split tier — asserted below (a refusal
-//!   to compile is a test failure, not a fallback),
+//!   float, fused composite, string and nullable keys all compile, at
+//!   any order length, as one kernel whose slices stop at their step
+//!   budget — asserted below (a refusal to compile is a test failure,
+//!   not a fallback),
 //! * the full Skinner-C engine (heavy order switching) is checked
 //!   against the vectorized column engine,
 //! * a global MIN/MAX, folded while the join runs, is checked against
@@ -417,8 +417,8 @@ proptest! {
                     order, indexes, threads
                 );
             } else {
-                // The fallback gap is closed: within the kernel arity
-                // range every shape must compile, indexed or not.
+                // The fallback gap is closed: every multi-table shape
+                // must compile, indexed or not.
                 prop_assert!(
                     false,
                     "kernel refused shape {} (order {:?} indexes {})",
@@ -791,16 +791,16 @@ proptest! {
     }
 
     #[test]
-    fn fuzz_long_orders_split_and_agree(
+    fn fuzz_long_orders_compile_whole_and_slices_stay_bounded(
         seed in any::<u64>(),
         budget in 6u64..64,
         threads in 2usize..5,
     ) {
-        // Arity 7..=9 — above the compiled-kernel ceiling: the engine
-        // compiles a 6-position prefix and drives the plan-bound suffix
-        // through the split tier. The split tier must agree with the
-        // generic oracle byte-for-byte, sequential and partitioned,
-        // through many suspend/resume cycles (small budgets).
+        // Arity 7..=9: one compiled kernel must cover every position,
+        // agree with the generic oracle byte-for-byte, sequential and
+        // partitioned, through many suspend/resume cycles (small
+        // budgets) — and no slice may run past its step budget, the
+        // unit of the paper's regret bound.
         let mut rng = SmallRng::seed_from_u64(seed);
         let m = rng.gen_range(7..10usize);
         let space = rng.gen_range(2..4i64);
@@ -854,46 +854,64 @@ proptest! {
         join.continue_join_generic(&order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic);
         let oracle = sorted_tuples(&rs_generic);
 
-        // The prefix must compile and cover strictly fewer tables.
         let kernel = plan.compile_kernel(None);
-        prop_assert!(kernel.is_some(), "long order must compile a prefix");
+        prop_assert!(kernel.is_some(), "long order must compile");
         let kernel = kernel.unwrap();
-        prop_assert_eq!(kernel.num_tables(), 6);
-        prop_assert!(kernel.num_tables() < m);
+        prop_assert_eq!(kernel.num_tables(), m);
 
-        let run_split = |workers: usize| -> Vec<Vec<u32>> {
+        // Per-slice step bound: `budget` sequentially; partitioned, each
+        // of the n <= threads chunks takes at most max(budget / n, 4m).
+        let bound = |workers: usize| -> u64 {
+            if workers == 1 {
+                budget
+            } else {
+                budget.max(workers as u64 * 4 * m as u64)
+            }
+        };
+        let run_compiled = |workers: usize| -> (Vec<Vec<u32>>, u64) {
             let mut join = MultiwayJoin::with_threads(&pq, workers);
             let mut state = offsets.clone();
             let mut rs = ResultSet::new();
+            let mut max_steps = 0u64;
             let mut slices = 0u64;
             loop {
                 slices += 1;
                 assert!(slices < 5_000_000, "no termination");
-                let (res, _) = join.continue_join_split(
-                    &kernel, &plan, &offsets, &mut state, budget, &mut rs,
+                let (res, steps) = join.continue_join_compiled(
+                    &kernel, &offsets, &mut state, budget, &mut rs,
                 );
+                max_steps = max_steps.max(steps);
                 if res == ContinueResult::Exhausted {
                     break;
                 }
             }
-            sorted_tuples(&rs)
+            (sorted_tuples(&rs), max_steps)
         };
-        prop_assert_eq!(
-            &run_split(1), &oracle,
-            "split/generic divergence: order {:?}", order
-        );
-        prop_assert_eq!(
-            &run_split(threads), &oracle,
-            "partitioned split/generic divergence: order {:?} threads {}", order, threads
-        );
+        for workers in [1, threads] {
+            let (tuples, max_steps) = run_compiled(workers);
+            prop_assert_eq!(
+                &tuples, &oracle,
+                "codegen/generic divergence: order {:?} threads {}", order, workers
+            );
+            prop_assert!(
+                max_steps <= bound(workers),
+                "a slice took {} steps, bound {} (order {:?} threads {} budget {})",
+                max_steps, bound(workers), order, workers, budget
+            );
+        }
 
-        // End to end through the engine, with the metrics vacuity
-        // guard: the split orders count as codegen, never fallback.
+        // End to end through the engine (SKINNER_TEST_THREADS join
+        // workers), with the metrics vacuity guard: long orders count as
+        // codegen, never fallback.
         let truth = ColEngine::new()
             .execute(&q, &ExecOptions { count_only: true, ..Default::default() })
             .result_count;
         let out = SkinnerC::new(SkinnerCConfig {
             budget: 16,
+            threads: std::env::var("SKINNER_TEST_THREADS")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(1),
             ..Default::default()
         })
         .run(&q);
@@ -903,5 +921,38 @@ proptest! {
             prop_assert!(out.metrics.codegen_orders > 0);
             prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
         }
+    }
+}
+
+/// The long-order slice bound as a fixed regression: a 10-table UDF star
+/// (100 rows per table, hub first) whose always-false edge joins the
+/// leaf placed last. Every proper prefix of the order joins in full, so
+/// a kernel that ran any part of the order to exhaustion inside one
+/// slice would take on the order of 100^4 steps; one slice must stop at
+/// its budget, sequential and partitioned.
+#[test]
+fn ten_table_udf_star_slice_stops_at_budget() {
+    use skinnerdb::workloads::torture::{udf_torture, Shape};
+    let m = 10;
+    let case = udf_torture(Shape::Star, m, 100, m - 2, 0);
+    let pq = PreparedQuery::new(&case.query.query, true, 1);
+    let order: Vec<usize> = (0..m).collect();
+    let plan = pq.plan_order(&order);
+    let kernel = plan.compile_kernel(None).expect("UDF star compiles");
+    assert_eq!(kernel.num_tables(), m);
+    let budget = 500;
+    for workers in [1, 4] {
+        let mut join = MultiwayJoin::with_threads(&pq, workers);
+        let offsets = vec![0u32; m];
+        let mut state = offsets.clone();
+        let mut rs = ResultSet::new();
+        let (res, steps) =
+            join.continue_join_compiled(&kernel, &offsets, &mut state, budget, &mut rs);
+        assert_eq!(res, ContinueResult::BudgetSpent, "threads {workers}");
+        assert!(
+            steps <= budget,
+            "threads {workers}: {steps} steps in one slice"
+        );
+        assert!(rs.is_empty());
     }
 }

@@ -448,7 +448,7 @@ proptest! {
             .execute(&q, &ExecOptions { count_only: true, ..Default::default() })
             .result_count;
 
-        // Indexed: KeyCol::Other jumps compile (KeyChain / Mixed class).
+        // Indexed: KeyCol::Other jumps compile (KeyEq posting cursors).
         let pq = PreparedQuery::new(&q, true, 1);
         let plan = pq.plan_order(&order);
         prop_assert!(
