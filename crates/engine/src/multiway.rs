@@ -897,7 +897,7 @@ fn next_tuple_generic(
                             pq.tables[*src_table]
                                 .column(*src_col)
                                 .join_key(rows[*src_table] as usize),
-                            &pq.indexes[&(t, *index_col)],
+                            &*pq.indexes[&(t, *index_col)],
                         ),
                         JumpSpec::Composite {
                             group, src_is_a, ..

@@ -8,10 +8,19 @@
 //!
 //! The prepared query holds, per table, the *filtered positions* (base
 //! row ids surviving unary predicates); all Skinner-C state lives in this
-//! filtered position space. Filtering can run one scoped worker thread
-//! per table (Table 2 — the only parallelism the paper's implementation
-//! has; this reproduction additionally partitions the join phase itself,
-//! see [`crate::partition`]).
+//! filtered position space. The tables that have unary predicates are
+//! scanned on at most `threads` scoped workers (Table 2 — the only
+//! parallelism the paper's implementation has; this reproduction
+//! additionally partitions the join phase itself, see
+//! [`crate::partition`]); every other table keeps all its rows.
+//!
+//! For such an unfiltered table the paper's "only tuples satisfying all
+//! unary predicates are hashed" saves nothing: its join index covers every
+//! base row and so does not depend on the query. It is the table's own
+//! [`Table::join_index`](skinner_storage::Table::join_index), built on the
+//! first query that joins on the column and shared by every later one;
+//! replacing the table in the catalog frees it. Indexes over filtered
+//! tables, and composite indexes, are built per query.
 //!
 //! # Two plan layers
 //!
@@ -42,6 +51,8 @@ use skinner_codegen::{
 use skinner_query::{compile_predicates, BoundPred, CompiledPred, Query, TableId, TableSet};
 use skinner_storage::table::TableRef;
 use skinner_storage::{fused_join_key, Column, FxHashMap, HashIndex, RowId};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One composite (multi-column) equi-join key group, materialized at
 /// prepare time: a pair of tables connected by two or more equality
@@ -122,8 +133,10 @@ pub struct PreparedQuery {
     /// by the filter step.
     pub join_preds: Vec<CompiledPred>,
     /// Hash indexes on equi-join columns, keyed by `(table, column)`;
-    /// postings are filtered positions.
-    pub indexes: FxHashMap<(TableId, usize), HashIndex>,
+    /// postings are filtered positions. An unfiltered table's entry is
+    /// the table's own [`Table::join_index`](skinner_storage::Table::join_index),
+    /// shared with every other query over that table.
+    pub indexes: FxHashMap<(TableId, usize), Arc<HashIndex>>,
     /// Composite key groups (empty unless indexes were built and some
     /// table pair is connected by ≥ 2 equality conjuncts).
     pub composites: Vec<CompositeKeyGroup>,
@@ -135,7 +148,8 @@ impl PreparedQuery {
     /// Run pre-processing for `query`.
     ///
     /// `build_indexes` corresponds to the "indexes" feature of Table 6;
-    /// `threads > 1` parallelizes the per-table filter scans.
+    /// `threads > 1` spreads the per-table filter scans over at most
+    /// `threads` workers, the calling thread included.
     pub fn new(query: &Query, build_indexes: bool, threads: usize) -> PreparedQuery {
         let start = std::time::Instant::now();
         let tables: Vec<TableRef> = query.tables.iter().map(|b| b.table.clone()).collect();
@@ -158,50 +172,69 @@ impl PreparedQuery {
         let const_false = all_preds
             .iter()
             .any(|p| p.tables().is_empty() && !p.eval(&vec![0u32; m], &tables));
+        // Tables whose filtered positions are their base rows.
+        let keeps_all: Vec<bool> = unary.iter().map(|u| u.is_empty() && !const_false).collect();
 
-        // Filter each table (optionally in parallel).
-        let filter_one = |t: usize| -> Vec<RowId> {
-            if const_false {
-                return Vec::new();
-            }
-            let table = &tables[t];
-            let preds = &unary[t];
-            let mut rows = vec![0u32; m];
-            let mut keep = Vec::new();
-            for r in 0..table.num_rows() as u32 {
-                rows[t] = r;
-                if preds.iter().all(|p| p.eval(&rows, &tables)) {
-                    keep.push(r);
+        // Scan the tables that have unary conjuncts on at most `threads`
+        // workers, the caller being one of them; the rest keep every row
+        // (or none, under a constant-false conjunct).
+        let mut filtered: Vec<Vec<RowId>> = (0..m)
+            .map(|t| {
+                if keeps_all[t] {
+                    (0..tables[t].num_rows() as RowId).collect()
+                } else {
+                    Vec::new()
                 }
+            })
+            .collect();
+        let scans: Vec<usize> = (0..m)
+            .filter(|&t| !const_false && !unary[t].is_empty())
+            .collect();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            while let Some(&t) = scans.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let mut rows = vec![0u32; m];
+                let keep: Vec<RowId> = (0..tables[t].num_rows() as RowId)
+                    .filter(|&r| {
+                        rows[t] = r;
+                        unary[t].iter().all(|p| p.eval(&rows, &tables))
+                    })
+                    .collect();
+                done.push((t, keep));
             }
-            keep
+            done
         };
-
-        let filtered: Vec<Vec<RowId>> = if threads > 1 && m > 1 {
-            let mut out: Vec<Option<Vec<RowId>>> = Vec::new();
-            out.resize_with(m, || None);
-            std::thread::scope(|scope| {
-                for (t, slot) in out.iter_mut().enumerate() {
-                    let filter_one = &filter_one;
-                    scope.spawn(move || {
-                        *slot = Some(filter_one(t));
-                    });
-                }
-            });
-            out.into_iter().map(|o| o.expect("filter slot")).collect()
-        } else {
-            (0..m).map(filter_one).collect()
-        };
+        let workers = threads.min(scans.len()).max(1);
+        let scanned = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for h in helpers {
+                done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            done
+        });
+        for (t, keep) in scanned {
+            filtered[t] = keep;
+        }
 
         let cards: Vec<u32> = filtered.iter().map(|f| f.len() as u32).collect();
 
         // Hash indexes over every column used by an equi-join predicate.
+        // An unfiltered table's index covers all base rows, so it is the
+        // table's own, built once and shared across queries.
         let mut indexes = FxHashMap::default();
         if build_indexes {
             for (a, b) in query.equi_join_pairs() {
                 for c in [a, b] {
                     indexes.entry((c.table, c.column)).or_insert_with(|| {
-                        HashIndex::build(tables[c.table].column(c.column), Some(&filtered[c.table]))
+                        let table = &tables[c.table];
+                        if keeps_all[c.table] {
+                            Arc::clone(table.join_index(c.column))
+                        } else {
+                            let positions = Some(filtered[c.table].as_slice());
+                            Arc::new(HashIndex::build(table.column(c.column), positions))
+                        }
                     });
                 }
             }
@@ -304,7 +337,7 @@ impl PreparedQuery {
     /// Approximate bytes held by the hash indexes (single-column and
     /// composite, including the fused key vectors).
     pub fn index_bytes(&self) -> usize {
-        let single: usize = self.indexes.values().map(HashIndex::approx_bytes).sum();
+        let single: usize = self.indexes.values().map(|i| i.approx_bytes()).sum();
         let composite: usize = self
             .composites
             .iter()
@@ -363,7 +396,7 @@ impl PreparedQuery {
                     let best_single = sides
                         .index_cols
                         .iter()
-                        .filter_map(|&c| self.indexes.get(&(t, c)).map(HashIndex::distinct_keys))
+                        .filter_map(|&c| self.indexes.get(&(t, c)).map(|i| i.distinct_keys()))
                         .max()
                         .unwrap_or(0);
                     if sides.index.distinct_keys() <= best_single {
@@ -765,8 +798,8 @@ pub struct OrderSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skinner_query::{Expr, QueryBuilder};
-    use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, ValueType};
+    use skinner_query::{Expr, QueryBuilder, Udf};
+    use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, Value, ValueType};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -825,6 +858,92 @@ mod tests {
         let serial = PreparedQuery::new(&q, true, 1);
         let parallel = PreparedQuery::new(&q, true, 4);
         assert_eq!(serial.filtered, parallel.filtered);
+    }
+
+    #[test]
+    fn filter_workers_respect_thread_grant() {
+        let mut cat = Catalog::new();
+        for name in ["t0", "t1", "t2", "t3"] {
+            cat.register(
+                Table::new(
+                    name,
+                    Schema::new([ColumnDef::new("k", ValueType::Int)]),
+                    vec![Column::from_ints((0..64).collect())],
+                )
+                .unwrap(),
+            );
+        }
+        let seen = Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
+        let record = Arc::clone(&seen);
+        let udf = Udf::new("note_thread", move |args| {
+            record.lock().unwrap().insert(std::thread::current().id());
+            Value::from(args[0].as_int().is_some_and(|k| k % 2 == 0))
+        });
+        let mut qb = QueryBuilder::new(&cat);
+        for name in ["t0", "t1", "t2", "t3"] {
+            qb.table(name).unwrap();
+            let k = qb.col(&format!("{name}.k")).unwrap();
+            qb.filter(Expr::Udf {
+                udf: Arc::clone(&udf),
+                args: vec![k],
+            });
+        }
+        for (a, b) in [("t0", "t1"), ("t1", "t2"), ("t2", "t3")] {
+            let j = qb
+                .col(&format!("{a}.k"))
+                .unwrap()
+                .eq(qb.col(&format!("{b}.k")).unwrap());
+            qb.filter(j);
+        }
+        qb.select_col("t0.k").unwrap();
+        let q = qb.build().unwrap();
+
+        let serial = PreparedQuery::new(&q, true, 1);
+        seen.lock().unwrap().clear();
+        let parallel = PreparedQuery::new(&q, true, 2);
+        let workers = seen.lock().unwrap().len();
+        assert!(
+            (1..=2).contains(&workers),
+            "4 filtered tables on a 2-thread grant ran on {workers} threads"
+        );
+        assert_eq!(serial.filtered, parallel.filtered);
+        assert_eq!(parallel.cards, vec![32; 4]);
+        assert_eq!(udf.call_count(), 2 * 4 * 64);
+    }
+
+    #[test]
+    fn unfiltered_tables_share_their_join_index() {
+        let cat = catalog();
+        let q = query(&cat);
+        let p1 = PreparedQuery::new(&q, true, 1);
+        let p2 = PreparedQuery::new(&q, true, 1);
+        // b has no unary conjunct: both queries hold b's own index.
+        let b = &p1.tables[1];
+        assert!(Arc::ptr_eq(&p1.indexes[&(1, 0)], &p2.indexes[&(1, 0)]));
+        assert!(Arc::ptr_eq(&p1.indexes[&(1, 0)], b.join_index(0)));
+        // a is filtered (a.v >= 20): each query builds its own.
+        let a = &p1.tables[0];
+        assert!(!Arc::ptr_eq(&p1.indexes[&(0, 0)], &p2.indexes[&(0, 0)]));
+        assert!(!Arc::ptr_eq(&p1.indexes[&(0, 0)], a.join_index(0)));
+
+        // Planning is unchanged against indexes rebuilt per query.
+        let mut rebuilt = PreparedQuery::new(&q, true, 1);
+        for (&(t, c), index) in rebuilt.indexes.iter_mut() {
+            let positions = Some(rebuilt.filtered[t].as_slice());
+            *index = Arc::new(HashIndex::build(rebuilt.tables[t].column(c), positions));
+        }
+        for order in [[0usize, 1], [1usize, 0]] {
+            assert_eq!(
+                format!("{:?}", p1.plan_spec(&order)),
+                format!("{:?}", rebuilt.plan_spec(&order))
+            );
+        }
+        for key in [1, 3, 7, 9] {
+            assert_eq!(
+                p1.indexes[&(1, 0)].probe(key),
+                rebuilt.indexes[&(1, 0)].probe(key)
+            );
+        }
     }
 
     #[test]

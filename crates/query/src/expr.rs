@@ -547,10 +547,18 @@ impl Expr {
                     },
                 }
             }
-            Expr::Udf { udf, args } => {
-                let vals: Vec<Value> = args.iter().map(|a| a.eval(ctx)).collect();
-                udf.call(&vals)
-            }
+            // Up to two arguments live on the stack: UDF predicates run
+            // per row and per kernel step, and a `Vec` would put a heap
+            // allocation on every call.
+            Expr::Udf { udf, args } => match args.as_slice() {
+                [] => udf.call(&[]),
+                [a] => udf.call(&[a.eval(ctx)]),
+                [a, b] => udf.call(&[a.eval(ctx), b.eval(ctx)]),
+                _ => {
+                    let vals: Vec<Value> = args.iter().map(|a| a.eval(ctx)).collect();
+                    udf.call(&vals)
+                }
+            },
             Expr::InList { expr, list } => {
                 let v = expr.eval(ctx);
                 if v.is_null() {

@@ -141,6 +141,7 @@ impl UdfRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{ColRef, Expr};
 
     #[test]
     fn call_and_count() {
@@ -152,6 +153,34 @@ mod tests {
         assert_eq!(u.call_count(), 2);
         u.reset_calls();
         assert_eq!(u.call_count(), 0);
+
+        // Through `Expr::eval`, for every argument count: arguments
+        // arrive in order and each evaluation is exactly one call.
+        let digits = Udf::new("digits", |args| {
+            Value::Int(args.iter().fold(0, |acc, a| acc * 10 + a.as_int().unwrap()))
+        });
+        let ctx = |c: ColRef| Value::Int(c.column as i64 + 1);
+        for (arity, want) in [(0, 0), (1, 1), (2, 12), (3, 123), (4, 1234)] {
+            let e = Expr::Udf {
+                udf: Arc::clone(&digits),
+                args: (0..arity).map(|c| Expr::col(0, c)).collect(),
+            };
+            assert_eq!(e.eval(&ctx), Value::Int(want), "{arity} arguments");
+            assert_eq!(digits.call_count(), arity as u64 + 1);
+        }
+        // A UDF argument is its own call, evaluated before the outer one.
+        let nested = Expr::Udf {
+            udf: Arc::clone(&digits),
+            args: vec![
+                Expr::Udf {
+                    udf: Arc::clone(&digits),
+                    args: vec![Expr::col(0, 1), Expr::col(0, 2)],
+                },
+                Expr::col(0, 0),
+            ],
+        };
+        assert_eq!(nested.eval(&ctx), Value::Int(231));
+        assert_eq!(digits.call_count(), 7);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! Postings are positions within the *filtered* tuple space handed to
 //! [`HashIndex::build`] (only tuples surviving unary predicates are hashed,
 //! as in the paper), which keeps the index small and probe results directly
-//! usable as Skinner-C tuple indices.
+//! usable as Skinner-C tuple indices. A table no unary predicate filters
+//! has filtered positions equal to its base rows, so its index does not
+//! depend on the query: [`Table::join_index`](crate::Table::join_index)
+//! builds it once per column and shares it between queries.
 
 use crate::column::Column;
 use crate::hash::FxHashMap;

@@ -12,6 +12,7 @@
 //! * [`Column`] — typed, contiguous column vectors with optional validity
 //!   bitmaps,
 //! * [`Table`] / [`Schema`] — named collections of equal-length columns,
+//!   each column with a write-once slot for its base-row join index,
 //! * [`Catalog`] — a named registry of tables shared between engines,
 //! * [`index::HashIndex`] — value → sorted-posting-list hash indexes that
 //!   support the "jump to the next tuple index ≥ i that satisfies the

@@ -2,8 +2,9 @@
 
 use crate::column::{Column, ColumnBuilder};
 use crate::error::StorageError;
+use crate::index::HashIndex;
 use crate::value::{Value, ValueType};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A column's name and type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,12 +61,23 @@ impl Schema {
 }
 
 /// An immutable, main-memory resident table.
+///
+/// Its one piece of interior mutability is a write-once slot per column
+/// holding that column's join index over all base rows
+/// ([`Table::join_index`]). The index is a pure function of the column,
+/// so it never goes stale; it lives and dies with the table.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
     rows: usize,
+    join_indexes: Box<[OnceLock<Arc<HashIndex>>]>,
+}
+
+/// One empty join-index slot per column.
+fn empty_slots(columns: usize) -> Box<[OnceLock<Arc<HashIndex>>]> {
+    (0..columns).map(|_| OnceLock::new()).collect()
 }
 
 impl Table {
@@ -105,6 +117,7 @@ impl Table {
         Ok(Table {
             name,
             schema,
+            join_indexes: empty_slots(columns.len()),
             columns,
             rows,
         })
@@ -140,6 +153,14 @@ impl Table {
         &self.columns
     }
 
+    /// The hash index of column `col` over all base rows (postings are
+    /// base row ids): `HashIndex::build(self.column(col), None)`, built on
+    /// first use and shared by every later caller. Concurrent first calls
+    /// build it once; the others wait for that build.
+    pub fn join_index(&self, col: usize) -> &Arc<HashIndex> {
+        self.join_indexes[col].get_or_init(|| Arc::new(HashIndex::build(&self.columns[col], None)))
+    }
+
     /// Materialize a full row (edge-of-system path only).
     pub fn row(&self, i: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.get(i)).collect()
@@ -152,6 +173,7 @@ impl Table {
             schema: self.schema.clone(),
             columns: self.columns.iter().map(|c| c.gather(positions)).collect(),
             rows: positions.len(),
+            join_indexes: empty_slots(self.columns.len()),
         }
     }
 }
@@ -200,6 +222,7 @@ impl TableBuilder {
         Table {
             name: self.name,
             schema: self.schema,
+            join_indexes: empty_slots(self.builders.len()),
             columns: self
                 .builders
                 .into_iter()
@@ -303,5 +326,91 @@ mod tests {
     fn empty_table() {
         let t = Table::new("e", Schema::default(), vec![]).unwrap();
         assert_eq!(t.num_rows(), 0);
+    }
+
+    fn slots_empty(t: &Table) -> bool {
+        t.join_indexes.iter().all(|s| s.get().is_none())
+    }
+
+    #[test]
+    fn join_index_builds_once() {
+        let t = sample();
+        assert!(slots_empty(&t));
+        let first = Arc::clone(t.join_index(0));
+        assert!(Arc::ptr_eq(&first, t.join_index(0)));
+        assert!(t.join_indexes[1].get().is_none(), "only the asked column");
+
+        let t = Arc::new(sample());
+        let built: Vec<Arc<HashIndex>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| Arc::clone(t.join_index(1))))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(built.iter().all(|i| Arc::ptr_eq(i, &built[0])));
+        assert!(Arc::ptr_eq(&built[0], t.join_index(1)));
+    }
+
+    #[test]
+    fn join_index_equals_unfiltered_build() {
+        let mut b = TableBuilder::new(
+            "mixed",
+            Schema::new([
+                ColumnDef::new("i", ValueType::Int),
+                ColumnDef::new("n", ValueType::Int),
+                ColumnDef::new("s", ValueType::Str),
+                ColumnDef::new("f", ValueType::Float),
+            ]),
+        );
+        for r in 0..40i64 {
+            let n = if r % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Int(r % 5)
+            };
+            let s = if r % 7 == 0 {
+                Value::Null
+            } else {
+                Value::str(format!("s{}", r % 6))
+            };
+            b.push_row(&[Value::Int(r % 9), n, s, Value::Float((r % 4) as f64 * 0.5)]);
+        }
+        let t = b.finish();
+        for c in 0..t.columns().len() {
+            let col = t.column(c);
+            let memo = t.join_index(c);
+            let fresh = HashIndex::build(col, None);
+            assert_eq!(memo.distinct_keys(), fresh.distinct_keys(), "column {c}");
+            assert_eq!(memo.len(), fresh.len(), "column {c}");
+            for r in 0..t.num_rows() {
+                if let Some(k) = col.join_key(r) {
+                    assert_eq!(memo.probe(k), fresh.probe(k), "column {c} key {k}");
+                    assert!(memo.probe(k).contains(&(r as u32)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_and_replaced_tables_start_empty() {
+        let t = sample();
+        t.join_index(0);
+        t.join_index(1);
+        let g = t.gather(&[0, 2], "g");
+        assert!(slots_empty(&g));
+        assert_eq!(g.join_index(0).probe(3), &[1]);
+
+        let mut cat = crate::Catalog::new();
+        cat.register(sample());
+        let old = cat.get("t").unwrap();
+        let old_index = Arc::downgrade(old.join_index(0));
+        cat.register(sample());
+        let new = cat.get("t").unwrap();
+        assert!(slots_empty(&new));
+        drop(old);
+        assert!(
+            old_index.upgrade().is_none(),
+            "the old index dies with the replaced table"
+        );
     }
 }

@@ -517,16 +517,29 @@ proptest! {
         let truth = ColEngine::new()
             .execute(&q, &ExecOptions { count_only: true, ..Default::default() })
             .result_count;
-        let out = SkinnerC::new(SkinnerCConfig {
+        let engine = SkinnerC::new(SkinnerCConfig {
             budget: 16,
             threads: std::env::var("SKINNER_TEST_THREADS")
                 .ok()
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(1),
             ..Default::default()
-        })
-        .run(&q);
+        });
+        let out = engine.run(&q);
         prop_assert_eq!(out.result_count, truth);
+        // Again on the same tables: every unfiltered table's join index
+        // now comes from the table's memo instead of a fresh build, and
+        // the run must not notice.
+        let again = engine.run(&q);
+        let sorted = |t: &[u32]| {
+            let mut rows: Vec<Vec<u32>> = t.chunks(q.num_tables()).map(<[u32]>::to_vec).collect();
+            rows.sort_unstable();
+            rows
+        };
+        prop_assert_eq!(sorted(&again.tuples), sorted(&out.tuples));
+        prop_assert_eq!(again.metrics.slices, out.metrics.slices);
+        prop_assert_eq!(again.metrics.steps, out.metrics.steps);
+        prop_assert_eq!(&again.final_order, &out.final_order);
         // Metrics vacuity guard: with codegen on (the default), every
         // executed multi-table order must have compiled — the counters
         // prove the codegen tier actually ran, not just that results
