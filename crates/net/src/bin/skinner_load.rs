@@ -21,54 +21,49 @@
 use skinner_bench::upsert_bench_json;
 use skinner_net::load::{self, LoadConfig};
 use skinner_net::NetClient;
+use skinner_service::cli;
+use std::path::PathBuf;
 use std::time::Duration;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "skinner-load [--addr ADDR] [--conns N] [--rate QPS] [--requests N]\n\
+                     \x20            [--timeout-ms N] [--job SCALE] [--seed N]\n\
+                     \x20            [--verify] [--bench-json FILE] [--shutdown]";
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "skinner-load [--addr ADDR] [--conns N] [--rate QPS] [--requests N]\n\
-             \x20            [--timeout-ms N] [--job SCALE] [--seed N]\n\
-             \x20            [--verify] [--bench-json FILE] [--shutdown]\n\
-             Open-loop load generator for skinner-serve (tail latency, backpressure)."
+    let (addr, conns, rate, requests, timeout_ms, scale, seed, verify, bench_json, shutdown) =
+        cli::parse_or_exit(
+            USAGE,
+            "Open-loop load generator for skinner-serve (tail latency, backpressure).",
+            &[
+                "--addr",
+                "--conns",
+                "--rate",
+                "--requests",
+                "--timeout-ms",
+                "--job",
+                "--seed",
+                "--bench-json",
+            ],
+            &["--verify", "--shutdown"],
+            |flags| {
+                Ok((
+                    flags.get("--addr", "127.0.0.1:5433".to_string())?,
+                    flags.get("--conns", 32usize)?.max(1),
+                    flags.get("--rate", 50.0)?,
+                    flags.get("--requests", 256usize)?.max(1),
+                    flags.get("--timeout-ms", 30_000u64)?,
+                    flags.get("--job", 0.05)?,
+                    flags.get("--seed", 42u64)?,
+                    flags.switch("--verify"),
+                    flags.value("--bench-json").map(PathBuf::from),
+                    flags.switch("--shutdown"),
+                ))
+            },
         );
-        return;
-    }
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:5433".to_string());
-    let conns: usize = arg_value(&args, "--conns")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32)
-        .max(1);
-    let rate: f64 = arg_value(&args, "--rate")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50.0);
-    let requests: usize = arg_value(&args, "--requests")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256)
-        .max(1);
-    let timeout_ms: u64 = arg_value(&args, "--timeout-ms")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30_000);
-    let scale: f64 = arg_value(&args, "--job")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05);
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let verify = args.iter().any(|a| a == "--verify");
-    let bench_json = arg_value(&args, "--bench-json").map(std::path::PathBuf::from);
-    let shutdown = args.iter().any(|a| a == "--shutdown");
 
     let cfg = LoadConfig {
         connections: conns,

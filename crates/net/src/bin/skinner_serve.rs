@@ -16,57 +16,45 @@
 //! `FILE.knowledge` before serving.
 
 use skinner_net::{NetServer, ServerConfig};
-use skinner_service::{repl, CachePersister};
+use skinner_service::{cli, repl, CachePersister};
 use std::net::TcpListener;
+use std::path::PathBuf;
 use std::time::Duration;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "skinner-serve [--listen ADDR] [--job SCALE] [--seed N] [--threads N]\n\
+                     \x20             [--max-conns N] [--max-inflight N]\n\
+                     \x20             [--cache FILE] [--persist-secs N]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "skinner-serve [--listen ADDR] [--job SCALE] [--seed N] [--threads N]\n\
-             \x20             [--max-conns N] [--max-inflight N]\n\
-             \x20             [--cache FILE] [--persist-secs N]\n\
-             TCP server for the SkinnerDB binary wire protocol over a synthetic\n\
-             IMDB catalog. Stop it with `skinner-load --addr ADDR --shutdown`."
+    let (listen, scale, seed, threads, max_conns, max_inflight, cache, persist_secs) =
+        cli::parse_or_exit(
+            USAGE,
+            "TCP server for the SkinnerDB binary wire protocol over a synthetic\n\
+             IMDB catalog. Stop it with `skinner-load --addr ADDR --shutdown`.",
+            &[
+                "--listen",
+                "--job",
+                "--seed",
+                "--threads",
+                "--max-conns",
+                "--max-inflight",
+                "--cache",
+                "--persist-secs",
+            ],
+            &[],
+            |flags| {
+                Ok((
+                    flags.get("--listen", "127.0.0.1:5433".to_string())?,
+                    flags.get("--job", 0.05)?,
+                    flags.get("--seed", 42u64)?,
+                    flags.threads()?,
+                    flags.get("--max-conns", 64usize)?.max(1),
+                    flags.get("--max-inflight", 0usize)?,
+                    flags.value("--cache").map(PathBuf::from),
+                    flags.get("--persist-secs", 30u64)?.max(1),
+                ))
+            },
         );
-        return;
-    }
-    let listen = arg_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:5433".to_string());
-    let scale: f64 = arg_value(&args, "--job")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05);
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|s| s.parse().ok())
-        .or_else(|| {
-            std::env::var("SKINNER_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(1)
-        .max(1);
-    let max_conns: usize = arg_value(&args, "--max-conns")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
-        .max(1);
-    let max_inflight: usize = arg_value(&args, "--max-inflight")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let cache = arg_value(&args, "--cache").map(std::path::PathBuf::from);
-    let persist_secs: u64 = arg_value(&args, "--persist-secs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30)
-        .max(1);
 
     let service = repl::demo_service(scale, seed, threads);
 
@@ -113,10 +101,7 @@ fn main() {
     }
 
     if let Some(p) = persister {
-        match p.shutdown() {
-            Ok(n) => eprintln!("skinner-serve: cache flushed ({n} entries)"),
-            Err(e) => eprintln!("skinner-serve: final cache flush failed: {e}"),
-        }
+        p.shutdown().log("skinner-serve: ");
     }
 
     // Post-drain accounting: every core grant and worker-pool slot must

@@ -15,8 +15,8 @@
 //! * [`proto`] — the typed messages (`Hello`/`Welcome`/`Busy`/`Query`/
 //!   `Cancel`/`RowBatch`/`Error`/`Stats`/`Goodbye`/`Shutdown`) over the
 //!   codec's bounds-checked cursor.
-//! * [`server`] — the accept loop (shared with the Unix repl server via
-//!   [`skinner_service::serve_accept_loop`]), a reader + executor
+//! * [`server`] — the accept loop (it parks on a [`ShutdownFlag`]
+//!   between accepts and drains on shutdown), a reader + executor
 //!   thread pair per connection (the reader lands `Cancel` frames
 //!   while the executor is inside the engine), two-layer admission
 //!   (connection cap, in-flight query cap) answered with typed `Busy`
@@ -35,12 +35,14 @@
 
 pub mod client;
 pub mod frame;
+mod listener;
 pub mod load;
 pub mod proto;
 pub mod server;
 
 pub use client::{ClientError, NetClient, QueryOutcome};
 pub use frame::{FrameType, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+pub use listener::ShutdownFlag;
 pub use load::{job_templates, run_open_loop, LoadConfig, LoadOutcome, Template};
 pub use proto::{BatchSummary, BusyScope, ErrorCode, Message, WireStats};
 pub use server::{NetServer, ServerConfig};

@@ -1,9 +1,6 @@
-//! The generic accept/drain/shutdown core shared by every listening
-//! front end — the Unix-socket line protocol ([`crate::repl`]) and the
-//! TCP binary protocol (`skinner-net`).
+//! The accept/drain/shutdown core of the TCP server.
 //!
-//! A server front end is three concerns glued together, and only one of
-//! them is transport-specific:
+//! A listening server is three concerns glued together:
 //!
 //! 1. **Accept** — poll a nonblocking listener, tolerate per-accept
 //!    errors (`EMFILE`, `ECONNABORTED`, a failed `try_clone` — one bad
@@ -17,18 +14,18 @@
 //!    then joins every connection thread it spawned, so in-flight work
 //!    finishes before the caller flushes caches and exits.
 //!
-//! [`serve_accept_loop`] implements all three once, generic over an
-//! [`Acceptor`]; `UnixListener` and `TcpListener` both implement it.
+//! [`serve_accept_loop`] implements all three.
 
 use std::io;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A raisable, waitable shutdown signal shared between the accept
-/// loop, connection handlers, and external controllers (signal
-/// handlers, admin frames, `\shutdown` commands).
+/// loop, connection handlers, and external controllers (admin
+/// `Shutdown` frames, the embedding binary).
 ///
 /// Unlike a bare `AtomicBool`, raising the flag *notifies* a condvar,
 /// so a loop parked in [`wait_timeout`](ShutdownFlag::wait_timeout)
@@ -93,55 +90,15 @@ impl ShutdownFlag {
     }
 }
 
-/// A nonblocking listener the shared accept loop can drive. `accept`
-/// must return `ErrorKind::WouldBlock` when no connection is pending
-/// (the loop parks on the shutdown flag, then retries).
-pub trait Acceptor {
-    /// The accepted stream type.
-    type Conn: Send + 'static;
-
-    /// Switch the listener between blocking and nonblocking modes (the
-    /// loop forces nonblocking so it can observe shutdown).
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
-
-    /// Accept one pending connection, or `WouldBlock`.
-    fn accept_conn(&self) -> io::Result<Self::Conn>;
-}
-
-#[cfg(unix)]
-impl Acceptor for std::os::unix::net::UnixListener {
-    type Conn = std::os::unix::net::UnixStream;
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        std::os::unix::net::UnixListener::set_nonblocking(self, nonblocking)
-    }
-
-    fn accept_conn(&self) -> io::Result<Self::Conn> {
-        self.accept().map(|(stream, _addr)| stream)
-    }
-}
-
-impl Acceptor for std::net::TcpListener {
-    type Conn = std::net::TcpStream;
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        std::net::TcpListener::set_nonblocking(self, nonblocking)
-    }
-
-    fn accept_conn(&self) -> io::Result<Self::Conn> {
-        self.accept().map(|(stream, _addr)| stream)
-    }
-}
-
 /// How often the accept loop wakes to re-poll the listener when idle.
 /// Shutdown does NOT wait for this: raising the [`ShutdownFlag`]
 /// notifies the park immediately. New connections are discovered with
 /// at most this much latency, which is the price of a dependency-free
 /// nonblocking listener (no `poll(2)` binding without `libc`).
-pub const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(25);
+const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Run the shared accept/drain/shutdown loop over `listener` until
-/// `shutdown` is raised (see the module docs).
+/// Run the accept/drain/shutdown loop over `listener` until `shutdown`
+/// is raised (see the module docs).
 ///
 /// `on_conn` is called for every accepted stream; it either handles the
 /// connection inline (reject, redirect) and returns `None`, or spawns a
@@ -152,17 +109,17 @@ pub const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Per-accept errors are logged to stderr (prefixed with `label`) and
 /// never abort the loop; only a listener that cannot be switched to
 /// nonblocking mode fails the call.
-pub fn serve_accept_loop<A: Acceptor>(
-    listener: &A,
+pub(crate) fn serve_accept_loop(
+    listener: &TcpListener,
     shutdown: &ShutdownFlag,
     label: &str,
-    mut on_conn: impl FnMut(A::Conn) -> Option<JoinHandle<()>>,
+    mut on_conn: impl FnMut(TcpStream) -> Option<JoinHandle<()>>,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !shutdown.is_raised() {
-        match listener.accept_conn() {
-            Ok(stream) => {
+        match listener.accept() {
+            Ok((stream, _addr)) => {
                 conns.retain(|h| !h.is_finished());
                 if let Some(handle) = on_conn(stream) {
                     conns.push(handle);
@@ -233,7 +190,6 @@ mod tests {
     #[test]
     fn tcp_accept_loop_accepts_and_drains() {
         use std::io::{Read, Write};
-        use std::net::{TcpListener, TcpStream};
         use std::sync::atomic::AtomicUsize;
 
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

@@ -41,13 +41,11 @@
 //! flight.
 
 use crate::frame::{read_frame, write_frame, PROTOCOL_VERSION};
+use crate::listener::{serve_accept_loop, ShutdownFlag};
 use crate::proto::{
     BatchSummary, BusyScope, ErrorCode, Message, WireStats, BATCH_FIRST, BATCH_LAST,
 };
-use skinner_service::{
-    serve_accept_loop, CancelToken, ExecuteOptions, QueryService, ServiceError, Session,
-    ShutdownFlag,
-};
+use skinner_service::{CancelToken, ExecuteOptions, QueryService, ServiceError, Session};
 use skinner_storage::Value;
 use std::cell::RefCell;
 use std::io::{self, Write};

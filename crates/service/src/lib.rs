@@ -38,9 +38,10 @@
 //!   slice loop once enough deduped rows exist), and
 //!   [`Session::execute_streaming`] hands rows to a callback instead of
 //!   forcing callers to hold the full table.
-//! * [`repl`] — the human- and script-facing entry point behind the
-//!   `skinner-repl` binary: an interactive shell, and a line-protocol
-//!   server over a Unix socket in `--serve` mode.
+//! * [`repl`] — the in-process SQL shell behind the `skinner-repl`
+//!   binary. Network clients go through `skinner-serve` (`skinner-net`).
+//! * [`cli`] — the one command-line flag parser of the `skinner-*`
+//!   binaries.
 //!
 //! ```
 //! use skinner_service::QueryService;
@@ -67,15 +68,14 @@
 
 pub mod budget;
 pub mod cache;
-pub mod listener;
+pub mod cli;
 pub mod persist;
 pub mod repl;
 pub mod service;
 
 pub use budget::{CoreBudget, CoreGrant};
 pub use cache::{CacheStats, LearningCache};
-pub use listener::{serve_accept_loop, Acceptor, ShutdownFlag};
-pub use persist::{knowledge_path, CachePersister, LoadReport, WarmStart};
+pub use persist::{knowledge_path, CachePersister, LoadReport, Persisted, WarmStart};
 pub use service::{
     CancelToken, ConnectionGuard, ExecuteOptions, QueryService, ServiceConfig, ServiceError,
     ServiceStats, Session,

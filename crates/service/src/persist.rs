@@ -250,6 +250,17 @@ impl QueryService {
             knowledge: self.load_knowledge(&knowledge_path(cache_path)),
         }
     }
+
+    /// Save to a `--cache` location: the learning cache to `cache_path`
+    /// (retried on transient I/O errors) and the knowledge store to its
+    /// [`knowledge_path`] sibling — the two files
+    /// [`warm_start`](Self::warm_start) reads.
+    pub fn persist(&self, cache_path: &Path) -> Persisted {
+        Persisted {
+            learning: self.save_learning_cache_with_retry(cache_path, 3, Duration::from_millis(50)),
+            knowledge: self.save_knowledge(&knowledge_path(cache_path)),
+        }
+    }
 }
 
 /// What [`QueryService::warm_start`] loaded from each file.
@@ -289,6 +300,37 @@ impl WarmStart {
     }
 }
 
+/// What [`QueryService::persist`] wrote to each file: entry counts.
+#[derive(Debug)]
+pub struct Persisted {
+    /// The learning-cache file's save.
+    pub learning: io::Result<usize>,
+    /// The knowledge-store file's save.
+    pub knowledge: io::Result<usize>,
+}
+
+impl Persisted {
+    /// Report both saves on stderr, one line each, every line starting
+    /// with `prefix`: `persisted N learning-cache entries`, then
+    /// `persisted N knowledge entries` (or `… save failed: …`).
+    pub fn log(&self, prefix: &str) {
+        self.report(prefix, true);
+    }
+
+    fn report(&self, prefix: &str, successes: bool) {
+        for (what, saved) in [
+            ("learning-cache", &self.learning),
+            ("knowledge", &self.knowledge),
+        ] {
+            match saved {
+                Ok(n) if successes => eprintln!("{prefix}persisted {n} {what} entries"),
+                Ok(_) => {}
+                Err(e) => eprintln!("{prefix}{what} save failed: {e}"),
+            }
+        }
+    }
+}
+
 /// The knowledge store's on-disk sibling of a learning-cache file:
 /// `<cache path>.knowledge`. Keeping the two formats in separate files
 /// lets each keep its own magic, version and corruption domain while
@@ -299,9 +341,8 @@ pub fn knowledge_path(cache_path: &Path) -> std::path::PathBuf {
     cache_path.with_file_name(name)
 }
 
-/// Background persister: periodically flushes the service's learning
-/// cache to disk (atomic + retried) — and the knowledge store to the
-/// [`knowledge_path`] sibling — and once more on
+/// Background persister: periodically [persists](QueryService::persist)
+/// the service's learning cache and knowledge store, and once more on
 /// [`shutdown`](CachePersister::shutdown). Dropping without `shutdown`
 /// stops the thread and makes a best-effort final flush.
 #[derive(Debug)]
@@ -332,14 +373,7 @@ impl CachePersister {
                 since_flush += tick;
                 if since_flush >= interval {
                     since_flush = Duration::ZERO;
-                    if let Err(e) =
-                        svc.save_learning_cache_with_retry(&p, 3, Duration::from_millis(50))
-                    {
-                        eprintln!("skinner: periodic cache flush failed: {e}");
-                    }
-                    if let Err(e) = svc.save_knowledge(&knowledge_path(&p)) {
-                        eprintln!("skinner: periodic knowledge flush failed: {e}");
-                    }
+                    svc.persist(&p).report("skinner: periodic flush: ", false);
                 }
             }
         });
@@ -351,17 +385,11 @@ impl CachePersister {
         }
     }
 
-    /// Stop the background thread and write a final flush (retried).
-    /// Returns the entry count of the final learning-cache flush; the
-    /// knowledge store flushes alongside (a knowledge flush error is
-    /// reported but does not fail the cache flush).
-    pub fn shutdown(mut self) -> io::Result<usize> {
+    /// Stop the background thread and write a final flush of both
+    /// files, returning what each save wrote.
+    pub fn shutdown(mut self) -> Persisted {
         self.halt();
-        if let Err(e) = self.service.save_knowledge(&knowledge_path(&self.path)) {
-            eprintln!("skinner: final knowledge flush failed: {e}");
-        }
-        self.service
-            .save_learning_cache_with_retry(&self.path, 3, Duration::from_millis(50))
+        self.service.persist(&self.path)
     }
 
     fn halt(&mut self) {
@@ -376,16 +404,9 @@ impl Drop for CachePersister {
     fn drop(&mut self) {
         if self.handle.is_some() {
             self.halt();
-            if let Err(e) = self.service.save_learning_cache_with_retry(
-                &self.path,
-                3,
-                Duration::from_millis(50),
-            ) {
-                eprintln!("skinner: final cache flush failed: {e}");
-            }
-            if let Err(e) = self.service.save_knowledge(&knowledge_path(&self.path)) {
-                eprintln!("skinner: final knowledge flush failed: {e}");
-            }
+            self.service
+                .persist(&self.path)
+                .report("skinner: final flush: ", false);
         }
     }
 }

@@ -200,8 +200,8 @@ pub struct ServiceStats {
     /// Queries currently executing (gauge, not monotonic — maintained
     /// by an RAII guard, so it stays accurate across panics).
     pub queries_in_flight: u64,
-    /// Client connections currently open across every serving front end
-    /// (gauge, RAII-maintained via
+    /// Client connections currently open on the network front end
+    /// (`skinner-net`; gauge, RAII-maintained via
     /// [`QueryService::connection_opened`]).
     pub connections_open: u64,
     /// Connections refused by admission (the front end's connection cap
@@ -507,9 +507,9 @@ impl QueryService {
     }
 
     /// Record one accepted client connection; the gauge drops back when
-    /// the returned guard does. Every serving front end (Unix repl, TCP
-    /// binary protocol) calls this as its connection handler starts, so
-    /// `\stats` and the wire Stats frame report one consistent number.
+    /// the returned guard does. The network front end (`skinner-net`)
+    /// calls this on every accept, and the wire `Stats` frame and
+    /// `skinner-serve`'s post-drain check read the gauge back.
     pub fn connection_opened(self: &Arc<Self>) -> ConnectionGuard {
         self.connections_open.fetch_add(1, Ordering::Relaxed);
         ConnectionGuard {

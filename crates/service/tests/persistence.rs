@@ -104,7 +104,7 @@ fn warm_start_keeps_knowledge_across_persister_restarts() {
     let first = service(45);
     first.session().execute(SQL_A).expect("run");
     let persister = CachePersister::start(first.clone(), &path, Duration::from_secs(3600));
-    assert_eq!(persister.shutdown().expect("flush"), 1);
+    assert_eq!(persister.shutdown().learning.expect("flush"), 1);
 
     let mut knowledge = Vec::new();
     for _restart in 0..2 {
@@ -117,11 +117,57 @@ fn warm_start_keeps_knowledge_across_persister_restarts() {
         );
         assert!(known.loaded > 0, "knowledge store was not persisted");
         knowledge.push(known.loaded);
-        CachePersister::start(svc, &path, Duration::from_secs(3600))
-            .shutdown()
-            .expect("flush");
+        let saved = CachePersister::start(svc, &path, Duration::from_secs(3600)).shutdown();
+        saved.learning.expect("flush");
+        saved.knowledge.expect("flush");
     }
     assert_eq!(knowledge[0], knowledge[1], "a restart lost knowledge");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(knowledge_path(&path)).ok();
+}
+
+/// Both `--cache` files at `path` load, and hold (learning, knowledge)
+/// entries.
+fn persisted_counts(path: &std::path::Path) -> (usize, usize) {
+    let warm = service(61).warm_start(path);
+    let (learning, knowledge) = (warm.learning.expect("load"), warm.knowledge.expect("load"));
+    assert_eq!((learning.corrupt, knowledge.corrupt), (0, 0));
+    (learning.loaded, knowledge.loaded)
+}
+
+#[test]
+fn persister_tick_writes_both_files_before_shutdown() {
+    let path = tmp("tick.bin");
+    let svc = service(61);
+    svc.session().execute(SQL_A).expect("run");
+    let persister = CachePersister::start(svc, &path, Duration::from_millis(20));
+    // The periodic flush alone must produce both files.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !(path.exists() && knowledge_path(&path).exists()) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no periodic flush wrote both files"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (learning, knowledge) = persisted_counts(&path);
+    assert_eq!(learning, 1);
+    assert!(knowledge > 0, "knowledge store not flushed by the tick");
+    persister.shutdown();
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(knowledge_path(&path)).ok();
+}
+
+#[test]
+fn dropped_persister_writes_both_files() {
+    let path = tmp("drop.bin");
+    let svc = service(61);
+    svc.session().execute(SQL_A).expect("run");
+    // An interval the test never reaches: only `Drop` can flush.
+    drop(CachePersister::start(svc, &path, Duration::from_secs(3600)));
+    let (learning, knowledge) = persisted_counts(&path);
+    assert_eq!(learning, 1);
+    assert!(knowledge > 0, "knowledge store not flushed on drop");
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(knowledge_path(&path)).ok();
 }
