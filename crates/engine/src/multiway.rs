@@ -37,10 +37,9 @@
 //! [`CompiledPred::eval`](skinner_query::CompiledPred::eval) and probes
 //! the index map per advance. It is the differential-testing oracle and
 //! the baseline that `benches/join_inner_loop.rs` measures the
-//! specialized kernel against. Remaining distance to the paper's design:
-//! true per-query code generation (§6) would fuse the per-position
-//! predicate loops into straight-line code; a JIT or macro-generated
-//! kernel per join-order shape is future work.
+//! specialized kernel against. The compiled kernel of `skinner-codegen`
+//! runs every order of two or more tables; vectorized join kernels and a
+//! JIT are parked in ROADMAP.md until a profile asks for them.
 
 use crate::partition::{fold_outcomes, ChunkOutcome, PartitionSpec, WorkerScratch};
 use crate::prepare::{BoundPosition, OrderPlan, OrderSpec, PreparedQuery};

@@ -8,11 +8,15 @@
 //!
 //! The prepared query holds, per table, the *filtered positions* (base
 //! row ids surviving unary predicates); all Skinner-C state lives in this
-//! filtered position space. The tables that have unary predicates are
-//! scanned on at most `threads` scoped workers (Table 2 — the only
-//! parallelism the paper's implementation has; this reproduction
-//! additionally partitions the join phase itself, see
-//! [`crate::partition`]); every other table keeps all its rows.
+//! filtered position space. A table with unary predicates is filtered a
+//! column at a time: each conjunct, bound once to its column slice,
+//! compacts a selection vector of base row ids in conjunct order
+//! ([`BoundPred::select`]), so a UDF sees only rows that passed the
+//! conjuncts before it. Those tables are scanned on at most `threads`
+//! scoped workers (Table 2 — the only parallelism the paper's
+//! implementation has; this reproduction additionally partitions the
+//! join phase itself, see [`crate::partition`]); every other table keeps
+//! all its rows.
 //!
 //! For such an unfiltered table the paper's "only tuples satisfying all
 //! unary predicates are hashed" saves nothing: its join index covers every
@@ -41,9 +45,8 @@
 //! closest safe-Rust stand-in for the paper's §6 per-query code
 //! generation. Orders are bound once and cached across time slices, so
 //! the thousands of join-order switches per second never re-resolve a
-//! table, column, or index. Remaining §6 distance — fusing each
-//! position's predicate vector into straight-line generated code — is
-//! tracked in ROADMAP.md.
+//! table, column, or index; [`OrderPlan::compile_kernel`] turns a bound
+//! plan into the compiled kernel.
 
 use skinner_codegen::{
     CompiledKernel, JumpKind, KernelCache, KernelJump, KernelKey, KernelPosition,
@@ -149,7 +152,8 @@ impl PreparedQuery {
     ///
     /// `build_indexes` corresponds to the "indexes" feature of Table 6;
     /// `threads > 1` spreads the per-table filter scans over at most
-    /// `threads` workers, the calling thread included.
+    /// `threads` workers, the calling thread included. A scan evaluates
+    /// one conjunct at a time over the rows the earlier ones kept.
     pub fn new(query: &Query, build_indexes: bool, threads: usize) -> PreparedQuery {
         let start = std::time::Instant::now();
         let tables: Vec<TableRef> = query.tables.iter().map(|b| b.table.clone()).collect();
@@ -191,17 +195,19 @@ impl PreparedQuery {
             .filter(|&t| !const_false && !unary[t].is_empty())
             .collect();
         let next = AtomicUsize::new(0);
+        // Each table is filtered a column at a time: the first conjunct
+        // scans every row into a selection vector, each later one
+        // compacts it, in conjunct order — so conjunct k sees exactly the
+        // rows that passed conjuncts 0..k, as under row-at-a-time `all`.
         let work = || {
             let mut done = Vec::new();
+            let mut rows = vec![0u32; m];
             while let Some(&t) = scans.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let mut rows = vec![0u32; m];
-                let keep: Vec<RowId> = (0..tables[t].num_rows() as RowId)
-                    .filter(|&r| {
-                        rows[t] = r;
-                        unary[t].iter().all(|p| p.eval(&rows, &tables))
-                    })
-                    .collect();
-                done.push((t, keep));
+                let n = tables[t].num_rows();
+                let keep = unary[t].iter().fold(None, |sel, p| {
+                    Some(p.bind(&tables).select(t, n, sel, &mut rows))
+                });
+                done.push((t, keep.expect("a scanned table has a unary conjunct")));
             }
             done
         };
@@ -290,13 +296,18 @@ impl PreparedQuery {
                 };
                 let keys_a = fuse_side(ta, &cols_a);
                 let keys_b = fuse_side(tb, &cols_b);
-                let index_of = |keys: &[Option<i64>], filt: &[RowId]| {
+                // An unfiltered side's positions are its base rows, so its
+                // key vector already is the one to index.
+                let index_of = |t: TableId, keys: &[Option<i64>]| {
+                    if keeps_all[t] {
+                        return HashIndex::from_keys(keys);
+                    }
                     let filtered_keys: Vec<Option<i64>> =
-                        filt.iter().map(|&r| keys[r as usize]).collect();
+                        filtered[t].iter().map(|&r| keys[r as usize]).collect();
                     HashIndex::from_keys(&filtered_keys)
                 };
-                let idx_a = index_of(&keys_a, &filtered[ta]);
-                let idx_b = index_of(&keys_b, &filtered[tb]);
+                let idx_a = index_of(ta, &keys_a);
+                let idx_b = index_of(tb, &keys_b);
                 composites.push(CompositeKeyGroup {
                     tables: (ta, tb),
                     cols: (cols_a, cols_b),
@@ -909,6 +920,41 @@ mod tests {
         assert_eq!(serial.filtered, parallel.filtered);
         assert_eq!(parallel.cards, vec![32; 4]);
         assert_eq!(udf.call_count(), 2 * 4 * 64);
+    }
+
+    #[test]
+    fn udf_filter_runs_only_on_rows_passing_earlier_conjuncts() {
+        let mut cat = Catalog::new();
+        cat.register(
+            Table::new(
+                "t",
+                Schema::new([ColumnDef::new("k", ValueType::Int)]),
+                vec![Column::from_ints((0..64).collect())],
+            )
+            .unwrap(),
+        );
+        let udf = Udf::new("even", |args| {
+            Value::from(args[0].as_int().is_some_and(|k| k % 2 == 0))
+        });
+        let mut qb = QueryBuilder::new(&cat);
+        qb.table("t").unwrap();
+        let k = qb.col("t.k").unwrap();
+        // [fast, UDF, fast], in this conjunct order.
+        qb.filter(k.clone().lt(Expr::lit(40)));
+        qb.filter(Expr::Udf {
+            udf: Arc::clone(&udf),
+            args: vec![k.clone()],
+        });
+        qb.filter(k.ge(Expr::lit(10)));
+        qb.select_col("t.k").unwrap();
+        let q = qb.build().unwrap();
+        for threads in [1, 2] {
+            let before = udf.call_count();
+            let p = PreparedQuery::new(&q, true, threads);
+            assert_eq!(p.filtered[0], (10..40).step_by(2).collect::<Vec<RowId>>());
+            // Row at a time, the UDF sees exactly the 40 rows with k < 40.
+            assert_eq!(udf.call_count() - before, 40);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::expr::{BinOp, ColRef, Expr, RowContext};
 use crate::query::Query;
 use crate::TableId;
 use skinner_storage::table::TableRef;
-use skinner_storage::{FxHashSet, Value};
+use skinner_storage::{FxHashSet, RowId, Value};
 use std::cmp::Ordering;
 
 /// Row context reading values straight out of base tables at the row ids
@@ -548,6 +548,81 @@ impl BoundPred<'_> {
             BoundPred::Generic { pred, tables } => pred.eval(rows, tables),
         }
     }
+
+    /// Filter rows of table `t` (`n` rows) by this unary conjunct, a
+    /// column at a time: `sel` is the selection vector of base row ids
+    /// that passed the earlier conjuncts (`None` scans `0..n`), and the
+    /// rows that also pass this one are returned in order, compacted in
+    /// place. The variant is matched once; constant comparisons and IN
+    /// lists then run one loop over their raw slice, while `IntCmpInt`
+    /// and `Generic` (UDFs, LIKE, nullable columns) call [`Self::eval`]
+    /// on the surviving rows only — so a UDF is called exactly as often
+    /// as under row-at-a-time short-circuit evaluation. `rows` is a
+    /// scratch tuple with one slot per query table.
+    pub fn select(
+        &self,
+        t: TableId,
+        n: usize,
+        sel: Option<Vec<RowId>>,
+        rows: &mut [u32],
+    ) -> Vec<RowId> {
+        match *self {
+            BoundPred::IntCmpConst { col, mask, k, .. } => {
+                compact(n, sel, |r| mask & ord_bit(col[r].cmp(&k)) != 0)
+            }
+            BoundPred::FloatCmpConst { col, mask, k, .. } => compact(n, sel, |r| {
+                col[r]
+                    .partial_cmp(&k)
+                    .is_some_and(|ord| mask & ord_bit(ord) != 0)
+            }),
+            BoundPred::StrEqCode {
+                codes,
+                code,
+                negated,
+                ..
+            } => match code {
+                Some(code) => compact(n, sel, |r| (codes[r] == code) != negated),
+                // A literal absent from the dictionary equals no row.
+                None => compact(n, sel, |_| negated),
+            },
+            BoundPred::IntInList { col, set, .. } => compact(n, sel, |r| set.contains(&col[r])),
+            BoundPred::IntCmpInt { .. } | BoundPred::Generic { .. } => compact(n, sel, |r| {
+                rows[t] = r as u32;
+                self.eval(rows)
+            }),
+        }
+    }
+}
+
+/// Keep the rows of `sel` (or of `0..n` when `None`) that satisfy
+/// `keep`, in order: each row is written to the next output slot and the
+/// slot is claimed only when it passes, so the loop has no data-dependent
+/// branch.
+#[inline(always)]
+fn compact(n: usize, sel: Option<Vec<RowId>>, mut keep: impl FnMut(usize) -> bool) -> Vec<RowId> {
+    let (mut out, len) = match sel {
+        // A first scan writes survivors only; `0..n` is never built.
+        None => {
+            let mut out = vec![0; n];
+            let mut len = 0;
+            for r in 0..n {
+                out[len] = r as RowId;
+                len += usize::from(keep(r));
+            }
+            (out, len)
+        }
+        Some(mut sel) => {
+            let mut len = 0;
+            for i in 0..sel.len() {
+                let r = sel[i];
+                sel[len] = r;
+                len += usize::from(keep(r as usize));
+            }
+            (sel, len)
+        }
+    };
+    out.truncate(len);
+    out
 }
 
 /// Compile every WHERE conjunct of `query`.
@@ -794,6 +869,128 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One 8-row table with a column per fast-path shape, a NaN-bearing
+    /// float column and a nullable int column.
+    fn select_tables() -> Vec<TableRef> {
+        let mut nullable = skinner_storage::ColumnBuilder::new(ValueType::Int);
+        for v in [
+            Some(3),
+            None,
+            Some(7),
+            Some(1),
+            None,
+            Some(5),
+            Some(3),
+            Some(9),
+        ] {
+            nullable.push(&v.map_or(Value::Null, Value::Int));
+        }
+        vec![Arc::new(
+            Table::new(
+                "t",
+                Schema::new([
+                    ColumnDef::new("x", ValueType::Int),
+                    ColumnDef::new("y", ValueType::Int),
+                    ColumnDef::new("f", ValueType::Float),
+                    ColumnDef::new("s", ValueType::Str),
+                    ColumnDef::new("n", ValueType::Int),
+                ]),
+                vec![
+                    Column::from_ints(vec![4, 1, 5, 5, 9, 2, 5, 7]),
+                    Column::from_ints(vec![4, 3, 2, 5, 9, 8, 6, 7]),
+                    Column::from_floats(vec![0.5, f64::NAN, 2.0, 5.0, -1.0, f64::NAN, 2.5, 2.0]),
+                    Column::from_strs(["p", "q", "pq", "q", "r", "p", "qq", "q"]),
+                    nullable.finish(),
+                ],
+            )
+            .unwrap(),
+        )]
+    }
+
+    #[test]
+    fn select_matches_row_at_a_time_eval() {
+        let ts = select_tables();
+        let mut exprs = Vec::new();
+        // Int column, float column, float column against an Int literal.
+        for (c, k) in [(0, Expr::lit(5)), (2, Expr::lit(2.0)), (2, Expr::lit(2))] {
+            exprs.extend([
+                Expr::col(0, c).eq(k.clone()),
+                Expr::col(0, c).ne(k.clone()),
+                Expr::col(0, c).lt(k.clone()),
+                Expr::col(0, c).le(k.clone()),
+                Expr::col(0, c).gt(k.clone()),
+                Expr::col(0, c).ge(k.clone()),
+            ]);
+        }
+        exprs.extend([
+            Expr::col(0, 3).eq(Expr::lit("q")),
+            Expr::col(0, 3).ne(Expr::lit("q")),
+            Expr::col(0, 3).eq(Expr::lit("absent")),
+            Expr::col(0, 3).ne(Expr::lit("absent")),
+            Expr::col(0, 0).in_list(vec![Value::Int(5), Value::Int(9), Value::Int(42)]),
+            Expr::col(0, 0).lt(Expr::col(0, 1)),
+            Expr::col(0, 0).eq(Expr::col(0, 1)),
+            Expr::col(0, 3).like("q%"),
+            Expr::col(0, 4).ge(Expr::lit(3)),
+        ]);
+        let n = 8;
+        let given: Vec<RowId> = vec![0, 2, 3, 4, 5, 7];
+        let mut rows = [0u32];
+        for e in &exprs {
+            let p = CompiledPred::compile(e, &ts);
+            let bound = p.bind(&ts);
+            let truth = |r: &RowId| p.eval(&[*r], &ts);
+            let full: Vec<RowId> = (0..n as RowId).filter(truth).collect();
+            assert_eq!(
+                bound.select(0, n, None, &mut rows),
+                full,
+                "full scan of {e:?}"
+            );
+            let over_given: Vec<RowId> = given.iter().copied().filter(truth).collect();
+            let selected = bound.select(0, n, Some(given.clone()), &mut rows);
+            assert_eq!(selected, over_given, "selection of {e:?}");
+        }
+        // Every BoundPred variant was covered, and the six masks of each
+        // constant comparison.
+        let bound: Vec<_> = exprs
+            .iter()
+            .map(|e| CompiledPred::compile(e, &ts))
+            .collect();
+        let tags: FxHashSet<u8> = bound.iter().map(|p| p.bind(&ts).shape_tag()).collect();
+        for base in [0x10, 0x20] {
+            let masks = tags.iter().filter(|&&t| t & 0xf0 == base).count();
+            assert_eq!(masks, 6, "comparison masks of shape {base:#x}");
+        }
+        for tag in [0x30, 0x31, 0x40 | ORD_LT, 0x40 | ORD_EQ, 0x50, 0x60] {
+            assert!(tags.contains(&tag), "shape {tag:#x} untested");
+        }
+    }
+
+    #[test]
+    fn select_drops_nan_and_null() {
+        let ts = select_tables();
+        let mut rows = [0u32];
+        // NaN compares unordered: not even `!=` holds.
+        let ne = CompiledPred::compile(&Expr::col(0, 2).ne(Expr::lit(2.0)), &ts);
+        assert!(ne.is_fast());
+        assert_eq!(ne.bind(&ts).select(0, 8, None, &mut rows), vec![0, 3, 4, 6]);
+        // NULL >= 3 is NULL, which filters the row out.
+        let ge = CompiledPred::compile(&Expr::col(0, 4).ge(Expr::lit(3)), &ts);
+        assert!(!ge.is_fast());
+        assert_eq!(
+            ge.bind(&ts).select(0, 8, None, &mut rows),
+            vec![0, 2, 5, 6, 7]
+        );
+        // An absent literal: `=` keeps nothing, `!=` keeps the selection.
+        let eq = CompiledPred::compile(&Expr::col(0, 3).eq(Expr::lit("zz")), &ts);
+        assert!(eq.bind(&ts).select(0, 8, None, &mut rows).is_empty());
+        let ne = CompiledPred::compile(&Expr::col(0, 3).ne(Expr::lit("zz")), &ts);
+        assert_eq!(
+            ne.bind(&ts).select(0, 8, Some(vec![1, 6]), &mut rows),
+            vec![1, 6]
+        );
     }
 
     #[test]

@@ -265,33 +265,39 @@ impl<F: Fn(ColRef) -> Value> RowContext for F {
     }
 }
 
-/// SQL LIKE matcher supporting `%` (any run) and `_` (any single char).
+/// SQL LIKE matcher supporting `%` (any run) and `_` (any single
+/// Unicode scalar). A `%` in the pattern is always a wildcard, also where
+/// the text holds a `%`.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    // Iterative two-pointer algorithm with backtracking on the last `%`.
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    // Iterative two-pointer algorithm with backtracking on the last `%`,
+    // over byte offsets of char boundaries, so it allocates nothing.
     let (mut si, mut pi) = (0usize, 0usize);
-    let (mut star_p, mut star_s) = (usize::MAX, 0usize);
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star_p = pi;
-            star_s = si;
-            pi += 1;
-        } else if star_p != usize::MAX {
-            star_s += 1;
-            si = star_s;
-            pi = star_p + 1;
-        } else {
-            return false;
+    // After a `%`: the pattern offset past it, and the text offset where
+    // the rest of the pattern is being tried.
+    let mut star: Option<(usize, usize)> = None;
+    while let Some(c) = s[si..].chars().next() {
+        match pattern[pi..].chars().next() {
+            Some('%') => {
+                pi += 1;
+                star = Some((pi, si));
+            }
+            Some(p) if p == '_' || p == c => {
+                si += c.len_utf8();
+                pi += p.len_utf8();
+            }
+            _ => {
+                // Let the last `%` absorb one more char and retry.
+                let Some((star_p, star_s)) = star else {
+                    return false;
+                };
+                let absorbed = s[star_s..].chars().next().map_or(0, char::len_utf8);
+                si = star_s + absorbed;
+                pi = star_p;
+                star = Some((star_p, si));
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].bytes().all(|b| b == b'%')
 }
 
 fn bool_val(b: bool) -> Value {
@@ -769,6 +775,15 @@ mod tests {
         assert!(!like_match("", "_"));
         assert!(like_match("abc", "%%%"));
         assert!(like_match("a%b", "a%b"));
+        // `%` stays a wildcard where the text itself holds a `%`.
+        assert!(like_match("%a", "%"));
+        assert!(like_match("50%", "%0%"));
+        // `_` is one Unicode scalar, not one byte.
+        assert!(like_match("héllo", "h_llo"));
+        assert!(!like_match("héllo", "h__llo"));
+        assert!(like_match("日本語", "_本%"));
+        assert!(like_match("日本語", "%語"));
+        assert!(!like_match("日本語", "%本"));
     }
 
     #[test]

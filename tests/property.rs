@@ -20,8 +20,9 @@ use skinnerdb::core::PyramidTimeouts;
 use skinnerdb::engine::multiway::{ContinueResult, ResultSet};
 use skinnerdb::engine::{MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig};
 use skinnerdb::prelude::*;
-use skinnerdb::query::JoinGraph;
-use skinnerdb::query::TableSet;
+use skinnerdb::query::{compile_predicates, JoinGraph, TableSet};
+use skinnerdb::storage::ColumnBuilder;
+use std::sync::Arc;
 
 /// Skinner-C worker threads for the end-to-end properties (CI runs the
 /// suite a second time with `SKINNER_TEST_THREADS=4` to exercise the
@@ -77,6 +78,118 @@ fn arb_chain_case() -> impl Strategy<Value = (Catalog, Query)> {
         let q = qb.build().expect("query");
         (cat, q)
     })
+}
+
+/// Random tables (1–3, 0–40 rows each) with a nullable Int column `i`,
+/// two Int columns `j` and `k`, a NaN-bearing Float column `f` and a
+/// string column `s`. Each table gets 1–4 random unary conjuncts, over
+/// every compiled shape plus LIKE and a UDF; consecutive tables join on
+/// `j`.
+fn unary_filter_case(seed: u64) -> Query {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let m = rng.gen_range(1..4usize);
+    let mut cat = Catalog::new();
+    for t in 0..m {
+        let rows = rng.gen_range(0..41usize);
+        let mut i = ColumnBuilder::new(ValueType::Int);
+        for _ in 0..rows {
+            let v = if rng.gen_bool(0.25) {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(0..10))
+            };
+            i.push(&v);
+        }
+        let ints = |rng: &mut SmallRng| (0..rows).map(|_| rng.gen_range(0..10)).collect();
+        let (j, k) = (ints(&mut rng), ints(&mut rng));
+        let f = (0..rows)
+            .map(|_| {
+                if rng.gen_bool(0.15) {
+                    f64::NAN
+                } else {
+                    f64::from(rng.gen_range(0..20)) / 2.0
+                }
+            })
+            .collect();
+        let s: Vec<&str> = (0..rows)
+            .map(|_| ["a", "b", "ab", "ba", "é"][rng.gen_range(0..5)])
+            .collect();
+        cat.register(
+            Table::new(
+                format!("t{t}"),
+                Schema::new([
+                    ColumnDef::new("i", ValueType::Int),
+                    ColumnDef::new("j", ValueType::Int),
+                    ColumnDef::new("k", ValueType::Int),
+                    ColumnDef::new("f", ValueType::Float),
+                    ColumnDef::new("s", ValueType::Str),
+                ]),
+                vec![
+                    i.finish(),
+                    Column::from_ints(j),
+                    Column::from_ints(k),
+                    Column::from_floats(f),
+                    Column::from_strs(s),
+                ],
+            )
+            .expect("table"),
+        );
+    }
+    let odd = Udf::new("odd", |args| {
+        Value::from(args[0].as_int().is_some_and(|v| v % 2 == 1))
+    });
+    let mut qb = QueryBuilder::new(&cat);
+    for t in 0..m {
+        qb.table(&format!("t{t}")).expect("register table");
+    }
+    for t in 0..m {
+        // Columns by index: i, j, k, f, s.
+        let [i, j, k, f, s] = [0, 1, 2, 3, 4].map(|c| Expr::col(t, c));
+        for _ in 0..rng.gen_range(1..5) {
+            let op = rng.gen_range(0..6);
+            let cmp = |a: Expr, b: Expr| match op {
+                0 => a.eq(b),
+                1 => a.ne(b),
+                2 => a.lt(b),
+                3 => a.le(b),
+                4 => a.gt(b),
+                _ => a.ge(b),
+            };
+            let int = Expr::lit(rng.gen_range(0..10i64));
+            let half = Expr::lit(f64::from(rng.gen_range(0..20)) / 2.0);
+            let word = Expr::lit(["a", "ab", "é", "absent"][rng.gen_range(0..4)]);
+            let list = (0..3).map(|_| Value::Int(rng.gen_range(0..10))).collect();
+            let conjunct = match rng.gen_range(0..10) {
+                0 => cmp(i.clone(), int),
+                1 => cmp(j.clone(), int),
+                2 => cmp(f.clone(), half),
+                3 => cmp(f.clone(), int),
+                4 => s.clone().eq(word),
+                5 => s.clone().ne(word),
+                6 => j.clone().in_list(list),
+                7 => cmp(j.clone(), k.clone()),
+                8 => s
+                    .clone()
+                    .like(["a%", "%b", "_", "%a%"][rng.gen_range(0..4)]),
+                _ => Expr::Udf {
+                    udf: Arc::clone(&odd),
+                    args: vec![k.clone()],
+                },
+            };
+            qb.filter(conjunct);
+        }
+    }
+    for t in 1..m {
+        let j = qb
+            .col(&format!("t{}.j", t - 1))
+            .expect("col")
+            .eq(qb.col(&format!("t{t}.j")).expect("col"));
+        qb.filter(j);
+    }
+    qb.select_col("t0.j").expect("select");
+    qb.build().expect("query")
 }
 
 proptest! {
@@ -609,6 +722,37 @@ proptest! {
         })
         .run(&q);
         prop_assert_eq!(out.result_count, truth);
+    }
+
+    #[test]
+    fn column_at_a_time_filters_match_row_at_a_time(seed in any::<u64>()) {
+        // Pre-processing filters each table a column at a time; the
+        // reference evaluates every unary conjunct row by row with
+        // short-circuit `all`, as the filter step used to. Multiple
+        // filtered tables with threads > 1 spread the scans over workers.
+        let q = unary_filter_case(seed);
+        let tables: Vec<_> = q.tables.iter().map(|b| b.table.clone()).collect();
+        let preds = compile_predicates(&q);
+        let m = tables.len();
+        let mut rows = vec![0u32; m];
+        let want: Vec<Vec<u32>> = (0..m)
+            .map(|t| {
+                let unary: Vec<_> = preds
+                    .iter()
+                    .filter(|p| p.tables().len() == 1 && p.tables().contains(t))
+                    .collect();
+                (0..tables[t].num_rows() as u32)
+                    .filter(|&r| {
+                        rows[t] = r;
+                        unary.iter().all(|p| p.eval(&rows, &tables))
+                    })
+                    .collect()
+            })
+            .collect();
+        for threads in [1, 2, env_threads()] {
+            let pq = PreparedQuery::new(&q, true, threads);
+            prop_assert_eq!(&pq.filtered, &want, "threads {}", threads);
+        }
     }
 
     #[test]
