@@ -5,8 +5,9 @@
 //! [`CompiledPred`] evaluates one WHERE conjunct against such a tuple.
 //! Common shapes (integer column vs. constant, integer column vs. integer
 //! column, dictionary-code string equality, IN lists) compile to direct
-//! typed column accesses; everything else — including UDFs — falls back to
-//! the generic [`Expr::eval`] interpreter.
+//! typed column accesses, and a UDF called on bare columns binds its
+//! argument columns once ([`BoundPred::Udf`]); everything else falls back
+//! to the generic [`Expr::eval`] interpreter.
 //!
 //! The *vectorized* column engine and Skinner-C use compiled predicates;
 //! the simulated row engine deliberately uses only the generic interpreter,
@@ -15,9 +16,10 @@
 
 use crate::expr::{BinOp, ColRef, Expr, RowContext};
 use crate::query::Query;
+use crate::udf::Udf;
 use crate::TableId;
 use skinner_storage::table::TableRef;
-use skinner_storage::{FxHashSet, RowId, Value};
+use skinner_storage::{Column, FxHashSet, RowId, Value};
 use std::cmp::Ordering;
 
 /// Row context reading values straight out of base tables at the row ids
@@ -86,7 +88,6 @@ pub struct CompiledPred {
     fast: Fast,
     expr: Expr,
     tables: crate::expr::TableSet,
-    has_udf: bool,
 }
 
 /// Fold literal-only *arithmetic* subtrees into their values: a binary
@@ -174,7 +175,6 @@ impl CompiledPred {
             fast,
             expr: folded,
             tables: expr.tables(),
-            has_udf: expr.contains_udf(),
         }
     }
 
@@ -297,11 +297,6 @@ impl CompiledPred {
         &self.expr
     }
 
-    /// True if this conjunct calls a UDF (never fast-pathed).
-    pub fn has_udf(&self) -> bool {
-        self.has_udf
-    }
-
     /// Evaluate against the tuple `rows` (SQL WHERE semantics: NULL is
     /// false).
     #[inline]
@@ -349,8 +344,9 @@ impl CompiledPred {
     /// Bind this conjunct to `tables` for repeated evaluation: resolve
     /// table/column indirections *once*, capturing raw typed column
     /// slices, so the per-tuple hot path touches only `rows` and flat
-    /// memory. The generic fallback (UDFs, LIKE, NULLs, …) keeps
-    /// interpreter semantics unchanged.
+    /// memory. A UDF call on one or two bare columns binds those columns
+    /// and calls the UDF directly; the generic fallback (LIKE, NULLs,
+    /// nested expressions, …) keeps interpreter semantics unchanged.
     pub fn bind<'a>(&'a self, tables: &'a [TableRef]) -> BoundPred<'a> {
         match &self.fast {
             Fast::IntCmpConst { t, c, op, k } => BoundPred::IntCmpConst {
@@ -388,8 +384,29 @@ impl CompiledPred {
                 t: *t,
                 set,
             },
-            Fast::Generic => BoundPred::Generic { pred: self, tables },
+            Fast::Generic => self
+                .bind_udf(tables)
+                .unwrap_or(BoundPred::Generic { pred: self, tables }),
         }
+    }
+
+    /// `udf(col)` or `udf(col, col)` as [`BoundPred::Udf`]; `None` for
+    /// any other expression, including a UDF with another arity or an
+    /// argument that is not a bare column.
+    fn bind_udf<'a>(&'a self, tables: &'a [TableRef]) -> Option<BoundPred<'a>> {
+        let Expr::Udf { udf, args } = &self.expr else {
+            return None;
+        };
+        let col = |e: &Expr| match e {
+            Expr::Col(c) => Some((tables[c.table].column(c.column), c.table)),
+            _ => None,
+        };
+        let (a, b) = match args.as_slice() {
+            [a] => (col(a)?, None),
+            [a, b] => (col(a)?, Some(col(b)?)),
+            _ => return None,
+        };
+        Some(BoundPred::Udf { udf, a, b })
     }
 }
 
@@ -484,7 +501,19 @@ pub enum BoundPred<'a> {
         /// The IN-list constants.
         set: &'a FxHashSet<i64>,
     },
-    /// Anything else: the generic interpreter, unchanged semantics.
+    /// `udf(col)` or `udf(col, col)`: the argument columns resolved
+    /// once; each evaluation reads them with [`Column::get`] and calls
+    /// [`Udf::call`], exactly as the interpreter would.
+    Udf {
+        /// The UDF.
+        udf: &'a Udf,
+        /// First argument column and its table.
+        a: (&'a Column, TableId),
+        /// Second argument column and its table, for a binary UDF.
+        b: Option<(&'a Column, TableId)>,
+    },
+    /// Anything else (LIKE, nullable columns, nested expressions, …):
+    /// the generic interpreter, unchanged semantics.
     Generic {
         /// The compiled conjunct.
         pred: &'a CompiledPred,
@@ -505,6 +534,7 @@ impl BoundPred<'_> {
             BoundPred::IntCmpInt { mask, .. } => 0x40 | mask,
             BoundPred::IntInList { .. } => 0x50,
             BoundPred::Generic { .. } => 0x60,
+            BoundPred::Udf { .. } => 0x70,
         }
     }
 
@@ -545,6 +575,14 @@ impl BoundPred<'_> {
                 mask & ord_bit(va.cmp(&vb)) != 0
             }
             BoundPred::IntInList { col, t, set } => set.contains(&col[rows[*t] as usize]),
+            BoundPred::Udf { udf, a, b } => {
+                let arg = |(col, t): (&Column, TableId)| col.get(rows[t] as usize);
+                let v = match *b {
+                    None => udf.call(&[arg(*a)]),
+                    Some(b) => udf.call(&[arg(*a), arg(b)]),
+                };
+                !v.is_null() && v.is_truthy()
+            }
             BoundPred::Generic { pred, tables } => pred.eval(rows, tables),
         }
     }
@@ -554,10 +592,10 @@ impl BoundPred<'_> {
     /// that passed the earlier conjuncts (`None` scans `0..n`), and the
     /// rows that also pass this one are returned in order, compacted in
     /// place. The variant is matched once; constant comparisons and IN
-    /// lists then run one loop over their raw slice, while `IntCmpInt`
-    /// and `Generic` (UDFs, LIKE, nullable columns) call [`Self::eval`]
-    /// on the surviving rows only — so a UDF is called exactly as often
-    /// as under row-at-a-time short-circuit evaluation. `rows` is a
+    /// lists then run one loop over their raw slice, while `IntCmpInt`,
+    /// `Udf` and `Generic` call [`Self::eval`] on the surviving rows
+    /// only — so a UDF is called exactly as often as under row-at-a-time
+    /// short-circuit evaluation. `rows` is a
     /// scratch tuple with one slot per query table.
     pub fn select(
         &self,
@@ -586,10 +624,12 @@ impl BoundPred<'_> {
                 None => compact(n, sel, |_| negated),
             },
             BoundPred::IntInList { col, set, .. } => compact(n, sel, |r| set.contains(&col[r])),
-            BoundPred::IntCmpInt { .. } | BoundPred::Generic { .. } => compact(n, sel, |r| {
-                rows[t] = r as u32;
-                self.eval(rows)
-            }),
+            BoundPred::IntCmpInt { .. } | BoundPred::Udf { .. } | BoundPred::Generic { .. } => {
+                compact(n, sel, |r| {
+                    rows[t] = r as u32;
+                    self.eval(rows)
+                })
+            }
         }
     }
 }
@@ -934,6 +974,12 @@ mod tests {
             Expr::col(0, 0).eq(Expr::col(0, 1)),
             Expr::col(0, 3).like("q%"),
             Expr::col(0, 4).ge(Expr::lit(3)),
+            Expr::Udf {
+                udf: Udf::new("odd", |a| {
+                    Value::from(a[0].as_int().is_some_and(|v| v % 2 == 1))
+                }),
+                args: vec![Expr::col(0, 4)],
+            },
         ]);
         let n = 8;
         let given: Vec<RowId> = vec![0, 2, 3, 4, 5, 7];
@@ -963,7 +1009,7 @@ mod tests {
             let masks = tags.iter().filter(|&&t| t & 0xf0 == base).count();
             assert_eq!(masks, 6, "comparison masks of shape {base:#x}");
         }
-        for tag in [0x30, 0x31, 0x40 | ORD_LT, 0x40 | ORD_EQ, 0x50, 0x60] {
+        for tag in [0x30, 0x31, 0x40 | ORD_LT, 0x40 | ORD_EQ, 0x50, 0x60, 0x70] {
             assert!(tags.contains(&tag), "shape {tag:#x} untested");
         }
     }
@@ -1038,6 +1084,141 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Two six-row tables with an Int, a nullable Int (NULL rows), a
+    /// NaN-bearing Float, a Str (with empty strings) and a Date column;
+    /// the second table holds the rows of the first in reverse.
+    fn udf_tables() -> Vec<TableRef> {
+        let table = |name: &str, rev: bool| {
+            let rows: Vec<usize> = if rev {
+                (0..6).rev().collect()
+            } else {
+                (0..6).collect()
+            };
+            let ints = [3, 0, 7, -1, 2, 5];
+            let nulls = [Some(1), None, Some(0), Some(4), None, Some(2)];
+            let floats = [0.0, f64::NAN, 1.5, -2.0, f64::NAN, 0.5];
+            let strs = ["", "a", "b", "a", "", "c"];
+            let dates = [0, 10, 20, 10, 5, 0];
+            let mut nullable = skinner_storage::ColumnBuilder::new(ValueType::Int);
+            for &r in &rows {
+                nullable.push(&nulls[r].map_or(Value::Null, Value::Int));
+            }
+            Arc::new(
+                Table::new(
+                    name,
+                    Schema::new([
+                        ColumnDef::new("i", ValueType::Int),
+                        ColumnDef::new("n", ValueType::Int),
+                        ColumnDef::new("f", ValueType::Float),
+                        ColumnDef::new("s", ValueType::Str),
+                        ColumnDef::new("d", ValueType::Date),
+                    ]),
+                    vec![
+                        Column::from_ints(rows.iter().map(|&r| ints[r]).collect()),
+                        nullable.finish(),
+                        Column::from_floats(rows.iter().map(|&r| floats[r]).collect()),
+                        Column::from_strs(rows.iter().map(|&r| strs[r])),
+                        Column::from_dates(rows.iter().map(|&r| dates[r]).collect()),
+                    ],
+                )
+                .unwrap(),
+            )
+        };
+        vec![table("a", false), table("b", true)]
+    }
+
+    #[test]
+    fn bound_udf_matches_interpreter() {
+        let ts = udf_tables();
+        // Results covering every truthiness case: the argument itself
+        // (Int 0, NULL, NaN, 0.0, "", dates), constants, and SQL equality.
+        let unary = [
+            Udf::new("first", |a| a[0].clone()),
+            Udf::new("null", |_| Value::Null),
+            Udf::new("zero", |_| Value::Int(0)),
+            Udf::new("two", |_| Value::Int(2)),
+            Udf::new("fzero", |_| Value::Float(0.0)),
+            Udf::new("empty", |_| Value::from("")),
+        ];
+        let binary = [
+            Udf::new("eq", |a| {
+                a[0].sql_eq(&a[1]).map_or(Value::Null, Value::from)
+            }),
+            Udf::new("second", |a| a[1].clone()),
+            Udf::new("zero2", |_| Value::Int(0)),
+        ];
+        let mut cases = Vec::new();
+        for udf in &unary {
+            for c in 0..5 {
+                cases.push((udf, vec![Expr::col(0, c)]));
+            }
+        }
+        for udf in &binary {
+            for (c1, c2, t2) in
+                (0..5).flat_map(|c1| (0..5).flat_map(move |c2| [(c1, c2, 0), (c1, c2, 1)]))
+            {
+                cases.push((udf, vec![Expr::col(0, c1), Expr::col(t2, c2)]));
+            }
+        }
+        let mut outcomes = FxHashSet::default();
+        for (udf, args) in cases {
+            let e = Expr::Udf {
+                udf: Arc::clone(udf),
+                args,
+            };
+            let p = CompiledPred::compile(&e, &ts);
+            let bound = p.bind(&ts);
+            assert!(matches!(bound, BoundPred::Udf { .. }), "{e:?}");
+            let generic = BoundPred::Generic {
+                pred: &p,
+                tables: &ts,
+            };
+            for a in 0..6u32 {
+                for b in 0..6u32 {
+                    let rows = [a, b];
+                    let calls = udf.call_count();
+                    let got = bound.eval(&rows);
+                    assert_eq!(udf.call_count(), calls + 1, "{e:?} {rows:?}");
+                    let want = generic.eval(&rows);
+                    assert_eq!(udf.call_count(), calls + 2, "{e:?} {rows:?}");
+                    assert_eq!(got, want, "{e:?} {rows:?}");
+                    outcomes.insert((udf.name.clone(), got));
+                }
+            }
+        }
+        // The argument-dependent UDFs produced both outcomes.
+        for name in ["first", "eq", "second"] {
+            assert!(outcomes.contains(&(name.into(), true)), "{name}");
+            assert!(outcomes.contains(&(name.into(), false)), "{name}");
+        }
+    }
+
+    #[test]
+    fn only_udf_calls_on_bare_columns_bind() {
+        let ts = udf_tables();
+        let udf = Udf::new("u", |_| Value::Int(1));
+        let call = |args: Vec<Expr>| Expr::Udf {
+            udf: Arc::clone(&udf),
+            args,
+        };
+        let tag = |e: &Expr| CompiledPred::compile(e, &ts).bind(&ts).shape_tag();
+        for e in [
+            call(vec![Expr::col(0, 0)]),
+            call(vec![Expr::col(0, 3), Expr::col(1, 1)]),
+        ] {
+            assert_eq!(tag(&e), 0x70, "{e:?} binds");
+        }
+        for e in [
+            call(vec![Expr::col(0, 0).add(Expr::lit(1))]),
+            call(vec![Expr::col(0, 0)]).not(),
+            call(vec![Expr::lit(1), Expr::col(0, 0)]),
+            call(vec![]),
+            call(vec![Expr::col(0, 0), Expr::col(0, 1), Expr::col(1, 0)]),
+        ] {
+            assert_eq!(tag(&e), 0x60, "{e:?} stays generic");
         }
     }
 }

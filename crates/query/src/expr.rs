@@ -474,23 +474,6 @@ impl Expr {
         }
     }
 
-    /// Total UDF cost hint of one evaluation (0 if no UDFs). The simulated
-    /// engines spin for this many abstract work units per call to model
-    /// expensive predicates.
-    pub fn udf_cost(&self) -> f64 {
-        match self {
-            Expr::Udf { udf, args } => {
-                udf.cost_hint as f64 + args.iter().map(Expr::udf_cost).sum::<f64>()
-            }
-            Expr::Literal(_) | Expr::Col(_) => 0.0,
-            Expr::Binary { left, right, .. } => left.udf_cost() + right.udf_cost(),
-            Expr::Unary { expr, .. }
-            | Expr::InList { expr, .. }
-            | Expr::Like { expr, .. }
-            | Expr::IsNull { expr, .. } => expr.udf_cost(),
-        }
-    }
-
     /// Evaluate against a row context, with SQL three-valued logic for
     /// comparisons (NULL-producing comparisons yield `Value::Null`).
     pub fn eval(&self, ctx: &impl RowContext) -> Value {

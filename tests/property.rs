@@ -6,6 +6,8 @@
 //! * the offset-range-partitioned join produces exactly the result set
 //!   of the sequential specialized kernel and the generic reference
 //!   kernel, for random catalogs, orders, budgets, and thread counts,
+//! * a compiled kernel calling bound UDF join predicates takes exactly
+//!   the steps, UDF calls and tuples of one interpreting them,
 //! * the progress tracker never loses results under arbitrary
 //!   slice/order interleavings,
 //! * the pyramid timeout scheme keeps its Lemma 5.4/5.5 guarantees for
@@ -18,9 +20,9 @@
 use proptest::prelude::*;
 use skinnerdb::core::PyramidTimeouts;
 use skinnerdb::engine::multiway::{ContinueResult, ResultSet};
-use skinnerdb::engine::{MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig};
+use skinnerdb::engine::{CompiledKernel, MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig};
 use skinnerdb::prelude::*;
-use skinnerdb::query::{compile_predicates, JoinGraph, TableSet};
+use skinnerdb::query::{compile_predicates, BoundPred, JoinGraph, TableSet};
 use skinnerdb::storage::ColumnBuilder;
 use std::sync::Arc;
 
@@ -190,6 +192,93 @@ fn unary_filter_case(seed: u64) -> Query {
     }
     qb.select_col("t0.j").expect("select");
     qb.build().expect("query")
+}
+
+/// A random chain of 2–4 tables (0–8 rows each) with a row id `r`, an
+/// Int column `j`, a nullable Int `i` and a nullable string `s`. Each
+/// edge is `j = j`, a two-column UDF, or both; the UDFs are SQL equality
+/// on `i`, a NULL-returning UDF on `i` and string equality on `s`, with
+/// random argument order. Returns the query and its three UDFs.
+fn udf_join_case(seed: u64) -> (Query, [Arc<Udf>; 3]) {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let m = rng.gen_range(2..5usize);
+    let mut cat = Catalog::new();
+    for t in 0..m {
+        let rows = rng.gen_range(0..9usize);
+        let mut i = ColumnBuilder::new(ValueType::Int);
+        let mut s = ColumnBuilder::new(ValueType::Str);
+        for _ in 0..rows {
+            i.push(&if rng.gen_bool(0.25) {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(0..4))
+            });
+            s.push(&if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::from(["a", "b", "ab"][rng.gen_range(0..3)])
+            });
+        }
+        let j = (0..rows).map(|_| rng.gen_range(0..3)).collect();
+        cat.register(
+            Table::new(
+                format!("t{t}"),
+                Schema::new([
+                    ColumnDef::new("r", ValueType::Int),
+                    ColumnDef::new("j", ValueType::Int),
+                    ColumnDef::new("i", ValueType::Int),
+                    ColumnDef::new("s", ValueType::Str),
+                ]),
+                vec![
+                    Column::from_ints((0..rows as i64).collect()),
+                    Column::from_ints(j),
+                    i.finish(),
+                    s.finish(),
+                ],
+            )
+            .expect("table"),
+        );
+    }
+    let udfs = [
+        Udf::new("ueq", |a| Value::from(a[0].sql_eq(&a[1]) == Some(true))),
+        // NULL unless both are non-NULL with an even sum; then the first
+        // argument, so 0 is false and argument order matters.
+        Udf::new("unull", |a| match (a[0].as_int(), a[1].as_int()) {
+            (Some(x), Some(y)) if (x + y) % 2 == 0 => Value::Int(x),
+            _ => Value::Null,
+        }),
+        Udf::new("useq", |a| match (a[0].as_str(), a[1].as_str()) {
+            (Some(x), Some(y)) => Value::from(x == y),
+            _ => Value::Null,
+        }),
+    ];
+    let mut qb = QueryBuilder::new(&cat);
+    for t in 0..m {
+        qb.table(&format!("t{t}")).expect("register table");
+        qb.select_col(&format!("t{t}.r")).expect("select");
+    }
+    for t in 1..m {
+        let kind = rng.gen_range(0..3);
+        if kind != 1 {
+            let j = Expr::col(t - 1, 1).eq(Expr::col(t, 1));
+            qb.filter(j);
+        }
+        if kind != 0 {
+            let u = rng.gen_range(0..3);
+            let c = if u == 2 { 3 } else { 2 };
+            let mut args = vec![Expr::col(t - 1, c), Expr::col(t, c)];
+            if rng.gen_bool(0.5) {
+                args.reverse();
+            }
+            qb.filter(Expr::Udf {
+                udf: Arc::clone(&udfs[u]),
+                args,
+            });
+        }
+    }
+    (qb.build().expect("query"), udfs)
 }
 
 proptest! {
@@ -752,6 +841,115 @@ proptest! {
         for threads in [1, 2, env_threads()] {
             let pq = PreparedQuery::new(&q, true, threads);
             prop_assert_eq!(&pq.filtered, &want, "threads {}", threads);
+        }
+    }
+
+    #[test]
+    fn bound_udf_join_edges_match_interpreted(seed in any::<u64>(), oseed in any::<u64>()) {
+        // UDF join predicates bind to `BoundPred::Udf`. Skinner-C must
+        // return the column engine's rows, and for sampled orders a
+        // kernel compiled from the plan as is must take exactly the
+        // slices, steps, UDF calls and tuples of the same kernel with
+        // every bound UDF swapped back to the interpreter — sequential
+        // and partitioned, at budgets 1, 7 and unbounded.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let (q, udfs) = udf_join_case(seed);
+        let truth = run_engine(&ColEngine::new(), &q, &ExecOptions::default()).table;
+        let got = SkinnerDB::skinner_c(SkinnerCConfig {
+            budget: 16,
+            threads: env_threads(),
+            ..Default::default()
+        })
+        .execute(&q)
+        .table;
+        prop_assert!(
+            got.same_rows(&truth),
+            "{} vs {} rows",
+            got.num_rows(),
+            truth.num_rows()
+        );
+
+        let calls = || udfs.iter().map(|u| u.call_count()).sum::<u64>();
+        let graph = JoinGraph::from_query(&q);
+        let m = q.num_tables();
+        let mut rng = SmallRng::seed_from_u64(oseed);
+        let mut threads = vec![1];
+        if env_threads() > 1 {
+            threads.push(env_threads());
+        }
+        for _ in 0..3 {
+            let mut order: Vec<usize> = Vec::with_capacity(m);
+            let mut chosen = TableSet::EMPTY;
+            while order.len() < m {
+                let elig: Vec<usize> = graph.eligible_next(chosen).iter().collect();
+                let t = elig[rng.gen_range(0..elig.len())];
+                order.push(t);
+                chosen.insert(t);
+            }
+            for indexes in [true, false] {
+                let pq = PreparedQuery::new(&q, indexes, 1);
+                if pq.any_empty() {
+                    continue;
+                }
+                let plan = pq.plan_order(&order);
+                let spec = pq.plan_spec(&order);
+                let mut interpreted = plan.clone();
+                let mut swapped = 0;
+                for (pos, spec) in interpreted.positions.iter_mut().zip(&spec.positions) {
+                    for (p, &pi) in pos.preds.iter_mut().zip(&spec.applicable) {
+                        if let BoundPred::Udf { .. } = p {
+                            *p = BoundPred::Generic {
+                                pred: &pq.join_preds[pi],
+                                tables: &pq.tables,
+                            };
+                            swapped += 1;
+                        }
+                    }
+                }
+                let udf_edges = pq
+                    .join_preds
+                    .iter()
+                    .filter(|p| matches!(p.expr(), Expr::Udf { .. }))
+                    .count();
+                prop_assert_eq!(swapped, udf_edges, "every UDF edge binds");
+                let kernels = [&plan, &interpreted]
+                    .map(|p| p.compile_kernel(None).expect("chains compile"));
+                let run = |kernel: &CompiledKernel<'_>, budget: u64, workers: usize| {
+                    let mut join = MultiwayJoin::with_threads(&pq, workers);
+                    let offsets = vec![0u32; m];
+                    let mut state = offsets.clone();
+                    let mut rs = ResultSet::new();
+                    let before = calls();
+                    let mut slices = Vec::new();
+                    // Below the order length a sequential slice never
+                    // advances (each re-walks the same prefix): compare
+                    // the first 64 slices.
+                    let cap = if budget < m as u64 { 64 } else { usize::MAX };
+                    while slices.len() < cap {
+                        let (res, steps) = join.continue_join_compiled(
+                            kernel, &offsets, &mut state, budget, &mut rs,
+                        );
+                        slices.push((res, steps, state.clone()));
+                        if res == ContinueResult::Exhausted {
+                            break;
+                        }
+                    }
+                    let tuples: Vec<Vec<u32>> = rs.iter().map(|t| t.to_vec()).collect();
+                    (slices, tuples, calls() - before)
+                };
+                for &workers in &threads {
+                    for budget in [1, 7, u64::MAX] {
+                        let bound = run(&kernels[0], budget, workers);
+                        let generic = run(&kernels[1], budget, workers);
+                        prop_assert_eq!(
+                            bound, generic,
+                            "order {:?} indexes {} budget {} threads {}",
+                            order, indexes, budget, workers
+                        );
+                    }
+                }
+            }
         }
     }
 
