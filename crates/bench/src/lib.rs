@@ -1,72 +1,17 @@
 //! # skinner-bench
 //!
-//! Harness regenerating every table and figure of the SkinnerDB paper's
-//! evaluation. Each `exp_*` binary in `src/bin/` prints the rows/series
-//! of one experiment; this library holds the shared plumbing: a unified
-//! runner over all approaches (Skinner variants, simulated engines,
-//! baselines), wall-clock capping, and plain-text table output.
+//! The SkinnerDB paper's evaluation claims, asserted as deterministic
+//! tests on work counters (`tests/paper_claims.rs`; see the crate's
+//! README for the claim-to-test table). The end-to-end timings live in
+//! the repository's `benchmark/` package.
 //!
-//! Environment knobs (all optional):
-//!
-//! * `SKINNER_SCALE` — multiplies workload sizes (default per binary),
-//! * `SKINNER_TIMEOUT_MS` — per-query cap for baseline engines,
-//! * `SKINNER_SEED` — workload seed,
-//! * `SKINNER_THREADS` / `--threads N` — Skinner-C worker threads
-//!   (pre-processing filters and the partitioned join phase).
+//! The library holds one helper: [`upsert_bench_json`], which writes
+//! one section of a `BENCH_*.json` record file (`skinner-load
+//! --bench-json` uses it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod approaches;
 pub mod report;
 
-pub use approaches::{run_approach, Approach, RunOutcome};
-pub use report::{fmt_duration, print_table, upsert_bench_json};
-
-use std::time::Duration;
-
-/// Read `SKINNER_SCALE` (default `default`).
-pub fn env_scale(default: f64) -> f64 {
-    std::env::var("SKINNER_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Read `SKINNER_TIMEOUT_MS` (default `default_ms`).
-pub fn env_timeout(default_ms: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var("SKINNER_TIMEOUT_MS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default_ms),
-    )
-}
-
-/// Read `SKINNER_SEED` (default 42).
-pub fn env_seed() -> u64 {
-    std::env::var("SKINNER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-/// Skinner-C worker threads for an experiment binary: the `--threads N`
-/// command-line flag wins, then the `SKINNER_THREADS` environment
-/// variable, then `default`. Feeds both the pre-processing filter
-/// scans and the offset-range-partitioned join phase.
-pub fn env_threads(default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let n = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .or_else(|| {
-            std::env::var("SKINNER_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(default);
-    n.max(1)
-}
+pub use report::upsert_bench_json;

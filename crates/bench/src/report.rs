@@ -1,54 +1,13 @@
-//! Plain-text table output for experiment binaries, and the shared
-//! `BENCH_*.json` writer.
+//! The shared `BENCH_*.json` writer.
 
 use std::path::Path;
-use std::time::Duration;
-
-/// Format a duration compactly (µs/ms/s chosen by magnitude).
-pub fn fmt_duration(d: Duration) -> String {
-    let us = d.as_micros();
-    if us < 1_000 {
-        format!("{us}µs")
-    } else if us < 1_000_000 {
-        format!("{:.1}ms", us as f64 / 1_000.0)
-    } else {
-        format!("{:.2}s", us as f64 / 1_000_000.0)
-    }
-}
-
-/// Print an aligned table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let parts: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:<width$}", c, width = widths.get(i).copied().unwrap_or(8)))
-            .collect();
-        println!("  {}", parts.join("  "));
-    };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
-}
 
 /// Insert or replace one top-level section of a `BENCH_*.json` file,
 /// preserving every other section.
 ///
-/// The file is a flat JSON object mapping bench names to result objects
-/// (`{"join_inner_loop": {...}, "join_parallel": {...}}`). Several bench
-/// binaries record into the same file, so each rewrites only its own
-/// key. `value` must be a self-contained JSON value (the benches pass
+/// The file is a flat JSON object mapping section names to result
+/// objects (`{"net_serving": {...}, ...}`). A writer rewrites only its
+/// own key. `value` must be a self-contained JSON value (callers pass
 /// pre-indented object literals); no JSON dependency is available
 /// offline, so this uses a minimal brace/string-aware splitter rather
 /// than a full parser.
@@ -72,7 +31,7 @@ pub fn upsert_bench_json(path: &Path, key: &str, value: &str) -> std::io::Result
 /// Split a flat JSON object into `(key, raw value)` pairs. Tolerates a
 /// missing or malformed file by returning what it could read. Values are
 /// matched by brace/bracket depth with string-literal awareness — enough
-/// for the bench-result files this crate itself writes.
+/// for the record files [`upsert_bench_json`] writes.
 fn parse_top_level(src: &str) -> Vec<(String, String)> {
     let mut entries = Vec::new();
     let bytes: Vec<char> = src.chars().collect();
@@ -135,13 +94,6 @@ fn parse_top_level(src: &str) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn duration_units() {
-        assert_eq!(fmt_duration(Duration::from_micros(500)), "500µs");
-        assert_eq!(fmt_duration(Duration::from_millis(12)), "12.0ms");
-        assert_eq!(fmt_duration(Duration::from_secs(3)), "3.00s");
-    }
 
     #[test]
     fn parse_sections_roundtrip() {

@@ -1,9 +1,8 @@
 //! Execution metrics collected by Skinner-C.
 //!
-//! These feed the paper's analysis figures: search-tree growth over time
-//! (Fig. 7a), the share of slices spent in the top-k join orders
-//! (Fig. 7b), and the memory footprint of the auxiliary data structures
-//! (Fig. 8).
+//! These feed the paper's analysis figures: the share of slices spent in
+//! the top-k join orders (Fig. 7b) and the memory footprint of the
+//! auxiliary data structures (Fig. 8).
 
 use skinner_query::TableId;
 use skinner_storage::FxHashMap;
@@ -73,8 +72,6 @@ pub struct ExecMetrics {
     pub postprocess_time: Duration,
     /// Selection count per join order (Fig. 7b).
     pub order_selections: FxHashMap<Vec<TableId>, u64>,
-    /// (slice index, UCT node count) samples (Fig. 7a).
-    pub tree_growth: Vec<(u64, usize)>,
     /// Final UCT tree node count (Fig. 8a).
     pub uct_nodes: usize,
     /// Final UCT tree bytes.

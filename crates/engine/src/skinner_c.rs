@@ -78,9 +78,6 @@ pub struct SkinnerCConfig {
     pub policy: OrderPolicy,
     /// RNG seed (UCT tie-breaking / random policy).
     pub seed: u64,
-    /// Sample the UCT tree size every this many slices (Fig. 7a);
-    /// 0 disables sampling.
-    pub tree_sample_every: u64,
 }
 
 impl Default for SkinnerCConfig {
@@ -94,7 +91,6 @@ impl Default for SkinnerCConfig {
             codegen: true,
             policy: OrderPolicy::Uct,
             seed: 0x5EED,
-            tree_sample_every: 64,
         }
     }
 }
@@ -493,10 +489,6 @@ impl SkinnerC {
             tracker.backup(&order, &state);
             *metrics.order_selections.entry(order).or_insert(0) += 1;
 
-            if cfg.tree_sample_every > 0 && metrics.slices.is_multiple_of(cfg.tree_sample_every) {
-                metrics.tree_growth.push((metrics.slices, tree.num_nodes()));
-            }
-
             // LIMIT pushdown: enough distinct tuples exist — a complete
             // join result is no longer needed.
             if !finished {
@@ -882,7 +874,6 @@ mod tests {
         let q = chain_query(&cat, 3);
         let out = SkinnerC::new(SkinnerCConfig {
             budget: 25,
-            tree_sample_every: 1,
             ..Default::default()
         })
         .run(&q);
@@ -891,7 +882,6 @@ mod tests {
         assert!(m.steps > 0);
         assert!(m.uct_nodes > 0);
         assert!(m.tracker_nodes > 0);
-        assert!(!m.tree_growth.is_empty());
         assert!(m.total_aux_bytes() > 0);
         assert!(m.top_k_share(100) > 0.99);
         assert_eq!(m.result_tuples as u64, out.result_count);

@@ -159,9 +159,10 @@ fn warm_answers_equal_cold_answers() {
                 warm.table.same_rows(&cold),
                 "template {template} round {round}: warm result differs from cold"
             );
-            if round > 0 {
-                assert!(warm.stats.cache_hit, "repeat execution missed the cache");
-            }
+            // The first execution runs cold; every repeat hits the
+            // cache and warm-starts from its snapshot.
+            assert_eq!(warm.stats.cache_hit, round > 0, "round {round}");
+            assert_eq!(warm.stats.warm_start, round > 0, "round {round}");
         }
     }
 }
