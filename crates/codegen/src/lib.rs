@@ -23,17 +23,18 @@
 //!   cache is byte-accounted and LRU-bounded, so a long-lived server
 //!   seeing unbounded shape diversity stays within budget.
 //!
-//! The engine (`skinner-engine`) selects between three execution tiers
-//! per join order — generic reference kernel → plan-bound kernel →
-//! compiled kernel. Every multi-table jump shape compiles: integer and
-//! float keys, fused composite keys ([`KernelJump::FusedEq`]), and
-//! string/nullable keys ([`KernelJump::KeyEq`], with an explicit
-//! null-reject), at any order length — the compiled kernel's cursor
-//! covers the whole order, so every time slice stops at its step budget.
-//! All tiers speak the [`ResultSink`] protocol defined here and produce
-//! byte-for-byte identical results; the differential properties in the
-//! workspace's `tests/property.rs` and `tests/fuzz_differential.rs`
-//! enforce that.
+//! The engine (`skinner-engine`) runs every order of
+//! [`MIN_KERNEL_TABLES`] or more tables on a compiled kernel and a
+//! single-table order on its plan-bound kernel; its generic reference
+//! kernel is the differential oracle. Every multi-table jump shape
+//! compiles: integer and float keys, fused composite keys
+//! ([`KernelJump::FusedEq`]), and string/nullable keys
+//! ([`KernelJump::KeyEq`], with an explicit null-reject), at any order
+//! length — the compiled kernel's cursor covers the whole order, so
+//! every time slice stops at its step budget. All three kernels speak
+//! the [`ResultSink`] protocol defined here and produce byte-for-byte
+//! identical results; the differential properties in the workspace's
+//! `tests/property.rs` and `tests/fuzz_differential.rs` enforce that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,14 +22,14 @@
 //! UCT → restore state → run the multi-way join for a fixed step budget →
 //! compute a progress-based reward → update UCT → back up state.
 //!
-//! Each chosen order executes on one of **three tiers** (see
-//! `ARCHITECTURE.md`): the generic reference kernel (differential
-//! oracle), the plan-bound kernel ([`OrderPlan`](prepare::OrderPlan):
-//! typed slices, direct index references), or — for supported shapes —
-//! a compiled kernel from [`skinner_codegen`] (one loop over the whole
-//! order at any arity, posting-list cursors, elided index-implied
-//! predicates). Tier selection is per order with automatic fallback;
-//! all tiers produce byte-for-byte identical results.
+//! Each chosen order is bound once into an
+//! [`OrderPlan`](prepare::OrderPlan) (typed slices, direct index
+//! references). An order of two or more tables then runs on a compiled
+//! kernel from [`skinner_codegen`] (one loop over the whole order at any
+//! arity, posting-list cursors, elided index-implied predicates); a
+//! single-table order runs on the plan-bound kernel. The generic
+//! reference kernel is the differential oracle; all three produce
+//! byte-for-byte identical results (see `ARCHITECTURE.md`).
 //!
 //! Beyond the paper's implementation, the join phase can run each slice
 //! across multiple workers by offset-range partitioning of the
@@ -64,7 +64,6 @@ pub use skinner_c::{
 };
 pub use skinner_codegen::{
     CompiledKernel, JumpKind, KernelCache, KernelCacheStats, KernelJump, KernelKey, KernelPosition,
-    DEFAULT_KERNEL_CACHE_CAPACITY,
 };
 // The persistent morsel pool and its schedule-perturbation test layer,
 // re-exported so drivers and test harnesses need no direct dependency.

@@ -35,11 +35,11 @@
 //! The pre-refactor interpreted kernel survives as
 //! [`MultiwayJoin::continue_join_generic`]: it re-resolves columns through
 //! [`CompiledPred::eval`](skinner_query::CompiledPred::eval) and probes
-//! the index map per advance. It is the differential-testing oracle and
-//! the baseline that `benches/join_inner_loop.rs` measures the
-//! specialized kernel against. The compiled kernel of `skinner-codegen`
-//! runs every order of two or more tables; vectorized join kernels and a
-//! JIT are parked in ROADMAP.md until a profile asks for them.
+//! the index map per advance. It is the differential-testing oracle. The
+//! compiled kernel of `skinner-codegen` runs every order of two or more
+//! tables and [`MultiwayJoin::continue_join`] the single-table ones;
+//! vectorized join kernels and a JIT are parked in ROADMAP.md until a
+//! profile asks for them.
 
 use crate::partition::{fold_outcomes, ChunkOutcome, PartitionSpec, WorkerScratch};
 use crate::prepare::{BoundPosition, OrderPlan, OrderSpec, PreparedQuery};
@@ -683,8 +683,7 @@ impl<'a> MultiwayJoin<'a> {
     /// but every predicate eval re-resolves its columns through
     /// [`CompiledPred::eval`](skinner_query::CompiledPred::eval) and
     /// every index jump probes the `(table, column)` index map. Kept as
-    /// the differential-testing oracle and the baseline for the
-    /// `join_inner_loop` benchmark.
+    /// the differential-testing oracle.
     #[allow(clippy::too_many_arguments)]
     pub fn continue_join_generic<R: ResultSink>(
         &mut self,

@@ -46,8 +46,8 @@ pub struct SkinnerCConfig {
     /// With parallel join workers the budget is divided across the
     /// slice's offset chunks, so a slice examines roughly `budget`
     /// tuples regardless of the worker count — larger budgets amortize
-    /// the per-slice thread-spawn cost and are recommended when
-    /// `threads > 1`.
+    /// the per-slice cost of handing morsels to the persistent pool and
+    /// are recommended when `threads > 1`.
     pub budget: u64,
     /// UCT exploration weight `w` (paper: 1e-6 for Skinner-C, whose
     /// fine-grained progress reward needs little forced exploration).
@@ -65,14 +65,6 @@ pub struct SkinnerCConfig {
     /// [`crate::partition`]). `1` reproduces the paper's sequential join
     /// phase exactly.
     pub threads: usize,
-    /// Execute join orders on the codegen tier (per-shape compiled
-    /// kernels, see `skinner-codegen`) instead of the plan-bound
-    /// kernel. Every multi-table jump shape compiles — integer, float,
-    /// fused composite, and string/nullable keys — at any order length,
-    /// as one kernel over the whole order. Results are identical in
-    /// every case (the differential properties enforce it), so this
-    /// switch only trades compilation for interpretation.
-    pub codegen: bool,
     /// Order selection policy (UCT, or uniform random for the Table 5
     /// ablation).
     pub policy: OrderPolicy,
@@ -88,7 +80,6 @@ impl Default for SkinnerCConfig {
             reward: RewardKind::ScaledDeltas,
             use_indexes: true,
             threads: 1,
-            codegen: true,
             policy: OrderPolicy::Uct,
             seed: 0x5EED,
         }
@@ -354,16 +345,15 @@ impl SkinnerC {
         // out of this run's delta.
         let spawns_before = join.pool_spawned();
         let replaced_before = join.pool_replaced();
-        // Per-order execution state: the bound plan plus, when the
-        // codegen tier is on and the shape is supported, the compiled
-        // kernel (tier three). Bound once per order, reused across every
-        // slice and partitioned chunk.
+        // Per-order execution state: the bound plan plus, for orders of
+        // two or more tables, the compiled kernel. Bound once per order,
+        // reused across every slice and partitioned chunk.
         let mut plan_cache: FxHashMap<Vec<TableId>, PlannedOrder<'_>> = FxHashMap::default();
         for order in opts.planned_orders {
             if is_permutation(order, m) && !plan_cache.contains_key(order.as_slice()) {
                 plan_cache.insert(
                     order.clone(),
-                    bind_order(&pq, cfg.codegen, opts.kernel_cache, order, &mut metrics),
+                    bind_order(&pq, opts.kernel_cache, order, &mut metrics),
                 );
             }
         }
@@ -431,7 +421,7 @@ impl SkinnerC {
             if !plan_cache.contains_key(order.as_slice()) {
                 plan_cache.insert(
                     order.clone(),
-                    bind_order(&pq, cfg.codegen, opts.kernel_cache, &order, &mut metrics),
+                    bind_order(&pq, opts.kernel_cache, &order, &mut metrics),
                 );
             }
             let planned = &plan_cache[order.as_slice()];
@@ -570,15 +560,15 @@ impl SkinnerC {
     }
 }
 
-/// One join order's bound execution state: the plan-bound tier plus the
-/// compiled tier when the shape supports it.
+/// One join order's bound execution state: the bound plan plus the
+/// compiled kernel over it (none for a single-table order).
 struct PlannedOrder<'a> {
     plan: OrderPlan<'a>,
     kernel: Option<CompiledKernel<'a>>,
 }
 
 impl PlannedOrder<'_> {
-    /// Run one slice on the compiled kernel when the shape has one,
+    /// Run one slice on the compiled kernel when the order has one,
     /// plan-bound otherwise.
     fn run_slice<R: ResultSink>(
         &self,
@@ -596,22 +586,21 @@ impl PlannedOrder<'_> {
     }
 }
 
-/// Bind one join order for execution: the plan-bound tier always, the
-/// compiled tier when codegen is on (counted into the metrics either
-/// way). Every multi-table shape compiles at any order length —
-/// integer, float, fused composite, and string/nullable keys — so
-/// `fallback_orders` only counts the reserved escape hatch no current
-/// binder produces. Single-table orders have no join loop to specialize
-/// and are not counted as fallbacks.
+/// Bind one join order for execution and compile every order of
+/// [`MIN_KERNEL_TABLES`](skinner_codegen::MIN_KERNEL_TABLES) or more
+/// tables (counted into the metrics). Every multi-table shape compiles
+/// at any order length — integer, float, fused composite, and
+/// string/nullable keys — so `fallback_orders` only counts the reserved
+/// escape hatch no current binder produces. A single-table order has no
+/// join loop to compile: it runs plan-bound and is not a fallback.
 fn bind_order<'p>(
     pq: &'p PreparedQuery,
-    codegen: bool,
     kernel_cache: Option<&KernelCache>,
     order: &[TableId],
     metrics: &mut ExecMetrics,
 ) -> PlannedOrder<'p> {
     let plan = pq.plan_order(order);
-    let kernel = (codegen && order.len() >= skinner_codegen::MIN_KERNEL_TABLES)
+    let kernel = (order.len() >= skinner_codegen::MIN_KERNEL_TABLES)
         .then(|| plan.compile_kernel(kernel_cache));
     match &kernel {
         Some(Some(_)) => metrics.codegen_orders += 1,
@@ -887,38 +876,67 @@ mod tests {
         assert_eq!(m.result_tuples as u64, out.result_count);
     }
 
+    /// The sorted distinct tuples of `q` from the plan-bound kernel alone:
+    /// `order` resumed slice by slice (`budget` steps, `threads` morsels
+    /// per slice) until exhausted.
+    fn plan_bound_tuples(
+        q: &Query,
+        order: &[TableId],
+        threads: usize,
+        budget: u64,
+    ) -> Vec<Vec<RowId>> {
+        let pq = PreparedQuery::new(q, true, 1);
+        let plan = pq.plan_order(order);
+        let mut join = MultiwayJoin::with_threads(&pq, threads);
+        let offsets = vec![0u32; q.num_tables()];
+        let mut state = offsets.clone();
+        let mut rs = ResultSet::new();
+        while join
+            .continue_join(order, &plan, &offsets, &mut state, budget, &mut rs)
+            .0
+            != ContinueResult::Exhausted
+        {}
+        let mut tuples: Vec<Vec<RowId>> = rs.iter().map(<[RowId]>::to_vec).collect();
+        tuples.sort();
+        tuples
+    }
+
+    /// Skinner-C's distinct tuples, sorted (stride = the query's tables).
+    fn sorted_tuples(out: &SkinnerOutcome) -> Vec<Vec<RowId>> {
+        let mut tuples: Vec<Vec<RowId>> = out
+            .tuples
+            .chunks_exact(out.num_tables)
+            .map(<[RowId]>::to_vec)
+            .collect();
+        tuples.sort();
+        tuples
+    }
+
     #[test]
-    fn codegen_tier_runs_and_can_be_disabled() {
+    fn codegen_tier_runs_and_agrees_with_plan_bound() {
         let cat = fk_catalog(64);
         let q = chain_query(&cat, 4);
         let expected = ground_truth(&q);
-        let on = SkinnerC::new(SkinnerCConfig {
-            budget: 100,
-            ..Default::default()
-        })
-        .run(&q);
-        assert_eq!(on.result_count, expected);
-        // Int FK chain: every order compiles.
-        assert!(on.metrics.codegen_orders > 0);
-        assert_eq!(on.metrics.fallback_orders, 0);
-        assert_eq!(on.metrics.codegen_slices, on.metrics.slices);
-
-        let off = SkinnerC::new(SkinnerCConfig {
-            budget: 100,
-            codegen: false,
-            ..Default::default()
-        })
-        .run(&q);
-        assert_eq!(off.result_count, expected);
-        assert_eq!(off.metrics.codegen_orders, 0);
-        assert_eq!(off.metrics.fallback_orders, 0);
-        assert_eq!(off.metrics.codegen_slices, 0);
-        // Same distinct tuples either way.
-        let mut a: Vec<&[u32]> = on.tuples.chunks_exact(4).collect();
-        let mut b: Vec<&[u32]> = off.tuples.chunks_exact(4).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        for threads in [1, 4] {
+            let out = SkinnerC::new(SkinnerCConfig {
+                budget: 64,
+                threads,
+                ..Default::default()
+            })
+            .run(&q);
+            assert_eq!(out.result_count, expected, "threads={threads}");
+            // Int FK chain: every order compiles.
+            assert!(out.metrics.codegen_orders > 0);
+            assert_eq!(out.metrics.fallback_orders, 0);
+            assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
+            // Same distinct tuples as the plan-bound kernel over the
+            // learned order.
+            assert_eq!(
+                sorted_tuples(&out),
+                plan_bound_tuples(&q, &out.final_order, threads, 64),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
@@ -1030,9 +1048,9 @@ mod tests {
     #[test]
     fn seven_table_chain_compiled_agrees_with_plan_bound_partitioned() {
         // The whole-order kernel under partitioning, checked
-        // byte-for-byte against the plan-bound tier on the same 7-table
+        // byte-for-byte against the plan-bound kernel on the same 7-table
         // query, with a budget small enough to force many
-        // suspend/resume cycles.
+        // suspend/resume cycles on both.
         let (_cat, q) = seven_table_chain();
         for threads in [1, 4] {
             let compiled = SkinnerC::new(SkinnerCConfig {
@@ -1041,20 +1059,10 @@ mod tests {
                 ..Default::default()
             })
             .run(&q);
-            let plan_bound = SkinnerC::new(SkinnerCConfig {
-                budget: 64,
-                threads,
-                codegen: false,
-                ..Default::default()
-            })
-            .run(&q);
             assert_eq!(compiled.result_count, 3 * 128, "threads={threads}");
-            assert_eq!(plan_bound.result_count, 3 * 128);
-            let mut a: Vec<&[u32]> = compiled.tuples.chunks_exact(7).collect();
-            let mut b: Vec<&[u32]> = plan_bound.tuples.chunks_exact(7).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "threads={threads}");
+            let plan_bound = plan_bound_tuples(&q, &compiled.final_order, threads, 64);
+            assert_eq!(plan_bound.len(), 3 * 128);
+            assert_eq!(sorted_tuples(&compiled), plan_bound, "threads={threads}");
             assert_eq!(compiled.metrics.fallback_orders, 0);
             assert_eq!(compiled.metrics.codegen_slices, compiled.metrics.slices);
         }

@@ -5,8 +5,7 @@
 //! partitioned join slice). Replaces per-slice `std::thread::scope`
 //! spawning: SkinnerDB switches join orders every few hundred steps, so
 //! any fixed per-slice overhead is paid thousands of times per query,
-//! and thread spawn/join was the dominant fixed cost
-//! (`BENCH_join.json` showed 1.13× at 4 threads before the pool).
+//! and thread spawn/join was the dominant fixed cost.
 //!
 //! ## Design
 //!

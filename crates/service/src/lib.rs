@@ -22,10 +22,10 @@
 //!   predicate shape, constants stripped) to the terminal UCT tree
 //!   snapshot and bound-order set of the last execution. A repeated
 //!   template **warm-starts**: the learner resumes from its priors and
-//!   converges in measurably fewer slices (see `exp_service` /
-//!   `BENCH_service.json`). Catalog mutations bump a version that
-//!   invalidates stale entries — warm answers are always byte-for-byte
-//!   equal to cold ones.
+//!   converges in measurably fewer slices (the `wire_warm` workload of
+//!   `benchmark/` reports the warm-start ratio). Catalog mutations bump a
+//!   version that invalidates stale entries — warm answers are always
+//!   byte-for-byte equal to cold ones.
 //! * Knowledge priors — when the exact-template cache misses, the
 //!   service consults a cross-query
 //!   [`KnowledgeStore`](skinner_knowledge::KnowledgeStore) of observed

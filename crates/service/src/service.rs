@@ -9,12 +9,12 @@
 //! across concurrent queries and within-query join partitioning alike.
 
 use crate::budget::{AdmissionError, CoreBudget};
-use crate::cache::{CacheStats, LearningCache, TableDeps, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{CacheStats, LearningCache, TableDeps};
 use skinner_core::{postprocess, project_tuple, MinMaxFold, QueryResult, RunStats};
 use skinner_engine::multiway::ResultSet;
 use skinner_engine::{
     Collector, KernelCache, KernelCacheStats, LearnedState, RunOptions, SkinnerC, SkinnerCConfig,
-    SkinnerOutcome, StopReason, WorkerPool, DEFAULT_KERNEL_CACHE_CAPACITY,
+    SkinnerOutcome, StopReason, WorkerPool,
 };
 use skinner_knowledge::{observe, KnowledgeConfig, KnowledgeStats, KnowledgeStore};
 use skinner_query::{parse, Query, QueryError, TemplateKey, UdfRegistry};
@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, Rw
 use std::time::{Duration, Instant};
 
 /// Service configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceConfig {
     /// Base Skinner-C configuration. `engine.threads` is the service's
     /// *total* core budget: an idle service hands it all to one query
@@ -36,17 +36,6 @@ pub struct ServiceConfig {
     /// Default per-query timeout (covers queueing and execution);
     /// `None` = unlimited. Individual executions may override it.
     pub default_timeout: Option<Duration>,
-    /// Enable the cross-query learning cache (on by default; disable to
-    /// reproduce the paper's from-scratch-per-query behaviour).
-    pub learning_cache: bool,
-    /// Maximum number of cached templates (LRU eviction past this;
-    /// default [`DEFAULT_CACHE_CAPACITY`]).
-    pub cache_capacity: usize,
-    /// Maximum total approximate bytes held by the learning cache
-    /// (`None` = unbounded). Exceeding it evicts least-recently-used
-    /// templates, so a byte budget can be enforced independently of the
-    /// entry count.
-    pub cache_max_bytes: Option<usize>,
     /// Default per-query cap on result-materialization bytes (the
     /// engine's flat tuple arena + dedup table), `None` = unbounded.
     /// Exceeding it degrades gracefully: a LIMIT-pushdown query keeps
@@ -58,37 +47,6 @@ pub struct ServiceConfig {
     /// ([`Query::folds_into_min_max`]), holds no arena and never trips
     /// the budget.
     pub max_result_bytes: Option<usize>,
-    /// Seed cold UCT trees with cross-query knowledge priors (on by
-    /// default; requires `learning_cache`). Priors only shift the
-    /// learner's exploration order — results are identical either way —
-    /// so disabling this reproduces fully cold first runs per template.
-    pub knowledge_priors: bool,
-    /// Maximum number of memoized kernel-shape resolutions (LRU
-    /// eviction past this; default
-    /// `skinner_engine::DEFAULT_KERNEL_CACHE_CAPACITY`). Entries are
-    /// tiny and data-independent, but a process-lifetime server must
-    /// stay bounded under adversarial shape diversity.
-    pub kernel_cache_capacity: usize,
-    /// Maximum total approximate bytes held by the kernel-shape cache
-    /// (`None` = bounded by `kernel_cache_capacity` alone), mirroring
-    /// [`ServiceConfig::cache_max_bytes`] for the learning cache.
-    pub kernel_cache_max_bytes: Option<usize>,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            engine: SkinnerCConfig::default(),
-            default_timeout: None,
-            learning_cache: true,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-            cache_max_bytes: None,
-            max_result_bytes: None,
-            knowledge_priors: true,
-            kernel_cache_capacity: DEFAULT_KERNEL_CACHE_CAPACITY,
-            kernel_cache_max_bytes: None,
-        }
-    }
 }
 
 /// Errors surfaced to service clients.
@@ -168,10 +126,6 @@ pub struct ExecuteOptions {
     /// Override the service default result-byte budget
     /// ([`ServiceConfig::max_result_bytes`]) for this execution.
     pub max_result_bytes: Option<usize>,
-    /// Skip knowledge-prior seeding for this execution even when
-    /// [`ServiceConfig::knowledge_priors`] is on (results are identical
-    /// either way; this forces the fully cold exploration path).
-    pub disable_priors: bool,
 }
 
 /// Monotonic service-wide counters.
@@ -361,12 +315,9 @@ impl QueryService {
                 table_versions: FxHashMap::default(),
             }),
             udfs,
-            cache: LearningCache::with_limits(config.cache_capacity, config.cache_max_bytes),
+            cache: LearningCache::new(),
             knowledge: Mutex::new(KnowledgeStore::new(KnowledgeConfig::default())),
-            kernels: KernelCache::with_limits(
-                config.kernel_cache_capacity,
-                config.kernel_cache_max_bytes,
-            ),
+            kernels: KernelCache::new(),
             budget,
             pool,
             queries: AtomicU64::new(0),
@@ -572,25 +523,10 @@ impl QueryService {
         Ok((query, deps, start))
     }
 
-    /// Is every table of `query` the exact `Arc` currently registered?
-    /// A pre-built query bound to since-replaced tables must not consume
-    /// or produce learning-cache entries: it executes old data, and
-    /// tagging its learned state with the current version would poison
-    /// warm starts over the new data.
-    fn query_is_current(&self, query: &Query) -> (bool, TableDeps) {
-        let st = self.catalog_read();
-        let current = query.tables.iter().all(|b| {
-            st.catalog
-                .get(b.table.name())
-                .is_ok_and(|t| Arc::ptr_eq(&t, &b.table))
-        });
-        (current, st.deps_of(query))
-    }
-
     fn execute_inner(&self, sql: &str, opts: &ExecuteOptions) -> Result<QueryResult, ServiceError> {
         self.isolated(|| {
             let (query, deps, start) = self.parse_sql(sql)?;
-            self.execute_query(&query, &deps, opts, start, true)
+            self.execute_parsed(&query, &deps, opts, start)
         })
     }
 
@@ -614,7 +550,7 @@ impl QueryService {
     }
 
     /// Run the join phase of `query` into `sink` through admission, the
-    /// learning cache (when `use_learning`), and the engine's per-run
+    /// learning cache and the knowledge store, and the engine's per-run
     /// controls. Returns the raw outcome plus `RunStats` with everything
     /// except `postprocess`/`total` filled in (the caller finalizes those
     /// around its own materialization or streaming).
@@ -624,21 +560,15 @@ impl QueryService {
         deps: &TableDeps,
         opts: &ExecuteOptions,
         start: Instant,
-        use_learning: bool,
         sink: &mut S,
     ) -> Result<(SkinnerOutcome, RunStats), ServiceError> {
-        let use_learning = use_learning && self.config.learning_cache;
-        let key = use_learning.then(|| TemplateKey::of(query));
-        let cached = key.as_ref().and_then(|key| self.cache.lookup(key, deps));
+        let key = TemplateKey::of(query);
+        let cached = self.cache.lookup(&key, deps);
 
         // No exact-template entry: ask the knowledge store for coarse
         // cross-query priors (an exact snapshot always wins — the
         // engine ignores `arm_priors` when a `prior` is present).
-        let priors = if cached.is_none()
-            && use_learning
-            && self.config.knowledge_priors
-            && !opts.disable_priors
-        {
+        let priors = if cached.is_none() {
             self.knowledge().seed(query, deps)
         } else {
             None
@@ -695,7 +625,7 @@ impl QueryService {
             deadline,
             target_rows: query.join_limit(),
             max_result_bytes: opts.max_result_bytes.or(self.config.max_result_bytes),
-            capture_learning: use_learning,
+            capture_learning: true,
             kernel_cache: Some(&self.kernels),
             pool: Some(self.pool.clone()),
         };
@@ -742,7 +672,7 @@ impl QueryService {
         // state is sound at every slice boundary), so even a
         // memory-exceeded run warms its template — a retry with a bigger
         // budget converges faster.
-        if let (Some(key), Some(learning)) = (key, out.learning.take()) {
+        if let Some(learning) = out.learning.take() {
             self.cache.store(key, deps.clone(), learning);
         }
         // Feed the knowledge store: selectivity and edge-reward
@@ -754,7 +684,7 @@ impl QueryService {
         // to 0/1 — zero-exploration evidence that drowns out the
         // balanced shares cold runs contribute and flips rankings on
         // templates the store has never seen.
-        if use_learning && self.config.knowledge_priors && !warm_start {
+        if !warm_start {
             let obs = observe(query, deps, &out.metrics);
             self.knowledge().record(&obs);
         }
@@ -787,21 +717,20 @@ impl QueryService {
     /// ([`Query::folds_into_min_max`]) folds into a [`MinMaxFold`] while
     /// the join runs, every other query is post-processed from its
     /// distinct join tuples.
-    fn execute_query(
+    fn execute_parsed(
         &self,
         query: &Query,
         deps: &TableDeps,
         opts: &ExecuteOptions,
         start: Instant,
-        use_learning: bool,
     ) -> Result<QueryResult, ServiceError> {
         if query.folds_into_min_max() {
             let mut fold = MinMaxFold::new(query);
-            let (_, stats) = self.run_query(query, deps, opts, start, use_learning, &mut fold)?;
+            let (_, stats) = self.run_query(query, deps, opts, start, &mut fold)?;
             return Ok(QueryResult::finish(start, stats, || fold.finish()));
         }
         let mut results = ResultSet::new();
-        let (out, stats) = self.run_query(query, deps, opts, start, use_learning, &mut results)?;
+        let (out, stats) = self.run_query(query, deps, opts, start, &mut results)?;
         Ok(QueryResult::finish(start, stats, || {
             postprocess(query, &out.tuples)
         }))
@@ -848,32 +777,6 @@ impl Session {
         self.service.execute_inner(sql, opts)
     }
 
-    /// Execute a pre-built [`Query`] (bypassing the SQL parser — the
-    /// entry point for programmatic workloads). Admission, LIMIT
-    /// pushdown and the template cache behave exactly as for SQL text —
-    /// *unless* the query's tables are no longer the ones currently
-    /// registered (it was built before a catalog update): then it
-    /// executes against its own (old) table snapshots with the learning
-    /// cache bypassed, so stale data can neither consume nor produce
-    /// cache entries.
-    pub fn execute_query(&mut self, query: &Query) -> Result<QueryResult, ServiceError> {
-        self.execute_query_with(query, &ExecuteOptions::default())
-    }
-
-    /// [`execute_query`](Session::execute_query) with per-query options.
-    pub fn execute_query_with(
-        &mut self,
-        query: &Query,
-        opts: &ExecuteOptions,
-    ) -> Result<QueryResult, ServiceError> {
-        self.queries += 1;
-        let service = &self.service;
-        service.isolated(|| {
-            let (current, deps) = service.query_is_current(query);
-            service.execute_query(query, &deps, opts, Instant::now(), current)
-        })
-    }
-
     /// Execute `sql`, delivering result rows through `on_row` one at a
     /// time; `on_row` returning `false` stops delivery. For queries
     /// whose join tuples map 1:1 to output rows (no aggregates, GROUP
@@ -918,7 +821,7 @@ impl Session {
                 && query.order_by.is_empty()
                 && !query.distinct;
             if !streamable {
-                let result = service.execute_query(&query, &deps, opts, start, true)?;
+                let result = service.execute_parsed(&query, &deps, opts, start)?;
                 for row in &result.table.rows {
                     if !on_row(row) {
                         break;
@@ -927,8 +830,7 @@ impl Session {
                 return Ok(result.stats);
             }
             let mut results = ResultSet::new();
-            let (out, mut stats) =
-                service.run_query(&query, &deps, opts, start, true, &mut results)?;
+            let (out, mut stats) = service.run_query(&query, &deps, opts, start, &mut results)?;
             let post_start = Instant::now();
             let tables: Vec<TableRef> = query.tables.iter().map(|b| b.table.clone()).collect();
             let m = out.num_tables.max(1);
@@ -1134,52 +1036,35 @@ mod tests {
         assert!(!seeded.stats.warm_start);
         assert_eq!(svc.stats().prior_seeded, 1);
 
-        // The exact template repeats: the snapshot wins over priors.
+        // The exact template repeats: the snapshot wins over priors, and
+        // the warm-started run records nothing (its replayed tree's edge
+        // shares are zero-exploration evidence).
+        let records = svc.stats().knowledge.records;
         let warm = s
             .execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND b.v < 99")
             .expect("warm");
         assert!(warm.stats.warm_start);
         assert!(!warm.stats.prior_seeded);
         assert_eq!(svc.stats().prior_seeded, 1, "warm start must not seed");
+        assert_eq!(
+            svc.stats().knowledge.records,
+            records,
+            "warm start must not record"
+        );
         assert_eq!(warm.table.rows[0][0], seeded.table.rows[0][0]);
 
-        // Per-execution opt-out forces the fully cold path.
+        // The held-out template's first run on a fresh service is cold
+        // (its store is empty), records what it observed, and answers as
+        // the seeded run did.
         let cold_svc = QueryService::over(catalog());
-        let mut cs = cold_svc.session();
-        cs.execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.v < 60")
-            .expect("train");
-        let cold = cs
-            .execute_with(
-                sql,
-                &ExecuteOptions {
-                    disable_priors: true,
-                    ..Default::default()
-                },
-            )
-            .expect("cold");
+        let cold = cold_svc.session().execute(sql).expect("cold");
         assert!(!cold.stats.prior_seeded);
-        assert_eq!(cold.table.rows[0][0], seeded.table.rows[0][0]);
-    }
-
-    #[test]
-    fn knowledge_priors_config_off_disables_seeding() {
-        let svc = QueryService::new(
-            catalog(),
-            UdfRegistry::new(),
-            ServiceConfig {
-                knowledge_priors: false,
-                ..Default::default()
-            },
+        assert!(!cold.stats.warm_start);
+        assert!(
+            cold_svc.stats().knowledge.records > 0,
+            "cold run must record"
         );
-        let mut s = svc.session();
-        s.execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.v < 60")
-            .expect("first");
-        assert!(svc.knowledge().is_empty(), "recording must be off too");
-        let r = s
-            .execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND b.v < 100")
-            .expect("second");
-        assert!(!r.stats.prior_seeded);
-        assert_eq!(svc.stats().prior_seeded, 0);
+        assert_eq!(cold.table.rows[0][0], seeded.table.rows[0][0]);
     }
 
     #[test]
@@ -1268,58 +1153,6 @@ mod tests {
         assert_eq!(r.table.num_rows(), 3);
         assert_eq!(r.stats.stop, Some(StopReason::RowTarget));
         assert_eq!(svc.stats().limit_pushdowns, 1);
-    }
-
-    #[test]
-    fn stale_prebuilt_query_bypasses_learning_cache() {
-        use skinner_query::{AggFunc, QueryBuilder};
-        let svc = QueryService::over(catalog());
-        // Build a Query bound to the *current* table Arcs.
-        let snapshot = svc.catalog();
-        let mut qb = QueryBuilder::new(&snapshot);
-        qb.table("a").unwrap();
-        qb.table("b").unwrap();
-        let j = qb.col("a.k").unwrap().eq(qb.col("b.k").unwrap());
-        qb.filter(j);
-        qb.select_agg(AggFunc::Count, None, "n");
-        let query = qb.build().unwrap();
-
-        // Replace "b" AFTER the query was built: the query now holds a
-        // stale Arc.
-        svc.register_table(
-            Table::new(
-                "b",
-                Schema::new([
-                    ColumnDef::new("k", ValueType::Int),
-                    ColumnDef::new("v", ValueType::Int),
-                ]),
-                vec![Column::from_ints(vec![0]), Column::from_ints(vec![0])],
-            )
-            .unwrap(),
-        );
-
-        let mut s = svc.session();
-        let r = s.execute_query(&query).expect("stale query");
-        // Snapshot semantics: the answer reflects the OLD b (32 rows, 4
-        // per key → 64 * 4 matches), not the replacement.
-        assert_eq!(r.table.rows[0][0], Value::Int(64 * 4));
-        // And stale data neither consumed nor produced cache entries.
-        assert!(!r.stats.cache_hit);
-        assert!(svc.learning_cache().is_empty(), "stale learning stored");
-
-        // A query bound to the live catalog caches normally.
-        let live = svc.catalog();
-        let mut qb = QueryBuilder::new(&live);
-        qb.table("a").unwrap();
-        qb.table("b").unwrap();
-        let j = qb.col("a.k").unwrap().eq(qb.col("b.k").unwrap());
-        qb.filter(j);
-        qb.select_agg(AggFunc::Count, None, "n");
-        let query = qb.build().unwrap();
-        let r = s.execute_query(&query).expect("live query");
-        assert_eq!(r.table.rows[0][0], Value::Int(8)); // a has 8 rows with k=0
-        assert_eq!(svc.learning_cache().len(), 1);
-        assert!(s.execute_query(&query).expect("repeat").stats.cache_hit);
     }
 
     #[test]

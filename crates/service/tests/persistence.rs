@@ -8,10 +8,9 @@
 //! hit with a warm start, and (b) answer byte-for-byte what the first
 //! service answered.
 
-use skinner_engine::SkinnerCConfig;
-use skinner_service::{
-    knowledge_path, CachePersister, ExecuteOptions, QueryService, ServiceConfig,
-};
+use skinner_engine::{SkinnerC, SkinnerCConfig};
+use skinner_knowledge::observe;
+use skinner_service::{knowledge_path, CachePersister, QueryService, ServiceConfig};
 use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, ValueType};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -322,32 +321,36 @@ fn restored_knowledge_speeds_up_held_out_templates() {
     // fewer slices than a cold service. Measured at a 4-core budget:
     // 4 of 4 improve (1 of 4 at one core).
     let wl = skinner_workloads::job::generate(0.03, 42);
+    let engine = SkinnerCConfig {
+        budget: 64,
+        threads: 4,
+        ..Default::default()
+    };
     let fresh = || {
         QueryService::new(
             wl.catalog.clone(),
             skinner_query::UdfRegistry::new(),
             ServiceConfig {
-                engine: SkinnerCConfig {
-                    budget: 64,
-                    threads: 4,
-                    ..Default::default()
-                },
+                engine,
                 ..Default::default()
             },
         )
     };
-    // Train without priors, so each template's observations come from
-    // its own exploration rather than from earlier templates' priors.
+    // Train on cold runs, so each template's observations come from its
+    // own exploration rather than from earlier templates' priors. No
+    // table was replaced: every dependency is at version 0.
     let trainer = fresh();
-    let train = ExecuteOptions {
-        disable_priors: true,
-        ..Default::default()
-    };
-    let mut session = trainer.session();
     for nq in &wl.queries {
-        session
-            .execute_query_with(&nq.query, &train)
-            .expect("train");
+        let out = SkinnerC::new(engine).run(&nq.query);
+        let deps: Vec<(String, u64)> = nq
+            .query
+            .tables
+            .iter()
+            .map(|b| (b.table.name().to_string(), 0))
+            .collect();
+        trainer
+            .knowledge()
+            .record(&observe(&nq.query, &deps, &out.metrics));
     }
     let path = tmp("held-out-knowledge.bin");
     trainer.save_knowledge(&path).expect("save");

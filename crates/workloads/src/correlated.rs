@@ -278,9 +278,8 @@ fn queries(catalog: &Catalog, epoch: i64, span: i64) -> Vec<NamedQuery> {
 /// The c01 composite join rewritten so only a **single-column** jump
 /// exists: the `person_id` equality becomes a `<= AND >=` residual pair,
 /// which no index accelerates but which is semantically identical.
-/// This is the pre-composite execution shape — the baseline both the
-/// step-count test below and `benches/join_composite.rs` measure the
-/// fused composite jump against.
+/// This is the pre-composite execution shape — the baseline the
+/// step-count test below measures the fused composite jump against.
 pub fn single_key_variant(catalog: &Catalog) -> Query {
     let mut qb = QueryBuilder::new(catalog);
     qb.table("appearance").expect("appearance");

@@ -625,7 +625,6 @@ proptest! {
     #[test]
     fn fuzz_prior_seeded_matches_cold(
         (_cat, q) in arb_fuzz_case(),
-        codegen in any::<bool>(),
     ) {
         // Knowledge-prior differential: run cold, feed the run's observed
         // selectivities and join-edge rewards through the knowledge store
@@ -633,8 +632,7 @@ proptest! {
         // query with the seeded arm priors. Optimistic initialization
         // only reorders exploration — it never prunes an arm — so the
         // prior-seeded run must produce the exact tuple set of the cold
-        // run, on every tier (sequential, partitioned via
-        // SKINNER_TEST_THREADS, codegen on and off).
+        // run, sequential and partitioned (via SKINNER_TEST_THREADS).
         use skinnerdb::engine::{RunOptions, StopReason};
         use skinnerdb::knowledge::{observe, KnowledgeConfig, KnowledgeStore};
 
@@ -645,7 +643,6 @@ proptest! {
         let engine = SkinnerC::new(SkinnerCConfig {
             budget: 16,
             threads,
-            codegen,
             ..Default::default()
         });
         let cold = engine.run_with(&q, &RunOptions::default());
@@ -683,7 +680,7 @@ proptest! {
         seeded_tuples.sort();
         prop_assert_eq!(
             seeded_tuples, cold_tuples,
-            "prior-seeded run diverged from cold run (codegen {})", codegen
+            "prior-seeded run diverged from cold run"
         );
     }
 
