@@ -8,9 +8,7 @@
 //!   same storage/predicate substrate as Skinner-C,
 //! * [`reopt`] — sampling-based re-optimization [Wu et al., SIGMOD'16]:
 //!   validate the optimizer's cardinality estimates on a sample, correct
-//!   them, and re-optimize before full execution,
-//! * [`random_order`] — Skinner-C's slicing machinery with uniform-random
-//!   join-order selection instead of UCT (the Table 5 ablation).
+//!   them, and re-optimize before full execution.
 //!
 //! All baselines count predicate evaluations so Figure 11 can compare
 //! optimizers by an engine-independent effort metric.
@@ -19,9 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod eddy;
-pub mod random_order;
 pub mod reopt;
 
 pub use eddy::{Eddy, EddyConfig, EddyOutcome};
-pub use random_order::run_random_skinner;
 pub use reopt::{ReoptConfig, Reoptimizer};

@@ -5,7 +5,7 @@
 //! table/column/index indirection at plan time, but its inner loop is
 //! still one generic routine: each tuple advance re-dispatches on
 //! `Option<BoundJump>` and the `KeyCol` variant, and each index jump
-//! re-probes the hash map and binary-searches the posting list. The
+//! re-probes the join index and binary-searches the posting list. The
 //! kernel here goes the rest of the way to the paper's §6 compilation:
 //!
 //! * **Whole orders of any arity** — one kernel covers every position of
@@ -18,9 +18,11 @@
 //!   later advance at that position is dispatch-free (it only branches
 //!   on whether the cursor walks postings or scans).
 //! * **Postings cursors** — descending into an index-driven position
-//!   probes the hash index **once** for the current predecessor key and
-//!   then walks the sorted posting list with a cursor; every subsequent
-//!   advance is `list[idx++]` instead of probe + binary search.
+//!   probes the join index **once** for the current predecessor key (an
+//!   offset-array lookup for dense keys, a hash-map lookup otherwise)
+//!   and then walks the sorted posting list with a cursor; every
+//!   subsequent advance is `list[idx++]` instead of probe + binary
+//!   search.
 //! * **Equality-predicate elision** — integer join keys are exact (the
 //!   join key *is* the value), so candidates drawn from the posting list
 //!   provably satisfy the driving equality predicate; the kernel

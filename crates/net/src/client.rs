@@ -194,13 +194,6 @@ impl NetClient {
         self.send(&Message::Cancel { id })
     }
 
-    /// The id the *next* [`query`](NetClient::query) call will use
-    /// (for pairing with [`cancel`](NetClient::cancel) from another
-    /// handle).
-    pub fn next_query_id(&self) -> u64 {
-        self.next_id
-    }
-
     /// Fetch the server's counters.
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
         self.send(&Message::StatsRequest)?;

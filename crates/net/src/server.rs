@@ -33,12 +33,12 @@
 //!
 //! # Shutdown
 //!
-//! Raising the [`ShutdownFlag`] (admin `Shutdown` frame, or the
-//! embedding binary) stops the accept loop; each executor notices at
-//! its next poll tick, finishes its in-flight query, sends `Goodbye`,
-//! and exits; the accept loop joins every connection thread before
-//! returning — the caller can then flush caches knowing nothing is in
-//! flight.
+//! Raising the [`ShutdownFlag`] (an admin `Shutdown` frame, or
+//! [`NetServer::shutdown`] from the embedding binary) stops the accept
+//! loop; each executor notices at its next poll tick, finishes its
+//! in-flight query, sends `Goodbye`, and exits; the accept loop joins
+//! every connection thread before returning — the caller can then flush
+//! caches knowing nothing is in flight.
 
 use crate::frame::{read_frame, write_frame, PROTOCOL_VERSION};
 use crate::listener::{serve_accept_loop, ShutdownFlag};
@@ -151,13 +151,8 @@ impl NetServer {
         self.addr
     }
 
-    /// The server's shutdown flag (raise it from anywhere to drain).
-    pub fn shutdown_flag(&self) -> ShutdownFlag {
-        self.shutdown.clone()
-    }
-
-    /// Block until the server has drained and exited (something else —
-    /// an admin `Shutdown` frame, a raised flag — must stop it).
+    /// Block until the server has drained and exited (an admin
+    /// `Shutdown` frame must stop it).
     pub fn join(mut self) -> io::Result<()> {
         self.join_inner()
     }

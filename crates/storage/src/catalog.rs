@@ -25,11 +25,6 @@ impl Catalog {
         self.tables.insert(name, Arc::new(table))
     }
 
-    /// Register an already-shared table.
-    pub fn register_ref(&mut self, table: TableRef) -> Option<TableRef> {
-        self.tables.insert(table.name().to_string(), table)
-    }
-
     /// Fetch a table by name.
     pub fn get(&self, name: &str) -> Result<TableRef, StorageError> {
         self.tables

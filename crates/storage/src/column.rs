@@ -330,13 +330,6 @@ impl Column {
         }
     }
 
-    /// Attach a validity bitmap (`true` = valid). Length must match.
-    pub fn with_validity(mut self, validity: Bitmap) -> Column {
-        assert_eq!(validity.len(), self.len(), "validity length mismatch");
-        self.validity = Some(validity);
-        self
-    }
-
     /// Gather the rows at `positions` into a new column (used by the
     /// simulated engines when materializing intermediate results).
     pub fn gather(&self, positions: &[u32]) -> Column {

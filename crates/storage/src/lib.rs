@@ -14,9 +14,11 @@
 //! * [`Table`] / [`Schema`] — named collections of equal-length columns,
 //!   each column with a write-once slot for its base-row join index,
 //! * [`Catalog`] — a named registry of tables shared between engines,
-//! * [`index::HashIndex`] — value → sorted-posting-list hash indexes that
+//! * [`index::HashIndex`] — value → sorted-posting-list join indexes that
 //!   support the "jump to the next tuple index ≥ i that satisfies the
-//!   equality predicate" probe used by the multi-way join (§4.5),
+//!   equality predicate" probe used by the multi-way join (§4.5): an
+//!   offset array indexed by `key − min` when the keys span at most
+//!   twice as many values as there are rows, a hash map otherwise,
 //! * [`hash`] — a vendored FxHash-style hasher used on all hot paths
 //!   (row-id sets, result dedup, index probes),
 //! * [`codec`] — the one little-endian, checksummed record codec shared

@@ -159,22 +159,6 @@ impl Value {
         }
     }
 
-    /// Day count, if this is a `Date`.
-    pub fn as_date_days(&self) -> Option<i64> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
-    /// Day span, if this is an `Interval`.
-    pub fn as_interval_days(&self) -> Option<i64> {
-        match self {
-            Value::Interval(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// SQL truthiness: NULL and zero are false.
     pub fn is_truthy(&self) -> bool {
         match self {

@@ -21,12 +21,6 @@ impl JoinOrderSpace {
         }
     }
 
-    /// Build from a pre-computed join graph.
-    pub fn from_graph(graph: JoinGraph) -> JoinOrderSpace {
-        let num_tables = graph.num_tables();
-        JoinOrderSpace { graph, num_tables }
-    }
-
     /// The underlying join graph.
     pub fn graph(&self) -> &JoinGraph {
         &self.graph

@@ -66,14 +66,14 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`storage`] | column store, catalog, hash indexes |
+//! | [`storage`] | column store, catalog, join indexes (offset array for dense keys, hash map otherwise), the record codec |
 //! | [`query`] | expressions, UDFs, SQL parser, join graphs |
 //! | [`uct`] | the UCT bandit-tree learner |
 //! | [`engine`] | Skinner-C: specialized multi-way join, compiled kernels per join order, parallel partitioned slices, progress sharing (§4.5) |
-//! | [`codegen`] | per-query compiled join kernels (§6): shape keys, const-generic kernels, cross-query kernel cache |
+//! | [`codegen`] | per-query compiled join kernels (§6): shape keys, one runtime-arity kernel per join order, cross-query kernel cache |
 //! | [`simdb`] | simulated traditional engines + optimizer + C_out oracle |
 //! | [`core`] | Skinner-G/H, pyramid timeouts, post-processing, facade |
-//! | [`baselines`] | Eddies, re-optimizer, random orders |
+//! | [`baselines`] | Eddies, re-optimizer |
 //! | [`workloads`] | JOB-like, TPC-H dbgen-lite, torture + NULL/string + wide/Float benchmarks |
 //! | [`knowledge`] | cross-query knowledge store: fingerprinted selectivity/join-edge statistics seeding cold UCT trees |
 //! | [`service`] | concurrent query service: sessions, core-budget admission, cross-query learning cache, `skinner-repl` |

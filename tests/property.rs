@@ -11,7 +11,10 @@
 //! * the progress tracker never loses results under arbitrary
 //!   slice/order interleavings,
 //! * the pyramid timeout scheme keeps its Lemma 5.4/5.5 guarantees for
-//!   arbitrary iteration counts.
+//!   arbitrary iteration counts,
+//! * a join index answers `probe` and `next_ge` like a `BTreeMap` oracle
+//!   in both its layouts (dense offset array, hash map), over Int and
+//!   Date, nullable, filtered, empty and single-key columns.
 //!
 //! `SKINNER_TEST_THREADS` (default 1) sets the Skinner-C worker count for
 //! the end-to-end properties, so CI can run the whole suite once with a
@@ -23,7 +26,7 @@ use skinnerdb::engine::multiway::{ContinueResult, ResultSet};
 use skinnerdb::engine::{CompiledKernel, MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig};
 use skinnerdb::prelude::*;
 use skinnerdb::query::{compile_predicates, BoundPred, JoinGraph, TableSet};
-use skinnerdb::storage::ColumnBuilder;
+use skinnerdb::storage::{ColumnBuilder, HashIndex};
 use std::sync::Arc;
 
 /// Skinner-C worker threads for the end-to-end properties (CI runs the
@@ -948,6 +951,101 @@ proptest! {
                             order, indexes, budget, workers
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn join_index_matches_btreemap_oracle(seed in any::<u64>()) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        use std::collections::BTreeMap;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rows = rng.gen_range(0..41usize);
+        // Key shapes on both sides of the 2n rule: dense (from a base
+        // that may be negative or at either end of i64), a single key,
+        // sparse, and sparse with the i64 extremes.
+        let shape = rng.gen_range(0..4);
+        let base = [0, -1_000, i64::MIN, i64::MAX - 64][rng.gen_range(0..4)];
+        let width = rng.gen_range(1..rows as i64 + 2);
+        let single = rng.next_u64() as i64;
+        let keys: Vec<Option<i64>> = (0..rows)
+            .map(|_| {
+                if rng.gen_bool(0.2) {
+                    return None;
+                }
+                Some(match shape {
+                    0 => base + rng.gen_range(0..width),
+                    1 => single,
+                    2 => rng.next_u64() as i64,
+                    _ => [i64::MIN, i64::MAX, 0][rng.gen_range(0..3)],
+                })
+            })
+            .collect();
+        // Without a NULL the column is non-nullable and is read as a raw
+        // slice; with one it goes through `from_keys`.
+        let ty = if rng.gen_bool(0.5) { ValueType::Int } else { ValueType::Date };
+        let nulls = keys.contains(&None);
+        let col = if nulls {
+            let mut b = ColumnBuilder::new(ty);
+            for k in &keys {
+                b.push(&match (k, ty) {
+                    (None, _) => Value::Null,
+                    (Some(k), ValueType::Int) => Value::Int(*k),
+                    (Some(k), _) => Value::Date(*k),
+                });
+            }
+            b.finish()
+        } else {
+            let vals = keys.iter().flatten().copied().collect();
+            if ty == ValueType::Int { Column::from_ints(vals) } else { Column::from_dates(vals) }
+        };
+        prop_assert_eq!(col.nullable(), nulls);
+        let positions: Option<Vec<u32>> = rng
+            .gen_bool(0.5)
+            .then(|| (0..rows as u32).filter(|_| rng.gen_bool(0.6)).collect());
+        let entries: Vec<Option<i64>> = match &positions {
+            Some(p) => p.iter().map(|&r| keys[r as usize]).collect(),
+            None => keys.clone(),
+        };
+        let mut oracle: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
+        for (i, k) in entries.iter().enumerate() {
+            if let Some(k) = k {
+                oracle.entry(*k).or_default().push(i as u32);
+            }
+        }
+
+        let built = HashIndex::build(&col, positions.as_deref());
+        let from_keys = HashIndex::from_keys(&entries);
+        for idx in [&built, &from_keys] {
+            prop_assert_eq!(idx.len(), entries.iter().flatten().count());
+            prop_assert_eq!(idx.is_empty(), oracle.is_empty());
+            prop_assert_eq!(idx.distinct_keys(), oracle.len());
+            for (&k, list) in &oracle {
+                prop_assert_eq!(idx.probe(k), list.as_slice());
+                for min in 0..entries.len() as u32 + 2 {
+                    prop_assert_eq!(idx.next_ge(k, min), list.iter().copied().find(|&p| p >= min));
+                }
+            }
+            let (lo, hi) = (oracle.keys().next(), oracle.keys().next_back());
+            let edges = [
+                lo.and_then(|k| k.checked_sub(1)),
+                hi.and_then(|k| k.checked_add(1)),
+                Some(i64::MIN),
+                Some(i64::MAX),
+                Some(single),
+            ];
+            for k in edges.into_iter().flatten() {
+                let want = oracle.get(&k).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(idx.probe(k), want);
+                prop_assert_eq!(idx.next_ge(k, 0), want.first().copied());
+            }
+            // The holes inside a dense span.
+            if let (Some(&lo), Some(&hi)) = (lo, hi) {
+                for k in (lo..=hi).take(2 * rows + 2) {
+                    let want = oracle.get(&k).map_or(&[][..], Vec::as_slice);
+                    prop_assert_eq!(idx.probe(k), want);
                 }
             }
         }
