@@ -140,8 +140,7 @@ pub struct KernelPosition<'a> {
 /// A join order compiled into a specialized kernel: one position per
 /// join-order position. Borrows the prepared query's column slices and
 /// indexes (same lifetime discipline as the engine's bound `OrderPlan`);
-/// build one per (query, order) and reuse it across every time slice and
-/// every partitioned chunk.
+/// build one per (query, order) and reuse it across every time slice.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel<'a> {
     key: KernelKey,
@@ -173,36 +172,21 @@ impl<'a> CompiledKernel<'a> {
         &self.positions
     }
 
-    /// The left-most table's id.
-    pub fn table0(&self) -> usize {
-        self.positions[0].table
-    }
-
-    /// The left-most table's filtered cardinality (the `end0` a
-    /// sequential caller passes to [`run`](CompiledKernel::run)).
-    pub fn card0(&self) -> u32 {
-        self.positions[0].card
-    }
-
     /// Execute the compiled kernel from cursor `state` (indexed by table
-    /// id, filtered positions) for at most `budget` outer-loop steps,
-    /// with the left-most coordinate bounded by `end0` (sequential
-    /// callers pass [`card0`](CompiledKernel::card0); partitioned chunk
-    /// workers pass their chunk's upper bound). Result tuples go to
-    /// `results`; `offsets` are the global per-table floors; `rows` is
-    /// the caller's per-table base-row scratch. Semantics — including
-    /// the suspend/resume cursor contract and emit order — match the
-    /// engine's plan-bound kernel exactly.
+    /// id, filtered positions) for at most `budget` outer-loop steps.
+    /// Result tuples go to `results`; `offsets` are the global per-table
+    /// floors; `rows` is the caller's per-table base-row scratch.
+    /// Semantics — including the suspend/resume cursor contract and emit
+    /// order — match the engine's plan-bound kernel exactly.
     pub fn run<R: ResultSink>(
         &self,
         offsets: &[u32],
         state: &mut [u32],
         budget: u64,
-        end0: u32,
         rows: &mut [RowId],
         results: &mut R,
     ) -> (ContinueResult, u64) {
-        run_kernel(&self.positions, offsets, state, budget, end0, rows, results)
+        run_kernel(&self.positions, offsets, state, budget, rows, results)
     }
 }
 
@@ -316,20 +300,24 @@ fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
 /// entry `state` holds restored per-table coordinates; on `BudgetSpent`
 /// it holds the exact resume point (the not-yet-evaluated candidate at
 /// the active position, floors below it); on `Exhausted` the left-most
-/// coordinate is at or past `end0`.
+/// coordinate is at or past its cardinality.
 fn run_kernel<R: ResultSink>(
     positions: &[KernelPosition<'_>],
     offsets: &[u32],
     state: &mut [u32],
     budget: u64,
-    end0: u32,
     rows: &mut [RowId],
     results: &mut R,
 ) -> (ContinueResult, u64) {
     let m = positions.len();
     let t0 = positions[0].table;
-    if state[t0] >= end0 {
+    if state[t0] >= positions[0].card {
         return (ContinueResult::Exhausted, 0);
+    }
+    // A sink fills only on insert, and every insert is checked below, so
+    // one check on entry covers a slice that starts on a full sink.
+    if results.is_full() {
+        return (ContinueResult::BudgetSpent, 0);
     }
     let mut curs = vec![CandCur::EMPTY; m];
     let mut i = 0usize;
@@ -344,17 +332,10 @@ fn run_kernel<R: ResultSink>(
         if steps > budget {
             return (ContinueResult::BudgetSpent, steps - 1);
         }
-        // Per-step sink poll (see the plan-bound kernel): lets a
-        // partitioned LIMIT worker with a match-free chunk observe the
-        // shared quota; statically false for plain sinks.
-        if results.is_full() {
-            return (ContinueResult::BudgetSpent, steps - 1);
-        }
         let pos = &positions[i];
         let t = pos.table;
-        let bound = if i == 0 { end0 } else { pos.card };
         let s = state[t];
-        if s >= bound {
+        if s >= pos.card {
             // Candidates exhausted here: reset to the floor, backtrack,
             // advance the predecessor.
             if i == 0 {
@@ -372,9 +353,7 @@ fn run_kernel<R: ResultSink>(
                 results.insert(rows);
                 // Advance past the emitted tuple *before* any sink-driven
                 // early exit (LIMIT pushdown), so a resumed slice always
-                // makes progress even when the suspension was triggered
-                // by a re-emission of an earlier slice's tuple (the
-                // partitioned path's shared quota counter counts those).
+                // makes progress.
                 state[t] = next(pos, &mut curs[i]);
                 if results.is_full() {
                     return (ContinueResult::BudgetSpent, steps);
@@ -502,14 +481,7 @@ mod tests {
             let mut state = vec![0u32; 2];
             let mut rows = vec![0u32; 2];
             let mut out = Collect::default();
-            let (res, _) = k.run(
-                &offsets,
-                &mut state,
-                u64::MAX,
-                k.card0(),
-                &mut rows,
-                &mut out,
-            );
+            let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
             assert_eq!(res, ContinueResult::Exhausted);
             assert_eq!(out.tuples, expected, "elide {elide}");
         }
@@ -526,14 +498,7 @@ mod tests {
         let mut one_shot = Collect::default();
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
-        let (_, total_steps) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut one_shot,
-        );
+        let (_, total_steps) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut one_shot);
 
         // Budgets at or above the livelock clamp (4·m, like the slice
         // driver enforces) but well below the one-shot step count, so
@@ -546,14 +511,7 @@ mod tests {
             loop {
                 slices += 1;
                 assert!(slices < 1000, "no termination at budget {budget}");
-                let (res, steps) = k.run(
-                    &offsets,
-                    &mut state,
-                    budget,
-                    k.card0(),
-                    &mut rows,
-                    &mut sliced,
-                );
+                let (res, steps) = k.run(&offsets, &mut state, budget, &mut rows, &mut sliced);
                 assert!(steps <= budget);
                 if res == ContinueResult::Exhausted {
                     break;
@@ -565,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn offsets_floor_excludes_and_end0_bounds() {
+    fn offsets_floor_excludes_and_cursor_past_end_exhausts() {
         let ts = tables();
         let (b0, b1) = (base(4), base(4));
         let idx = HashIndex::build(ts[1].column(0), Some(&b1));
@@ -576,25 +534,19 @@ mod tests {
         let mut state = offsets.clone();
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
+        k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(
             out.tuples,
             vec![vec![1, 0], vec![1, 2], vec![3, 0], vec![3, 2]]
         );
-        // Chunk bound end0 = 2: only a-rows 1 (a-row 0 floored out).
+        // A cursor restored past the left-most cardinality is complete:
+        // no step, no tuple.
         let offsets = vec![0u32, 0];
-        let mut state = vec![1u32, 0];
+        let mut state = vec![4u32, 0];
         let mut out = Collect::default();
-        let (res, _) = k.run(&offsets, &mut state, u64::MAX, 2, &mut rows, &mut out);
-        assert_eq!(res, ContinueResult::Exhausted);
-        assert_eq!(out.tuples, vec![vec![1, 0], vec![1, 2]]);
+        let (res, steps) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+        assert_eq!((res, steps), (ContinueResult::Exhausted, 0));
+        assert!(out.tuples.is_empty());
     }
 
     #[test]
@@ -611,26 +563,12 @@ mod tests {
             full_at: Some(2),
             ..Default::default()
         };
-        let (res, _) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
+        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::BudgetSpent);
         assert_eq!(out.tuples.len(), 2);
         // Resuming without the limit completes the remaining three.
         out.full_at = None;
-        let (res, _) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
+        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::Exhausted);
         assert_eq!(out.tuples.len(), 5);
     }
@@ -672,14 +610,7 @@ mod tests {
         let mut run = |k: &CompiledKernel<'_>| {
             let mut state = vec![0u32; 2];
             let mut out = Collect::default();
-            k.run(
-                &offsets,
-                &mut state,
-                u64::MAX,
-                k.card0(),
-                &mut rows,
-                &mut out,
-            );
+            k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
             out.tuples
         };
         assert_eq!(run(&scan), run(&indexed));
@@ -742,14 +673,7 @@ mod tests {
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        let (res, _) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
+        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::Exhausted);
         assert_eq!(out.tuples, vec![vec![0, 1], vec![1, 0], vec![1, 2]]);
     }
@@ -807,14 +731,7 @@ mod tests {
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        let (res, _) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
+        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::Exhausted);
         // Row 1 (NULL component) matches nothing; NULL postings (probe
         // row 3) are never enumerated.
@@ -865,14 +782,7 @@ mod tests {
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        let (res, _) = k.run(
-            &offsets,
-            &mut state,
-            u64::MAX,
-            k.card0(),
-            &mut rows,
-            &mut out,
-        );
+        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::Exhausted);
         // "x" matches probe rows 1 and 3, NULL matches nothing (not even
         // another NULL), "y" matches probe row 0.
@@ -909,13 +819,13 @@ mod tests {
         let mut rows = vec![0u32; 9];
         let mut one_shot = Collect::default();
         let mut state = offsets.clone();
-        k.run(&offsets, &mut state, u64::MAX, 2, &mut rows, &mut one_shot);
+        k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut one_shot);
         assert_eq!(one_shot.tuples.len(), 512);
         let budget = 4 * 9;
         let mut sliced = Collect::default();
         let mut state = offsets.clone();
         loop {
-            let (res, steps) = k.run(&offsets, &mut state, budget, 2, &mut rows, &mut sliced);
+            let (res, steps) = k.run(&offsets, &mut state, budget, &mut rows, &mut sliced);
             assert!(steps <= budget, "slice took {steps} > {budget} steps");
             if res == ContinueResult::Exhausted {
                 break;
@@ -932,7 +842,7 @@ mod tests {
         let mut state = offsets.clone();
         let mut rows = vec![0u32; 10];
         let mut out = Collect::default();
-        let (res, steps) = k.run(&offsets, &mut state, 500, 4, &mut rows, &mut out);
+        let (res, steps) = k.run(&offsets, &mut state, 500, &mut rows, &mut out);
         assert_eq!((res, steps), (ContinueResult::BudgetSpent, 500));
         assert!(out.tuples.is_empty());
     }

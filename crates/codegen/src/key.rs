@@ -106,11 +106,6 @@ impl KernelKey {
         &self.jumps
     }
 
-    /// The predicate-shape fingerprint.
-    pub fn pred_fingerprint(&self) -> u64 {
-        self.pred_fp
-    }
-
     /// Whether a compiled kernel exists for this shape: at least
     /// [`MIN_KERNEL_TABLES`] tables and no [`JumpKind::Other`] position.
     pub fn supported(&self) -> bool {
@@ -185,7 +180,7 @@ mod tests {
         ]);
         assert_eq!(
             format!("{k}"),
-            format!("m5[sifuk]#{:08x}", k.pred_fingerprint() as u32)
+            format!("m5[sifuk]#{:08x}", k.pred_fp as u32)
         );
     }
 
@@ -200,9 +195,6 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_eq!(a.tables(), 3);
         assert_eq!(a.jump(2), JumpKind::Int);
-        assert_eq!(
-            format!("{a}"),
-            format!("m3[sii]#{:08x}", a.pred_fingerprint() as u32)
-        );
+        assert_eq!(format!("{a}"), format!("m3[sii]#{:08x}", a.pred_fp as u32));
     }
 }

@@ -21,15 +21,15 @@ pub enum ContinueResult {
 }
 
 /// Destination of result tuples for the join kernels. Monomorphized, so
-/// alternative sinks (counting, limit-aware, worker shards) cost nothing
+/// alternative sinks (counting, limit-aware, folding) cost nothing
 /// on the hot path.
 pub trait ResultSink {
     /// Insert a tuple (base row ids in FROM order); false if duplicate.
     fn insert(&mut self, tuple: &[RowId]) -> bool;
 
     /// True once the sink needs no more tuples (e.g. a LIMIT target was
-    /// reached). Kernels consult this after each insert and suspend the
-    /// slice early — the cursor state is identical to a budget
+    /// reached). Kernels consult this on entry and after each insert and
+    /// suspend the slice early — the cursor state is identical to a budget
     /// exhaustion, so resumption and progress tracking are unaffected.
     /// Default: never full (statically false for the plain sinks, so the
     /// check monomorphizes away on the hot path).
@@ -38,22 +38,10 @@ pub trait ResultSink {
         false
     }
 
-    /// How many more tuples this sink wants before it reports full, or
-    /// `None` for unbounded sinks. Partitioned slice drivers read this
-    /// once per slice to seed a shared row-target counter across their
-    /// chunk workers, so a LIMIT can stop workers *mid-chunk* instead of
-    /// at the next slice boundary. The count may be conservative — a
-    /// worker tuple can duplicate one from an earlier slice — but an
-    /// early stop is just a suspension, so correctness is unaffected.
-    #[inline]
-    fn remaining_capacity(&self) -> Option<u64> {
-        None
-    }
-
     /// Bytes of result storage this sink currently holds (arena +
-    /// dedup structures for materializing sinks, shard buffers for
-    /// worker sinks). Drivers enforcing a memory budget read this at
-    /// slice boundaries; sinks that don't materialize report 0.
+    /// dedup structures for materializing sinks). Drivers enforcing a
+    /// memory budget read this at slice boundaries; sinks that don't
+    /// materialize report 0.
     #[inline]
     fn approx_bytes(&self) -> usize {
         0

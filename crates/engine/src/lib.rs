@@ -31,21 +31,18 @@
 //! reference kernel is the differential oracle; all three produce
 //! byte-for-byte identical results (see `ARCHITECTURE.md`).
 //!
-//! Beyond the paper's implementation, the join phase can run each slice
-//! across multiple workers by offset-range partitioning of the
-//! left-most table ([`partition`]): the remaining driver range splits
-//! into disjoint chunk morsels executed on a persistent work-stealing
-//! [`WorkerPool`] (no threads are spawned per slice), and the per-chunk
-//! cursors fold back into one slice cursor, so the learned-order
-//! semantics — and the regret analysis — are unchanged by the worker
-//! count, the pool size, and the steal order.
+//! As in the paper's implementation, only pre-processing runs in
+//! parallel: the per-table filter scans ([`prepare`]) are morsels on
+//! the persistent [`WorkerPool`]. Every join slice runs on the calling
+//! thread, so the worker count changes pre-processing wall time and
+//! nothing else — not the tuples, their order, the steps, the slices or
+//! the learned order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;
 pub mod multiway;
-pub mod partition;
 pub mod prepare;
 pub mod progress;
 pub mod reward;
@@ -53,7 +50,6 @@ pub mod skinner_c;
 
 pub use metrics::ExecMetrics;
 pub use multiway::{Collector, ContinueResult, LimitSink, MultiwayJoin, ResultSink};
-pub use partition::PartitionSpec;
 pub use prepare::PreparedQuery;
 // The codegen tier's public surface, re-exported for drivers that
 // compile kernels or share a cross-query kernel cache.
@@ -65,8 +61,9 @@ pub use skinner_c::{
 pub use skinner_codegen::{
     CompiledKernel, JumpKind, KernelCache, KernelCacheStats, KernelJump, KernelKey, KernelPosition,
 };
-// The persistent morsel pool and its schedule-perturbation test layer,
-// re-exported so drivers and test harnesses need no direct dependency.
+// The persistent morsel pool (it runs the filter scans) and its
+// schedule-perturbation test layer, re-exported so drivers and test
+// harnesses need no direct dependency.
 pub use skinner_pool::{schedule, WorkerPool};
 
 // The fault-injection registry lives in `skinner-storage` (the record

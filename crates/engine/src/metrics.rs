@@ -13,26 +13,19 @@ use std::time::Duration;
 pub struct ExecMetrics {
     /// Number of time slices executed.
     pub slices: u64,
-    /// Total multi-way-join steps across slices (summed over all workers
-    /// when the join phase runs partitioned — the tuples-examined
+    /// Total multi-way-join steps across slices (the tuples-examined
     /// analogue of the paper's per-slice accounting).
     pub steps: u64,
-    /// Join-kernel invocations: one per sequential slice, one per offset
-    /// chunk of a partitioned slice. `join_chunks == slices` means the
-    /// whole join ran single-threaded; the excess is parallel fan-out.
-    pub join_chunks: u64,
-    /// Configured join worker threads (1 = sequential, as in the paper).
-    pub join_threads: usize,
-    /// OS threads spawned by the worker pool during this run, net of
-    /// panic-driven worker replacements (which a run that completes
-    /// normally never caused — its own panic would have aborted it).
-    /// The pool is persistent, so after its one-time warm-up this is 0
-    /// for every run — partitioned slices reuse pooled workers instead
-    /// of spawning per slice; non-zero means pool warm-up (first
-    /// parallel run on that pool). On a pool shared across concurrent
-    /// queries the attribution is approximate: a racing query's
-    /// warm-up spawns land in whichever run's delta observes them.
-    /// Exact for a private pool and in steady state.
+    /// OS threads the worker pool spawned while this run's filter scans
+    /// ran on it, net of panic-driven worker replacements (which a run
+    /// that completes normally never caused — its own panic would have
+    /// aborted it). The pool is persistent, so after its one-time
+    /// warm-up this is 0 for every run; non-zero means pool warm-up
+    /// (first parallel pre-processing on that pool). 0 when
+    /// pre-processing ran on the calling thread alone. On a pool shared
+    /// across concurrent queries the attribution is approximate: a
+    /// racing query's warm-up spawns land in whichever run's delta
+    /// observes them. Exact for a private pool and in steady state.
     pub thread_spawns: u64,
     /// UCT nodes adopted from a prior execution's snapshot at run start
     /// (0 = cold start; see `RunOptions::prior`).

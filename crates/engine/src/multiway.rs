@@ -41,18 +41,15 @@
 //! vectorized join kernels and a JIT are parked in ROADMAP.md until a
 //! profile asks for them.
 
-use crate::partition::{fold_outcomes, ChunkOutcome, PartitionSpec, WorkerScratch};
 use crate::prepare::{BoundPosition, OrderPlan, OrderSpec, PreparedQuery};
 use skinner_codegen::CompiledKernel;
 // The sink protocol moved to `skinner-codegen` (every execution tier
 // speaks it); re-exported here under the historical paths.
 pub use skinner_codegen::{ContinueResult, ResultSink};
-use skinner_pool::WorkerPool;
 use skinner_query::TableId;
 use skinner_storage::hash::FxHasher;
 use skinner_storage::RowId;
 use std::hash::Hasher;
-use std::sync::Arc;
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
@@ -122,13 +119,6 @@ impl ResultSink for CountingSink {
 /// driver when [`Query::join_limit`](skinner_query::Query::join_limit)
 /// allows the join phase to stop early instead of materializing the
 /// full result.
-///
-/// Partitioned slices honor the target mid-chunk too: the slice driver
-/// reads [`ResultSink::remaining_capacity`] once per slice and threads a
-/// shared emitted-tuple counter through every chunk worker, so workers
-/// suspend as soon as the slice-wide emission count covers the remaining
-/// capacity (conservatively — re-emissions of earlier slices' tuples
-/// count too, and the driver re-checks the deduped total afterwards).
 pub struct LimitSink<'a, C: Collector> {
     inner: &'a mut C,
     target: u64,
@@ -158,57 +148,8 @@ impl<C: Collector> ResultSink for LimitSink<'_, C> {
     }
 
     #[inline]
-    fn remaining_capacity(&self) -> Option<u64> {
-        Some(self.target.saturating_sub(self.inner.collected() as u64))
-    }
-
-    #[inline]
     fn approx_bytes(&self) -> usize {
         ResultSink::approx_bytes(self.inner)
-    }
-}
-
-/// Per-worker sink of the partitioned join: appends tuples to a flat
-/// shard buffer. No dedup — chunks are disjoint in the left-most
-/// coordinate, so one slice can never emit a tuple from two chunks; the
-/// cross-slice dedup happens when shards merge into the caller's sink.
-///
-/// When the caller's sink has a row target (`quota`), every worker
-/// counts its emissions into one shared counter and reports full once
-/// the slice-wide total reaches the target — so a partitioned LIMIT
-/// query stops **mid-chunk**, not merely at the next slice boundary.
-/// The shared count is an upper bound on new distinct tuples (a worker
-/// may re-emit a tuple an earlier slice already produced), which can
-/// only suspend the slice *early*; the driver re-checks the real deduped
-/// count and continues if the target is not actually met.
-struct ShardSink<'a> {
-    out: &'a mut Vec<RowId>,
-    /// Shared emitted-tuple counter and the slice-wide target, when the
-    /// caller's sink is limit-aware.
-    quota: Option<(&'a std::sync::atomic::AtomicU64, u64)>,
-}
-
-impl ResultSink for ShardSink<'_> {
-    #[inline]
-    fn insert(&mut self, tuple: &[RowId]) -> bool {
-        self.out.extend_from_slice(tuple);
-        if let Some((counter, _)) = self.quota {
-            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        true
-    }
-
-    #[inline]
-    fn is_full(&self) -> bool {
-        match self.quota {
-            Some((counter, target)) => counter.load(std::sync::atomic::Ordering::Relaxed) >= target,
-            None => false,
-        }
-    }
-
-    #[inline]
-    fn approx_bytes(&self) -> usize {
-        self.out.capacity() * std::mem::size_of::<RowId>()
     }
 }
 
@@ -350,100 +291,23 @@ impl ResultSet {
 }
 
 /// One multi-way join executor bound to a prepared query. Owns the
-/// per-tuple scratch buffer (and, when parallel, one scratch set per
-/// worker), reused across time slices.
+/// per-tuple scratch buffer, reused across time slices. Every slice runs
+/// on the calling thread, as in the paper's Skinner-C.
 pub struct MultiwayJoin<'a> {
     pq: &'a PreparedQuery,
     /// Current base row per table (slots beyond the active depth are
     /// stale but never read: predicates at position i only touch tables
     /// joined at positions 0..=i).
     rows: Vec<RowId>,
-    /// Worker threads for the partitioned join path; 1 = sequential.
-    threads: usize,
-    /// The persistent morsel pool executing partitioned slices; `None`
-    /// when sequential (`threads <= 1`), so a single-threaded join never
-    /// touches the pool.
-    pool: Option<Arc<WorkerPool>>,
-    /// Per-morsel owned task state (rows / cursor / chunk bound / result
-    /// shard), lazily sized and reused across slices.
-    scratch: Vec<WorkerScratch>,
-    /// Kernel invocations so far: one per sequential slice, one per
-    /// chunk of a partitioned slice (metrics accounting).
-    chunks_run: u64,
 }
 
 impl<'a> MultiwayJoin<'a> {
-    /// Bind to a prepared query (sequential execution).
+    /// Bind to a prepared query.
     pub fn new(pq: &'a PreparedQuery) -> MultiwayJoin<'a> {
-        MultiwayJoin::with_threads(pq, 1)
-    }
-
-    /// Bind to a prepared query with a fan-out of `threads` morsels per
-    /// slice, executed on the process-wide shared
-    /// [`WorkerPool`].
-    ///
-    /// With `threads > 1`, [`continue_join`](MultiwayJoin::continue_join)
-    /// splits each slice's remaining left-most range into contiguous
-    /// offset chunks (morsels) and runs one kernel per chunk on the
-    /// persistent pool (see [`crate::partition`]) — no threads are
-    /// spawned per slice. `threads <= 1` is exactly the sequential
-    /// kernel, with no pool involvement at all.
-    pub fn with_threads(pq: &'a PreparedQuery, threads: usize) -> MultiwayJoin<'a> {
-        MultiwayJoin::with_pool(pq, threads, None)
-    }
-
-    /// [`with_threads`](MultiwayJoin::with_threads), but running morsels
-    /// on a specific pool (the service wires its budget-sized pool here;
-    /// tests wire differently-sized pools to prove schedule
-    /// independence). `None` falls back to the shared global pool.
-    ///
-    /// `threads` fixes the chunk *fan-out* per slice; the pool's worker
-    /// count is independent — results (tuples and folded cursors) are
-    /// identical for any pool size and any steal order, because each
-    /// morsel is deterministic given its chunk bounds and budget.
-    pub fn with_pool(
-        pq: &'a PreparedQuery,
-        threads: usize,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> MultiwayJoin<'a> {
-        let threads = threads.max(1);
         MultiwayJoin {
             pq,
             rows: vec![0; pq.num_tables()],
-            threads,
-            pool: (threads > 1).then(|| pool.unwrap_or_else(WorkerPool::global)),
-            scratch: Vec::new(),
-            chunks_run: 0,
         }
-    }
-
-    /// The configured morsel fan-out per slice.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Total OS threads ever spawned by the attached pool (0 when
-    /// sequential). The slice driver records the per-run delta as
-    /// `ExecMetrics::thread_spawns`: zero after warm-up proves pool
-    /// reuse.
-    pub fn pool_spawned(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.spawned())
-    }
-
-    /// Workers of the attached pool retired after hosting a panicking
-    /// morsel and replaced by fresh threads (0 when sequential). The
-    /// slice driver subtracts the per-run delta of this from the spawn
-    /// delta so another query's panic-driven replacement on a shared
-    /// pool is not billed to this run's `thread_spawns`.
-    pub fn pool_replaced(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.replaced())
-    }
-
-    /// Kernel invocations so far: one per sequential slice, one per chunk
-    /// of a partitioned slice. Equals the slice count when sequential;
-    /// the excess over the slice count is work fanned out to workers.
-    pub fn chunks_run(&self) -> u64 {
-        self.chunks_run
     }
 
     /// Execute the bound `plan` from cursor `state` (indexed by table id,
@@ -451,21 +315,7 @@ impl<'a> MultiwayJoin<'a> {
     /// `offsets` are the global per-table floors. Result tuples are
     /// inserted into `results`.
     ///
-    /// With more than one configured worker thread the slice runs
-    /// partitioned: the remaining left-most range is split into
-    /// contiguous offset chunks, each chunk runs the same kernel on its
-    /// own worker with a private cursor and result shard, shards merge in
-    /// chunk (= lexicographic) order, and the per-chunk cursors fold back
-    /// into `state` (first non-exhausted chunk — see
-    /// [`crate::partition`]). The folded cursor satisfies the same
-    /// invariant as a sequential cursor, so progress tracking, offsets,
-    /// and rewards are oblivious to the worker count.
-    ///
     /// Returns the slice outcome and the number of steps consumed.
-    /// When partitioned, steps are summed across workers and may exceed
-    /// `budget`: each chunk's share is clamped up to the livelock floor
-    /// (4·m steps), so a tiny budget with many chunks can consume up to
-    /// `chunks · 4·m` steps.
     pub fn continue_join<R: ResultSink>(
         &mut self,
         order: &[TableId],
@@ -476,52 +326,17 @@ impl<'a> MultiwayJoin<'a> {
         results: &mut R,
     ) -> (ContinueResult, u64) {
         let positions = plan.positions.as_slice();
-        let m = positions.len();
-        debug_assert_eq!(order.len(), m);
+        debug_assert_eq!(order.len(), positions.len());
         debug_assert!(order.iter().zip(positions).all(|(&t, p)| p.table == t));
-        let t0 = positions[0].table;
-        let end0 = positions[0].card;
-
-        // Immediate exhaustion (restored past the end).
-        if state[t0] >= end0 {
-            return (ContinueResult::Exhausted, 0);
-        }
-
-        if self.threads > 1 {
-            let spec = PartitionSpec::split(state[t0], end0, self.threads);
-            if spec.len() > 1 {
-                let run_chunk = |state: &mut [u32],
-                                 chunk_budget: u64,
-                                 hi: u32,
-                                 rows: &mut [RowId],
-                                 sink: &mut ShardSink<'_>| {
-                    run_plan_kernel(positions, offsets, state, chunk_budget, hi, rows, sink)
-                };
-                return self.continue_join_partitioned(
-                    m, t0, end0, &spec, offsets, state, budget, results, run_chunk,
-                );
-            }
-        }
-        self.chunks_run += 1;
-        run_plan_kernel(
-            positions,
-            offsets,
-            state,
-            budget,
-            end0,
-            &mut self.rows,
-            results,
-        )
+        run_plan_kernel(positions, offsets, state, budget, &mut self.rows, results)
     }
 
     /// Execute a *compiled* kernel (the codegen tier — see
     /// `skinner-codegen`) from cursor `state`, with the same slice
-    /// semantics, partitioning behaviour, and cursor contract as
-    /// [`continue_join`](MultiwayJoin::continue_join): with more than
-    /// one configured worker thread the remaining left-most range splits
-    /// into offset chunks and every chunk runs the compiled kernel on
-    /// its own worker. The caller guarantees `kernel` was compiled from
-    /// the same prepared query and order as the plan it replaces.
+    /// semantics and cursor contract as
+    /// [`continue_join`](MultiwayJoin::continue_join). The caller
+    /// guarantees `kernel` was compiled from the same prepared query and
+    /// order as the plan it replaces.
     pub fn continue_join_compiled<R: ResultSink>(
         &mut self,
         kernel: &CompiledKernel<'_>,
@@ -530,33 +345,8 @@ impl<'a> MultiwayJoin<'a> {
         budget: u64,
         results: &mut R,
     ) -> (ContinueResult, u64) {
-        let m = kernel.num_tables();
-        debug_assert_eq!(m, self.pq.num_tables());
-        let t0 = kernel.table0();
-        let end0 = kernel.card0();
-
-        // Immediate exhaustion (restored past the end).
-        if state[t0] >= end0 {
-            return (ContinueResult::Exhausted, 0);
-        }
-
-        if self.threads > 1 {
-            let spec = PartitionSpec::split(state[t0], end0, self.threads);
-            if spec.len() > 1 {
-                let run_chunk = |state: &mut [u32],
-                                 chunk_budget: u64,
-                                 hi: u32,
-                                 rows: &mut [RowId],
-                                 sink: &mut ShardSink<'_>| {
-                    kernel.run(offsets, state, chunk_budget, hi, rows, sink)
-                };
-                return self.continue_join_partitioned(
-                    m, t0, end0, &spec, offsets, state, budget, results, run_chunk,
-                );
-            }
-        }
-        self.chunks_run += 1;
-        kernel.run(offsets, state, budget, end0, &mut self.rows, results)
+        debug_assert_eq!(kernel.num_tables(), self.pq.num_tables());
+        kernel.run(offsets, state, budget, &mut self.rows, results)
     }
 
     /// Forwards to [`continue_join_compiled`](MultiwayJoin::continue_join_compiled);
@@ -574,109 +364,6 @@ impl<'a> MultiwayJoin<'a> {
         results: &mut R,
     ) -> (ContinueResult, u64) {
         self.continue_join_compiled(kernel, offsets, state, budget, results)
-    }
-
-    /// The parallel slice, shared by the plan-bound and compiled tiers:
-    /// one `run_chunk` invocation per offset chunk (morsel) on the
-    /// persistent worker pool, then a deterministic merge + cursor fold.
-    /// `run_chunk` executes one chunk's kernel `(state, chunk_budget,
-    /// hi, rows, shard)` with the left-most coordinate bounded by `hi`.
-    ///
-    /// Each morsel's state is owned by its [`WorkerScratch`] (cursor,
-    /// chunk bound, shard, outcome slot), so any pool worker may execute
-    /// any morsel in any steal order; the merge below runs on this
-    /// thread in chunk order, after every morsel has completed, which is
-    /// what keeps results and folded cursors independent of the
-    /// schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn continue_join_partitioned<R, K>(
-        &mut self,
-        m: usize,
-        t0: TableId,
-        end0: u32,
-        spec: &PartitionSpec,
-        offsets: &[u32],
-        state: &mut [u32],
-        budget: u64,
-        results: &mut R,
-        run_chunk: K,
-    ) -> (ContinueResult, u64)
-    where
-        R: ResultSink,
-        K: Fn(&mut [u32], u64, u32, &mut [RowId], &mut ShardSink<'_>) -> (ContinueResult, u64)
-            + Sync,
-    {
-        let n = spec.len();
-        self.chunks_run += n as u64;
-        if self.scratch.len() < n {
-            self.scratch.resize_with(n, WorkerScratch::default);
-        }
-        let scratch = &mut self.scratch[..n];
-        // Same livelock clamp as the slice driver: a chunk budget below
-        // the walk-down depth would re-verify restored coordinates
-        // forever without advancing the folded cursor.
-        let chunk_budget = (budget / n as u64).max(4 * m as u64);
-        // Shared row-target counter: when the caller's sink is
-        // limit-aware (LIMIT pushdown), workers count emissions into it
-        // and stop mid-chunk once the slice-wide total covers the
-        // remaining capacity (see `ShardSink`).
-        let target = results.remaining_capacity();
-        let emitted = std::sync::atomic::AtomicU64::new(0);
-
-        for (k, (ws, &(lo, hi))) in scratch.iter_mut().zip(&spec.chunks).enumerate() {
-            ws.reset(m);
-            ws.hi = hi;
-            if k == 0 {
-                // The first chunk resumes the restored cursor exactly
-                // (its deep coordinates may be mid-range).
-                ws.state.copy_from_slice(state);
-            } else {
-                // Later chunks start fresh: left-most at the chunk's
-                // lower bound, deeper coordinates at the offset
-                // floors.
-                ws.state.copy_from_slice(offsets);
-                ws.state[t0] = lo;
-            }
-        }
-        let pool = self
-            .pool
-            .as_ref()
-            .expect("partitioned slice without a pool")
-            .clone();
-        let emitted = &emitted;
-        pool.run_batch_mut(scratch, |_k, ws| {
-            // Fault-injection site: a panic here is caught by the pool,
-            // re-raised on this (submitting) thread after the sibling
-            // morsels complete, and propagates to the slice driver —
-            // exactly the path the service's panic isolation must
-            // cover. The hosting pool worker is retired and replaced.
-            crate::failpoints::fire("partition.chunk");
-            let mut sink = ShardSink {
-                out: &mut ws.out,
-                quota: target.map(|t| (emitted, t)),
-            };
-            let (result, steps) =
-                run_chunk(&mut ws.state, chunk_budget, ws.hi, &mut ws.rows, &mut sink);
-            ws.outcome = Some(ChunkOutcome { result, steps });
-        });
-
-        // Merge shards in chunk order — chunks are ascending in the
-        // left-most coordinate, so this is the sequential emit order.
-        for ws in scratch.iter() {
-            for tuple in ws.out.chunks_exact(m) {
-                results.insert(tuple);
-            }
-        }
-
-        let (res, steps) = fold_outcomes(scratch, state);
-        if res == ContinueResult::Exhausted {
-            // Mirror the sequential end state: left-most cursor at the
-            // end, deeper coordinates back at their floors (the order's
-            // positions cover every table exactly once).
-            state.copy_from_slice(&offsets[..state.len()]);
-            state[t0] = end0;
-        }
-        (res, steps)
     }
 
     /// The pre-specialization reference kernel: identical join semantics,
@@ -741,19 +428,13 @@ impl<'a> MultiwayJoin<'a> {
     }
 }
 
-/// The order-specialized inner loop, shared by the sequential path and
-/// every parallel worker. Executes bound `positions` from cursor `state`
-/// for at most `budget` steps, with the *left-most* coordinate bounded by
-/// `end0` instead of the full filtered cardinality — that single bound is
-/// what turns the kernel into a chunk worker (sequential callers pass
-/// `positions[0].card`).
-#[allow(clippy::too_many_arguments)]
+/// The order-specialized inner loop: executes bound `positions` from
+/// cursor `state` for at most `budget` steps.
 fn run_plan_kernel<R: ResultSink>(
     positions: &[BoundPosition<'_>],
     offsets: &[u32],
     state: &mut [u32],
     budget: u64,
-    end0: u32,
     rows: &mut [RowId],
     results: &mut R,
 ) -> (ContinueResult, u64) {
@@ -762,8 +443,13 @@ fn run_plan_kernel<R: ResultSink>(
     let mut steps: u64 = 0;
 
     // Immediate exhaustion (restored past the end).
-    if state[positions[0].table] >= end0 {
+    if state[positions[0].table] >= positions[0].card {
         return (ContinueResult::Exhausted, 0);
+    }
+    // A sink fills only on insert, and every insert is checked below, so
+    // one check on entry covers a slice that starts on a full sink.
+    if results.is_full() {
+        return (ContinueResult::BudgetSpent, 0);
     }
 
     loop {
@@ -771,21 +457,12 @@ fn run_plan_kernel<R: ResultSink>(
         if steps > budget {
             return (ContinueResult::BudgetSpent, steps - 1);
         }
-        // Poll the sink per step too, not only after inserts: a
-        // partitioned LIMIT worker whose chunk holds no matches must
-        // still observe the shared quota tripping and stop scanning.
-        // For plain sinks `is_full` is statically false, so this
-        // monomorphizes away.
-        if results.is_full() {
-            return (ContinueResult::BudgetSpent, steps - 1);
-        }
         let pos = &positions[i];
         let t = pos.table;
         let s = state[t];
-        let bound = if i == 0 { end0 } else { pos.card };
-        if s >= bound {
+        if s >= pos.card {
             // Restored coordinate beyond the end: backtrack.
-            match next_tuple(positions, offsets, state, &mut i, rows, end0, true) {
+            match next_tuple(positions, offsets, state, &mut i, rows, true) {
                 true => continue,
                 false => return (ContinueResult::Exhausted, steps),
             }
@@ -795,23 +472,20 @@ fn run_plan_kernel<R: ResultSink>(
         if ok {
             if i + 1 == m {
                 results.insert(rows);
-                if !next_tuple(positions, offsets, state, &mut i, rows, end0, false) {
+                if !next_tuple(positions, offsets, state, &mut i, rows, false) {
                     return (ContinueResult::Exhausted, steps);
                 }
                 if results.is_full() {
                     // Sink-driven early exit (LIMIT pushdown): suspend as
                     // if the budget ran out. The cursor was advanced past
                     // the emitted tuple *first*, so a resumed slice always
-                    // makes progress — a suspend on re-emission of an
-                    // earlier slice's tuple (the shared quota counter of
-                    // the partitioned path counts those) can never repeat
-                    // the same cursor forever.
+                    // makes progress.
                     return (ContinueResult::BudgetSpent, steps);
                 }
             } else {
                 i += 1;
             }
-        } else if !next_tuple(positions, offsets, state, &mut i, rows, end0, false) {
+        } else if !next_tuple(positions, offsets, state, &mut i, rows, false) {
             return (ContinueResult::Exhausted, steps);
         }
     }
@@ -819,25 +493,22 @@ fn run_plan_kernel<R: ResultSink>(
 
 /// Advance the cursor at position `i` of the bound plan (with index
 /// jumps where available), backtracking on exhaustion. Returns false
-/// when the left-most table reaches `end0` (this kernel's share of the
-/// join is complete). `skip_advance` is used when the current coordinate
-/// is already past the end.
+/// when the left-most table is exhausted (the join is complete).
+/// `skip_advance` is used when the current coordinate is already past
+/// the end.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn next_tuple(
     positions: &[BoundPosition<'_>],
     offsets: &[u32],
     state: &mut [u32],
     i: &mut usize,
     rows: &[RowId],
-    end0: u32,
     mut skip_advance: bool,
 ) -> bool {
     loop {
         let pos = &positions[*i];
         let t = pos.table;
-        let bound = if *i == 0 { end0 } else { pos.card };
-        if !skip_advance || state[t] < bound {
+        if !skip_advance || state[t] < pos.card {
             state[t] = match &pos.jump {
                 Some(jump) if !skip_advance => {
                     // Jump to the next position matching the equality
@@ -851,7 +522,7 @@ fn next_tuple(
             };
         }
         skip_advance = false;
-        if state[t] < bound {
+        if state[t] < pos.card {
             return true;
         }
         if *i == 0 {
@@ -994,19 +665,9 @@ mod tests {
 
     /// Run one order to completion in a single giant slice.
     fn run_order(q: &Query, order: &[usize], indexes: bool) -> Vec<Vec<u32>> {
-        run_order_threads(q, order, indexes, 1)
-    }
-
-    /// Same, with `threads` join workers.
-    fn run_order_threads(
-        q: &Query,
-        order: &[usize],
-        indexes: bool,
-        threads: usize,
-    ) -> Vec<Vec<u32>> {
         let pq = PreparedQuery::new(q, indexes, 1);
         let plan = pq.plan_order(order);
-        let mut join = MultiwayJoin::with_threads(&pq, threads);
+        let mut join = MultiwayJoin::new(&pq);
         let offsets = vec![0u32; pq.num_tables()];
         let mut state = offsets.clone();
         let mut rs = ResultSet::new();
@@ -1018,16 +679,11 @@ mod tests {
     }
 
     /// Same, through the compiled (codegen-tier) kernel.
-    fn run_order_compiled(
-        q: &Query,
-        order: &[usize],
-        indexes: bool,
-        threads: usize,
-    ) -> Vec<Vec<u32>> {
+    fn run_order_compiled(q: &Query, order: &[usize], indexes: bool) -> Vec<Vec<u32>> {
         let pq = PreparedQuery::new(q, indexes, 1);
         let plan = pq.plan_order(order);
         let kernel = plan.compile_kernel(None).expect("supported shape");
-        let mut join = MultiwayJoin::with_threads(&pq, threads);
+        let mut join = MultiwayJoin::new(&pq);
         let offsets = vec![0u32; pq.num_tables()];
         let mut state = offsets.clone();
         let mut rs = ResultSet::new();
@@ -1094,13 +750,11 @@ mod tests {
         let expected = run_order(&q, &[0, 1, 2], true);
         for order in [vec![0usize, 1, 2], vec![1, 0, 2], vec![2, 1, 0]] {
             for indexes in [true, false] {
-                for threads in [1, 3] {
-                    assert_eq!(
-                        run_order_compiled(&q, &order, indexes, threads),
-                        expected,
-                        "codegen divergence: order {order:?} indexes {indexes} threads {threads}"
-                    );
-                }
+                assert_eq!(
+                    run_order_compiled(&q, &order, indexes),
+                    expected,
+                    "codegen divergence: order {order:?} indexes {indexes}"
+                );
             }
         }
     }
@@ -1251,145 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_all_orders() {
-        let cat = catalog();
-        let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
-        for order in [vec![0usize, 1, 2], vec![1, 0, 2], vec![2, 1, 0]] {
-            for indexes in [true, false] {
-                for threads in [2, 3, 4] {
-                    assert_eq!(
-                        run_order_threads(&q, &order, indexes, threads),
-                        expected,
-                        "order {order:?} indexes {indexes} threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_left_table_smaller_than_chunk_count() {
-        // "a" filters to 4 rows; 16 requested workers collapse to 4
-        // single-row chunks — still the full, correct result.
-        let cat = catalog();
-        let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
-        assert_eq!(run_order_threads(&q, &[0, 1, 2], true, 16), expected);
-        // single-row left-most range: sequential fallback inside the
-        // dispatcher (one chunk)
-        let pq = PreparedQuery::new(&q, true, 1);
-        let plan = pq.plan_order(&[0, 1, 2]);
-        let mut join = MultiwayJoin::with_threads(&pq, 8);
-        let offsets = vec![3u32, 0, 0]; // only the last "a" row remains
-        let mut state = offsets.clone();
-        let mut rs = ResultSet::new();
-        let (res, _) =
-            join.continue_join(&[0, 1, 2], &plan, &offsets, &mut state, u64::MAX, &mut rs);
-        assert_eq!(res, ContinueResult::Exhausted);
-        assert_eq!(rs.len(), 0); // a.id=4 joins nothing
-    }
-
-    #[test]
-    fn threads_one_takes_sequential_path() {
-        let cat = catalog();
-        let q = three_way(&cat);
-        let pq = PreparedQuery::new(&q, true, 1);
-        let plan = pq.plan_order(&[0, 1, 2]);
-        let offsets = vec![0u32; 3];
-        // Identical budget-by-budget behaviour: outcome, steps, cursor,
-        // and results must match between `new` and `with_threads(1)`.
-        for budget in [1u64, 3, 7, 1000] {
-            let mut a = MultiwayJoin::new(&pq);
-            let mut b = MultiwayJoin::with_threads(&pq, 1);
-            let mut sa = offsets.clone();
-            let mut sb = offsets.clone();
-            let mut ra = ResultSet::new();
-            let mut rb = ResultSet::new();
-            let (resa, stepsa) =
-                a.continue_join(&[0, 1, 2], &plan, &offsets, &mut sa, budget, &mut ra);
-            let (resb, stepsb) =
-                b.continue_join(&[0, 1, 2], &plan, &offsets, &mut sb, budget, &mut rb);
-            assert_eq!(resa, resb);
-            assert_eq!(stepsa, stepsb);
-            assert_eq!(sa, sb);
-            let ta: Vec<Vec<u32>> = ra.iter().map(|t| t.to_vec()).collect();
-            let tb: Vec<Vec<u32>> = rb.iter().map(|t| t.to_vec()).collect();
-            assert_eq!(ta, tb);
-        }
-    }
-
-    #[test]
-    fn parallel_mid_chunk_budget_exhaustion_restores() {
-        // Tiny budgets force every slice to stop mid-chunk; the folded
-        // cursor must restore losslessly so slicing converges on the
-        // full result.
-        let cat = catalog();
-        let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
-        let pq = PreparedQuery::new(&q, true, 1);
-        let plan = pq.plan_order(&[0, 1, 2]);
-        let mut join = MultiwayJoin::with_threads(&pq, 4);
-        let offsets = vec![0u32; 3];
-        let mut state = vec![0u32; 3];
-        let mut rs = ResultSet::new();
-        let mut slices = 0;
-        loop {
-            slices += 1;
-            assert!(slices < 10_000, "no termination");
-            let before = state.clone();
-            let (res, _) = join.continue_join(&[0, 1, 2], &plan, &offsets, &mut state, 3, &mut rs);
-            if res == ContinueResult::Exhausted {
-                break;
-            }
-            // The folded cursor never regresses lexicographically in
-            // order position (order == table id here).
-            assert!(state >= before, "cursor regressed: {before:?} -> {state:?}");
-        }
-        let mut got: Vec<Vec<u32>> = rs.iter().map(|t| t.to_vec()).collect();
-        got.sort();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn parallel_switching_orders_with_offsets_preserves_results() {
-        // The switching-orders driver loop, now with partitioned slices:
-        // tracker round-trips of folded cursors across three orders.
-        let cat = catalog();
-        let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
-        let pq = PreparedQuery::new(&q, true, 1);
-        let mut join = MultiwayJoin::with_threads(&pq, 3);
-        let orders: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![1, 2, 0], vec![2, 1, 0]];
-        let plans: Vec<_> = orders.iter().map(|o| pq.plan_order(o)).collect();
-        let tracker = &mut crate::progress::ProgressTracker::new(3);
-        let mut offsets = vec![0u32; 3];
-        let mut rs = ResultSet::new();
-        let mut done = false;
-        let mut round = 0usize;
-        while !done {
-            round += 1;
-            assert!(round < 100_000, "no termination");
-            let which = round % orders.len();
-            let order = &orders[which];
-            let mut state = tracker.restore(order, &offsets);
-            let (res, _) =
-                join.continue_join(order, &plans[which], &offsets, &mut state, 5, &mut rs);
-            let t0 = order[0];
-            if res == ContinueResult::Exhausted {
-                offsets[t0] = pq.cards[t0];
-                done = true;
-            } else {
-                offsets[t0] = offsets[t0].max(state[t0]);
-                tracker.backup(order, &state);
-            }
-        }
-        let mut got: Vec<Vec<u32>> = rs.iter().map(|t| t.to_vec()).collect();
-        got.sort();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn negative_zero_float_join_matches_positive_zero() {
         // SQL says -0.0 = 0.0; the bit patterns differ, so join keys
         // normalize -0.0 to 0.0 — a key-driven jump must surface the
@@ -1427,12 +942,12 @@ mod tests {
                     "generic: order {order:?} indexes {indexes}"
                 );
                 assert_eq!(
-                    run_order_threads(&q, &order, indexes, 1),
+                    run_order(&q, &order, indexes),
                     expected,
                     "bound: order {order:?} indexes {indexes}"
                 );
                 assert_eq!(
-                    run_order_compiled(&q, &order, indexes, 1),
+                    run_order_compiled(&q, &order, indexes),
                     expected,
                     "compiled: order {order:?} indexes {indexes}"
                 );
@@ -1478,88 +993,20 @@ mod tests {
                     expected,
                     "generic: order {order:?} indexes {indexes}"
                 );
-                for threads in [1, 3] {
-                    assert_eq!(
-                        run_order_threads(&q, &order, indexes, threads),
-                        expected,
-                        "bound: order {order:?} indexes {indexes} threads {threads}"
-                    );
-                }
+                assert_eq!(
+                    run_order(&q, &order, indexes),
+                    expected,
+                    "bound: order {order:?} indexes {indexes}"
+                );
             }
         }
     }
 
     #[test]
-    fn partitioned_limit_stops_mid_chunk() {
-        // A fat cross-ish join (every key matches) whose full
-        // enumeration costs tens of thousands of steps. One partitioned
-        // slice with an effectively unbounded budget must stop almost
-        // immediately once the shared row-target counter covers the
-        // LIMIT — the pre-fix behaviour ran every chunk to completion.
-        let n = 200usize;
-        let mut cat = Catalog::new();
-        for name in ["big1", "big2"] {
-            cat.register(
-                Table::new(
-                    name,
-                    Schema::new([ColumnDef::new("k", ValueType::Int)]),
-                    vec![Column::from_ints(vec![1; n])],
-                )
-                .unwrap(),
-            );
-        }
-        let mut qb = QueryBuilder::new(&cat);
-        qb.table("big1").unwrap();
-        qb.table("big2").unwrap();
-        let j = qb.col("big1.k").unwrap().eq(qb.col("big2.k").unwrap());
-        qb.filter(j);
-        qb.select_col("big1.k").unwrap();
-        let q = qb.build().unwrap();
-
-        let pq = PreparedQuery::new(&q, true, 1);
-        let plan = pq.plan_order(&[0, 1]);
-        let offsets = vec![0u32; 2];
-        let target = 16u64;
-
-        let run_one_slice = |threads: usize| -> (u64, usize) {
-            let mut join = MultiwayJoin::with_threads(&pq, threads);
-            let mut state = offsets.clone();
-            let mut rs = ResultSet::new();
-            let mut sink = LimitSink::new(&mut rs, target);
-            let (res, steps) = join.continue_join(
-                &[0, 1],
-                &plan,
-                &offsets,
-                &mut state,
-                u64::MAX / 2,
-                &mut sink,
-            );
-            assert_eq!(res, ContinueResult::BudgetSpent, "threads {threads}");
-            (steps, rs.len())
-        };
-
-        let full_steps = (n * n) as u64; // ballpark of full enumeration
-        for threads in [2, 4] {
-            let (steps, produced) = run_one_slice(threads);
-            assert!(
-                produced as u64 >= target,
-                "threads {threads}: produced {produced} < target {target}"
-            );
-            assert!(
-                steps < full_steps / 10,
-                "threads {threads}: {steps} steps — workers did not stop mid-chunk"
-            );
-        }
-    }
-
-    #[test]
-    fn partitioned_limit_quota_suspension_terminates() {
-        // Adversarial quota scenario: drive a partitioned LIMIT loop to
-        // the *exact* full result count. Near the end every slice's
-        // remaining capacity is tiny, and the quota counter trips on
-        // re-emissions of tuples earlier slices already merged — each
-        // suspension must still advance the folded cursor, or the loop
-        // would repeat the same slice forever.
+    fn limit_suspension_at_exact_total_terminates() {
+        // Drive a sliced LIMIT loop to the *exact* full result count:
+        // every suspension on a full sink must still advance the
+        // cursor, or the loop would repeat the same slice forever.
         let n = 40usize;
         let mut cat = Catalog::new();
         for name in ["q1", "q2"] {
@@ -1592,9 +1039,11 @@ mod tests {
         };
         assert!(total > 10);
 
-        for threads in [2, 4] {
+        // Targets below the total suspend mid-slice and resume; the
+        // exact total suspends on the last tuple.
+        for target in [1, total / 2, total] {
             let plan = pq.plan_order(&[0, 1]);
-            let mut join = MultiwayJoin::with_threads(&pq, threads);
+            let mut join = MultiwayJoin::new(&pq);
             let offsets = vec![0u32; 2];
             let mut state = offsets.clone();
             let mut rs = ResultSet::new();
@@ -1603,24 +1052,23 @@ mod tests {
                 slices += 1;
                 assert!(
                     slices < 100_000,
-                    "threads {threads}: partitioned LIMIT loop did not terminate"
+                    "target {target}: LIMIT loop did not terminate"
                 );
-                let mut sink = LimitSink::new(&mut rs, total);
+                let mut sink = LimitSink::new(&mut rs, target);
                 let (res, _) =
                     join.continue_join(&[0, 1], &plan, &offsets, &mut state, 64, &mut sink);
-                if res == ContinueResult::Exhausted || rs.len() as u64 >= total {
+                if res == ContinueResult::Exhausted || rs.len() as u64 >= target {
                     break;
                 }
             }
-            assert_eq!(rs.len() as u64, total, "threads {threads}");
+            assert_eq!(rs.len() as u64, target);
         }
     }
 
     #[test]
-    fn partitioned_limit_end_to_end_counts_match() {
-        // Same shape through the Skinner-C driver: partitioned LIMIT
-        // runs must produce a valid prefix and never fewer rows than the
-        // sequential path would.
+    fn limit_end_to_end_stops_early() {
+        // Through the Skinner-C driver: one giant-budget slice must stop
+        // as soon as the LIMIT is met, with a valid prefix.
         let n = 120usize;
         let mut cat = Catalog::new();
         for name in ["p1", "p2"] {
@@ -1644,7 +1092,6 @@ mod tests {
         use crate::skinner_c::{RunOptions, SkinnerC, SkinnerCConfig, StopReason};
         let out = SkinnerC::new(SkinnerCConfig {
             budget: 100_000,
-            threads: 4,
             ..Default::default()
         })
         .run_with(
@@ -1657,10 +1104,10 @@ mod tests {
         assert_eq!(out.stop, StopReason::RowTarget);
         assert!(out.result_count >= 10);
         // The giant budget would have enumerated the full join (~3600
-        // distinct tuples) without the mid-chunk stop.
+        // distinct tuples) without the mid-slice stop.
         assert!(
             out.metrics.steps < 2_000,
-            "steps {} — partitioned LIMIT did not stop early",
+            "steps {} — LIMIT did not stop early",
             out.metrics.steps
         );
     }
@@ -1670,9 +1117,8 @@ mod tests {
         // Two link tables joined on a two-column composite key plus a
         // third table chained on one of the components: the composite
         // jump, the single-column jump and the scan path all in one
-        // query. Every kernel (generic / plan-bound, sequential /
-        // partitioned / sliced) must produce the same tuple set, with
-        // and without indexes.
+        // query. Every kernel (generic / plan-bound, one-shot / sliced)
+        // must produce the same tuple set, with and without indexes.
         let mut cat = Catalog::new();
         cat.register(
             Table::new(
@@ -1741,13 +1187,11 @@ mod tests {
                     expected,
                     "generic diverged: order {order:?} indexes {indexes}"
                 );
-                for threads in [1, 3] {
-                    assert_eq!(
-                        run_order_threads(&q, &order, indexes, threads),
-                        expected,
-                        "bound diverged: order {order:?} indexes {indexes} threads {threads}"
-                    );
-                }
+                assert_eq!(
+                    run_order(&q, &order, indexes),
+                    expected,
+                    "bound diverged: order {order:?} indexes {indexes}"
+                );
             }
         }
 

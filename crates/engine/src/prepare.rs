@@ -12,10 +12,9 @@
 //! column at a time: each conjunct, bound once to its column slice,
 //! compacts a selection vector of base row ids in conjunct order
 //! ([`BoundPred::select`]), so a UDF sees only rows that passed the
-//! conjuncts before it. Those tables are scanned on at most `threads`
-//! scoped workers (Table 2 — the only parallelism the paper's
-//! implementation has; this reproduction additionally partitions the
-//! join phase itself, see [`crate::partition`]); every other table keeps
+//! conjuncts before it. Those tables are scanned as at most `threads`
+//! morsels on the persistent [`WorkerPool`] (Table 2 — the only
+//! parallelism the paper's implementation has); every other table keeps
 //! all its rows.
 //!
 //! For such an unfiltered table the paper's "only tuples satisfying all
@@ -51,6 +50,7 @@
 use skinner_codegen::{
     CompiledKernel, JumpKind, KernelCache, KernelJump, KernelKey, KernelPosition,
 };
+use skinner_pool::WorkerPool;
 use skinner_query::{compile_predicates, BoundPred, CompiledPred, Query, TableId, TableSet};
 use skinner_storage::table::TableRef;
 use skinner_storage::{fused_join_key, Column, FxHashMap, HashIndex, RowId};
@@ -152,9 +152,23 @@ impl PreparedQuery {
     ///
     /// `build_indexes` corresponds to the "indexes" feature of Table 6;
     /// `threads > 1` spreads the per-table filter scans over at most
-    /// `threads` workers, the calling thread included. A scan evaluates
-    /// one conjunct at a time over the rows the earlier ones kept.
+    /// `threads` morsels on the process-wide [`WorkerPool::global`], the
+    /// calling thread helping. A scan evaluates one conjunct at a time
+    /// over the rows the earlier ones kept.
     pub fn new(query: &Query, build_indexes: bool, threads: usize) -> PreparedQuery {
+        PreparedQuery::prepare(query, build_indexes, threads, None)
+    }
+
+    /// [`new`](PreparedQuery::new), running the filter morsels on `pool`
+    /// (`None`: the global pool). With `threads <= 1`, or at most one
+    /// table to scan, every scan runs on the calling thread and no pool
+    /// is touched.
+    pub(crate) fn prepare(
+        query: &Query,
+        build_indexes: bool,
+        threads: usize,
+        pool: Option<&Arc<WorkerPool>>,
+    ) -> PreparedQuery {
         let start = std::time::Instant::now();
         let tables: Vec<TableRef> = query.tables.iter().map(|b| b.table.clone()).collect();
         let m = tables.len();
@@ -179,9 +193,10 @@ impl PreparedQuery {
         // Tables whose filtered positions are their base rows.
         let keeps_all: Vec<bool> = unary.iter().map(|u| u.is_empty() && !const_false).collect();
 
-        // Scan the tables that have unary conjuncts on at most `threads`
-        // workers, the caller being one of them; the rest keep every row
-        // (or none, under a constant-false conjunct).
+        // Scan the tables that have unary conjuncts as at most `threads`
+        // morsels, each taking the next unscanned table until none is
+        // left; the rest keep every row (or none, under a constant-false
+        // conjunct).
         let mut filtered: Vec<Vec<RowId>> = (0..m)
             .map(|t| {
                 if keeps_all[t] {
@@ -199,8 +214,11 @@ impl PreparedQuery {
         // scans every row into a selection vector, each later one
         // compacts it, in conjunct order — so conjunct k sees exactly the
         // rows that passed conjuncts 0..k, as under row-at-a-time `all`.
-        let work = || {
-            let mut done = Vec::new();
+        let scan = |_morsel: usize, done: &mut Vec<(usize, Vec<RowId>)>| {
+            // Fault-injection site: a panic here is caught by the pool,
+            // re-raised on the submitting thread after the sibling
+            // morsels complete, and the hosting worker is replaced.
+            crate::failpoints::fire("prepare.scan");
             let mut rows = vec![0u32; m];
             while let Some(&t) = scans.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let n = tables[t].num_rows();
@@ -209,18 +227,14 @@ impl PreparedQuery {
                 });
                 done.push((t, keep.expect("a scanned table has a unary conjunct")));
             }
-            done
         };
-        let workers = threads.min(scans.len()).max(1);
-        let scanned = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-            let mut done = work();
-            for h in helpers {
-                done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-            }
-            done
-        });
-        for (t, keep) in scanned {
+        let mut morsels = vec![Vec::new(); threads.min(scans.len()).max(1)];
+        match (morsels.len(), pool) {
+            (1, _) => scan(0, &mut morsels[0]),
+            (_, Some(pool)) => pool.run_batch_mut(&mut morsels, scan),
+            (_, None) => WorkerPool::global().run_batch_mut(&mut morsels, scan),
+        }
+        for (t, keep) in morsels.into_iter().flatten() {
             filtered[t] = keep;
         }
 

@@ -8,13 +8,6 @@
 //! lexicographic enumeration space, differenced across the slice. The
 //! simple variant (progress in the left-most table only) matches the
 //! formal analysis of §5.
-//!
-//! Rewards are *slice-normalized regardless of worker count*: with a
-//! partitioned join phase (see [`crate::partition`]) the cursors fed in
-//! here are the folded slice cursors, which live in the same
-//! lexicographic space as sequential cursors, and every order's slices
-//! run with the same worker count — so UCT comparisons between orders
-//! stay fair and the `[0, 1]` clamp keeps the bandit contract either way.
 
 use skinner_query::TableId;
 

@@ -21,10 +21,12 @@ use crate::reward::{reward, RewardKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skinner_codegen::{CompiledKernel, KernelCache};
+use skinner_pool::WorkerPool;
 use skinner_query::{Query, TableId};
 use skinner_storage::{FxHashMap, RowId};
 use skinner_uct::{ArmPriors, JoinOrderSpace, SearchSpace, TreeSnapshot, UctConfig, UctTree};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Join-order selection policy (Table 5 compares Original=UCT against
@@ -43,11 +45,6 @@ pub enum OrderPolicy {
 pub struct SkinnerCConfig {
     /// Step budget `b` per time slice (paper default: 500 outer-loop
     /// iterations, i.e. thousands of join-order switches per second).
-    /// With parallel join workers the budget is divided across the
-    /// slice's offset chunks, so a slice examines roughly `budget`
-    /// tuples regardless of the worker count — larger budgets amortize
-    /// the per-slice cost of handing morsels to the persistent pool and
-    /// are recommended when `threads > 1`.
     pub budget: u64,
     /// UCT exploration weight `w` (paper: 1e-6 for Skinner-C, whose
     /// fine-grained progress reward needs little forced exploration).
@@ -58,12 +55,11 @@ pub struct SkinnerCConfig {
     /// Build hash indexes on equi-join columns during pre-processing
     /// (Table 6 ablation).
     pub use_indexes: bool,
-    /// Worker threads, used twice: one filter thread per table during
-    /// pre-processing (Table 2, as in the paper's implementation), and —
-    /// beyond the paper, whose join phase is single-threaded — offset-
-    /// range-partitioned execution of every join slice (see
-    /// [`crate::partition`]). `1` reproduces the paper's sequential join
-    /// phase exactly.
+    /// Pre-processing fan-out: the per-table filter scans run as at most
+    /// `threads` morsels on the worker pool (Table 2, as in the paper's
+    /// implementation). The join phase is single-threaded, as in the
+    /// paper, so this changes pre-processing wall time only — tuples,
+    /// steps, slices and the learned order are the same at any value.
     pub threads: usize,
     /// Order selection policy (UCT, or uniform random for the Table 5
     /// ablation).
@@ -135,10 +131,8 @@ pub struct RunOptions<'a> {
     /// Wall-clock deadline, checked at every slice boundary.
     pub deadline: Option<Instant>,
     /// Stop once this many distinct join tuples exist (LIMIT pushdown —
-    /// callers must check `Query::join_limit` eligibility first). Both
-    /// the sequential kernel and partitioned chunk workers suspend
-    /// mid-slice on reaching the target (workers share one slice-wide
-    /// emission counter).
+    /// callers must check `Query::join_limit` eligibility first). The
+    /// kernel suspends mid-slice on reaching the target.
     pub target_rows: Option<u64>,
     /// Cap on result-materialization bytes (flat tuple arena + dedup
     /// table), checked at every slice boundary like `cancel` and
@@ -156,12 +150,12 @@ pub struct RunOptions<'a> {
     /// pre-bound orders of a warm service-layer template — skip
     /// kernel-construction analysis. `None` resolves shapes locally.
     pub kernel_cache: Option<&'a KernelCache>,
-    /// Worker pool executing partitioned-slice morsels. The service
-    /// wires its budget-sized pool here so every query shares one set
-    /// of persistent threads; `None` uses the process-wide global pool.
-    /// Irrelevant when `threads <= 1` (the sequential path never
-    /// touches a pool).
-    pub pool: Option<std::sync::Arc<skinner_pool::WorkerPool>>,
+    /// Worker pool executing the pre-processing filter morsels. The
+    /// service wires its budget-sized pool here so every query shares
+    /// one set of persistent threads; `None` uses the process-wide
+    /// global pool. Irrelevant when `threads <= 1` (pre-processing then
+    /// runs on the calling thread and never touches a pool).
+    pub pool: Option<Arc<WorkerPool>>,
 }
 
 /// Learned join-order state captured from one execution, reusable by a
@@ -254,8 +248,8 @@ impl SkinnerC {
     /// qb.select_col("a.id").unwrap();
     /// let query = qb.build().unwrap();
     ///
-    /// // Paper defaults (sequential join phase). `threads: 4` would
-    /// // additionally partition every join slice across 4 workers.
+    /// // Paper defaults. `threads: 4` would spread the filter scans
+    /// // over 4 pool morsels; the join phase is single-threaded.
     /// let out = SkinnerC::new(SkinnerCConfig::default()).run(&query);
     /// assert_eq!(out.result_count, 3);
     /// assert_eq!(out.num_tables, 2);
@@ -288,8 +282,29 @@ impl SkinnerC {
     ) -> SkinnerOutcome {
         let cfg = &self.config;
         let m = query.num_tables();
-        let pq = PreparedQuery::new(query, cfg.use_indexes, cfg.threads);
+        // Pool-reuse accounting: the per-run delta of pool thread spawns
+        // must be 0 after the pool's one-time warm-up. Both counters are
+        // snapshotted so panic-driven worker replacements — which on a
+        // shared pool may belong to a *concurrent* query — can be netted
+        // out of this run's delta: a run that gets past pre-processing
+        // hosted no panicking morsel of its own (a panic would have
+        // unwound past us). The metric remains approximate under
+        // concurrency — a racing query's pool warm-up is
+        // indistinguishable from ours — but is exact for a private pool
+        // and in steady state.
+        let pool = opts
+            .pool
+            .clone()
+            .or_else(|| (cfg.threads > 1).then(WorkerPool::global));
+        let pool_counts = || {
+            pool.as_ref()
+                .map_or((0, 0), |p| (p.spawned(), p.replaced()))
+        };
+        let (spawned, replaced) = pool_counts();
+        let pq = PreparedQuery::prepare(query, cfg.use_indexes, cfg.threads, pool.as_ref());
+        let (spawned_after, replaced_after) = pool_counts();
         let mut metrics = ExecMetrics {
+            thread_spawns: (spawned_after - spawned).saturating_sub(replaced_after - replaced),
             preprocess_time: pq.preprocess_time,
             index_bytes: pq.index_bytes(),
             // Selectivity observations for the knowledge store: how many
@@ -337,17 +352,10 @@ impl SkinnerC {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15);
         let mut tracker = ProgressTracker::new(m);
         let mut offsets = vec![0u32; m];
-        let mut join = MultiwayJoin::with_pool(&pq, cfg.threads, opts.pool.clone());
-        // Pool-reuse accounting: the per-run delta of pool thread spawns
-        // must be 0 after the pool's one-time warm-up. Both counters are
-        // snapshotted so panic-driven worker replacements — which on a
-        // shared pool may belong to a *concurrent* query — can be netted
-        // out of this run's delta.
-        let spawns_before = join.pool_spawned();
-        let replaced_before = join.pool_replaced();
+        let mut join = MultiwayJoin::new(&pq);
         // Per-order execution state: the bound plan plus, for orders of
         // two or more tables, the compiled kernel. Bound once per order,
-        // reused across every slice and partitioned chunk.
+        // reused across every slice.
         let mut plan_cache: FxHashMap<Vec<TableId>, PlannedOrder<'_>> = FxHashMap::default();
         for order in opts.planned_orders {
             if is_permutation(order, m) && !plan_cache.contains_key(order.as_slice()) {
@@ -506,17 +514,6 @@ impl SkinnerC {
         }
 
         metrics.join_time = join_start.elapsed();
-        metrics.join_chunks = join.chunks_run();
-        metrics.join_threads = cfg.threads.max(1);
-        // Net out panic-driven replacements: a run that reaches this
-        // point hosted no panicking morsel of its own (a panic would
-        // have unwound past us), so any replacement spawns observed on
-        // a shared pool were another query's and must not be billed
-        // here. The metric remains approximate under concurrency — a
-        // racing query's pool warm-up is indistinguishable from ours —
-        // but is exact for a private pool and in steady state.
-        metrics.thread_spawns = (join.pool_spawned() - spawns_before)
-            .saturating_sub(join.pool_replaced() - replaced_before);
         metrics.uct_nodes = tree.num_nodes();
         metrics.uct_bytes = tree.approx_bytes();
         metrics.tracker_nodes = tracker.num_nodes();
@@ -773,37 +770,35 @@ mod tests {
         assert_eq!(o, vec![0, 1, 2, 3]);
     }
 
-    #[test]
-    fn parallel_join_phase_correct() {
-        let cat = fk_catalog(64);
-        let q = chain_query(&cat, 4);
-        let expected = ground_truth(&q);
-        let out = SkinnerC::new(SkinnerCConfig {
-            budget: 200,
-            threads: 4,
-            ..Default::default()
-        })
-        .run(&q);
-        assert_eq!(out.result_count, expected);
-        assert_eq!(out.metrics.join_threads, 4);
-        // partitioned slices fan out to more kernel runs than slices
-        assert!(
-            out.metrics.join_chunks > out.metrics.slices,
-            "chunks {} slices {}",
-            out.metrics.join_chunks,
-            out.metrics.slices
-        );
+    /// `chain_query` with a unary filter on every table, so
+    /// pre-processing has one filter scan per table to spread.
+    fn filtered_chain_query(cat: &Catalog, tables: usize) -> Query {
+        let mut qb = QueryBuilder::new(cat);
+        for t in 0..tables {
+            qb.table(&format!("t{t}")).unwrap();
+            let f = qb.col(&format!("t{t}.v")).unwrap().ge(Expr::lit(t as i64));
+            qb.filter(f);
+        }
+        for t in 0..tables - 1 {
+            let j = qb
+                .col(&format!("t{t}.k"))
+                .unwrap()
+                .eq(qb.col(&format!("t{}.k", t + 1)).unwrap());
+            qb.filter(j);
+        }
+        qb.select_col("t0.v").unwrap();
+        qb.build().unwrap()
     }
 
     #[test]
     fn pool_reuse_means_zero_spawns_after_warmup() {
         // The acceptance criterion for the persistent pool: after the
-        // pool's one-time warm-up, a run executes thousands of
-        // partitioned slices with zero OS thread spawns.
+        // pool's one-time warm-up, pre-processing spreads its filter
+        // scans over pooled workers with zero OS thread spawns.
         let cat = fk_catalog(64);
-        let q = chain_query(&cat, 4);
-        let pool = skinner_pool::WorkerPool::new(4);
-        let run = |pool: &std::sync::Arc<skinner_pool::WorkerPool>| {
+        let q = filtered_chain_query(&cat, 4);
+        let pool = WorkerPool::new(4);
+        let run = |pool: &Arc<WorkerPool>| {
             SkinnerC::new(SkinnerCConfig {
                 budget: 200,
                 threads: 4,
@@ -819,14 +814,10 @@ mod tests {
         };
         let warm = run(&pool);
         // The private pool spawned its 4 workers at construction, before
-        // the first run — even run one sees zero per-slice spawns.
+        // the first run — even run one sees zero spawns.
         assert_eq!(warm.metrics.thread_spawns, 0, "warm-up run spawned");
         let steady = run(&pool);
         assert!(steady.metrics.slices > 0);
-        assert!(
-            steady.metrics.join_chunks > steady.metrics.slices,
-            "expected partitioned fan-out"
-        );
         assert_eq!(
             steady.metrics.thread_spawns, 0,
             "steady-state run must reuse pooled workers"
@@ -836,25 +827,28 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_outcome() {
+        // Threads spread only the filter scans: the join phase, and so
+        // the whole outcome, is identical to the sequential run's.
         let cat = fk_catalog(48);
-        let q = chain_query(&cat, 3);
-        let seq = SkinnerC::new(SkinnerCConfig {
-            budget: 64,
-            ..Default::default()
-        })
-        .run(&q);
-        let par = SkinnerC::new(SkinnerCConfig {
-            budget: 64,
-            threads: 3,
-            ..Default::default()
-        })
-        .run(&q);
-        assert_eq!(par.result_count, seq.result_count);
-        let mut a: Vec<&[u32]> = seq.tuples.chunks_exact(3).collect();
-        let mut b: Vec<&[u32]> = par.tuples.chunks_exact(3).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        let q = filtered_chain_query(&cat, 3);
+        let run = |threads| {
+            SkinnerC::new(SkinnerCConfig {
+                budget: 64,
+                threads,
+                ..Default::default()
+            })
+            .run(&q)
+        };
+        let seq = run(1);
+        assert!(seq.result_count > 0);
+        for threads in [2, 3] {
+            let par = run(threads);
+            assert_eq!(par.tuples, seq.tuples, "threads {threads}");
+            assert_eq!(par.final_order, seq.final_order);
+            assert_eq!(par.metrics.slices, seq.metrics.slices);
+            assert_eq!(par.metrics.steps, seq.metrics.steps);
+            assert_eq!(par.metrics.order_selections, seq.metrics.order_selections);
+        }
     }
 
     #[test]
@@ -877,17 +871,11 @@ mod tests {
     }
 
     /// The sorted distinct tuples of `q` from the plan-bound kernel alone:
-    /// `order` resumed slice by slice (`budget` steps, `threads` morsels
-    /// per slice) until exhausted.
-    fn plan_bound_tuples(
-        q: &Query,
-        order: &[TableId],
-        threads: usize,
-        budget: u64,
-    ) -> Vec<Vec<RowId>> {
+    /// `order` resumed slice by slice (`budget` steps) until exhausted.
+    fn plan_bound_tuples(q: &Query, order: &[TableId], budget: u64) -> Vec<Vec<RowId>> {
         let pq = PreparedQuery::new(q, true, 1);
         let plan = pq.plan_order(order);
-        let mut join = MultiwayJoin::with_threads(&pq, threads);
+        let mut join = MultiwayJoin::new(&pq);
         let offsets = vec![0u32; q.num_tables()];
         let mut state = offsets.clone();
         let mut rs = ResultSet::new();
@@ -917,26 +905,22 @@ mod tests {
         let cat = fk_catalog(64);
         let q = chain_query(&cat, 4);
         let expected = ground_truth(&q);
-        for threads in [1, 4] {
-            let out = SkinnerC::new(SkinnerCConfig {
-                budget: 64,
-                threads,
-                ..Default::default()
-            })
-            .run(&q);
-            assert_eq!(out.result_count, expected, "threads={threads}");
-            // Int FK chain: every order compiles.
-            assert!(out.metrics.codegen_orders > 0);
-            assert_eq!(out.metrics.fallback_orders, 0);
-            assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
-            // Same distinct tuples as the plan-bound kernel over the
-            // learned order.
-            assert_eq!(
-                sorted_tuples(&out),
-                plan_bound_tuples(&q, &out.final_order, threads, 64),
-                "threads={threads}"
-            );
-        }
+        let out = SkinnerC::new(SkinnerCConfig {
+            budget: 64,
+            ..Default::default()
+        })
+        .run(&q);
+        assert_eq!(out.result_count, expected);
+        // Int FK chain: every order compiles.
+        assert!(out.metrics.codegen_orders > 0);
+        assert_eq!(out.metrics.fallback_orders, 0);
+        assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
+        // Same distinct tuples as the plan-bound kernel over the learned
+        // order.
+        assert_eq!(
+            sorted_tuples(&out),
+            plan_bound_tuples(&q, &out.final_order, 64)
+        );
     }
 
     #[test]
@@ -1046,26 +1030,22 @@ mod tests {
     }
 
     #[test]
-    fn seven_table_chain_compiled_agrees_with_plan_bound_partitioned() {
-        // The whole-order kernel under partitioning, checked
-        // byte-for-byte against the plan-bound kernel on the same 7-table
-        // query, with a budget small enough to force many
-        // suspend/resume cycles on both.
+    fn seven_table_chain_compiled_agrees_with_plan_bound() {
+        // The whole-order kernel checked against the plan-bound kernel on
+        // the same 7-table query, with a budget small enough to force
+        // many suspend/resume cycles on both.
         let (_cat, q) = seven_table_chain();
-        for threads in [1, 4] {
-            let compiled = SkinnerC::new(SkinnerCConfig {
-                budget: 64,
-                threads,
-                ..Default::default()
-            })
-            .run(&q);
-            assert_eq!(compiled.result_count, 3 * 128, "threads={threads}");
-            let plan_bound = plan_bound_tuples(&q, &compiled.final_order, threads, 64);
-            assert_eq!(plan_bound.len(), 3 * 128);
-            assert_eq!(sorted_tuples(&compiled), plan_bound, "threads={threads}");
-            assert_eq!(compiled.metrics.fallback_orders, 0);
-            assert_eq!(compiled.metrics.codegen_slices, compiled.metrics.slices);
-        }
+        let compiled = SkinnerC::new(SkinnerCConfig {
+            budget: 64,
+            ..Default::default()
+        })
+        .run(&q);
+        assert_eq!(compiled.result_count, 3 * 128);
+        let plan_bound = plan_bound_tuples(&q, &compiled.final_order, 64);
+        assert_eq!(plan_bound.len(), 3 * 128);
+        assert_eq!(sorted_tuples(&compiled), plan_bound);
+        assert_eq!(compiled.metrics.fallback_orders, 0);
+        assert_eq!(compiled.metrics.codegen_slices, compiled.metrics.slices);
     }
 
     #[test]

@@ -58,9 +58,9 @@ impl From<io::Error> for ClientError {
 pub struct QueryOutcome {
     /// Output column names.
     pub columns: Vec<String>,
-    /// All rows, in delivery order (which is nondeterministic under
-    /// parallel execution — compare sorted, see
-    /// [`encode_row`](crate::proto::encode_row)).
+    /// All rows, in delivery order (which follows the learned join
+    /// orders and so differs between cold and warm runs — compare
+    /// sorted, see [`encode_row`](crate::proto::encode_row)).
     pub rows: Vec<Vec<Value>>,
     /// The server's execution summary.
     pub summary: BatchSummary,

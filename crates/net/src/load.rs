@@ -11,8 +11,9 @@
 //! real client would.
 //!
 //! Results are verified against direct (in-process) execution: the
-//! engine's parallel row *order* is nondeterministic, so rows are
-//! compared as sorted canonical encodings ([`crate::proto::encode_row`]).
+//! engine's row *order* follows the join orders it learned, which a
+//! warm start changes, so rows are compared as sorted canonical
+//! encodings ([`crate::proto::encode_row`]).
 
 use crate::client::{ClientError, NetClient};
 use crate::proto::encode_row;

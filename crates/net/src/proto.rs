@@ -15,8 +15,9 @@ use skinner_storage::Value;
 
 /// Encode one whole row — the canonical per-row byte form the load
 /// harness sorts and compares for result verification (the engine's
-/// row *order* is nondeterministic under parallel slices; the row
-/// *multiset* is not).
+/// row *order* follows the join orders it learned, so a warm-started
+/// run emits rows in a different order than a cold one; the row
+/// *multiset* is the same).
 pub fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(row.len() * 9);
     for v in row {

@@ -1,11 +1,10 @@
 //! # Persistent morsel-driven worker pool
 //!
 //! One long-lived, service-wide pool of OS threads executing *morsels*
-//! — small, owned units of work (in the engine: one offset chunk of a
-//! partitioned join slice). Replaces per-slice `std::thread::scope`
-//! spawning: SkinnerDB switches join orders every few hundred steps, so
-//! any fixed per-slice overhead is paid thousands of times per query,
-//! and thread spawn/join was the dominant fixed cost.
+//! — small, owned units of work (in the engine: one filter-scan worker
+//! of pre-processing, taking table after table). Replaces per-query
+//! `std::thread::scope` spawning: a service runs many short queries, and
+//! thread spawn/join is a fixed cost paid on every one.
 //!
 //! ## Design
 //!
@@ -13,9 +12,8 @@
 //!   round-robin across deques. A worker pops its own deque from the
 //!   front and steals from the back of a victim chosen by rotation (or
 //!   by the seeded schedule, see [`schedule`]). Morsels are coarse
-//!   (hundreds of join steps), so lock-based deques are far below
-//!   noise; what matters is that no thread is ever spawned on the hot
-//!   path.
+//!   (whole table scans), so lock-based deques are far below noise;
+//!   what matters is that no thread is ever spawned on the query path.
 //! - **Scoped batches over persistent threads.**
 //!   [`WorkerPool::run_batch_mut`] submits one task per slice of a
 //!   `&mut [T]` and *blocks until every task has completed*. Because
@@ -34,7 +32,7 @@
 //!   1-core host degrade to almost exactly the sequential path.
 //! - **Cross-query sharing.** Any number of threads may submit batches
 //!   concurrently; their morsels interleave in the deques. Admission
-//!   (how many morsels a query may have in flight ≈ its chunk fan-out)
+//!   (how many morsels a query may have in flight ≈ its filter fan-out)
 //!   is decided upstream by the service's `CoreBudget` grant; the pool
 //!   itself never blocks a submitter behind another query.
 //! - **Panic = replace.** A morsel panic is caught, recorded on the
@@ -47,11 +45,12 @@
 //! ## Determinism contract
 //!
 //! The pool intentionally guarantees **nothing** about execution order.
-//! Correctness of partitioned join slices instead comes from the
-//! engine's invariant that morsels are independent: each chunk runs a
-//! deterministic kernel on a private cursor and private output shard,
-//! and shards merge in chunk order on the submitting thread. The
-//! [`schedule`] module exists to *attack* that invariant in tests:
+//! Correctness of parallel pre-processing instead comes from the
+//! engine's invariant that morsels are independent: each filter scan
+//! is a deterministic function of its table and writes only its own
+//! selection vector, which the submitting thread files under the
+//! table's id. The [`schedule`] module exists to *attack* that
+//! invariant in tests:
 //! seeded yield/steal-order perturbation drives the differential suite
 //! across adversarial interleavings.
 
@@ -74,9 +73,11 @@ struct RawTask {
 
 impl RawTask {
     /// Execute the morsel, catching a panic and recording completion
-    /// (and the first panic payload) on the batch. Returns the panic
-    /// payload presence so workers can retire themselves.
-    fn execute(self) -> bool {
+    /// (and the first panic payload) on the batch. A panic is counted in
+    /// `task_panics` before the batch can complete, so a submitter that
+    /// has seen its panic re-raised also sees it counted. Returns the
+    /// panic payload presence so workers can retire themselves.
+    fn execute(self, task_panics: &AtomicU64) -> bool {
         let RawTask { run, batch } = self;
         // UnwindSafe: on panic the task's `&mut` scratch may be left
         // half-written, but the submitter re-raises the panic before
@@ -88,6 +89,7 @@ impl RawTask {
                 false
             }
             Err(payload) => {
+                task_panics.fetch_add(1, Ordering::Relaxed);
                 batch.complete(Some(payload));
                 true
             }
@@ -275,12 +277,15 @@ impl Inner {
     }
 }
 
-fn worker_loop(inner: Arc<Inner>, idx: usize) {
+/// Run worker `idx` until shutdown, or until a morsel panics; returns
+/// true when the worker retired after spawning its replacement, which
+/// takes over its slot in `live`.
+fn worker_loop(inner: Arc<Inner>, idx: usize) -> bool {
     loop {
         schedule::point(0x1D7E);
         if let Some(task) = inner.grab(idx) {
             schedule::point(0xE8EC);
-            let panicked = task.execute();
+            let panicked = task.execute(&inner.task_panics);
             if panicked {
                 // Retire this worker and bring up a replacement: the
                 // pool always returns to full strength, and a fresh
@@ -290,21 +295,21 @@ fn worker_loop(inner: Arc<Inner>, idx: usize) {
                 // so a replacement either lands in `handles` before
                 // Drop drains them (and is joined) or is never spawned
                 // — no handle can leak past Drop's join-all.
-                inner.task_panics.fetch_add(1, Ordering::Relaxed);
                 let s = inner.lock_sync();
-                if !s.shutdown {
+                let replace = !s.shutdown;
+                if replace {
                     inner.replaced.fetch_add(1, Ordering::Relaxed);
-                    spawn_worker(&inner, idx);
+                    spawn_worker(&inner, idx, true);
                 }
                 drop(s);
-                return;
+                return replace;
             }
             continue;
         }
         let mut s = inner.lock_sync();
         loop {
             if s.shutdown {
-                return;
+                return false;
             }
             if s.pending > 0 {
                 break;
@@ -314,25 +319,31 @@ fn worker_loop(inner: Arc<Inner>, idx: usize) {
     }
 }
 
-fn spawn_worker(inner: &Arc<Inner>, idx: usize) {
+/// Spawn worker `idx`. A replacement (`inherits_slot`) takes over the
+/// retiring worker's slot in `live`, so `live` never moves during a
+/// replacement.
+fn spawn_worker(inner: &Arc<Inner>, idx: usize, inherits_slot: bool) {
     inner.spawned.fetch_add(1, Ordering::Relaxed);
-    inner.live.fetch_add(1, Ordering::Relaxed);
+    if !inherits_slot {
+        inner.live.fetch_add(1, Ordering::Relaxed);
+    }
     let worker_inner = inner.clone();
     let handle = std::thread::Builder::new()
         .name(format!("skinner-pool-{idx}"))
         .spawn(move || {
-            // Decrement `live` however the worker exits (including the
-            // panic-retire path, which returns normally after arranging
-            // its replacement).
-            struct ExitGuard(Arc<Inner>);
+            // Give up the slot in `live` however the worker exits —
+            // unless it retired after handing the slot to its
+            // replacement.
+            struct ExitGuard(Arc<Inner>, bool);
             impl Drop for ExitGuard {
                 fn drop(&mut self) {
-                    self.0.live.fetch_sub(1, Ordering::Relaxed);
+                    if !self.1 {
+                        self.0.live.fetch_sub(1, Ordering::Relaxed);
+                    }
                 }
             }
-            let guard = ExitGuard(worker_inner.clone());
-            worker_loop(worker_inner, idx);
-            drop(guard);
+            let mut guard = ExitGuard(worker_inner.clone(), false);
+            guard.1 = worker_loop(worker_inner, idx);
         })
         .expect("spawn pool worker");
     inner
@@ -378,16 +389,16 @@ impl WorkerPool {
             handles: Mutex::new(Vec::new()),
         });
         for idx in 0..workers {
-            spawn_worker(&inner, idx);
+            spawn_worker(&inner, idx, false);
         }
         Arc::new(WorkerPool { inner, workers })
     }
 
     /// The process-wide shared pool, sized to the host's available
     /// parallelism, created on first use. This is what the engine uses
-    /// when no pool is wired explicitly (standalone `MultiwayJoin`
-    /// users, benches); the service owns its own pool sized to its
-    /// core budget.
+    /// when no pool is wired explicitly (`PreparedQuery::new`, a
+    /// Skinner-C run without `RunOptions::pool`); the service owns its
+    /// own pool sized to its core budget.
     pub fn global() -> Arc<WorkerPool> {
         static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
         GLOBAL
@@ -405,8 +416,10 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Worker threads currently running (== `workers()` at rest; dips
-    /// transiently while a panicked worker's replacement spawns).
+    /// Worker slots currently held by a running thread: `workers()`,
+    /// including across a panic-driven replacement (the replacement
+    /// takes over the retiring worker's slot). Fewer only if a worker
+    /// died without a replacement.
     pub fn live_workers(&self) -> usize {
         self.inner.live.load(Ordering::Relaxed)
     }
@@ -479,9 +492,7 @@ impl WorkerPool {
         // when every pool worker is grinding another query.
         while let Some(task) = self.inner.grab_for_batch(&batch) {
             schedule::point(0x5E1F);
-            if task.execute() {
-                self.inner.task_panics.fetch_add(1, Ordering::Relaxed);
-            }
+            task.execute(&self.inner.task_panics);
         }
         batch.wait();
         if let Some(payload) = batch.take_panic() {
@@ -513,7 +524,7 @@ impl Drop for WorkerPool {
         // borrows `&self` — but a drained queue is cheap insurance).
         for q in 0..self.inner.queues.len() {
             while let Some(task) = self.inner.pop_at(q, true) {
-                let _ = task.execute();
+                task.execute(&self.inner.task_panics);
             }
         }
     }

@@ -1,8 +1,8 @@
 //! # Seeded schedule perturbation (loom-in-spirit, hand-rolled)
 //!
-//! Correctness of the partitioned join must not depend on *which*
-//! worker runs *which* morsel in *what* order — the cursor-folding
-//! invariant has to hold under any steal order. This module makes that
+//! Correctness of parallel pre-processing must not depend on *which*
+//! worker runs *which* morsel in *what* order — every table's filtered
+//! positions have to come out the same under any steal order. This module makes that
 //! claim testable without crates.io: when armed with a seed, the pool's
 //! scheduling decision points consult a deterministic mixing function
 //! of `(seed, global step counter, site tag)` to
@@ -17,8 +17,8 @@
 //! Unlike loom this does not enumerate interleavings exhaustively — it
 //! perturbs real threads — so it is a fuzzer for schedules, not a model
 //! checker: each seed explores a different family of interleavings, and
-//! the differential suites assert byte-identical tuples and cursors
-//! under every seed. Seeds come from [`set_seed`] (tests) or the
+//! the differential suites assert byte-identical outcomes under every
+//! seed. Seeds come from [`set_seed`] (tests) or the
 //! `SKINNER_SCHED_SEED` environment variable (CI runs the suite under
 //! several fixed seeds so failures reproduce).
 //!

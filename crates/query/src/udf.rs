@@ -125,11 +125,6 @@ impl UdfRegistry {
         self.udfs.iter()
     }
 
-    /// Sum of call counts over all registered UDFs.
-    pub fn total_calls(&self) -> u64 {
-        self.udfs.iter().map(|u| u.call_count()).sum()
-    }
-
     /// Reset call counts on all registered UDFs.
     pub fn reset_calls(&self) {
         for u in &self.udfs {
@@ -197,6 +192,6 @@ mod tests {
         r.register(Udf::new("F", |_| Value::Int(2)));
         assert_eq!(r.get("f").unwrap().call(&[]), Value::Int(2));
         assert!(r.get("g").is_none());
-        assert_eq!(r.total_calls(), 1);
+        assert_eq!(r.iter().map(|u| u.call_count()).sum::<u64>(), 1);
     }
 }

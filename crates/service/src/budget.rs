@@ -1,14 +1,17 @@
 //! The shared core budget: one pool of worker permits for the whole
-//! service, so *concurrent queries* and *intra-query join partitioning*
-//! draw from the same budget (`SkinnerCConfig.threads` semantics lifted
-//! to the service level).
+//! service, so *concurrent queries* and each query's *pre-processing
+//! fan-out* (its filter scans as pool morsels) draw from the same
+//! budget (`SkinnerCConfig.threads` semantics lifted to the service
+//! level). A query holds its grant for its whole join phase, which runs
+//! on one thread; the grant's size only sets how many filter morsels
+//! pre-processing may run at once.
 //!
 //! Admission policy: FIFO tickets (strict arrival-order fairness — no
 //! query can be starved by later arrivals) with proportional grants.
 //! The query at the head of the queue is granted
 //! `max(1, available / (1 + queued_behind))` permits: an idle service
-//! hands a single query the whole budget (maximal intra-query
-//! partitioning), a busy service degrades every query toward one worker
+//! hands a single query the whole budget (maximal pre-processing
+//! fan-out), a busy service degrades every query toward one worker
 //! each (maximal inter-query concurrency). Grants release on drop.
 //!
 //! Waiters can give up: [`CoreBudget::acquire_with`] honors a deadline
@@ -122,10 +125,10 @@ impl CoreBudget {
     /// [`acquire_with`](CoreBudget::acquire_with) capped at
     /// `max_workers` permits — the pool-admission half of adaptive core
     /// grants. A grant is `min(proportional share, max_workers)`, so a
-    /// query that knows it cannot use fan-out (a cached warm template
-    /// whose best order converged, a single-table query) takes one
-    /// permit and leaves the rest of the pool to cold queries, instead
-    /// of hoarding an idle service's whole budget.
+    /// query that needs no fan-out (a cached warm template whose best
+    /// order converged) takes one permit and leaves the rest of the pool
+    /// to cold queries, instead of hoarding an idle service's whole
+    /// budget.
     pub fn acquire_limited(
         &self,
         max_workers: usize,

@@ -13,9 +13,10 @@
 //!   [`UdfRegistry`](skinner_query::UdfRegistry); accepts SQL from any
 //!   number of concurrent [`Session`]s. Admission is FIFO-fair over one
 //!   shared [`CoreBudget`]: `SkinnerCConfig.threads` is the *total* core
-//!   budget, split between concurrent queries and intra-query join
-//!   partitioning (an idle service gives one query everything; a busy
-//!   one runs queries side by side). Per-query timeouts and
+//!   budget, split between concurrent queries and each query's parallel
+//!   filter scans (an idle service gives one query everything; a busy
+//!   one runs queries side by side). The join phase itself runs on the
+//!   query's own thread, as in the paper. Per-query timeouts and
 //!   [`CancelToken`]s stop the engine cooperatively at slice boundaries.
 //! * [`LearningCache`] — maps normalized query templates
 //!   ([`TemplateKey`](skinner_query::TemplateKey): join graph +

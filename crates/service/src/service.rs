@@ -6,7 +6,7 @@
 //! ([`Session`]) are cheap clonable handles; any number of threads may
 //! execute queries concurrently — admission is FIFO-fair over the core
 //! budget, so `SkinnerCConfig.threads` bounds the *total* worker count
-//! across concurrent queries and within-query join partitioning alike.
+//! across concurrent queries and their parallel filter scans alike.
 
 use crate::budget::{AdmissionError, CoreBudget};
 use crate::cache::{CacheStats, LearningCache, TableDeps};
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Base Skinner-C configuration. `engine.threads` is the service's
     /// *total* core budget: an idle service hands it all to one query
-    /// (intra-query partitioning); under load it is split across
+    /// (its pre-processing fan-out); under load it is split across
     /// concurrent queries (see [`CoreBudget`]).
     pub engine: SkinnerCConfig,
     /// Default per-query timeout (covers queueing and execution);
@@ -104,11 +104,6 @@ impl CancelToken {
     /// Raise the token; the running query stops at its next slice.
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// True once raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
     }
 
     fn flag(&self) -> &AtomicBool {
@@ -220,9 +215,9 @@ const CONVERGED_ROOT_SHARE: f64 = 0.75;
 const CONVERGED_MIN_ROUNDS: u64 = 64;
 
 /// Has this cached learning actually converged on a join order?
-/// Admission uses this to decide whether a warm template forfeits pool
-/// fan-out (it will finish in a few slices anyway) or keeps it (warm
-/// start helps, but substantial exploration/work remains).
+/// Admission uses this to decide whether a warm template takes one
+/// permit (it will finish in a few slices anyway) or the proportional
+/// grant (warm start helps, but substantial exploration/work remains).
 fn learning_converged(learning: &LearnedState) -> bool {
     learning.snapshot.rounds() >= CONVERGED_MIN_ROUNDS
         && learning
@@ -246,8 +241,9 @@ pub struct QueryService {
     budget: CoreBudget,
     /// The persistent morsel pool shared by every query this service
     /// runs: sized to the core budget, so `CoreBudget` admission (how
-    /// many morsels a query may fan out per slice) and pool capacity
-    /// (how many run at once) describe the same resource.
+    /// many filter morsels a query's pre-processing may run at once)
+    /// and pool capacity (how many run at once in total) describe the
+    /// same resource.
     pool: Arc<WorkerPool>,
     queries: AtomicU64,
     warm_starts: AtomicU64,
@@ -404,11 +400,6 @@ impl QueryService {
         self.catalog_read().catalog.clone()
     }
 
-    /// Current catalog version (bumped by every mutation).
-    pub fn catalog_version(&self) -> u64 {
-        self.catalog_read().version
-    }
-
     /// Register (or replace) a table. Bumps the global catalog version
     /// *and* the table's own version, which invalidates exactly the
     /// cached learning entries touching that table — learned join orders
@@ -501,10 +492,10 @@ impl QueryService {
         &self.kernels
     }
 
-    /// The persistent morsel pool executing every partitioned slice
-    /// (introspection: worker counts, spawn/replacement totals — the
-    /// stress tests assert the pool recovers full strength after
-    /// injected morsel panics).
+    /// The persistent morsel pool executing every query's
+    /// pre-processing filter scans (introspection: worker counts,
+    /// spawn/replacement totals — the stress tests assert the pool
+    /// recovers full strength after injected morsel panics).
     pub fn worker_pool(&self) -> &Arc<WorkerPool> {
         &self.pool
     }
@@ -584,18 +575,16 @@ impl QueryService {
         let cancel = opts.cancel.as_ref().map(CancelToken::flag);
 
         // Admission: FIFO over the shared core budget, which doubles as
-        // pool admission — the grant decides this query's morsel fan-out
-        // on the shared worker pool and covers the join phase (post-
-        // processing is single-threaded and runs off-budget). Adaptive
-        // sizing: a warm template whose cached learning has *converged*
-        // (root visit mass concentrated on one order) settles in a
-        // handful of slices and gains little from fan-out, so it takes
-        // one permit and leaves the pool's parallelism to cold queries.
-        // Mere cache presence is not enough: a warm but unconverged
-        // template (interrupted run, still-exploring learner, lots of
-        // remaining work) keeps full fan-out — capping on presence
-        // alone would strip every warm long-running multi-table join
-        // of all parallelism for the life of the cache entry.
+        // pool admission — the grant decides how many filter morsels
+        // this query's pre-processing may run on the shared worker pool,
+        // and is held through the single-threaded join phase (post-
+        // processing runs off-budget). Adaptive sizing: a warm template
+        // whose cached learning has *converged* (root visit mass
+        // concentrated on one order) settles in a handful of slices, so
+        // it takes one permit and leaves the pool to cold queries. Mere
+        // cache presence is not enough: a warm but unconverged template
+        // (interrupted run, still-exploring learner, lots of remaining
+        // work) keeps the proportional grant.
         let max_workers = match &cached {
             Some(c) if learning_converged(c) => 1,
             _ => usize::MAX,
@@ -923,10 +912,10 @@ mod tests {
             planned_orders: vec![],
         };
         // Converged: many rounds, 90% of root visits on one child —
-        // this warm template forfeits fan-out (1-permit grant).
+        // this warm template takes a 1-permit grant.
         assert!(learning_converged(&learned(snap([90, 10], 100))));
         // Warm but still exploring: cache presence alone must NOT cap
-        // the grant, or a long-running warm join loses all parallelism.
+        // the grant.
         assert!(!learning_converged(&learned(snap([60, 40], 100))));
         // Too few rounds to trust even a lopsided share.
         assert!(!learning_converged(&learned(snap([9, 1], 10))));
@@ -969,7 +958,7 @@ mod tests {
         let mut s = svc.session();
         let sql = "SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k";
         s.execute(sql).expect("cold");
-        let v0 = svc.catalog_version();
+        let v0 = svc.catalog_read().version;
         // Replace "b" with different data.
         svc.register_table(
             Table::new(
@@ -985,7 +974,7 @@ mod tests {
             )
             .unwrap(),
         );
-        assert_eq!(svc.catalog_version(), v0 + 1);
+        assert_eq!(svc.catalog_read().version, v0 + 1);
         let fresh = s.execute(sql).expect("fresh");
         assert!(!fresh.stats.cache_hit, "stale entry must not be served");
         assert_eq!(fresh.table.rows[0][0], Value::Int(64 / 8 * 2 + 64 / 8));
@@ -1171,7 +1160,7 @@ mod tests {
             )
             .expect_err("cancelled");
         assert!(matches!(err, ServiceError::Cancelled));
-        assert!(token.is_cancelled());
+        assert!(token.flag().load(Ordering::Relaxed));
         assert_eq!(svc.stats().cancelled, 1);
     }
 

@@ -114,19 +114,23 @@ fn panic_mid_slice_is_isolated() {
 }
 
 #[test]
-fn panic_in_partition_worker_is_isolated() {
+fn panic_in_filter_worker_is_isolated() {
     let _g = gate();
     failpoints::reset();
     let expected = baseline(13, 4);
     let svc = service(13, 4);
-    failpoints::config("partition.chunk", "panic");
-    let result = svc.session().execute(SQL);
+    failpoints::config("prepare.scan", "panic");
+    // Filters that keep every row, so pre-processing runs one filter
+    // morsel per table.
+    let result = svc
+        .session()
+        .execute(&format!("{SQL} AND r.v >= 0 AND s.v >= 0 AND u.v >= 0"));
     failpoints::reset();
-    // The scoped worker's panic joins its siblings, unwinds to the
-    // slice driver, and is caught at the service boundary.
+    // The filter morsel's panic joins its siblings, unwinds out of
+    // pre-processing, and is caught at the service boundary.
     match result {
         Err(ServiceError::Internal(_)) => {}
-        Ok(_) => panic!("partitioned path not taken — worker failpoint never fired"),
+        Ok(_) => panic!("filter failpoint never fired"),
         Err(other) => panic!("expected Internal, got {other:?}"),
     }
     assert_eq!(svc.stats().panicked, 1);

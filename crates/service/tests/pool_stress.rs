@@ -76,7 +76,10 @@ fn service(seed: u64, threads: usize) -> Arc<QueryService> {
     )
 }
 
-const SQL: &str = "SELECT COUNT(*) AS n FROM r, s, u WHERE r.k = s.k AND s.k = u.k";
+/// Every table carries a (true) unary filter, so pre-processing has
+/// three filter scans to run as pool morsels.
+const SQL: &str = "SELECT COUNT(*) AS n FROM r, s, u \
+    WHERE r.k = s.k AND s.k = u.k AND r.v >= 0 AND s.v >= 0 AND u.v >= 0";
 
 /// Post-storm invariants: pool at full strength, budget whole, gauge
 /// zero, next query byte-for-byte correct.
@@ -111,14 +114,13 @@ fn concurrent_sessions_with_morsel_panics_never_wedge_the_pool() {
     // ---- Phase 1: deterministic mid-morsel panics, contention-free.
     //
     // A panicked execution never stores learning, so the template stays
-    // *cold* and every retry re-partitions (a warm template would be
-    // admitted with 1 worker and take the sequential path, never
-    // reaching the failpoint). Each partitioned slice runs one morsel
-    // per granted worker and ALL of them hit the armed site — sibling
-    // morsels keep running after one panics (join-then-propagate) — so
-    // the 8 armed fires fail a couple of executions, then the next
-    // execution finds the site disarmed and completes.
-    failpoints::config("partition.chunk", "panic*8");
+    // *cold* and every retry gets the full grant. Its pre-processing
+    // runs one filter morsel per scanned table (three, under a 4-permit
+    // grant) and ALL of them hit the armed site — sibling morsels keep
+    // running after one panics (join-then-propagate) — so the 8 armed
+    // fires fail a few executions, then the next execution finds the
+    // site disarmed and completes.
+    failpoints::config("prepare.scan", "panic*8");
     let mut internals = 0usize;
     loop {
         match svc.session().execute(SQL) {
@@ -140,7 +142,7 @@ fn concurrent_sessions_with_morsel_panics_never_wedge_the_pool() {
     failpoints::reset();
     assert!(
         internals >= 1,
-        "partitioned path never reached the morsel failpoint"
+        "pre-processing never reached the morsel failpoint"
     );
     assert_eq!(svc.stats().panicked as usize, internals);
     assert!(
@@ -149,10 +151,11 @@ fn concurrent_sessions_with_morsel_panics_never_wedge_the_pool() {
     );
 
     // ---- Phase 2: concurrent chaos — cancels, timeouts, plain
-    // sessions, with more panics armed. Whether each panic fires
-    // depends on adaptive admission (warm templates run sequentially),
-    // so this phase asserts *recovery*, not fire counts.
-    failpoints::config("partition.chunk", "panic@2*4");
+    // sessions, with more panics armed. Whether each panic fires on a
+    // pool worker depends on adaptive admission (a converged warm
+    // template scans on its own thread), so this phase asserts
+    // *recovery*, not fire counts.
+    failpoints::config("prepare.scan", "panic@2*4");
     let sessions = 12;
     let mut outcomes = Vec::new();
     std::thread::scope(|scope| {

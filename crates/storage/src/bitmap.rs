@@ -69,22 +69,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// In-place intersection with another bitmap of equal length.
-    pub fn and_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// In-place union with another bitmap of equal length.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
     /// Iterator over the positions of set bits, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -99,13 +83,6 @@ impl Bitmap {
                 }
             })
         })
-    }
-
-    /// Collect the set positions as row ids.
-    pub fn to_row_ids(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.count_ones());
-        out.extend(self.iter_ones().map(|i| i as u32));
-        out
     }
 }
 
@@ -145,21 +122,6 @@ mod tests {
         b.set(63, false);
         assert!(!b.get(63));
         assert_eq!(b.count_ones(), 3);
-    }
-
-    #[test]
-    fn and_or() {
-        let mut a = Bitmap::zeros(10);
-        a.set(1, true);
-        a.set(2, true);
-        let mut b = Bitmap::zeros(10);
-        b.set(2, true);
-        b.set(3, true);
-        let mut and = a.clone();
-        and.and_assign(&b);
-        assert_eq!(and.to_row_ids(), vec![2]);
-        a.or_assign(&b);
-        assert_eq!(a.to_row_ids(), vec![1, 2, 3]);
     }
 
     #[test]

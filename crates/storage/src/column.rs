@@ -137,14 +137,6 @@ impl Column {
         }
     }
 
-    /// Build an interval column from day spans (no NULLs).
-    pub fn from_intervals(v: Vec<i64>) -> Column {
-        Column {
-            data: ColumnData::Interval(v),
-            validity: None,
-        }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         match &self.data {
@@ -241,14 +233,6 @@ impl Column {
     pub fn i64s(&self) -> Option<&[i64]> {
         match &self.data {
             ColumnData::Int(v) | ColumnData::Date(v) | ColumnData::Interval(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Raw day-count slice of a date column.
-    pub fn date_days(&self) -> Option<&[i64]> {
-        match &self.data {
-            ColumnData::Date(v) => Some(v),
             _ => None,
         }
     }
@@ -538,7 +522,6 @@ mod tests {
         assert_eq!(c.get(0), Value::Date(days[0]));
         assert_eq!(c.int(1), days[1]);
         assert_eq!(c.i64s(), Some(days.as_slice()));
-        assert_eq!(c.date_days(), Some(days.as_slice()));
         assert_eq!(c.ints(), None, "dates are not plain ints");
         // Join keys are the exact day counts.
         assert_eq!(c.join_key(2), Some(days[2]));
@@ -555,7 +538,10 @@ mod tests {
         assert_eq!(d.join_key(1), None);
         assert_eq!(d.get(0), Value::Date(days[0]));
         // Intervals share the representation but not the type.
-        let iv = Column::from_intervals(vec![90, 30]);
+        let iv = Column {
+            data: ColumnData::Interval(vec![90, 30]),
+            validity: None,
+        };
         assert_eq!(iv.value_type(), ValueType::Interval);
         assert_eq!(iv.get(0), Value::Interval(90));
     }

@@ -41,7 +41,7 @@
 //! |------|-------|--------|
 //! | `engine.slice` | slice loop top | `panic` aborts the query mid-run |
 //! | `engine.cancel` | slice loop top | `cancel` stops the query as if the client cancelled |
-//! | `partition.chunk` | parallel chunk worker | `panic` inside a scoped worker thread |
+//! | `prepare.scan` | pre-processing filter morsel | `panic` inside a pool worker (or the submitting thread) |
 //! | `budget.acquire` | service admission | `panic` while the budget lock is held (poisons it) |
 //! | `persist.write` / `persist.fsync` / `persist.rename` / `persist.read` | learning-cache persistence I/O | `err` surfaces as `std::io::Error`, `panic` aborts mid-write |
 //! | `knowledge.write` / `knowledge.fsync` / `knowledge.rename` / `knowledge.read` | knowledge-store persistence I/O | as `persist.*` |

@@ -143,11 +143,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Column by name.
-    pub fn column_by_name(&self, name: &str) -> Option<&Column> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
-    }
-
     /// All columns in schema order.
     pub fn columns(&self) -> &[Column] {
         &self.columns
@@ -260,7 +255,7 @@ mod tests {
         let t = sample();
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.schema().index_of("name"), Some(1));
-        assert_eq!(t.column_by_name("id").unwrap().int(2), 3);
+        assert_eq!(t.column(0).int(2), 3);
         assert_eq!(t.row(1), vec![Value::Int(2), Value::str("b")]);
     }
 

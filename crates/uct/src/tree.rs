@@ -459,11 +459,9 @@ impl<S: SearchSpace> UctTree<S> {
     /// `path`; materializes at most one new node.
     ///
     /// The caller is responsible for normalizing rewards *per slice*, not
-    /// per unit of work: Skinner-C feeds cursor-progress deltas here, and
-    /// those stay comparable across orders whether a slice ran on one
-    /// thread or was partitioned across many — every order's slices use
-    /// the same worker count, so the bandit never sees a thread-count
-    /// bias between arms.
+    /// per unit of work: Skinner-C feeds cursor-progress deltas here,
+    /// which stay comparable across orders because every slice has the
+    /// same step budget.
     pub fn update(&mut self, path: &[S::Action], reward: f64) {
         let reward = reward.clamp(0.0, 1.0);
         self.rounds += 1;

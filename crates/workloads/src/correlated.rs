@@ -275,34 +275,6 @@ fn queries(catalog: &Catalog, epoch: i64, span: i64) -> Vec<NamedQuery> {
     out
 }
 
-/// The c01 composite join rewritten so only a **single-column** jump
-/// exists: the `person_id` equality becomes a `<= AND >=` residual pair,
-/// which no index accelerates but which is semantically identical.
-/// This is the pre-composite execution shape — the baseline the
-/// step-count test below measures the fused composite jump against.
-pub fn single_key_variant(catalog: &Catalog) -> Query {
-    let mut qb = QueryBuilder::new(catalog);
-    qb.table("appearance").expect("appearance");
-    qb.table("award").expect("award");
-    let j1 = qb
-        .col("appearance.movie_id")
-        .expect("col")
-        .eq(qb.col("award.movie_id").expect("col"));
-    let le = qb
-        .col("appearance.person_id")
-        .expect("col")
-        .le(qb.col("award.person_id").expect("col"));
-    let ge = qb
-        .col("appearance.person_id")
-        .expect("col")
-        .ge(qb.col("award.person_id").expect("col"));
-    qb.filter(j1);
-    qb.filter(le);
-    qb.filter(ge);
-    qb.select_agg(AggFunc::Count, None, "n");
-    qb.build().expect("single-key variant")
-}
-
 /// A small randomized (catalog, query) case for property tests: a chain
 /// of link tables where every adjacent pair joins on a **two-column**
 /// composite key with correlated, individually non-selective components,
@@ -384,6 +356,34 @@ mod tests {
     use skinner_engine::{MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig};
     use skinner_simdb::exec::ExecOptions;
     use skinner_simdb::{ColEngine, Engine};
+
+    /// The c01 composite join rewritten so only a **single-column** jump
+    /// exists: the `person_id` equality becomes a `<= AND >=` residual pair,
+    /// which no index accelerates but which is semantically identical.
+    /// This is the pre-composite execution shape — the baseline the
+    /// step-count test below measures the fused composite jump against.
+    fn single_key_variant(catalog: &Catalog) -> Query {
+        let mut qb = QueryBuilder::new(catalog);
+        qb.table("appearance").expect("appearance");
+        qb.table("award").expect("award");
+        let j1 = qb
+            .col("appearance.movie_id")
+            .expect("col")
+            .eq(qb.col("award.movie_id").expect("col"));
+        let le = qb
+            .col("appearance.person_id")
+            .expect("col")
+            .le(qb.col("award.person_id").expect("col"));
+        let ge = qb
+            .col("appearance.person_id")
+            .expect("col")
+            .ge(qb.col("award.person_id").expect("col"));
+        qb.filter(j1);
+        qb.filter(le);
+        qb.filter(ge);
+        qb.select_agg(AggFunc::Count, None, "n");
+        qb.build().expect("single-key variant")
+    }
 
     #[test]
     fn workload_is_deterministic_and_composite() {

@@ -4,7 +4,6 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use skinner_query::{ColRef, Expr, RowContext, Udf};
 use skinner_storage::Value;
-use std::sync::Arc;
 
 /// Sample from a Zipf-like distribution over `0..n` with exponent `s`
 /// (inverse-CDF approximation; deterministic given the RNG).
@@ -91,24 +90,13 @@ pub fn udf_equality(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
     }
 }
 
-/// Pick `k` distinct values in `0..n` (deterministic).
-pub fn distinct_values(rng: &mut SmallRng, n: i64, k: usize) -> Vec<Value> {
-    let mut seen = std::collections::BTreeSet::new();
-    while seen.len() < k.min(n as usize) {
-        seen.insert(rng.gen_range(0..n));
-    }
-    seen.into_iter().map(Value::Int).collect()
-}
-
-/// Shared Arc-ed UDF handle shorthand.
-pub type UdfHandle = Arc<Udf>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use skinner_query::TupleContext;
     use skinner_storage::{Column, ColumnDef, Schema, Table, ValueType};
+    use std::sync::Arc;
 
     #[test]
     fn zipf_is_skewed_and_bounded() {
@@ -170,15 +158,5 @@ mod tests {
         assert!(!f.eval_predicate(&ctx));
         let eq = udf_equality("e", a, b, 0);
         assert!(eq.eval_predicate(&ctx));
-    }
-
-    #[test]
-    fn distinct_values_distinct() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let vals = distinct_values(&mut rng, 50, 10);
-        assert_eq!(vals.len(), 10);
-        let set: std::collections::BTreeSet<i64> =
-            vals.iter().map(|v| v.as_int().unwrap()).collect();
-        assert_eq!(set.len(), 10);
     }
 }

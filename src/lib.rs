@@ -12,8 +12,8 @@
 //!
 //! Start with the repository docs: `README.md` (crate map, quick start,
 //! paper mapping) and `ARCHITECTURE.md` (the slice → reward → UCT loop,
-//! `OrderPlan` plan-time specialization, and how the offset-range-
-//! partitioned parallel join phase threads through all of it).
+//! `OrderPlan` plan-time specialization, and the parallel
+//! pre-processing on the shared worker pool).
 //!
 //! ## Quick start
 //!
@@ -69,7 +69,7 @@
 //! | [`storage`] | column store, catalog, join indexes (offset array for dense keys, hash map otherwise), the record codec |
 //! | [`query`] | expressions, UDFs, SQL parser, join graphs |
 //! | [`uct`] | the UCT bandit-tree learner |
-//! | [`engine`] | Skinner-C: specialized multi-way join, compiled kernels per join order, parallel partitioned slices, progress sharing (§4.5) |
+//! | [`engine`] | Skinner-C: parallel pre-processing, specialized single-threaded multi-way join, compiled kernels per join order, progress sharing (§4.5) |
 //! | [`codegen`] | per-query compiled join kernels (§6): shape keys, one runtime-arity kernel per join order, cross-query kernel cache |
 //! | [`simdb`] | simulated traditional engines + optimizer + C_out oracle |
 //! | [`core`] | Skinner-G/H, pyramid timeouts, post-processing, facade |

@@ -7,8 +7,7 @@
 //! filter. Every case is executed by every kernel tier and compared:
 //!
 //! * the generic reference kernel (one shot) is the oracle,
-//! * the plan-bound kernel runs in small slices, sequential **and**
-//!   offset-range partitioned,
+//! * the plan-bound kernel runs in small slices,
 //! * the codegen tier runs on **every** multi-table shape — integer,
 //!   float, fused composite, string and nullable keys all compile, at
 //!   any order length, as one kernel whose slices stop at their step
@@ -20,13 +19,12 @@
 //!   the column engine and against post-processed distinct tuples, with
 //!   the learner's slices, steps and final order unchanged.
 //!
-//! The partitioned runs also drive the **pool/schedule surface**: each
-//! case randomizes the worker-pool size (1/2/4/8 workers, all distinct
-//! from the chunk fan-out) and a steal-schedule perturbation seed
-//! (`skinner_pool::schedule`), asserting that result tuples AND every
-//! intermediate suspend/resume cursor are byte-identical across all
-//! pool configurations — the cursor-folding invariant under arbitrary
-//! steal orders.
+//! Threads parallelize pre-processing only: with a counting UDF filter
+//! on every table, a run at `threads: 1` and one whose filter scans are
+//! `SKINNER_TEST_THREADS` pool morsels — on pools of 1/2/4/8 workers
+//! under a seeded steal-schedule perturbation (`skinner_pool::schedule`)
+//! — must agree byte for byte: tuples in emission order, steps, slices,
+//! learned orders and UDF calls.
 //!
 //! Case counts honor `PROPTEST_CASES` (the nightly CI profile runs 256;
 //! the default is 64). On failure the vendored proptest shim prints no
@@ -58,7 +56,8 @@ fn shared_pool(workers: usize) -> Arc<WorkerPool> {
     .clone()
 }
 
-/// The pool configurations every partitioned case must agree across.
+/// The pool configurations every parallel pre-processing run must agree
+/// across.
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
 
 /// Component types a join key column can take.
@@ -327,6 +326,34 @@ fn sorted_tuples(rs: &ResultSet) -> Vec<Vec<u32>> {
     out
 }
 
+/// `SKINNER_TEST_THREADS`, or `default` when unset.
+fn env_threads(default: usize) -> usize {
+    std::env::var("SKINNER_TEST_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// A fuzz case with one more unary filter on every table: a counting
+/// UDF over the table's `v` column that drops `v % 4 == seed % 4`. Every
+/// table is then scanned in pre-processing, so threads fan the scans
+/// out; the UDF's call count is the scans' work.
+fn with_udf_filters(q: &Query, seed: u64) -> (Query, Arc<Udf>) {
+    let drop = (seed % 4) as i64;
+    let udf = Udf::new("keep", move |args| {
+        Value::from(args[0].as_int().is_none_or(|v| v % 4 != drop))
+    });
+    let mut q = q.clone();
+    for t in 0..q.num_tables() {
+        let v = q.tables[t].table.schema().len() - 1;
+        q.predicates.push(Expr::Udf {
+            udf: Arc::clone(&udf),
+            args: vec![Expr::col(t, v)],
+        });
+    }
+    (q, udf)
+}
+
 proptest! {
     // Default 64 cases; `PROPTEST_CASES=256` is the nightly CI profile.
     #![proptest_config(ProptestConfig::default())]
@@ -336,7 +363,6 @@ proptest! {
         (_cat, q) in arb_fuzz_case(),
         oseed in any::<u64>(),
         budget in 3u64..48,
-        threads in 2usize..5,
     ) {
         let m = q.num_tables();
         let order = random_valid_order(&q, oseed);
@@ -357,9 +383,9 @@ proptest! {
             );
             let oracle = sorted_tuples(&rs_generic);
 
-            // Plan-bound kernel, sliced, sequential and partitioned.
-            let run_bound = |workers: usize| -> Vec<Vec<u32>> {
-                let mut join = MultiwayJoin::with_threads(&pq, workers);
+            // Plan-bound kernel, sliced.
+            let run_bound = || -> Vec<Vec<u32>> {
+                let mut join = MultiwayJoin::new(&pq);
                 let mut state = offsets.clone();
                 let mut rs = ResultSet::new();
                 let mut slices = 0u64;
@@ -376,22 +402,16 @@ proptest! {
                 sorted_tuples(&rs)
             };
             prop_assert_eq!(
-                &run_bound(1), &oracle,
+                &run_bound(), &oracle,
                 "plan-bound/generic divergence: order {:?} indexes {}", order, indexes
-            );
-            prop_assert_eq!(
-                &run_bound(threads), &oracle,
-                "partitioned/generic divergence: order {:?} indexes {} threads {}",
-                order, indexes, threads
             );
 
             // Codegen: every multi-table shape compiles now (fused
             // composite, string, and nullable keys included), and the
-            // compiled kernel must agree byte-for-byte, sequential and
-            // partitioned.
+            // compiled kernel must agree byte-for-byte.
             if let Some(kernel) = plan.compile_kernel(None) {
-                let run_compiled = |workers: usize| -> Vec<Vec<u32>> {
-                    let mut join = MultiwayJoin::with_threads(&pq, workers);
+                let run_compiled = || -> Vec<Vec<u32>> {
+                    let mut join = MultiwayJoin::new(&pq);
                     let mut state = offsets.clone();
                     let mut rs = ResultSet::new();
                     let mut slices = 0u64;
@@ -408,13 +428,8 @@ proptest! {
                     sorted_tuples(&rs)
                 };
                 prop_assert_eq!(
-                    &run_compiled(1), &oracle,
+                    &run_compiled(), &oracle,
                     "codegen/generic divergence: order {:?} indexes {}", order, indexes
-                );
-                prop_assert_eq!(
-                    &run_compiled(threads), &oracle,
-                    "partitioned codegen/generic divergence: order {:?} indexes {} threads {}",
-                    order, indexes, threads
                 );
             } else {
                 // The fallback gap is closed: every multi-table shape
@@ -429,82 +444,41 @@ proptest! {
     }
 
     #[test]
-    fn fuzz_pool_sizes_and_steal_schedules_agree(
+    fn fuzz_threads_change_only_preprocessing(
         (_cat, q) in arb_fuzz_case(),
-        oseed in any::<u64>(),
-        budget in 3u64..48,
-        threads in 2usize..5,
+        seed in any::<u64>(),
         sched_seed in any::<u64>(),
-        indexes in any::<bool>(),
     ) {
-        // The pool/schedule differential: with the chunk fan-out held
-        // fixed (`threads` chunks per slice), the number of pool workers
-        // and the steal order are pure scheduling choices — every morsel
-        // owns its cursor and shard, and the submitter merges shards and
-        // folds cursors in chunk order after the batch completes. So the
-        // result tuples (in arena order, unsorted) and EVERY
-        // intermediate suspend/resume cursor must be byte-identical
-        // across pool sizes 1/2/4/8, under a seeded adversarial
-        // yield/steal schedule. No LIMIT is involved (the shared-quota
-        // counter is the one deliberately schedule-dependent path).
-        let m = q.num_tables();
-        let order = random_valid_order(&q, oseed);
-        let budget = budget.max(4 * m as u64);
-        let pq = PreparedQuery::new(&q, indexes, 1);
-        let spec = pq.plan_spec(&order);
-        let plan = pq.plan_order(&order);
-        let offsets = vec![0u32; m];
-
-        // Oracle tuples (set equality only; cursor traces are compared
-        // exactly between pool configurations below).
-        let mut join = MultiwayJoin::new(&pq);
-        let mut state = offsets.clone();
-        let mut rs_generic = ResultSet::new();
-        join.continue_join_generic(&order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic);
-        let oracle = sorted_tuples(&rs_generic);
-
-        // One run per pool size: identical fan-out, identical budget,
-        // same perturbation seed arming the yield/steal schedule.
-        #[allow(clippy::type_complexity)]
-        let run_on_pool = |workers: usize| -> (Vec<Vec<u32>>, Vec<(Vec<u32>, ContinueResult, u64)>) {
-            schedule::set_seed(sched_seed);
-            let mut join = MultiwayJoin::with_pool(&pq, threads, Some(shared_pool(workers)));
-            let mut state = offsets.clone();
-            let mut rs = ResultSet::new();
-            let mut trace = Vec::new();
-            let mut slices = 0u64;
-            loop {
-                slices += 1;
-                assert!(slices < 5_000_000, "no termination");
-                let (res, steps) =
-                    join.continue_join(&order, &plan, &offsets, &mut state, budget, &mut rs);
-                trace.push((state.clone(), res, steps));
-                if res == ContinueResult::Exhausted {
-                    break;
-                }
-            }
-            schedule::clear();
-            (rs.iter().map(|t| t.to_vec()).collect(), trace)
+        // The join phase is single-threaded, so `threads` may change
+        // pre-processing wall time and nothing else. A run whose filter
+        // scans are `SKINNER_TEST_THREADS` (default 4) pool morsels must
+        // match the `threads: 1` run byte for byte — tuples in emission
+        // order, steps, slices, learned orders, UDF calls — on pools of
+        // 1/2/4/8 workers under a seeded adversarial yield/steal
+        // schedule: each morsel writes only the selection vectors of
+        // the tables it scans, so who runs what cannot matter.
+        use skinnerdb::engine::RunOptions;
+        let (q, udf) = with_udf_filters(&q, seed);
+        let outcome = |threads, pool: Option<Arc<WorkerPool>>| {
+            let calls = udf.call_count();
+            let out = SkinnerC::new(SkinnerCConfig { budget: 16, threads, ..Default::default() })
+                .run_with(&q, &RunOptions { pool, ..Default::default() });
+            let mut selections: Vec<(Vec<usize>, u64)> =
+                out.metrics.order_selections.into_iter().collect();
+            selections.sort();
+            let work = (out.metrics.steps, out.metrics.slices, udf.call_count() - calls);
+            (out.tuples, work, out.final_order, selections)
         };
-
-        let (ref_tuples, ref_trace) = run_on_pool(POOL_SIZES[0]);
-        let mut sorted_ref = ref_tuples.clone();
-        sorted_ref.sort();
-        prop_assert_eq!(
-            &sorted_ref, &oracle,
-            "partitioned/generic divergence: order {:?} threads {}", order, threads
-        );
-        for &workers in &POOL_SIZES[1..] {
-            let (tuples, trace) = run_on_pool(workers);
+        let sequential = outcome(1, None);
+        let threads = env_threads(4);
+        for &workers in &POOL_SIZES {
+            schedule::set_seed(sched_seed);
+            let parallel = outcome(threads, Some(shared_pool(workers)));
+            schedule::clear();
             prop_assert_eq!(
-                &tuples, &ref_tuples,
-                "tuple arenas diverged between pool sizes {} and {} (threads {}, seed {})",
-                POOL_SIZES[0], workers, threads, sched_seed
-            );
-            prop_assert_eq!(
-                &trace, &ref_trace,
-                "cursor traces diverged between pool sizes {} and {} (threads {}, seed {})",
-                POOL_SIZES[0], workers, threads, sched_seed
+                &parallel, &sequential,
+                "threads {} on a pool of {} workers diverged (seed {})",
+                threads, workers, sched_seed
             );
         }
     }
@@ -519,10 +493,7 @@ proptest! {
             .result_count;
         let engine = SkinnerC::new(SkinnerCConfig {
             budget: 16,
-            threads: std::env::var("SKINNER_TEST_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1),
+            threads: env_threads(1),
             ..Default::default()
         });
         let out = engine.run(&q);
@@ -632,17 +603,13 @@ proptest! {
         // query with the seeded arm priors. Optimistic initialization
         // only reorders exploration — it never prunes an arm — so the
         // prior-seeded run must produce the exact tuple set of the cold
-        // run, sequential and partitioned (via SKINNER_TEST_THREADS).
+        // run, at any thread count (via SKINNER_TEST_THREADS).
         use skinnerdb::engine::{RunOptions, StopReason};
         use skinnerdb::knowledge::{observe, KnowledgeConfig, KnowledgeStore};
 
-        let threads = std::env::var("SKINNER_TEST_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
         let engine = SkinnerC::new(SkinnerCConfig {
             budget: 16,
-            threads,
+            threads: env_threads(1),
             ..Default::default()
         });
         let cold = engine.run_with(&q, &RunOptions::default());
@@ -694,17 +661,13 @@ proptest! {
         // equal both the column engine's and Skinner-C's own distinct
         // tuples post-processed; and since the learner reads only
         // cursors, the folded run must take the very slices, steps and
-        // final order of the deduplicating run. Sequential and
-        // partitioned (SKINNER_TEST_THREADS, default 4).
+        // final order of the deduplicating run. At one thread and at
+        // SKINNER_TEST_THREADS (default 4).
         use skinnerdb::engine::RunOptions;
         let q = min_max_variant(&q, seed);
         prop_assert!(q.folds_into_min_max());
         let oracle = run_engine(&ColEngine::new(), &q, &ExecOptions::default()).table;
-        let parallel = std::env::var("SKINNER_TEST_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(4);
-        for threads in [1, parallel] {
+        for threads in [1, env_threads(4)] {
             let config = SkinnerCConfig { budget: 16, threads, ..Default::default() };
             let folded = SkinnerDB::skinner_c(config).execute(&q);
             let deduped = SkinnerC::new(config).run_with(&q, &RunOptions::default());
@@ -804,13 +767,11 @@ proptest! {
     fn fuzz_long_orders_compile_whole_and_slices_stay_bounded(
         seed in any::<u64>(),
         budget in 6u64..64,
-        threads in 2usize..5,
     ) {
         // Arity 7..=9: one compiled kernel must cover every position,
-        // agree with the generic oracle byte-for-byte, sequential and
-        // partitioned, through many suspend/resume cycles (small
-        // budgets) — and no slice may run past its step budget, the
-        // unit of the paper's regret bound.
+        // agree with the generic oracle byte-for-byte through many
+        // suspend/resume cycles (small budgets) — and no slice may run
+        // past its step budget, the unit of the paper's regret bound.
         let mut rng = SmallRng::seed_from_u64(seed);
         let m = rng.gen_range(7..10usize);
         let space = rng.gen_range(2..4i64);
@@ -869,17 +830,8 @@ proptest! {
         let kernel = kernel.unwrap();
         prop_assert_eq!(kernel.num_tables(), m);
 
-        // Per-slice step bound: `budget` sequentially; partitioned, each
-        // of the n <= threads chunks takes at most max(budget / n, 4m).
-        let bound = |workers: usize| -> u64 {
-            if workers == 1 {
-                budget
-            } else {
-                budget.max(workers as u64 * 4 * m as u64)
-            }
-        };
-        let run_compiled = |workers: usize| -> (Vec<Vec<u32>>, u64) {
-            let mut join = MultiwayJoin::with_threads(&pq, workers);
+        let run_compiled = || -> (Vec<Vec<u32>>, u64) {
+            let mut join = MultiwayJoin::new(&pq);
             let mut state = offsets.clone();
             let mut rs = ResultSet::new();
             let mut max_steps = 0u64;
@@ -897,31 +849,26 @@ proptest! {
             }
             (sorted_tuples(&rs), max_steps)
         };
-        for workers in [1, threads] {
-            let (tuples, max_steps) = run_compiled(workers);
-            prop_assert_eq!(
-                &tuples, &oracle,
-                "codegen/generic divergence: order {:?} threads {}", order, workers
-            );
-            prop_assert!(
-                max_steps <= bound(workers),
-                "a slice took {} steps, bound {} (order {:?} threads {} budget {})",
-                max_steps, bound(workers), order, workers, budget
-            );
-        }
+        let (tuples, max_steps) = run_compiled();
+        prop_assert_eq!(
+            &tuples, &oracle,
+            "codegen/generic divergence: order {:?}", order
+        );
+        prop_assert!(
+            max_steps <= budget,
+            "a slice took {} steps, budget {} (order {:?})",
+            max_steps, budget, order
+        );
 
-        // End to end through the engine (SKINNER_TEST_THREADS join
-        // workers), with the metrics vacuity guard: long orders count as
-        // codegen, never fallback.
+        // End to end through the engine (SKINNER_TEST_THREADS), with the
+        // metrics vacuity guard: long orders count as codegen, never
+        // fallback.
         let truth = ColEngine::new()
             .execute(&q, &ExecOptions { count_only: true, ..Default::default() })
             .result_count;
         let out = SkinnerC::new(SkinnerCConfig {
             budget: 16,
-            threads: std::env::var("SKINNER_TEST_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1),
+            threads: env_threads(1),
             ..Default::default()
         })
         .run(&q);
@@ -939,7 +886,7 @@ proptest! {
 /// leaf placed last. Every proper prefix of the order joins in full, so
 /// a kernel that ran any part of the order to exhaustion inside one
 /// slice would take on the order of 100^4 steps; one slice must stop at
-/// its budget, sequential and partitioned.
+/// its budget.
 #[test]
 fn ten_table_udf_star_slice_stops_at_budget() {
     use skinnerdb::workloads::torture::{udf_torture, Shape};
@@ -951,18 +898,12 @@ fn ten_table_udf_star_slice_stops_at_budget() {
     let kernel = plan.compile_kernel(None).expect("UDF star compiles");
     assert_eq!(kernel.num_tables(), m);
     let budget = 500;
-    for workers in [1, 4] {
-        let mut join = MultiwayJoin::with_threads(&pq, workers);
-        let offsets = vec![0u32; m];
-        let mut state = offsets.clone();
-        let mut rs = ResultSet::new();
-        let (res, steps) =
-            join.continue_join_compiled(&kernel, &offsets, &mut state, budget, &mut rs);
-        assert_eq!(res, ContinueResult::BudgetSpent, "threads {workers}");
-        assert!(
-            steps <= budget,
-            "threads {workers}: {steps} steps in one slice"
-        );
-        assert!(rs.is_empty());
-    }
+    let mut join = MultiwayJoin::new(&pq);
+    let offsets = vec![0u32; m];
+    let mut state = offsets.clone();
+    let mut rs = ResultSet::new();
+    let (res, steps) = join.continue_join_compiled(&kernel, &offsets, &mut state, budget, &mut rs);
+    assert_eq!(res, ContinueResult::BudgetSpent);
+    assert!(steps <= budget, "{steps} steps in one slice");
+    assert!(rs.is_empty());
 }

@@ -3,9 +3,9 @@
 //! * Skinner-C produces exactly the same result set as a direct engine
 //!   on arbitrary generated schemas/queries (Theorem 5.3),
 //! * every valid join order yields the same multi-way join result,
-//! * the offset-range-partitioned join produces exactly the result set
-//!   of the sequential specialized kernel and the generic reference
-//!   kernel, for random catalogs, orders, budgets, and thread counts,
+//! * the specialized kernel, run in small slices, produces exactly the
+//!   result set of the generic reference kernel, for random catalogs,
+//!   orders and budgets,
 //! * a compiled kernel calling bound UDF join predicates takes exactly
 //!   the steps, UDF calls and tuples of one interpreting them,
 //! * the progress tracker never loses results under arbitrary
@@ -17,8 +17,8 @@
 //!   Date, nullable, filtered, empty and single-key columns.
 //!
 //! `SKINNER_TEST_THREADS` (default 1) sets the Skinner-C worker count for
-//! the end-to-end properties, so CI can run the whole suite once with a
-//! multi-threaded configuration.
+//! the end-to-end properties, so CI can run the whole suite once with
+//! parallel pre-processing.
 
 use proptest::prelude::*;
 use skinnerdb::core::PyramidTimeouts;
@@ -30,8 +30,8 @@ use skinnerdb::storage::{ColumnBuilder, HashIndex};
 use std::sync::Arc;
 
 /// Skinner-C worker threads for the end-to-end properties (CI runs the
-/// suite a second time with `SKINNER_TEST_THREADS=4` to exercise the
-/// partitioned join path everywhere).
+/// suite a second time with `SKINNER_TEST_THREADS=4` to exercise
+/// parallel pre-processing everywhere).
 fn env_threads() -> usize {
     std::env::var("SKINNER_TEST_THREADS")
         .ok()
@@ -400,20 +400,16 @@ proptest! {
     }
 
     #[test]
-    fn parallel_join_matches_sequential_and_generic(
+    fn sliced_join_matches_generic(
         (_cat, q) in arb_chain_case(),
         oseed in any::<u64>(),
         budget in 3u64..48,
-        threads in 2usize..5,
     ) {
-        // Differential test for the partitioned join: the parallel path
-        // (offset chunks on scoped workers, shard merge, cursor fold),
-        // run in small slices so budget exhaustion hits mid-chunk
-        // constantly, must produce exactly the result set of (a) the
-        // sequential specialized kernel run the same way and (b) the
-        // generic reference kernel run in one shot — for random
-        // catalogs, random valid orders, random budgets and thread
-        // counts, with and without hash indexes.
+        // The specialized kernel, run in small slices so budget
+        // exhaustion hits mid-enumeration constantly, must produce
+        // exactly the result set of the generic reference kernel run in
+        // one shot — for random catalogs, random valid orders and random
+        // budgets, with and without hash indexes.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let graph = JoinGraph::from_query(&q);
@@ -443,9 +439,9 @@ proptest! {
                 &order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic,
             );
 
-            // run one kernel config in `budget`-sized slices to exhaustion
-            let run_sliced = |workers: usize| -> Vec<Vec<u32>> {
-                let mut join = MultiwayJoin::with_threads(&pq, workers);
+            // the specialized kernel in `budget`-sized slices to exhaustion
+            let run_sliced = || -> Vec<Vec<u32>> {
+                let mut join = MultiwayJoin::new(&pq);
                 let mut state = offsets.clone();
                 let mut rs = ResultSet::new();
                 let mut slices = 0u64;
@@ -463,19 +459,13 @@ proptest! {
                 out.sort();
                 out
             };
-            let sequential = run_sliced(1);
-            let parallel = run_sliced(threads);
+            let sequential = run_sliced();
 
             let mut oracle: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
             oracle.sort();
             prop_assert_eq!(
                 &sequential, &oracle,
-                "sequential/generic divergence: order {:?} indexes {}", order, indexes
-            );
-            prop_assert_eq!(
-                &parallel, &oracle,
-                "parallel/generic divergence: order {:?} indexes {} threads {}",
-                order, indexes, threads
+                "sliced/generic divergence: order {:?} indexes {}", order, indexes
             );
         }
     }
@@ -485,15 +475,14 @@ proptest! {
         (_cat, q) in arb_chain_case(),
         oseed in any::<u64>(),
         budget in 3u64..48,
-        threads in 2usize..5,
     ) {
         // Differential test for the codegen tier: the compiled kernel
         // (const-generic arity, posting-list cursors, elided
         // index-implied equality predicates), run in small slices, must
         // produce byte-for-byte the result sequence of the plan-bound
-        // kernel and the generic reference kernel — for random catalogs,
-        // random valid orders, with and without hash indexes, sequential
-        // and offset-range partitioned.
+        // kernel and the same set as the generic reference kernel — for
+        // random catalogs, random valid orders, with and without hash
+        // indexes.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let graph = JoinGraph::from_query(&q);
@@ -530,8 +519,8 @@ proptest! {
             join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs_bound);
 
             // Compiled kernel, sliced to exhaustion.
-            let run_compiled = |workers: usize| -> Vec<Vec<u32>> {
-                let mut join = MultiwayJoin::with_threads(&pq, workers);
+            let run_compiled = || -> Vec<Vec<u32>> {
+                let mut join = MultiwayJoin::new(&pq);
                 let mut state = offsets.clone();
                 let mut rs = ResultSet::new();
                 let mut slices = 0u64;
@@ -548,22 +537,19 @@ proptest! {
                 rs.iter().map(|t| t.to_vec()).collect()
             };
 
-            // Sequential: byte-for-byte including emit order.
-            let sequential = run_compiled(1);
+            // Byte-for-byte including emit order.
+            let mut compiled = run_compiled();
             let bound: Vec<Vec<u32>> = rs_bound.iter().map(|t| t.to_vec()).collect();
             prop_assert_eq!(
-                &sequential, &bound,
+                &compiled, &bound,
                 "codegen/bound divergence: order {:?} indexes {}", order, indexes
             );
-            // Parallel: same distinct set (worker merge order may differ).
-            let mut parallel = run_compiled(threads);
-            parallel.sort();
+            compiled.sort();
             let mut oracle: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
             oracle.sort();
             prop_assert_eq!(
-                &parallel, &oracle,
-                "parallel codegen/generic divergence: order {:?} indexes {} threads {}",
-                order, indexes, threads
+                &compiled, &oracle,
+                "codegen/generic divergence: order {:?} indexes {}", order, indexes
             );
         }
     }
@@ -853,8 +839,8 @@ proptest! {
         // return the column engine's rows, and for sampled orders a
         // kernel compiled from the plan as is must take exactly the
         // slices, steps, UDF calls and tuples of the same kernel with
-        // every bound UDF swapped back to the interpreter — sequential
-        // and partitioned, at budgets 1, 7 and unbounded.
+        // every bound UDF swapped back to the interpreter, at budgets 1,
+        // 7 and unbounded.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let (q, udfs) = udf_join_case(seed);
@@ -877,10 +863,6 @@ proptest! {
         let graph = JoinGraph::from_query(&q);
         let m = q.num_tables();
         let mut rng = SmallRng::seed_from_u64(oseed);
-        let mut threads = vec![1];
-        if env_threads() > 1 {
-            threads.push(env_threads());
-        }
         for _ in 0..3 {
             let mut order: Vec<usize> = Vec::with_capacity(m);
             let mut chosen = TableSet::EMPTY;
@@ -918,8 +900,8 @@ proptest! {
                 prop_assert_eq!(swapped, udf_edges, "every UDF edge binds");
                 let kernels = [&plan, &interpreted]
                     .map(|p| p.compile_kernel(None).expect("chains compile"));
-                let run = |kernel: &CompiledKernel<'_>, budget: u64, workers: usize| {
-                    let mut join = MultiwayJoin::with_threads(&pq, workers);
+                let run = |kernel: &CompiledKernel<'_>, budget: u64| {
+                    let mut join = MultiwayJoin::new(&pq);
                     let offsets = vec![0u32; m];
                     let mut state = offsets.clone();
                     let mut rs = ResultSet::new();
@@ -941,16 +923,14 @@ proptest! {
                     let tuples: Vec<Vec<u32>> = rs.iter().map(|t| t.to_vec()).collect();
                     (slices, tuples, calls() - before)
                 };
-                for &workers in &threads {
-                    for budget in [1, 7, u64::MAX] {
-                        let bound = run(&kernels[0], budget, workers);
-                        let generic = run(&kernels[1], budget, workers);
-                        prop_assert_eq!(
-                            bound, generic,
-                            "order {:?} indexes {} budget {} threads {}",
-                            order, indexes, budget, workers
-                        );
-                    }
+                for budget in [1, 7, u64::MAX] {
+                    let bound = run(&kernels[0], budget);
+                    let generic = run(&kernels[1], budget);
+                    prop_assert_eq!(
+                        bound, generic,
+                        "order {:?} indexes {} budget {}",
+                        order, indexes, budget
+                    );
                 }
             }
         }

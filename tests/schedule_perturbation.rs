@@ -5,31 +5,29 @@
 //! decision points and seeds the push-slot / steal-victim choices, so a
 //! fixed seed reshapes which worker runs which morsel and in what
 //! interleaving — an *adversarial* schedule, repeatable across runs.
-//! These tests drive the engine across ≥3 fixed adversarial seeds and
-//! every pool size (1/2/4/8 workers, chunk fan-out held fixed) and
-//! assert the full outcome is byte-identical:
+//! The pool runs Skinner-C's pre-processing: one filter morsel per
+//! granted worker, each taking table after table. These tests drive the
+//! engine across ≥3 fixed adversarial seeds and every pool size
+//! (1/2/4/8 workers, `threads: 4` held fixed) and assert the full
+//! outcome is byte-identical to a sequential (`threads: 1`) run's:
 //!
 //! * the flat tuple arena, in emission order (NOT set-compared — the
-//!   submitter merges chunk shards in chunk order, so even tuple order
-//!   must be schedule-independent),
-//! * every intermediate suspend/resume cursor of the multiway join,
+//!   join phase is single-threaded, so even tuple order must be
+//!   schedule-independent),
 //! * slice and step counts, the learned final order, and the distinct
-//!   result count of a full Skinner-C run.
+//!   result count.
 //!
 //! CI additionally exports `SKINNER_SCHED_SEED` to run the *entire*
 //! differential suite under each fixed seed; when that variable is set
 //! here, it replaces the built-in seed list so the CI leg pins exactly
 //! one schedule per invocation.
 
-use skinnerdb::engine::multiway::{ContinueResult, ResultSet};
-use skinnerdb::engine::{
-    schedule, MultiwayJoin, PreparedQuery, RunOptions, SkinnerC, SkinnerCConfig, StopReason,
-    WorkerPool,
-};
+use skinnerdb::engine::{schedule, RunOptions, SkinnerC, SkinnerCConfig, StopReason, WorkerPool};
 use skinnerdb::prelude::*;
+use skinnerdb::query::{compile_predicates, TableSet};
 use std::sync::{Arc, OnceLock};
 
-/// Pool configurations every case must agree across. The chunk fan-out
+/// Pool configurations every case must agree across. The filter fan-out
 /// (`threads` in the engine config) stays fixed, so these differ only
 /// in scheduling freedom: 1 worker serializes all morsels, 8 workers
 /// maximize concurrent steals.
@@ -59,74 +57,26 @@ fn shared_pool(workers: usize) -> Arc<WorkerPool> {
 /// Deterministic mixed-shape cases: composite fused keys + dates
 /// (fallback tier), NULL-heavy keys, and a wide star — one apiece from
 /// each workload generator, fixed seeds.
+/// Each gets an `IS NOT NULL` filter on every table's first column, so
+/// pre-processing scans every table.
 fn cases() -> Vec<(&'static str, Catalog, Query)> {
     let (c1, q1) = skinnerdb::workloads::correlated::generate_case(11);
     let (c2, q2) = skinnerdb::workloads::nulls::generate_case(23);
     let (c3, q3) = skinnerdb::workloads::wide::generate_case(37);
-    vec![("correlated", c1, q1), ("nulls", c2, q2), ("wide", c3, q3)]
-}
-
-/// A fixed valid join order for the multiway-level trace test: table
-/// ids in FROM order are always chain/star-valid for these workloads.
-fn from_order(q: &Query) -> Vec<usize> {
-    (0..q.num_tables()).collect()
-}
-
-#[test]
-fn multiway_cursor_traces_identical_across_pools_and_seeds() {
-    for (name, _cat, q) in cases() {
-        let m = q.num_tables();
-        let pq = PreparedQuery::new(&q, true, 1);
-        let order = from_order(&q);
-        let plan = pq.plan_order(&order);
-        let offsets = vec![0u32; m];
-        let budget = 24u64.max(4 * m as u64);
-        let fanout = 4;
-
-        for seed in seeds() {
-            // (tuples in arena order, per-slice (cursor, result, steps)).
-            let run = |workers: usize| {
-                schedule::set_seed(seed);
-                let mut join = MultiwayJoin::with_pool(&pq, fanout, Some(shared_pool(workers)));
-                let mut state = offsets.clone();
-                let mut rs = ResultSet::new();
-                let mut trace = Vec::new();
-                loop {
-                    let (res, steps) =
-                        join.continue_join(&order, &plan, &offsets, &mut state, budget, &mut rs);
-                    trace.push((state.clone(), res, steps));
-                    if res == ContinueResult::Exhausted {
-                        break;
-                    }
-                }
-                schedule::clear();
-                // Vacuity guard: the partitioned path must actually run
-                // (more kernel invocations than slices ⇒ some slice had
-                // ≥ 2 chunk morsels on the pool).
-                assert!(
-                    join.chunks_run() > trace.len() as u64,
-                    "[{name}] slices never partitioned — perturbation test is vacuous"
-                );
-                let tuples: Vec<Vec<u32>> = rs.iter().map(|t| t.to_vec()).collect();
-                (tuples, trace)
-            };
-
-            let reference = run(POOL_SIZES[0]);
-            for &workers in &POOL_SIZES[1..] {
-                let got = run(workers);
-                assert_eq!(
-                    got.0, reference.0,
-                    "[{name}] tuple arena diverged: pool {workers} vs {} (seed {seed:#x})",
-                    POOL_SIZES[0]
-                );
-                assert_eq!(
-                    got.1, reference.1,
-                    "[{name}] cursor trace diverged: pool {workers} vs {} (seed {seed:#x})",
-                    POOL_SIZES[0]
-                );
-            }
+    let scan_all = |mut q: Query| {
+        for t in 0..q.num_tables() {
+            q.predicates.push(Expr::IsNull {
+                expr: Box::new(Expr::col(t, 0)),
+                negated: true,
+            });
         }
-    }
+        q
+    };
+    vec![
+        ("correlated", c1, scan_all(q1)),
+        ("nulls", c2, scan_all(q2)),
+        ("wide", c3, scan_all(q3)),
+    ]
 }
 
 #[test]
@@ -144,15 +94,37 @@ fn engine_outcomes_identical_across_pools_and_seeds() {
             )
             .result_count;
 
+        // The sequential reference: every filter scan on this thread.
+        let engine = |threads| {
+            SkinnerC::new(SkinnerCConfig {
+                budget: 24,
+                threads,
+                ..Default::default()
+            })
+        };
+        let reference = engine(1).run(&q);
+        assert_eq!(reference.stop, StopReason::Completed);
+        assert_eq!(
+            reference.result_count, truth,
+            "[{name}] engine vs column oracle"
+        );
+        // Vacuity guard: at least two tables have a unary filter, so
+        // pre-processing spreads at least two scans over the pool.
+        let scanned: TableSet = compile_predicates(&q)
+            .iter()
+            .map(|p| p.tables())
+            .filter(|ts| ts.len() == 1)
+            .fold(TableSet::EMPTY, |all, ts| all.union(ts));
+        assert!(
+            scanned.len() >= 2,
+            "[{name}] {} filtered table(s) — perturbation test is vacuous",
+            scanned.len()
+        );
+
         for seed in seeds() {
             let run = |workers: usize| {
                 schedule::set_seed(seed);
-                let engine = SkinnerC::new(SkinnerCConfig {
-                    budget: 24,
-                    threads: 4,
-                    ..Default::default()
-                });
-                let out = engine.run_with(
+                let out = engine(4).run_with(
                     &q,
                     &RunOptions {
                         pool: Some(shared_pool(workers)),
@@ -162,19 +134,12 @@ fn engine_outcomes_identical_across_pools_and_seeds() {
                 schedule::clear();
                 out
             };
-
-            let reference = run(POOL_SIZES[0]);
-            assert_eq!(reference.stop, StopReason::Completed);
-            assert_eq!(
-                reference.result_count, truth,
-                "[{name}] engine vs column oracle"
-            );
-            assert!(
-                reference.metrics.join_chunks > reference.metrics.slices,
-                "[{name}] slices never partitioned — perturbation test is vacuous"
-            );
-            for &workers in &POOL_SIZES[1..] {
+            for &workers in &POOL_SIZES {
                 let got = run(workers);
+                assert_eq!(
+                    got.metrics.table_cards, reference.metrics.table_cards,
+                    "[{name}] filtered cardinalities diverged: pool {workers} (seed {seed:#x})"
+                );
                 assert_eq!(
                     got.tuples, reference.tuples,
                     "[{name}] tuple arena diverged: pool {workers} (seed {seed:#x})"
