@@ -188,6 +188,39 @@ impl<'a> CompiledKernel<'a> {
     ) -> (ContinueResult, u64) {
         run_kernel(&self.positions, offsets, state, budget, rows, results)
     }
+
+    /// How far cursor `state` (indexed by table id) has come through this
+    /// order's depth-first enumeration, a value in `[0, 1]`:
+    /// `Σ_i rank_i / Π_{q ≤ i} |cands_q|`, where `cands_i` is the
+    /// candidate sequence position `i` walks for the predecessor tuple
+    /// the cursor names and `rank_i` is the cursor's rank within it. A
+    /// scan's candidates are the table's filtered positions, so on an
+    /// all-scan order this is the cursor's row position scaled by the
+    /// cardinalities. The walk stops at the first position with no
+    /// candidates or with its cursor at or past the cardinality. Costs
+    /// one index probe per position; `rows` is the caller's per-table
+    /// base-row scratch.
+    pub fn progress(&self, state: &[u32], rows: &mut [RowId]) -> f64 {
+        let mut denom = 1.0f64;
+        let mut f = 0.0f64;
+        for pos in &self.positions {
+            let s = state[pos.table];
+            let (rank, len) = match probe(pos, rows) {
+                None => (s.min(pos.card), pos.card),
+                Some(list) => (list.partition_point(|&p| p < s) as u32, list.len() as u32),
+            };
+            if len == 0 {
+                break;
+            }
+            denom *= len as f64;
+            f += rank as f64 / denom;
+            if s >= pos.card {
+                break;
+            }
+            rows[pos.table] = pos.base[s as usize];
+        }
+        f
+    }
 }
 
 /// Candidate cursor at one position: either a posting-list walk
@@ -209,71 +242,56 @@ impl CandCur<'_> {
     };
 }
 
+/// The candidate sequence position `pos` walks for the predecessor
+/// tuple in `rows` — the one jump-kind match, shared by the kernel's
+/// descent and [`CompiledKernel::progress`]. `None` for a scan
+/// (consecutive filtered positions); otherwise the sorted posting list
+/// for the predecessor's key. A NULL fused or string key (`None`) yields
+/// **no** candidates — the same null-reject as the plan-bound kernel's
+/// `None => pos.card` (three-valued equality: NULL never matches, not
+/// even NULL).
 #[inline(always)]
-fn begin_postings<'a>(index: &'a HashIndex, key: i64, min: u32, card: u32) -> (CandCur<'a>, u32) {
-    let list = index.probe(key);
-    let idx = list.partition_point(|&p| p < min) as u32;
-    let first = list.get(idx as usize).copied().unwrap_or(card);
-    (
-        CandCur {
-            list,
-            idx: idx + 1,
-            scan: 0,
-            postings: true,
-        },
-        first,
-    )
-}
-
-/// Posting-cursor establish for hash-derived keys (fused composite keys,
-/// string/nullable join keys): a `Some` key probes like any other
-/// posting jump; a `None` key is a NULL and yields **no** candidates —
-/// the same null-reject as the plan-bound kernel's `None => pos.card`
-/// (three-valued equality: NULL never matches, not even NULL).
-#[inline(always)]
-fn begin_keyed<'a>(
-    index: &'a HashIndex,
-    key: Option<i64>,
-    min: u32,
-    card: u32,
-) -> (CandCur<'a>, u32) {
-    match key {
-        Some(k) => begin_postings(index, k, min, card),
-        None => (
-            CandCur {
-                postings: true,
-                ..CandCur::EMPTY
-            },
-            card,
-        ),
-    }
+fn probe<'a>(pos: &KernelPosition<'a>, rows: &[RowId]) -> Option<&'a [u32]> {
+    Some(match pos.jump {
+        KernelJump::Scan => return None,
+        KernelJump::IntEq { keys, src, index } => index.probe(keys[rows[src] as usize]),
+        KernelJump::FloatEq { keys, src, index } => {
+            index.probe(skinner_storage::f64_key(keys[rows[src] as usize]))
+        }
+        KernelJump::FusedEq { keys, src, index } => {
+            keys[rows[src] as usize].map_or(&[][..], |k| index.probe(k))
+        }
+        KernelJump::KeyEq { col, src, index } => col
+            .join_key(rows[src] as usize)
+            .map_or(&[][..], |k| index.probe(k)),
+    })
 }
 
 /// Establish the candidate sequence at `pos` with minimum candidate
-/// `min` — the one jump-kind match per descent. Returns the cursor and
-/// the first candidate (`card` when there is none).
+/// `min`, once per descent. Returns the cursor and the first candidate
+/// (`card` when there is none).
 #[inline(always)]
 fn begin<'a>(pos: &KernelPosition<'a>, rows: &[RowId], min: u32) -> (CandCur<'a>, u32) {
-    match pos.jump {
-        KernelJump::Scan => (
+    match probe(pos, rows) {
+        None => (
             CandCur {
                 scan: min.saturating_add(1),
                 ..CandCur::EMPTY
             },
             min,
         ),
-        KernelJump::IntEq { keys, src, index } => {
-            begin_postings(index, keys[rows[src] as usize], min, pos.card)
-        }
-        KernelJump::FloatEq { keys, src, index } => {
-            let key = skinner_storage::f64_key(keys[rows[src] as usize]);
-            begin_postings(index, key, min, pos.card)
-        }
-        KernelJump::FusedEq { keys, src, index } => {
-            begin_keyed(index, keys[rows[src] as usize], min, pos.card)
-        }
-        KernelJump::KeyEq { col, src, index } => {
-            begin_keyed(index, col.join_key(rows[src] as usize), min, pos.card)
+        Some(list) => {
+            let idx = list.partition_point(|&p| p < min) as u32;
+            let first = list.get(idx as usize).copied().unwrap_or(pos.card);
+            (
+                CandCur {
+                    list,
+                    idx: idx + 1,
+                    scan: 0,
+                    postings: true,
+                },
+                first,
+            )
         }
     }
 }
@@ -441,7 +459,7 @@ mod tests {
         let positions = vec![
             KernelPosition {
                 table: 0,
-                card: 4,
+                card: b0.len() as u32,
                 base: b0,
                 preds: vec![],
                 jump: KernelJump::Scan,
@@ -449,7 +467,7 @@ mod tests {
             },
             KernelPosition {
                 table: 1,
-                card: 4,
+                card: b1.len() as u32,
                 base: b1,
                 preds: preds1,
                 jump: KernelJump::IntEq {
@@ -845,6 +863,89 @@ mod tests {
         let (res, steps) = k.run(&offsets, &mut state, 500, &mut rows, &mut out);
         assert_eq!((res, steps), (ContinueResult::BudgetSpent, 500));
         assert!(out.tuples.is_empty());
+    }
+
+    #[test]
+    fn scan_progress_is_the_row_position_scaled_by_cardinalities() {
+        // On an all-scan order, candidates are the filtered positions:
+        // progress is `Σ s_i / Π_{q ≤ i} card_q` at every cursor.
+        let bases: Vec<Vec<RowId>> = [3, 2, 4].iter().map(|&n| base(n)).collect();
+        let k = scan_kernel(&bases);
+        let mut rows = vec![0u32; 3];
+        for a in 0..3u32 {
+            for b in 0..2u32 {
+                for c in 0..4u32 {
+                    let want = a as f64 / 3.0 + b as f64 / 6.0 + c as f64 / 24.0;
+                    let got = k.progress(&[a, b, c], &mut rows);
+                    assert!((got - want).abs() < 1e-12, "({a},{b},{c}): {got} vs {want}");
+                }
+            }
+        }
+        assert_eq!(k.progress(&[3, 0, 0], &mut rows), 1.0);
+    }
+
+    #[test]
+    fn int_progress_increases_along_the_emit_sequence() {
+        let ts = tables();
+        let (b0, b1) = (base(4), base(4));
+        let idx = HashIndex::build(ts[1].column(0), Some(&b1));
+        let pred = CompiledPred::compile(&Expr::col(0, 0).eq(Expr::col(1, 0)), &ts);
+        let k = int_join_kernel(&ts, &b0, &b1, &idx, true, &pred);
+        let mut state = vec![0u32; 2];
+        let mut rows = vec![0u32; 2];
+        let mut out = Collect::default();
+        k.run(&[0, 0], &mut state, u64::MAX, &mut rows, &mut out);
+        assert_eq!(out.tuples.len(), 5);
+        // Base maps are identities, so each emitted tuple is the cursor
+        // that names it.
+        let mut prev = -1.0;
+        for t in &out.tuples {
+            let p = k.progress(t, &mut rows);
+            assert!(p > prev, "{t:?}: {p} after {prev}");
+            prev = p;
+        }
+        assert!(prev < 1.0);
+        assert_eq!(k.progress(&state, &mut rows), 1.0, "exhausted cursor");
+    }
+
+    #[test]
+    fn one_posting_under_a_one_row_leftmost_table_earns_progress() {
+        // The left-most table has one row (key 7); two of the 100 rows
+        // of the second table match it. Advancing the second position by
+        // one posting is half the order's work, however many rows lie
+        // between the two postings.
+        let ts: Vec<TableRef> = vec![
+            Arc::new(
+                Table::new(
+                    "a",
+                    Schema::new([ColumnDef::new("k", ValueType::Int)]),
+                    vec![Column::from_ints(vec![7])],
+                )
+                .unwrap(),
+            ),
+            Arc::new(
+                Table::new(
+                    "b",
+                    Schema::new([ColumnDef::new("k", ValueType::Int)]),
+                    vec![Column::from_ints(
+                        (0..100)
+                            .map(|i| if i == 10 || i == 90 { 7 } else { 0 })
+                            .collect(),
+                    )],
+                )
+                .unwrap(),
+            ),
+        ];
+        let (b0, b1) = (base(1), base(100));
+        let idx = HashIndex::build(ts[1].column(0), Some(&b1));
+        let pred = CompiledPred::compile(&Expr::col(0, 0).eq(Expr::col(1, 0)), &ts);
+        let k = int_join_kernel(&ts, &b0, &b1, &idx, true, &pred);
+        let mut rows = vec![0u32; 2];
+        let before = k.progress(&[0, 10], &mut rows);
+        let after = k.progress(&[0, 90], &mut rows);
+        assert_eq!(before, 0.0);
+        assert!(after - before > 0.0);
+        assert_eq!(after - before, 0.5);
     }
 
     #[test]

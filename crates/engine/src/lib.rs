@@ -54,7 +54,6 @@ pub use prepare::PreparedQuery;
 // The codegen tier's public surface, re-exported for drivers that
 // compile kernels or share a cross-query kernel cache.
 pub use progress::ProgressTracker;
-pub use reward::RewardKind;
 pub use skinner_c::{
     LearnedState, OrderPolicy, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason,
 };

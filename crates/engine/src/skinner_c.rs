@@ -9,15 +9,17 @@
 //!     ⟨o, S⟩ ← BackupState(j, s, o, S)
 //! ```
 //!
-//! Join orders are chosen by UCT with a very small exploration weight
-//! (`w = 1e-6`; the fine-grained reward makes exploitation safe), or —
-//! for the Table 5 ablation — uniformly at random.
+//! `Reward` is the slice's progress through the candidates the compiled
+//! kernel visits ([`crate::reward`]). Join orders are chosen by UCT with
+//! a very small exploration weight (`w = 1e-6`; the fine-grained reward
+//! makes exploitation safe), or — for the Table 5 ablation — uniformly
+//! at random.
 
 use crate::metrics::ExecMetrics;
 use crate::multiway::{Collector, ContinueResult, LimitSink, MultiwayJoin, ResultSet, ResultSink};
 use crate::prepare::{OrderPlan, PreparedQuery};
 use crate::progress::ProgressTracker;
-use crate::reward::{reward, RewardKind};
+use crate::reward::slice_reward;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skinner_codegen::{CompiledKernel, KernelCache};
@@ -49,9 +51,6 @@ pub struct SkinnerCConfig {
     /// UCT exploration weight `w` (paper: 1e-6 for Skinner-C, whose
     /// fine-grained progress reward needs little forced exploration).
     pub exploration: f64,
-    /// Reward function mapping per-slice cursor progress to the `[0, 1]`
-    /// signal UCT expects (see [`RewardKind`]).
-    pub reward: RewardKind,
     /// Build hash indexes on equi-join columns during pre-processing
     /// (Table 6 ablation).
     pub use_indexes: bool,
@@ -73,7 +72,6 @@ impl Default for SkinnerCConfig {
         SkinnerCConfig {
             budget: 500,
             exploration: 1e-6,
-            reward: RewardKind::ScaledDeltas,
             use_indexes: true,
             threads: 1,
             policy: OrderPolicy::Uct,
@@ -366,9 +364,10 @@ impl SkinnerC {
             }
         }
 
-        // Scratch cursors owned by the run loop, reused across slices.
+        // Scratch cursor and progress rows owned by the run loop, reused
+        // across slices.
         let mut state = vec![0u32; m];
-        let mut before = vec![0u32; m];
+        let mut rows: Vec<RowId> = vec![0; m];
 
         // Equi-joined table pairs (canonical a < b) for directed
         // precedence-reward capture; `pos` is per-slice scratch mapping
@@ -435,7 +434,7 @@ impl SkinnerC {
             let planned = &plan_cache[order.as_slice()];
 
             tracker.restore_into(&order, &offsets, &mut state);
-            before.copy_from_slice(&state);
+            let before = planned.progress(&order, &state, &pq.cards, &mut rows);
 
             if planned.kernel.is_some() {
                 metrics.codegen_slices += 1;
@@ -469,18 +468,18 @@ impl SkinnerC {
             }
 
             if cfg.policy == OrderPolicy::Uct {
-                let r = reward(cfg.reward, &order, &before, &state, &pq.cards);
+                let after = planned.progress(&order, &state, &pq.cards, &mut rows);
+                let r = slice_reward(before, after);
                 tree.update(&order, r);
-                // Knowledge capture: credit this slice's (clamped) reward
-                // to the precedence direction each join edge ran under.
-                let rc = r.clamp(0.0, 1.0);
+                // Knowledge capture: credit this slice's reward to the
+                // precedence direction each join edge ran under.
                 for (i, &t) in order.iter().enumerate() {
                     pos[t] = i;
                 }
                 for &(a, b) in &edge_pairs {
                     let key = if pos[a] < pos[b] { (a, b) } else { (b, a) };
                     let e = metrics.edge_rewards.entry(key).or_insert((0.0, 0));
-                    e.0 += rc;
+                    e.0 += r;
                     e.1 += 1;
                 }
             }
@@ -579,6 +578,20 @@ impl PlannedOrder<'_> {
         match &self.kernel {
             Some(kernel) => join.continue_join_compiled(kernel, offsets, state, budget, results),
             None => join.continue_join(order, &self.plan, offsets, state, budget, results),
+        }
+    }
+
+    /// The cursor's progress through this order (see [`crate::reward`]):
+    /// the compiled kernel's, or the left-most table's row position
+    /// otherwise. An order without a kernel has one table, where the two
+    /// agree.
+    fn progress(&self, order: &[TableId], state: &[u32], cards: &[u32], rows: &mut [RowId]) -> f64 {
+        match &self.kernel {
+            Some(kernel) => kernel.progress(state, rows),
+            None => {
+                let t = order[0];
+                state[t].min(cards[t]) as f64 / cards[t].max(1) as f64
+            }
         }
     }
 }

@@ -101,7 +101,7 @@ pub mod prelude {
         postprocess, run_engine, QueryResult, ResultTable, SkinnerDB, SkinnerGConfig,
         SkinnerHConfig, Variant,
     };
-    pub use skinner_engine::{RewardKind, SkinnerC, SkinnerCConfig, SkinnerOutcome};
+    pub use skinner_engine::{SkinnerC, SkinnerCConfig, SkinnerOutcome};
     pub use skinner_query::{parse, AggFunc, Expr, Query, QueryBuilder, Udf, UdfRegistry};
     pub use skinner_service::{QueryService, ServiceConfig, Session};
     pub use skinner_simdb::exec::ExecOptions;
