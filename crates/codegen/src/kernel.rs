@@ -48,7 +48,7 @@
 
 use crate::key::{JumpKind, KernelKey};
 use crate::sink::{ContinueResult, ResultSink};
-use skinner_query::BoundPred;
+use skinner_query::{BoundPred, Udf};
 use skinner_storage::{Column, HashIndex, RowId};
 
 /// The tuple-advance source at one compiled position.
@@ -145,6 +145,27 @@ pub struct KernelPosition<'a> {
 pub struct CompiledKernel<'a> {
     key: KernelKey,
     positions: Vec<KernelPosition<'a>>,
+    /// The UDF of every bound [`BoundPred::Udf`] predicate, in position
+    /// and predicate order: one call-tally slot each.
+    udfs: Vec<&'a Udf>,
+    /// Per position, the tally slot of its first bound UDF predicate, or
+    /// [`NO_UDF`] when it has none.
+    udf_slot: Vec<u32>,
+}
+
+/// `udf_slot` of a position without a bound UDF predicate.
+const NO_UDF: u32 = u32::MAX;
+
+/// Scratch a kernel reuses across slices: one candidate cursor per
+/// position and one call tally per bound UDF predicate. The caller owns
+/// it (the engine's `MultiwayJoin`, beside its `rows`), so a slice
+/// allocates nothing once the scratch has grown to the longest order.
+#[derive(Default)]
+pub struct KernelScratch<'a> {
+    curs: Vec<CandCur<'a>>,
+    /// All zero between slices: a slice's tallies are folded into their
+    /// UDFs' counts and reset before it returns.
+    udf_calls: Vec<u64>,
 }
 
 impl<'a> CompiledKernel<'a> {
@@ -154,7 +175,31 @@ impl<'a> CompiledKernel<'a> {
     /// tables, or a reserved [`JumpKind::Other`] position).
     pub fn new(key: KernelKey, positions: Vec<KernelPosition<'a>>) -> Option<CompiledKernel<'a>> {
         debug_assert_eq!(key.tables(), positions.len());
-        key.supported().then_some(CompiledKernel { key, positions })
+        if !key.supported() {
+            return None;
+        }
+        let mut udfs = Vec::new();
+        let udf_slot = positions
+            .iter()
+            .map(|pos| {
+                let first = udfs.len();
+                udfs.extend(pos.preds.iter().filter_map(|p| match p {
+                    BoundPred::Udf { udf, .. } => Some(*udf),
+                    _ => None,
+                }));
+                if udfs.len() == first {
+                    NO_UDF
+                } else {
+                    first as u32
+                }
+            })
+            .collect();
+        Some(CompiledKernel {
+            key,
+            positions,
+            udfs,
+            udf_slot,
+        })
     }
 
     /// The shape key this kernel was compiled for.
@@ -175,18 +220,62 @@ impl<'a> CompiledKernel<'a> {
     /// Execute the compiled kernel from cursor `state` (indexed by table
     /// id, filtered positions) for at most `budget` outer-loop steps.
     /// Result tuples go to `results`; `offsets` are the global per-table
-    /// floors; `rows` is the caller's per-table base-row scratch.
-    /// Semantics — including the suspend/resume cursor contract and emit
-    /// order — match the engine's plan-bound kernel exactly.
+    /// floors; `rows` is the caller's per-table base-row scratch and
+    /// `scratch` its cursor and tally scratch. Semantics — including the
+    /// suspend/resume cursor contract and emit order — match the
+    /// engine's plan-bound kernel exactly.
+    ///
+    /// Bound UDF predicates are called uncounted and tallied per slot;
+    /// each UDF's [`Udf::call_count`] gets its slice's calls in one add
+    /// when the slice returns or unwinds, so it is exact at every slice
+    /// boundary. A kernel without bound UDF predicates runs the step loop
+    /// with no tallying code at all.
     pub fn run<R: ResultSink>(
         &self,
         offsets: &[u32],
         state: &mut [u32],
         budget: u64,
         rows: &mut [RowId],
+        scratch: &mut KernelScratch<'a>,
         results: &mut R,
     ) -> (ContinueResult, u64) {
-        run_kernel(&self.positions, offsets, state, budget, rows, results)
+        let m = self.positions.len();
+        if scratch.curs.len() < m {
+            scratch.curs.resize(m, CandCur::EMPTY);
+        }
+        let curs = &mut scratch.curs[..m];
+        let (positions, slots) = (&self.positions[..], &self.udf_slot[..]);
+        if self.udfs.is_empty() {
+            return run_kernel::<R, false>(
+                positions,
+                slots,
+                offsets,
+                state,
+                budget,
+                rows,
+                curs,
+                &mut [],
+                results,
+            );
+        }
+        if scratch.udf_calls.len() < self.udfs.len() {
+            scratch.udf_calls.resize(self.udfs.len(), 0);
+        }
+        let tally = SliceTally {
+            udfs: &self.udfs,
+            calls: &mut scratch.udf_calls[..self.udfs.len()],
+        };
+        run_kernel::<R, true>(
+            positions,
+            slots,
+            offsets,
+            state,
+            budget,
+            rows,
+            curs,
+            tally.calls,
+            results,
+        )
     }
 
     /// How far cursor `state` (indexed by table id) has come through this
@@ -221,6 +310,47 @@ impl<'a> CompiledKernel<'a> {
         }
         f
     }
+}
+
+/// A slice's bound-UDF call tallies, folded into their UDFs' counts and
+/// reset when dropped: on return or on unwind.
+struct SliceTally<'s, 'a> {
+    udfs: &'s [&'a Udf],
+    calls: &'s mut [u64],
+}
+
+impl Drop for SliceTally<'_, '_> {
+    fn drop(&mut self) {
+        for (udf, n) in self.udfs.iter().zip(self.calls.iter_mut()) {
+            if *n > 0 {
+                udf.add_calls(*n);
+                *n = 0;
+            }
+        }
+    }
+}
+
+/// A position's predicates in order, short-circuiting like `all`, with
+/// each bound UDF predicate called uncounted and tallied in the next slot
+/// of `calls`. A predicate after a rejecting one is neither called nor
+/// tallied.
+#[inline(always)]
+fn eval_tallied(preds: &[BoundPred<'_>], rows: &[RowId], calls: &mut [u64]) -> bool {
+    let mut slot = 0;
+    for p in preds {
+        let pass = match p {
+            BoundPred::Udf { .. } => {
+                calls[slot] += 1;
+                slot += 1;
+                p.eval_uncounted(rows)
+            }
+            _ => p.eval(rows),
+        };
+        if !pass {
+            return false;
+        }
+    }
+    true
 }
 
 /// Candidate cursor at one position: either a posting-list walk
@@ -312,19 +442,25 @@ fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
 }
 
 /// The compiled DFS join loop over a whole join order, monomorphized
-/// per sink.
+/// per sink and on whether any position tallies bound UDF calls
+/// (`TALLY`). `slots` and `calls` are read only when `TALLY` is set, so
+/// the `false` instance is the plain predicate loop.
 ///
 /// Cursor contract (identical to the engine's plan-bound kernel): on
 /// entry `state` holds restored per-table coordinates; on `BudgetSpent`
 /// it holds the exact resume point (the not-yet-evaluated candidate at
 /// the active position, floors below it); on `Exhausted` the left-most
 /// coordinate is at or past its cardinality.
-fn run_kernel<R: ResultSink>(
-    positions: &[KernelPosition<'_>],
+#[allow(clippy::too_many_arguments)]
+fn run_kernel<'a, R: ResultSink, const TALLY: bool>(
+    positions: &[KernelPosition<'a>],
+    slots: &[u32],
     offsets: &[u32],
     state: &mut [u32],
     budget: u64,
     rows: &mut [RowId],
+    curs: &mut [CandCur<'a>],
+    calls: &mut [u64],
     results: &mut R,
 ) -> (ContinueResult, u64) {
     let m = positions.len();
@@ -337,7 +473,6 @@ fn run_kernel<R: ResultSink>(
     if results.is_full() {
         return (ContinueResult::BudgetSpent, 0);
     }
-    let mut curs = vec![CandCur::EMPTY; m];
     let mut i = 0usize;
     let mut steps = 0u64;
     // Establish position 0 at the restored coordinate; deeper positions
@@ -366,7 +501,12 @@ fn run_kernel<R: ResultSink>(
             continue;
         }
         rows[t] = pos.base[s as usize];
-        if pos.preds.iter().all(|p| p.eval(rows)) {
+        let pass = if TALLY && slots[i] != NO_UDF {
+            eval_tallied(&pos.preds, rows, &mut calls[slots[i] as usize..])
+        } else {
+            pos.preds.iter().all(|p| p.eval(rows))
+        };
+        if pass {
             if i + 1 == m {
                 results.insert(rows);
                 // Advance past the emitted tuple *before* any sink-driven
@@ -416,6 +556,25 @@ mod tests {
         fn is_full(&self) -> bool {
             self.full_at.is_some_and(|n| self.tuples.len() >= n)
         }
+    }
+
+    /// [`CompiledKernel::run`] with a fresh scratch.
+    fn run_fresh<R: ResultSink>(
+        k: &CompiledKernel<'_>,
+        offsets: &[u32],
+        state: &mut [u32],
+        budget: u64,
+        rows: &mut [RowId],
+        results: &mut R,
+    ) -> (ContinueResult, u64) {
+        k.run(
+            offsets,
+            state,
+            budget,
+            rows,
+            &mut KernelScratch::default(),
+            results,
+        )
     }
 
     /// Two int-keyed tables, every row filtered in (identity base maps).
@@ -499,7 +658,7 @@ mod tests {
             let mut state = vec![0u32; 2];
             let mut rows = vec![0u32; 2];
             let mut out = Collect::default();
-            let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+            let (res, _) = run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
             assert_eq!(res, ContinueResult::Exhausted);
             assert_eq!(out.tuples, expected, "elide {elide}");
         }
@@ -516,7 +675,17 @@ mod tests {
         let mut one_shot = Collect::default();
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
-        let (_, total_steps) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut one_shot);
+        // One scratch across every run, as the engine reuses it: a slice
+        // never reads a cursor an earlier slice left behind.
+        let mut scratch = KernelScratch::default();
+        let (_, total_steps) = k.run(
+            &offsets,
+            &mut state,
+            u64::MAX,
+            &mut rows,
+            &mut scratch,
+            &mut one_shot,
+        );
 
         // Budgets at or above the livelock clamp (4·m, like the slice
         // driver enforces) but well below the one-shot step count, so
@@ -529,7 +698,14 @@ mod tests {
             loop {
                 slices += 1;
                 assert!(slices < 1000, "no termination at budget {budget}");
-                let (res, steps) = k.run(&offsets, &mut state, budget, &mut rows, &mut sliced);
+                let (res, steps) = k.run(
+                    &offsets,
+                    &mut state,
+                    budget,
+                    &mut rows,
+                    &mut scratch,
+                    &mut sliced,
+                );
                 assert!(steps <= budget);
                 if res == ContinueResult::Exhausted {
                     break;
@@ -552,7 +728,7 @@ mod tests {
         let mut state = offsets.clone();
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+        run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(
             out.tuples,
             vec![vec![1, 0], vec![1, 2], vec![3, 0], vec![3, 2]]
@@ -562,7 +738,7 @@ mod tests {
         let offsets = vec![0u32, 0];
         let mut state = vec![4u32, 0];
         let mut out = Collect::default();
-        let (res, steps) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+        let (res, steps) = run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!((res, steps), (ContinueResult::Exhausted, 0));
         assert!(out.tuples.is_empty());
     }
@@ -581,12 +757,12 @@ mod tests {
             full_at: Some(2),
             ..Default::default()
         };
-        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+        let (res, _) = run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::BudgetSpent);
         assert_eq!(out.tuples.len(), 2);
         // Resuming without the limit completes the remaining three.
         out.full_at = None;
-        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+        let (res, _) = run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::Exhausted);
         assert_eq!(out.tuples.len(), 5);
     }
@@ -628,7 +804,7 @@ mod tests {
         let mut run = |k: &CompiledKernel<'_>| {
             let mut state = vec![0u32; 2];
             let mut out = Collect::default();
-            k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+            run_fresh(k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
             out.tuples
         };
         assert_eq!(run(&scan), run(&indexed));
@@ -691,7 +867,7 @@ mod tests {
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+        let (res, _) = run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::Exhausted);
         assert_eq!(out.tuples, vec![vec![0, 1], vec![1, 0], vec![1, 2]]);
     }
@@ -749,7 +925,7 @@ mod tests {
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+        let (res, _) = run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::Exhausted);
         // Row 1 (NULL component) matches nothing; NULL postings (probe
         // row 3) are never enumerated.
@@ -800,7 +976,7 @@ mod tests {
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        let (res, _) = k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut out);
+        let (res, _) = run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(res, ContinueResult::Exhausted);
         // "x" matches probe rows 1 and 3, NULL matches nothing (not even
         // another NULL), "y" matches probe row 0.
@@ -837,13 +1013,13 @@ mod tests {
         let mut rows = vec![0u32; 9];
         let mut one_shot = Collect::default();
         let mut state = offsets.clone();
-        k.run(&offsets, &mut state, u64::MAX, &mut rows, &mut one_shot);
+        run_fresh(&k, &offsets, &mut state, u64::MAX, &mut rows, &mut one_shot);
         assert_eq!(one_shot.tuples.len(), 512);
         let budget = 4 * 9;
         let mut sliced = Collect::default();
         let mut state = offsets.clone();
         loop {
-            let (res, steps) = k.run(&offsets, &mut state, budget, &mut rows, &mut sliced);
+            let (res, steps) = run_fresh(&k, &offsets, &mut state, budget, &mut rows, &mut sliced);
             assert!(steps <= budget, "slice took {steps} > {budget} steps");
             if res == ContinueResult::Exhausted {
                 break;
@@ -860,7 +1036,7 @@ mod tests {
         let mut state = offsets.clone();
         let mut rows = vec![0u32; 10];
         let mut out = Collect::default();
-        let (res, steps) = k.run(&offsets, &mut state, 500, &mut rows, &mut out);
+        let (res, steps) = run_fresh(&k, &offsets, &mut state, 500, &mut rows, &mut out);
         assert_eq!((res, steps), (ContinueResult::BudgetSpent, 500));
         assert!(out.tuples.is_empty());
     }
@@ -894,7 +1070,7 @@ mod tests {
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut out = Collect::default();
-        k.run(&[0, 0], &mut state, u64::MAX, &mut rows, &mut out);
+        run_fresh(&k, &[0, 0], &mut state, u64::MAX, &mut rows, &mut out);
         assert_eq!(out.tuples.len(), 5);
         // Base maps are identities, so each emitted tuple is the cursor
         // that names it.
@@ -946,6 +1122,175 @@ mod tests {
         assert_eq!(before, 0.0);
         assert!(after - before > 0.0);
         assert_eq!(after - before, 0.5);
+    }
+
+    /// The scan ⋈ scan kernel over [`tables`] whose second position
+    /// carries `preds`.
+    fn scan_pair_kernel<'a>(
+        b0: &'a [RowId],
+        b1: &'a [RowId],
+        preds: Vec<BoundPred<'a>>,
+    ) -> CompiledKernel<'a> {
+        let positions = vec![
+            KernelPosition {
+                table: 0,
+                card: b0.len() as u32,
+                base: b0,
+                preds: vec![],
+                jump: KernelJump::Scan,
+                elided: false,
+            },
+            KernelPosition {
+                table: 1,
+                card: b1.len() as u32,
+                base: b1,
+                preds,
+                jump: KernelJump::Scan,
+                elided: false,
+            },
+        ];
+        let key = KernelKey::new(
+            positions
+                .iter()
+                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
+        );
+        CompiledKernel::new(key, positions).expect("scan shapes compile")
+    }
+
+    /// `odd(b.k)`, which rejects rows 0 and 2 of `b`, and `lt(a.k, b.k)`.
+    fn udf_pair(ts: &[TableRef]) -> [CompiledPred; 2] {
+        use skinner_storage::Value;
+        let odd = Udf::new("odd", |a| Value::from(a[0].as_int().unwrap() % 2 == 1));
+        let lt = Udf::new("lt", |a| Value::from(a[0].as_int() < a[1].as_int()));
+        [
+            Expr::Udf {
+                udf: odd,
+                args: vec![Expr::col(1, 0)],
+            },
+            Expr::Udf {
+                udf: lt,
+                args: vec![Expr::col(0, 0), Expr::col(1, 0)],
+            },
+        ]
+        .map(|e| CompiledPred::compile(&e, ts))
+    }
+
+    fn udf_of(p: &CompiledPred) -> Arc<Udf> {
+        match p.expr() {
+            Expr::Udf { udf, .. } => Arc::clone(udf),
+            e => panic!("not a UDF: {e:?}"),
+        }
+    }
+
+    #[test]
+    fn tallied_udf_calls_match_per_call_counting_at_every_slice() {
+        let ts = tables();
+        let (b0, b1) = (base(4), base(4));
+        let cps = udf_pair(&ts);
+        let udfs = [udf_of(&cps[0]), udf_of(&cps[1])];
+        let bound: Vec<BoundPred<'_>> = cps.iter().map(|p| p.bind(&ts)).collect();
+        assert!(bound.iter().all(|p| matches!(p, BoundPred::Udf { .. })));
+        let generic = cps
+            .iter()
+            .map(|pred| BoundPred::Generic { pred, tables: &ts })
+            .collect();
+        let tallied = scan_pair_kernel(&b0, &b1, bound);
+        let counted = scan_pair_kernel(&b0, &b1, generic);
+        let calls = || udfs.each_ref().map(|u| u.call_count());
+        let offsets = vec![0u32; 2];
+        let mut rows = vec![0u32; 2];
+        let mut scratch = KernelScratch::default();
+
+        // One pass: `odd` sees all 16 pairs, `lt` only the 8 it passes.
+        let before = calls();
+        let (res, total) = tallied.run(
+            &offsets,
+            &mut [0, 0],
+            u64::MAX,
+            &mut rows,
+            &mut scratch,
+            &mut Collect::default(),
+        );
+        assert_eq!(res, ContinueResult::Exhausted);
+        assert_eq!(calls(), [before[0] + 16, before[1] + 8]);
+
+        for budget in 1..=total {
+            let (mut st, mut sc) = (vec![0u32; 2], vec![0u32; 2]);
+            let (mut out_t, mut out_c) = (Collect::default(), Collect::default());
+            // Budgets below the livelock clamp repeat one slice forever.
+            for _ in 0..64 {
+                let c0 = calls();
+                let rt = tallied.run(
+                    &offsets,
+                    &mut st,
+                    budget,
+                    &mut rows,
+                    &mut scratch,
+                    &mut out_t,
+                );
+                let c1 = calls();
+                let rc = run_fresh(&counted, &offsets, &mut sc, budget, &mut rows, &mut out_c);
+                let c2 = calls();
+                assert_eq!((rt, &st), (rc, &sc), "budget {budget}");
+                for u in 0..2 {
+                    assert_eq!(c1[u] - c0[u], c2[u] - c1[u], "budget {budget}, udf {u}");
+                }
+                if rt.0 == ContinueResult::Exhausted {
+                    break;
+                }
+            }
+            assert_eq!(out_t.tuples, out_c.tuples, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_udf_leaves_exact_counts() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let ts = tables();
+        let (b0, b1) = (base(4), base(4));
+        // `odd(b.k)` that panics on its 7th call.
+        let seen = Arc::new(AtomicU64::new(0));
+        let boom = {
+            let seen = Arc::clone(&seen);
+            Udf::new("boom", move |a| {
+                assert_ne!(seen.fetch_add(1, Ordering::Relaxed) + 1, 7, "7th call");
+                skinner_storage::Value::from(a[0].as_int().unwrap() % 2 == 1)
+            })
+        };
+        let pred = CompiledPred::compile(
+            &Expr::Udf {
+                udf: Arc::clone(&boom),
+                args: vec![Expr::col(1, 0)],
+            },
+            &ts,
+        );
+        let k = scan_pair_kernel(&b0, &b1, vec![pred.bind(&ts)]);
+        let offsets = vec![0u32; 2];
+        let mut rows = vec![0u32; 2];
+        let mut scratch = KernelScratch::default();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            k.run(
+                &offsets,
+                &mut [0, 0],
+                u64::MAX,
+                &mut rows,
+                &mut scratch,
+                &mut Collect::default(),
+            )
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(boom.call_count(), 7);
+        // The unwind reset the tally: a full pass adds exactly its 16.
+        k.run(
+            &offsets,
+            &mut [0, 0],
+            u64::MAX,
+            &mut rows,
+            &mut scratch,
+            &mut Collect::default(),
+        );
+        assert_eq!(boom.call_count(), 7 + 16);
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub mod key;
 pub mod sink;
 
 pub use cache::{KernelCache, KernelCacheStats, DEFAULT_KERNEL_CACHE_CAPACITY};
-pub use kernel::{CompiledKernel, KernelJump, KernelPosition};
+pub use kernel::{CompiledKernel, KernelJump, KernelPosition, KernelScratch};
 pub use key::{JumpKind, KernelKey, MIN_KERNEL_TABLES};
 pub use sink::{ContinueResult, ResultSink};

@@ -27,7 +27,7 @@
 //! * per-position cardinalities and filtered-position slices are cached
 //!   in the plan, so the inner loop never touches the prepared query.
 //!
-//! The executor itself owns a reusable `rows` scratch buffer, and
+//! The executor itself owns reusable `rows` and kernel scratch, and
 //! [`ResultSet`] stores tuples in one flat arena with an open-addressing
 //! dedup table — a result insert (including duplicate attempts from order
 //! switches) allocates nothing in the steady state.
@@ -42,7 +42,7 @@
 //! profile asks for them.
 
 use crate::prepare::{BoundPosition, OrderPlan, OrderSpec, PreparedQuery};
-use skinner_codegen::CompiledKernel;
+use skinner_codegen::{CompiledKernel, KernelScratch};
 // The sink protocol moved to `skinner-codegen` (every execution tier
 // speaks it); re-exported here under the historical paths.
 pub use skinner_codegen::{ContinueResult, ResultSink};
@@ -291,7 +291,7 @@ impl ResultSet {
 }
 
 /// One multi-way join executor bound to a prepared query. Owns the
-/// per-tuple scratch buffer, reused across time slices. Every slice runs
+/// per-tuple scratch buffers, reused across time slices. Every slice runs
 /// on the calling thread, as in the paper's Skinner-C.
 pub struct MultiwayJoin<'a> {
     pq: &'a PreparedQuery,
@@ -299,6 +299,8 @@ pub struct MultiwayJoin<'a> {
     /// stale but never read: predicates at position i only touch tables
     /// joined at positions 0..=i).
     rows: Vec<RowId>,
+    /// The compiled kernel's candidate cursors and UDF call tallies.
+    kernel_scratch: KernelScratch<'a>,
 }
 
 impl<'a> MultiwayJoin<'a> {
@@ -307,6 +309,7 @@ impl<'a> MultiwayJoin<'a> {
         MultiwayJoin {
             pq,
             rows: vec![0; pq.num_tables()],
+            kernel_scratch: KernelScratch::default(),
         }
     }
 
@@ -339,14 +342,21 @@ impl<'a> MultiwayJoin<'a> {
     /// order as the plan it replaces.
     pub fn continue_join_compiled<R: ResultSink>(
         &mut self,
-        kernel: &CompiledKernel<'_>,
+        kernel: &CompiledKernel<'a>,
         offsets: &[u32],
         state: &mut [u32],
         budget: u64,
         results: &mut R,
     ) -> (ContinueResult, u64) {
         debug_assert_eq!(kernel.num_tables(), self.pq.num_tables());
-        kernel.run(offsets, state, budget, &mut self.rows, results)
+        kernel.run(
+            offsets,
+            state,
+            budget,
+            &mut self.rows,
+            &mut self.kernel_scratch,
+            results,
+        )
     }
 
     /// Forwards to [`continue_join_compiled`](MultiwayJoin::continue_join_compiled);
@@ -356,7 +366,7 @@ impl<'a> MultiwayJoin<'a> {
     /// order, so that branch is never taken.
     pub fn continue_join_split<R: ResultSink>(
         &mut self,
-        kernel: &CompiledKernel<'_>,
+        kernel: &CompiledKernel<'a>,
         _plan: &OrderPlan<'_>,
         offsets: &[u32],
         state: &mut [u32],

@@ -563,12 +563,12 @@ struct PlannedOrder<'a> {
     kernel: Option<CompiledKernel<'a>>,
 }
 
-impl PlannedOrder<'_> {
+impl<'a> PlannedOrder<'a> {
     /// Run one slice on the compiled kernel when the order has one,
     /// plan-bound otherwise.
     fn run_slice<R: ResultSink>(
         &self,
-        join: &mut MultiwayJoin<'_>,
+        join: &mut MultiwayJoin<'a>,
         order: &[TableId],
         offsets: &[u32],
         state: &mut [u32],

@@ -398,7 +398,14 @@ impl CompiledPred {
             return None;
         };
         let col = |e: &Expr| match e {
-            Expr::Col(c) => Some((tables[c.table].column(c.column), c.table)),
+            Expr::Col(c) => {
+                let col = tables[c.table].column(c.column);
+                let arg = match col.ints() {
+                    Some(v) if !col.nullable() => UdfArg::Int(v),
+                    _ => UdfArg::Col(col),
+                };
+                Some((arg, c.table))
+            }
             _ => None,
         };
         let (a, b) = match args.as_slice() {
@@ -435,6 +442,25 @@ fn ord_bit(ord: Ordering) -> u8 {
         Ordering::Less => ORD_LT,
         Ordering::Equal => ORD_EQ,
         Ordering::Greater => ORD_GT,
+    }
+}
+
+/// An argument column of a [`BoundPred::Udf`].
+#[derive(Debug, Clone, Copy)]
+pub enum UdfArg<'a> {
+    /// A non-nullable `INT` column's raw values.
+    Int(&'a [i64]),
+    /// Any other column, read with [`Column::get`].
+    Col(&'a Column),
+}
+
+impl UdfArg<'_> {
+    #[inline(always)]
+    fn get(self, row: u32) -> Value {
+        match self {
+            UdfArg::Int(v) => Value::Int(v[row as usize]),
+            UdfArg::Col(c) => c.get(row as usize),
+        }
     }
 }
 
@@ -502,15 +528,15 @@ pub enum BoundPred<'a> {
         set: &'a FxHashSet<i64>,
     },
     /// `udf(col)` or `udf(col, col)`: the argument columns resolved
-    /// once; each evaluation reads them with [`Column::get`] and calls
-    /// [`Udf::call`], exactly as the interpreter would.
+    /// once; each evaluation reads their values and calls the UDF once,
+    /// exactly as the interpreter would.
     Udf {
         /// The UDF.
         udf: &'a Udf,
         /// First argument column and its table.
-        a: (&'a Column, TableId),
+        a: (UdfArg<'a>, TableId),
         /// Second argument column and its table, for a binary UDF.
-        b: Option<(&'a Column, TableId)>,
+        b: Option<(UdfArg<'a>, TableId)>,
     },
     /// Anything else (LIKE, nullable columns, nested expressions, …):
     /// the generic interpreter, unchanged semantics.
@@ -575,15 +601,21 @@ impl BoundPred<'_> {
                 mask & ord_bit(va.cmp(&vb)) != 0
             }
             BoundPred::IntInList { col, t, set } => set.contains(&col[rows[*t] as usize]),
-            BoundPred::Udf { udf, a, b } => {
-                let arg = |(col, t): (&Column, TableId)| col.get(rows[t] as usize);
-                let v = match *b {
-                    None => udf.call(&[arg(*a)]),
-                    Some(b) => udf.call(&[arg(*a), arg(b)]),
-                };
-                !v.is_null() && v.is_truthy()
-            }
+            // Out of line: a loop that never meets a UDF carries no UDF
+            // code.
+            BoundPred::Udf { udf, a, b } => udf_counted(udf, *a, *b, rows),
             BoundPred::Generic { pred, tables } => pred.eval(rows, tables),
+        }
+    }
+
+    /// [`Self::eval`], except that a `Udf` predicate calls
+    /// [`Udf::call_uncounted`]: the caller tallies the call and adds it
+    /// with [`Udf::add_calls`]. Every other variant counts as `eval` does.
+    #[inline(always)]
+    pub fn eval_uncounted(&self, rows: &[u32]) -> bool {
+        match self {
+            BoundPred::Udf { udf, a, b } => udf_holds(udf, *a, *b, rows),
+            _ => self.eval(rows),
         }
     }
 
@@ -595,7 +627,8 @@ impl BoundPred<'_> {
     /// lists then run one loop over their raw slice, while `IntCmpInt`,
     /// `Udf` and `Generic` call [`Self::eval`] on the surviving rows
     /// only — so a UDF is called exactly as often as under row-at-a-time
-    /// short-circuit evaluation. `rows` is a
+    /// short-circuit evaluation. A `Udf` scan tallies its calls locally
+    /// and adds them once, when it returns or unwinds. `rows` is a
     /// scratch tuple with one slot per query table.
     pub fn select(
         &self,
@@ -624,13 +657,61 @@ impl BoundPred<'_> {
                 None => compact(n, sel, |_| negated),
             },
             BoundPred::IntInList { col, set, .. } => compact(n, sel, |r| set.contains(&col[r])),
-            BoundPred::IntCmpInt { .. } | BoundPred::Udf { .. } | BoundPred::Generic { .. } => {
+            BoundPred::Udf { udf, .. } => {
+                let mut tally = CallTally { udf, calls: 0 };
                 compact(n, sel, |r| {
+                    tally.calls += 1;
                     rows[t] = r as u32;
-                    self.eval(rows)
+                    self.eval_uncounted(rows)
                 })
             }
+            BoundPred::IntCmpInt { .. } | BoundPred::Generic { .. } => compact(n, sel, |r| {
+                rows[t] = r as u32;
+                self.eval(rows)
+            }),
         }
+    }
+}
+
+/// Call `udf` on the argument values of tuple `rows`, uncounted: true
+/// when the result is truthy and not NULL.
+#[inline(always)]
+fn udf_holds(
+    udf: &Udf,
+    a: (UdfArg<'_>, TableId),
+    b: Option<(UdfArg<'_>, TableId)>,
+    rows: &[u32],
+) -> bool {
+    let arg = |(col, t): (UdfArg<'_>, TableId)| col.get(rows[t]);
+    let v = match b {
+        None => udf.call_uncounted(&[arg(a)]),
+        Some(b) => udf.call_uncounted(&[arg(a), arg(b)]),
+    };
+    !v.is_null() && v.is_truthy()
+}
+
+/// [`udf_holds`], counting the call.
+#[inline(never)]
+fn udf_counted(
+    udf: &Udf,
+    a: (UdfArg<'_>, TableId),
+    b: Option<(UdfArg<'_>, TableId)>,
+    rows: &[u32],
+) -> bool {
+    udf.add_calls(1);
+    udf_holds(udf, a, b, rows)
+}
+
+/// Calls of one UDF made with [`Udf::call_uncounted`], added to its count
+/// when dropped: on return or on unwind.
+struct CallTally<'a> {
+    udf: &'a Udf,
+    calls: u64,
+}
+
+impl Drop for CallTally<'_> {
+    fn drop(&mut self) {
+        self.udf.add_calls(self.calls);
     }
 }
 
@@ -947,6 +1028,28 @@ mod tests {
             )
             .unwrap(),
         )]
+    }
+
+    #[test]
+    fn a_panicking_udf_filter_scan_leaves_exact_counts() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let ts = select_tables();
+        // `x` is 4, 1, 5, …: the third call panics.
+        let udf = Udf::new("boom", |a| {
+            assert_ne!(a[0], Value::Int(5), "third row");
+            Value::Int(1)
+        });
+        let p = CompiledPred::compile(
+            &Expr::Udf {
+                udf: Arc::clone(&udf),
+                args: vec![Expr::col(0, 0)],
+            },
+            &ts,
+        );
+        let bound = p.bind(&ts);
+        let scan = catch_unwind(AssertUnwindSafe(|| bound.select(0, 8, None, &mut [0])));
+        assert!(scan.is_err());
+        assert_eq!(udf.call_count(), 3);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod template;
 pub mod udf;
 
 pub use builder::QueryBuilder;
-pub use compile::{compile_predicates, BoundPred, CompiledPred, TupleContext};
+pub use compile::{compile_predicates, BoundPred, CompiledPred, TupleContext, UdfArg};
 pub use error::QueryError;
 pub use expr::{BinOp, ColRef, Expr, RowContext, TableSet, UnOp};
 pub use fingerprint::{join_edges, table_fingerprint, JoinEdge};

@@ -10,6 +10,14 @@
 //! work per invocation that [`Udf::call`] actually performs (a checked
 //! arithmetic spin loop), so that expensive predicates are expensive for
 //! *every* engine in the benchmark suite, uniformly.
+//!
+//! Every UDF counts its invocations ([`Udf::call_count`]), an
+//! engine-independent effort metric that tests read. [`Udf::call`] counts
+//! each call. The hot loops — the compiled join kernel and a bound
+//! predicate's filter scan — call [`Udf::call_uncounted`], tally the calls
+//! in a plain local counter, and add the tally once with
+//! [`Udf::add_calls`] when the slice or scan returns or unwinds. So the
+//! count is exact whenever no kernel slice or filter scan is running.
 
 use skinner_storage::Value;
 use std::fmt;
@@ -63,21 +71,30 @@ impl Udf {
 
     /// Invoke the UDF (counts the call and burns `cost_hint` work units).
     pub fn call(&self, args: &[Value]) -> Value {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.add_calls(1);
+        self.call_uncounted(args)
+    }
+
+    /// Invoke the UDF without counting the call: the caller tallies its
+    /// calls and adds them with [`Udf::add_calls`] (see the module doc).
+    /// Inlined into the hot loops; the cost burn stays out of line.
+    #[inline]
+    pub fn call_uncounted(&self, args: &[Value]) -> Value {
         if self.cost_hint > 0 {
-            // Burn deterministic work so expensive UDFs cost wall-clock
-            // time in every engine; black_box prevents removal.
-            let mut acc = 0u64;
-            for i in 0..self.cost_hint {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-            }
-            std::hint::black_box(acc);
+            burn(self.cost_hint);
         }
         (self.func)(args)
     }
 
-    /// Number of invocations so far (used by the Figure 11 experiment to
-    /// count predicate evaluations, an engine-independent effort metric).
+    /// Add `n` invocations made with [`Udf::call_uncounted`] to the count.
+    #[inline]
+    pub fn add_calls(&self, n: u64) {
+        self.calls.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Number of invocations so far. Exact whenever no compiled kernel
+    /// slice or filter scan that calls this UDF is running: both add
+    /// their tally when they return, and also when a call unwinds.
     pub fn call_count(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
@@ -86,6 +103,17 @@ impl Udf {
     pub fn reset_calls(&self) {
         self.calls.store(0, Ordering::Relaxed);
     }
+}
+
+/// Burn `cost` deterministic work units, so expensive UDFs cost
+/// wall-clock time in every engine; `black_box` prevents removal.
+#[inline(never)]
+fn burn(cost: u32) {
+    let mut acc = 0u64;
+    for i in 0..cost {
+        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
+    }
+    std::hint::black_box(acc);
 }
 
 /// A registry resolving UDF names for the SQL parser.
