@@ -19,39 +19,19 @@ use rand::{Rng, SeedableRng};
 use skinner_engine::PreparedQuery;
 use skinner_query::{JoinGraph, Query, TableId, TableSet};
 use skinner_storage::{FxHashMap, FxHashSet, RowId};
-use std::time::Instant;
 
-/// Eddy configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct EddyConfig {
-    /// Exploration probability for routing choices.
-    pub epsilon: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for EddyConfig {
-    fn default() -> Self {
-        EddyConfig {
-            epsilon: 0.1,
-            seed: 0xEDD1,
-        }
-    }
-}
+/// Exploration probability for routing choices.
+const EPSILON: f64 = 0.1;
+/// Seed of the routing RNG.
+const SEED: u64 = 0xEDD1;
 
 /// Outcome of an eddy run.
 #[derive(Debug)]
 pub struct EddyOutcome {
-    /// Result tuples, flat row-major (stride = num tables, FROM order).
-    pub tuples: Vec<RowId>,
-    /// Number of query tables.
-    pub num_tables: usize,
     /// Result count.
     pub result_count: u64,
     /// Join predicate evaluations performed (effort metric for Fig. 11).
     pub predicate_evals: u64,
-    /// Wall time.
-    pub wall: std::time::Duration,
 }
 
 /// Routing statistics for one (partial-tuple set, candidate table) pair.
@@ -72,40 +52,29 @@ impl RouteStat {
 }
 
 /// The eddy operator.
-pub struct Eddy {
-    cfg: EddyConfig,
-}
-
-impl Default for Eddy {
-    fn default() -> Self {
-        Eddy::new(EddyConfig::default())
-    }
-}
+#[derive(Default)]
+pub struct Eddy;
 
 impl Eddy {
-    /// Eddy with the given configuration.
-    pub fn new(cfg: EddyConfig) -> Eddy {
-        Eddy { cfg }
+    /// A new eddy (its routing settings are this module's constants).
+    pub fn new() -> Eddy {
+        Eddy
     }
 
     /// Execute `query`.
     pub fn run(&self, query: &Query) -> EddyOutcome {
-        let start = Instant::now();
         let pq = PreparedQuery::new(query, true, 1);
         let m = query.num_tables();
         let graph = JoinGraph::from_query(query);
-        let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let mut routes: FxHashMap<(u64, TableId), RouteStat> = FxHashMap::default();
         let mut results: FxHashSet<Box<[RowId]>> = FxHashSet::default();
         let mut predicate_evals = 0u64;
 
         if pq.any_empty() || m == 0 {
             return EddyOutcome {
-                tuples: Vec::new(),
-                num_tables: m,
                 result_count: 0,
                 predicate_evals,
-                wall: start.elapsed(),
             };
         }
 
@@ -118,8 +87,6 @@ impl Eddy {
         // Per-position candidate matches are found via the prepared hash
         // indexes where possible, else by scanning.
         let mut rows = vec![0u32; m];
-        let mut stack: Vec<(TableSet, usize)> = Vec::new(); // (set, depth marker)
-        let _ = &mut stack;
 
         for pos in 0..pq.cards[driver] {
             rows[driver] = pq.base_row(driver, pos);
@@ -137,17 +104,9 @@ impl Eddy {
             );
         }
 
-        let result_count = results.len() as u64;
-        let mut tuples = Vec::with_capacity(results.len() * m);
-        for t in &results {
-            tuples.extend_from_slice(t);
-        }
         EddyOutcome {
-            tuples,
-            num_tables: m,
-            result_count,
+            result_count: results.len() as u64,
             predicate_evals,
-            wall: start.elapsed(),
         }
     }
 
@@ -175,7 +134,7 @@ impl Eddy {
         let eligible: Vec<TableId> = graph.eligible_next(set).iter().collect();
         let next = if eligible.len() == 1 {
             eligible[0]
-        } else if rng.gen_bool(self.cfg.epsilon) {
+        } else if rng.gen_bool(EPSILON) {
             eligible[rng.gen_range(0..eligible.len())]
         } else {
             *eligible
@@ -323,7 +282,7 @@ mod tests {
         let expected = ColEngine::new()
             .execute(&q, &ExecOptions::default())
             .result_count;
-        let out = Eddy::default().run(&q);
+        let out = Eddy::new().run(&q);
         assert_eq!(out.result_count, expected);
         assert!(out.predicate_evals > 0);
     }
@@ -332,16 +291,8 @@ mod tests {
     fn eddy_deterministic_given_seed() {
         let cat = catalog();
         let q = query(&cat);
-        let a = Eddy::new(EddyConfig {
-            epsilon: 0.2,
-            seed: 42,
-        })
-        .run(&q);
-        let b = Eddy::new(EddyConfig {
-            epsilon: 0.2,
-            seed: 42,
-        })
-        .run(&q);
+        let a = Eddy::new().run(&q);
+        let b = Eddy::new().run(&q);
         assert_eq!(a.result_count, b.result_count);
         assert_eq!(a.predicate_evals, b.predicate_evals);
     }
@@ -358,7 +309,7 @@ mod tests {
         qb.filter(f);
         qb.select_col("a.k").unwrap();
         let q = qb.build().unwrap();
-        let out = Eddy::default().run(&q);
+        let out = Eddy::new().run(&q);
         assert_eq!(out.result_count, 0);
     }
 }

@@ -19,5 +19,5 @@
 pub mod eddy;
 pub mod reopt;
 
-pub use eddy::{Eddy, EddyConfig, EddyOutcome};
-pub use reopt::{ReoptConfig, Reoptimizer};
+pub use eddy::{Eddy, EddyOutcome};
+pub use reopt::Reoptimizer;

@@ -20,45 +20,18 @@ use skinner_simdb::exec::{run_left_deep, EvalMode, ExecOptions, ExecOutcome, Pre
 use skinner_simdb::optimizer::choose_order_with;
 use skinner_simdb::stats::StatsCatalog;
 
-/// Re-optimizer configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ReoptConfig {
-    /// Fraction of the left-most table sampled per validation run.
-    pub sample_fraction: f64,
-    /// Maximum validate/re-optimize rounds.
-    pub max_rounds: usize,
-    /// Estimate/measurement ratio beyond which a step counts as
-    /// mis-estimated.
-    pub tolerance: f64,
-}
-
-impl Default for ReoptConfig {
-    fn default() -> Self {
-        ReoptConfig {
-            sample_fraction: 0.05,
-            max_rounds: 3,
-            tolerance: 4.0,
-        }
-    }
-}
+/// Fraction of the left-most table sampled per validation run.
+const SAMPLE_FRACTION: f64 = 0.05;
+/// Maximum validate/re-optimize rounds.
+const MAX_ROUNDS: usize = 3;
+/// Estimate/measurement ratio beyond which a step counts as
+/// mis-estimated.
+const TOLERANCE: f64 = 4.0;
 
 /// The sampling-based re-optimizer.
-pub struct Reoptimizer {
-    cfg: ReoptConfig,
-}
-
-impl Default for Reoptimizer {
-    fn default() -> Self {
-        Reoptimizer::new(ReoptConfig::default())
-    }
-}
+pub struct Reoptimizer;
 
 impl Reoptimizer {
-    /// Re-optimizer with the given configuration.
-    pub fn new(cfg: ReoptConfig) -> Reoptimizer {
-        Reoptimizer { cfg }
-    }
-
     /// Optimize (with sampling validation), then execute fully.
     /// `opts.join_order` is ignored — choosing the order is the point.
     pub fn run(&self, query: &Query, opts: &ExecOptions) -> ExecOutcome {
@@ -69,11 +42,10 @@ impl Reoptimizer {
         let m = query.num_tables();
 
         let mut order = choose_order_with(query, &est);
-        for _round in 0..self.cfg.max_rounds {
+        for _round in 0..MAX_ROUNDS {
             let first = order[0];
             let total = pre.card(first);
-            let sample =
-                ((total as f64 * self.cfg.sample_fraction).ceil() as usize).clamp(1, total.max(1));
+            let sample = ((total as f64 * SAMPLE_FRACTION).ceil() as usize).clamp(1, total.max(1));
             if total == 0 {
                 break;
             }
@@ -104,7 +76,7 @@ impl Reoptimizer {
                 let estimated = est.subset_card(prefix);
                 let ratio = (measured.max(1.0) / estimated.max(1.0))
                     .max(estimated.max(1.0) / measured.max(1.0));
-                if ratio > self.cfg.tolerance {
+                if ratio > TOLERANCE {
                     est.correct_subset(prefix, measured);
                     corrected = true;
                 }
@@ -189,7 +161,7 @@ mod tests {
         let expected = ColEngine::new()
             .execute(&q, &ExecOptions::default())
             .result_count;
-        let out = Reoptimizer::default().run(&q, &ExecOptions::default());
+        let out = Reoptimizer.run(&q, &ExecOptions::default());
         assert!(out.completed());
         assert_eq!(out.result_count, expected);
     }

@@ -7,7 +7,7 @@
 //! *resolution* of a shape: whether a compiled kernel exists for a
 //! [`KernelKey`]. The resolution depends only on the key's per-position
 //! jump kinds — not on its predicate fingerprint — so the memo is keyed
-//! on exactly that projection ([`KernelKey::jumps`]): two templates that
+//! on exactly that projection (`KernelKey::jumps`): two templates that
 //! differ only in predicate shapes share one entry.
 //!
 //! A process-lifetime cache on a server must not rely on the shape
@@ -66,7 +66,7 @@ struct Memo {
 /// and never invalidated: a shape resolves the same way regardless of
 /// catalog contents, so unlike the learning cache this cache survives
 /// table replacement. Both the entry count and the accounted bytes are
-/// bounded (see [`KernelCache::with_limits`]).
+/// bounded (see `KernelCache::with_limits`).
 #[derive(Debug)]
 pub struct KernelCache {
     memo: Mutex<Memo>,
@@ -95,7 +95,7 @@ impl KernelCache {
     /// Empty cache holding at most `capacity` entries (at least 1) and,
     /// when `max_bytes` is given, at most that many accounted bytes.
     /// Exceeding either bound evicts least-recently-used entries.
-    pub fn with_limits(capacity: usize, max_bytes: Option<usize>) -> KernelCache {
+    pub(crate) fn with_limits(capacity: usize, max_bytes: Option<usize>) -> KernelCache {
         KernelCache {
             memo: Mutex::new(Memo::default()),
             clock: AtomicU64::new(0),
@@ -124,7 +124,7 @@ impl KernelCache {
 
     /// Resolve `key` to whether a compiled kernel exists for its shape,
     /// computing and memoizing via `analyze` on a miss. Memoization is by
-    /// [`KernelKey::jumps`] — the projection the resolution actually
+    /// `KernelKey::jumps` — the projection the resolution actually
     /// depends on. A hit refreshes the entry's LRU stamp; a miss inserts
     /// and then evicts the coldest entries until the capacity and byte
     /// bounds hold again (sparing the fresh entry unless it alone exceeds
@@ -165,7 +165,7 @@ impl KernelCache {
     }
 
     /// Number of memoized shapes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock_memo().entries.len()
     }
 
@@ -181,11 +181,6 @@ impl KernelCache {
             misses: self.misses.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
         }
-    }
-
-    /// Approximate heap bytes held by the memo table.
-    pub fn approx_bytes(&self) -> usize {
-        self.lock_memo().bytes
     }
 }
 
@@ -235,7 +230,7 @@ mod tests {
         assert_eq!((s.hits, s.misses), (2, 2));
         assert_eq!(s.evicted, 0);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.approx_bytes(), 2 * entry_bytes(2));
+        assert_eq!(cache.lock_memo().bytes, 2 * entry_bytes(2));
     }
 
     #[test]
@@ -272,9 +267,9 @@ mod tests {
             cache.resolve(&k, || true);
             inserted += 1;
             assert!(
-                cache.approx_bytes() <= budget,
+                cache.lock_memo().bytes <= budget,
                 "byte bound violated after {inserted} inserts: {} > {budget}",
-                cache.approx_bytes()
+                cache.lock_memo().bytes
             );
             // The just-inserted entry always survives its own insert.
             cache.resolve(&k, || panic!("fresh entry must survive"));
@@ -291,7 +286,7 @@ mod tests {
         let k = distinct_key(0);
         assert!(cache.resolve(&k, || true));
         assert!(cache.is_empty());
-        assert_eq!(cache.approx_bytes(), 0);
+        assert_eq!(cache.lock_memo().bytes, 0);
         assert!(cache.stats().evicted > 0);
     }
 }

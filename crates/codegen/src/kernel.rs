@@ -862,7 +862,7 @@ mod tests {
                 .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
         );
         let k = CompiledKernel::new(key, positions).expect("supported");
-        assert_eq!(k.key().jump(1), JumpKind::Float);
+        assert_eq!(k.key().jumps()[1], JumpKind::Float);
         let offsets = vec![0u32; 2];
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
@@ -920,7 +920,7 @@ mod tests {
         let idx = HashIndex::from_keys(&probe_keys);
         let (b0, b1) = (base(3), base(4));
         let k = fused_kernel(&src_keys, &idx, &b0, &b1);
-        assert_eq!(k.key().jump(1), JumpKind::Fused);
+        assert_eq!(k.key().jumps()[1], JumpKind::Fused);
         let offsets = vec![0u32; 2];
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
@@ -971,7 +971,7 @@ mod tests {
                 .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
         );
         let k = CompiledKernel::new(key, positions).expect("string keys compile");
-        assert_eq!(k.key().jump(1), JumpKind::Key);
+        assert_eq!(k.key().jumps()[1], JumpKind::Key);
         let offsets = vec![0u32; 2];
         let mut state = vec![0u32; 2];
         let mut rows = vec![0u32; 2];

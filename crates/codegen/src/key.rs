@@ -94,15 +94,10 @@ impl KernelKey {
         self.jumps.len()
     }
 
-    /// Jump kind at position `i` (`Scan` past the table count).
-    pub fn jump(&self, i: usize) -> JumpKind {
-        self.jumps.get(i).copied().unwrap_or(JumpKind::Scan)
-    }
-
     /// The per-position jump kinds: the projection of this key that
     /// [`supported`](KernelKey::supported) depends on, and so what the
     /// [`KernelCache`](crate::KernelCache) memoizes.
-    pub fn jumps(&self) -> &[JumpKind] {
+    pub(crate) fn jumps(&self) -> &[JumpKind] {
         &self.jumps
     }
 
@@ -110,17 +105,6 @@ impl KernelKey {
     /// [`MIN_KERNEL_TABLES`] tables and no [`JumpKind::Other`] position.
     pub fn supported(&self) -> bool {
         self.tables() >= MIN_KERNEL_TABLES && !self.jumps.contains(&JumpKind::Other)
-    }
-
-    /// A stable 64-bit digest of the whole key (logging, cache dumps).
-    pub fn digest(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_usize(self.tables());
-        for k in self.jumps.iter() {
-            h.write_u8(*k as u8);
-        }
-        h.write_u64(self.pred_fp);
-        h.finish()
     }
 }
 
@@ -192,9 +176,8 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, key(&[JumpKind::Scan, JumpKind::Int, JumpKind::Int]));
-        assert_ne!(a.digest(), b.digest());
         assert_eq!(a.tables(), 3);
-        assert_eq!(a.jump(2), JumpKind::Int);
+        assert_eq!(a.jumps()[2], JumpKind::Int);
         assert_eq!(format!("{a}"), format!("m3[sii]#{:08x}", a.pred_fp as u32));
     }
 }

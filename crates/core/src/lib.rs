@@ -5,10 +5,10 @@
 //!
 //! * [`SkinnerC`](skinner_engine::SkinnerC) (re-exported) — the custom
 //!   engine (§4.5), wrapped here with post-processing.
-//! * [`SkinnerG`] (§4.3, Algorithm 1) — join order learning on top of a
+//! * [Skinner-G](skinner_g) (§4.3, Algorithm 1) — join order learning on top of a
 //!   *generic* engine treated as a black box with forced join orders,
 //!   batches, and timeouts allocated by the [`pyramid`] scheme.
-//! * [`SkinnerH`] (§4.4) — the hybrid: alternates doubling-timeout runs
+//! * [Skinner-H](skinner_h) (§4.4) — the hybrid: alternates doubling-timeout runs
 //!   of the engine's own optimizer plan with Skinner-G learning slices.
 //! * [`postprocess`](mod@postprocess) — grouping, aggregation, sorting,
 //!   DISTINCT, LIMIT (§3: "post-processing involves grouping,
@@ -35,5 +35,4 @@ pub use postprocess::{postprocess, project_tuple};
 pub use pyramid::PyramidTimeouts;
 pub use result::ResultTable;
 pub use skinner_db::{run_engine, QueryResult, RunStats, SkinnerDB, Variant};
-pub use skinner_g::{GOutcome, SkinnerG, SkinnerGConfig, SkinnerGSession};
-pub use skinner_h::{HOutcome, PlanSource, SkinnerH, SkinnerHConfig};
+pub use skinner_h::PlanSource;

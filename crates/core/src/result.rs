@@ -13,14 +13,6 @@ pub struct ResultTable {
 }
 
 impl ResultTable {
-    /// Empty result with the given columns.
-    pub fn empty(columns: Vec<String>) -> ResultTable {
-        ResultTable {
-            columns,
-            rows: Vec::new(),
-        }
-    }
-
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()

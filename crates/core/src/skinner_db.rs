@@ -7,8 +7,8 @@
 use crate::fold::MinMaxFold;
 use crate::postprocess::postprocess;
 use crate::result::ResultTable;
-use crate::skinner_g::{SkinnerG, SkinnerGConfig};
-use crate::skinner_h::{PlanSource, SkinnerH, SkinnerHConfig};
+use crate::skinner_h::PlanSource;
+use crate::{skinner_g, skinner_h};
 use skinner_engine::{
     ExecMetrics, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason,
 };
@@ -23,9 +23,9 @@ pub enum Variant {
     /// Skinner-C: the customized execution engine (§4.5).
     C(SkinnerCConfig),
     /// Skinner-G on top of a generic engine (§4.3).
-    G(Arc<dyn Engine>, SkinnerGConfig),
+    G(Arc<dyn Engine>),
     /// Skinner-H hybrid on top of a generic engine (§4.4).
-    H(Arc<dyn Engine>, SkinnerHConfig),
+    H(Arc<dyn Engine>),
 }
 
 /// Statistics of one query execution.
@@ -113,16 +113,16 @@ impl SkinnerDB {
     }
 
     /// Skinner-G instance over `engine`.
-    pub fn skinner_g(engine: Arc<dyn Engine>, cfg: SkinnerGConfig) -> SkinnerDB {
+    pub fn skinner_g(engine: Arc<dyn Engine>) -> SkinnerDB {
         SkinnerDB {
-            variant: Variant::G(engine, cfg),
+            variant: Variant::G(engine),
         }
     }
 
     /// Skinner-H instance over `engine`.
-    pub fn skinner_h(engine: Arc<dyn Engine>, cfg: SkinnerHConfig) -> SkinnerDB {
+    pub fn skinner_h(engine: Arc<dyn Engine>) -> SkinnerDB {
         SkinnerDB {
-            variant: Variant::H(engine, cfg),
+            variant: Variant::H(engine),
         }
     }
 
@@ -152,8 +152,8 @@ impl SkinnerDB {
                 let mut out = engine.run_with(query, &opts);
                 (std::mem::take(&mut out.tuples), c_stats(out))
             }
-            Variant::G(engine, cfg) => {
-                let out = SkinnerG::new(engine.as_ref(), *cfg).run(query);
+            Variant::G(engine) => {
+                let out = skinner_g::run(engine.as_ref(), query);
                 let stats = RunStats {
                     join_phase: out.wall,
                     result_count: out.result_count,
@@ -162,8 +162,8 @@ impl SkinnerDB {
                 };
                 (out.tuples, stats)
             }
-            Variant::H(engine, cfg) => {
-                let out = SkinnerH::new(engine.as_ref(), *cfg).run(query);
+            Variant::H(engine) => {
+                let out = skinner_h::run(engine.as_ref(), query);
                 let stats = RunStats {
                     join_phase: out.wall,
                     result_count: out.result_count,
@@ -268,10 +268,10 @@ mod tests {
         assert!(c.table.same_rows(&baseline.table), "Skinner-C mismatch");
         assert!(c.stats.final_order.is_some());
 
-        let g = SkinnerDB::skinner_g(col.clone(), SkinnerGConfig::default()).execute(&q);
+        let g = SkinnerDB::skinner_g(col.clone()).execute(&q);
         assert!(g.table.same_rows(&baseline.table), "Skinner-G mismatch");
 
-        let h = SkinnerDB::skinner_h(col, SkinnerHConfig::default()).execute(&q);
+        let h = SkinnerDB::skinner_h(col).execute(&q);
         assert!(h.table.same_rows(&baseline.table), "Skinner-H mismatch");
         assert!(h.stats.plan_source.is_some());
     }

@@ -15,7 +15,7 @@
 //! cannot be recovered from a black-box engine — which is exactly the
 //! overhead Skinner-C's custom engine eliminates.
 
-use skinner_query::{compile_predicates, Query, TableId};
+use skinner_query::{compile_predicates, Query};
 use skinner_simdb::exec::ExecOptions;
 use skinner_simdb::{Engine, Prefiltered};
 use skinner_storage::{FxHashMap, RowId};
@@ -24,64 +24,35 @@ use std::time::{Duration, Instant};
 
 use crate::pyramid::PyramidTimeouts;
 
-/// Configuration of Skinner-G.
-#[derive(Debug, Clone, Copy)]
-pub struct SkinnerGConfig {
-    /// Number of batches `b` per table.
-    pub batches: usize,
-    /// Atomic time unit: a level-L timeout is `2^L` units. Real
-    /// deployments use tens of milliseconds to seconds; the simulated
-    /// engines support much finer units.
-    pub unit: Duration,
-    /// UCT exploration weight (paper: √2 for Skinner-G).
-    pub exploration: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Replace UCT selection with uniform-random valid orders (the
-    /// Table 5 "Random" ablation).
-    pub random_orders: bool,
-}
-
-impl Default for SkinnerGConfig {
-    fn default() -> Self {
-        SkinnerGConfig {
-            batches: 10,
-            unit: Duration::from_millis(2),
-            exploration: std::f64::consts::SQRT_2,
-            seed: 0x5EED,
-            random_orders: false,
-        }
-    }
-}
+/// Number of batches `b` per table.
+const BATCHES: usize = 10;
+/// Atomic time unit: a level-L timeout is `2^L` units. Real deployments
+/// use tens of milliseconds to seconds; the simulated engines support
+/// much finer units.
+const UNIT: Duration = Duration::from_millis(2);
+/// UCT exploration weight (paper: √2 for Skinner-G).
+const EXPLORATION: f64 = std::f64::consts::SQRT_2;
+/// Seed of the per-level UCT trees.
+const SEED: u64 = 0x5EED;
 
 /// Final outcome of a Skinner-G run.
 #[derive(Debug)]
-pub struct GOutcome {
+pub(crate) struct GOutcome {
     /// Result tuples, flat row-major (stride = num tables, FROM order).
-    pub tuples: Vec<RowId>,
-    /// Number of query tables.
-    pub num_tables: usize,
+    pub(crate) tuples: Vec<RowId>,
     /// Result tuple count.
-    pub result_count: u64,
+    pub(crate) result_count: u64,
     /// Engine invocations.
-    pub iterations: u64,
-    /// Invocations that completed before their timeout.
-    pub successes: u64,
-    /// Timeout levels used.
-    pub levels: usize,
+    pub(crate) iterations: u64,
     /// Wall time in the driver loop (includes engine time).
-    pub wall: Duration,
+    pub(crate) wall: Duration,
 }
 
 /// Resumable Skinner-G execution state (Skinner-H drives this a few
 /// iterations at a time and persists it across its own invocations).
-pub struct SkinnerGSession<'e> {
+pub(crate) struct SkinnerGSession<'e> {
     engine: &'e dyn Engine,
     query: &'e Query,
-    cfg: SkinnerGConfig,
-    /// Filtered cardinality per table (computed once, Skinner's own
-    /// pre-processing step).
-    cards: Vec<usize>,
     batch_size: Vec<usize>,
     num_batches: Vec<usize>,
     /// Completed batches per table (the paper's offset vector `o`).
@@ -91,38 +62,27 @@ pub struct SkinnerGSession<'e> {
     space: JoinOrderSpace,
     tuples: Vec<RowId>,
     iterations: u64,
-    successes: u64,
     finished: bool,
     started: Instant,
-    rng: rand::rngs::SmallRng,
 }
 
 impl<'e> SkinnerGSession<'e> {
     /// Start a session (runs Skinner's pre-processing to size batches).
-    pub fn new(
-        engine: &'e dyn Engine,
-        query: &'e Query,
-        cfg: SkinnerGConfig,
-    ) -> SkinnerGSession<'e> {
+    pub(crate) fn new(engine: &'e dyn Engine, query: &'e Query) -> SkinnerGSession<'e> {
         let preds = compile_predicates(query);
         let pre = Prefiltered::compute(query, &preds);
         let m = query.num_tables();
+        // Filtered cardinality per table (Skinner's own pre-processing).
         let cards: Vec<usize> = (0..m).map(|t| pre.card(t)).collect();
-        let batch_size: Vec<usize> = cards
-            .iter()
-            .map(|&c| c.div_ceil(cfg.batches).max(1))
-            .collect();
+        let batch_size: Vec<usize> = cards.iter().map(|&c| c.div_ceil(BATCHES).max(1)).collect();
         let num_batches: Vec<usize> = cards
             .iter()
             .zip(&batch_size)
             .map(|(&c, &bs)| c.div_ceil(bs))
             .collect();
-        let finished = cards.contains(&0);
         SkinnerGSession {
             engine,
             query,
-            cfg,
-            cards,
             batch_size,
             num_batches,
             offsets: vec![0; m],
@@ -131,28 +91,18 @@ impl<'e> SkinnerGSession<'e> {
             space: JoinOrderSpace::new(query),
             tuples: Vec::new(),
             iterations: 0,
-            successes: 0,
-            finished,
+            finished: cards.contains(&0),
             started: Instant::now(),
-            rng: {
-                use rand::SeedableRng;
-                rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0xDA7A)
-            },
         }
     }
 
     /// Has some table been fully processed (query result complete)?
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.finished
     }
 
-    /// Distinct result tuples accumulated so far.
-    pub fn result_count(&self) -> u64 {
-        (self.tuples.len() / self.query.num_tables().max(1)) as u64
-    }
-
     /// Execute one iteration of Algorithm 1. Returns the wall time spent.
-    pub fn step(&mut self) -> Duration {
+    pub(crate) fn step(&mut self) -> Duration {
         if self.finished {
             return Duration::ZERO;
         }
@@ -161,35 +111,20 @@ impl<'e> SkinnerGSession<'e> {
 
         // Select timeout level via the pyramid scheme.
         let (level, units) = self.pyramid.next_timeout();
-        let timeout = self.cfg.unit * units as u32;
+        let timeout = UNIT * units as u32;
 
-        // Per-level UCT tree (or uniform-random selection for the
-        // Table 5 ablation).
-        let order = if self.cfg.random_orders {
-            use rand::Rng;
-            use skinner_uct::SearchSpace;
-            let mut path = Vec::with_capacity(self.space.depth());
-            while path.len() < self.space.depth() {
-                let actions = self.space.actions(&path);
-                path.push(actions[self.rng.gen_range(0..actions.len())]);
-            }
-            path
-        } else {
-            let cfg = &self.cfg;
-            let space = &self.space;
-            self.trees
-                .entry(level)
-                .or_insert_with(|| {
-                    UctTree::new(
-                        space.clone(),
-                        UctConfig {
-                            exploration: cfg.exploration,
-                            seed: cfg.seed ^ (level as u64).wrapping_mul(0x9e37),
-                        },
-                    )
-                })
-                .choose()
-        };
+        // Per-level UCT tree.
+        let space = &self.space;
+        let tree = self.trees.entry(level).or_insert_with(|| {
+            UctTree::new(
+                space.clone(),
+                UctConfig {
+                    exploration: EXPLORATION,
+                    seed: SEED ^ (level as u64).wrapping_mul(0x9e37),
+                },
+            )
+        });
+        let order = tree.choose();
 
         // Batch ranges: one batch of the left-most table, the remaining
         // batches of every other table.
@@ -214,69 +149,38 @@ impl<'e> SkinnerGSession<'e> {
 
         let reward = if out.completed() { 1.0 } else { 0.0 };
         if out.completed() {
-            self.successes += 1;
             self.tuples.extend(out.tuples);
             self.offsets[t0] += 1;
             if self.offsets[t0] >= self.num_batches[t0] {
                 self.finished = true;
             }
         }
-        if !self.cfg.random_orders {
-            if let Some(tree) = self.trees.get_mut(&level) {
-                tree.update(&order, reward);
-            }
+        if let Some(tree) = self.trees.get_mut(&level) {
+            tree.update(&order, reward);
         }
         step_start.elapsed()
     }
 
     /// Finish into an outcome (callable any time; `finished` tells
     /// whether the result is complete).
-    pub fn outcome(self) -> GOutcome {
+    pub(crate) fn outcome(self) -> GOutcome {
         let m = self.query.num_tables();
         GOutcome {
             result_count: (self.tuples.len() / m.max(1)) as u64,
             tuples: self.tuples,
-            num_tables: m,
             iterations: self.iterations,
-            successes: self.successes,
-            levels: self.pyramid.levels(),
             wall: self.started.elapsed(),
         }
     }
-
-    /// Filtered cardinalities (exposed for tests).
-    pub fn cards(&self) -> &[usize] {
-        &self.cards
-    }
-
-    /// The most promising join order learned so far (from the highest
-    ///-level tree with any visits).
-    pub fn best_order(&mut self) -> Option<Vec<TableId>> {
-        let level = *self.trees.keys().max()?;
-        Some(self.trees.get_mut(&level)?.best_path())
-    }
 }
 
-/// One-shot Skinner-G runner (Algorithm 1's outer loop).
-pub struct SkinnerG<'e> {
-    engine: &'e dyn Engine,
-    cfg: SkinnerGConfig,
-}
-
-impl<'e> SkinnerG<'e> {
-    /// Bind Skinner-G to an engine.
-    pub fn new(engine: &'e dyn Engine, cfg: SkinnerGConfig) -> SkinnerG<'e> {
-        SkinnerG { engine, cfg }
+/// Run Skinner-G on `engine` to completion (Algorithm 1's outer loop).
+pub(crate) fn run(engine: &dyn Engine, query: &Query) -> GOutcome {
+    let mut session = SkinnerGSession::new(engine, query);
+    while !session.finished() {
+        session.step();
     }
-
-    /// Run to completion.
-    pub fn run(&self, query: &Query) -> GOutcome {
-        let mut session = SkinnerGSession::new(self.engine, query, self.cfg);
-        while !session.finished() {
-            session.step();
-        }
-        session.outcome()
-    }
+    session.outcome()
 }
 
 #[cfg(test)]
@@ -327,10 +231,9 @@ mod tests {
         let q = query(&cat);
         let want = expected(&cat, &q);
         let engine = ColEngine::new();
-        let out = SkinnerG::new(&engine, SkinnerGConfig::default()).run(&q);
+        let out = run(&engine, &q);
         assert_eq!(out.result_count, want);
-        assert!(out.iterations >= out.successes);
-        assert!(out.successes > 0);
+        assert!(out.iterations > 0);
         // Theorem 5.1: no duplicates across batches.
         let mut set = std::collections::HashSet::new();
         for t in out.tuples.chunks_exact(3) {
@@ -344,7 +247,7 @@ mod tests {
         let q = query(&cat);
         let want = expected(&cat, &q);
         let engine = RowEngine::new();
-        let out = SkinnerG::new(&engine, SkinnerGConfig::default()).run(&q);
+        let out = run(&engine, &q);
         assert_eq!(out.result_count, want);
     }
 
@@ -354,7 +257,7 @@ mod tests {
         let q = query(&cat);
         let want = expected(&cat, &q);
         let engine = ColEngine::new();
-        let mut session = SkinnerGSession::new(&engine, &q, SkinnerGConfig::default());
+        let mut session = SkinnerGSession::new(&engine, &q);
         // drive manually in small bursts
         let mut bursts = 0;
         while !session.finished() {
@@ -390,7 +293,7 @@ mod tests {
         qb.select_col("a.k").unwrap();
         let q = qb.build().unwrap();
         let engine = ColEngine::new();
-        let out = SkinnerG::new(&engine, SkinnerGConfig::default()).run(&q);
+        let out = run(&engine, &q);
         assert_eq!(out.result_count, 0);
         assert_eq!(out.iterations, 0);
     }
@@ -400,11 +303,15 @@ mod tests {
         let cat = catalog();
         let q = query(&cat);
         let engine = ColEngine::new();
-        let mut session = SkinnerGSession::new(&engine, &q, SkinnerGConfig::default());
-        assert!(session.best_order().is_none());
+        let mut session = SkinnerGSession::new(&engine, &q);
+        assert!(session.trees.is_empty());
         session.step();
-        let order = session.best_order().expect("order after first step");
-        let mut sorted = order;
+        let tree = session
+            .trees
+            .values_mut()
+            .next()
+            .expect("tree after first step");
+        let mut sorted = tree.best_path();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
     }

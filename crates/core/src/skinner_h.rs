@@ -18,7 +18,7 @@ use skinner_simdb::Engine;
 use skinner_storage::RowId;
 use std::time::{Duration, Instant};
 
-use crate::skinner_g::{SkinnerGConfig, SkinnerGSession};
+use crate::skinner_g::SkinnerGSession;
 
 /// Which execution path produced the final result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,126 +29,97 @@ pub enum PlanSource {
     Learned,
 }
 
-/// Configuration of Skinner-H.
-#[derive(Debug, Clone, Copy)]
-pub struct SkinnerHConfig {
-    /// Skinner-G settings for the learning half.
-    pub g: SkinnerGConfig,
-    /// Base timeout for the first traditional invocation (doubles each
-    /// round).
-    pub base_timeout: Duration,
-    /// Hard cap on doubling rounds (2^30 × base ≈ forever).
-    pub max_rounds: u32,
-}
-
-impl Default for SkinnerHConfig {
-    fn default() -> Self {
-        SkinnerHConfig {
-            g: SkinnerGConfig::default(),
-            base_timeout: Duration::from_millis(2),
-            max_rounds: 40,
-        }
-    }
-}
+/// Base timeout for the first traditional invocation (doubles each
+/// round).
+const BASE_TIMEOUT: Duration = Duration::from_millis(2);
+/// Hard cap on doubling rounds (2^30 × base ≈ forever).
+const MAX_ROUNDS: u32 = 40;
 
 /// Outcome of a Skinner-H run.
 #[derive(Debug)]
-pub struct HOutcome {
+pub(crate) struct HOutcome {
     /// Result tuples, flat row-major (stride = num tables, FROM order).
-    pub tuples: Vec<RowId>,
-    /// Number of query tables.
-    pub num_tables: usize,
+    pub(crate) tuples: Vec<RowId>,
     /// Result tuple count.
-    pub result_count: u64,
+    pub(crate) result_count: u64,
     /// Which path finished.
-    pub source: PlanSource,
+    pub(crate) source: PlanSource,
     /// Traditional-plan attempts (timed out + the final one, if any).
-    pub traditional_attempts: u32,
+    pub(crate) traditional_attempts: u32,
     /// Learning iterations executed.
-    pub learning_iterations: u64,
+    pub(crate) learning_iterations: u64,
     /// Total wall time.
-    pub wall: Duration,
+    pub(crate) wall: Duration,
 }
 
-/// Skinner-H driver.
-pub struct SkinnerH<'e> {
-    engine: &'e dyn Engine,
-    cfg: SkinnerHConfig,
+/// Run Skinner-H on `engine` to completion.
+pub(crate) fn run(engine: &dyn Engine, query: &Query) -> HOutcome {
+    run_from(engine, query, BASE_TIMEOUT)
 }
 
-impl<'e> SkinnerH<'e> {
-    /// Bind Skinner-H to an engine.
-    pub fn new(engine: &'e dyn Engine, cfg: SkinnerHConfig) -> SkinnerH<'e> {
-        SkinnerH { engine, cfg }
-    }
+/// [`run`], the first traditional invocation timing out after
+/// `base_timeout`.
+fn run_from(engine: &dyn Engine, query: &Query, base_timeout: Duration) -> HOutcome {
+    let start = Instant::now();
+    let mut session = SkinnerGSession::new(engine, query);
+    let mut traditional_attempts = 0u32;
+    let mut learning_iterations = 0u64;
 
-    /// Run to completion.
-    pub fn run(&self, query: &Query) -> HOutcome {
-        let start = Instant::now();
-        let m = query.num_tables();
-        let mut session = SkinnerGSession::new(self.engine, query, self.cfg.g);
-        let mut traditional_attempts = 0u32;
-        let mut learning_iterations = 0u64;
+    for round in 0..MAX_ROUNDS {
+        let timeout = base_timeout * 2u32.saturating_pow(round);
 
-        for round in 0..self.cfg.max_rounds {
-            let timeout = self.cfg.base_timeout * 2u32.saturating_pow(round);
-
-            // Phase 1: the traditional optimizer plan under a timeout.
-            traditional_attempts += 1;
-            let opts = ExecOptions {
-                deadline: Some(Instant::now() + timeout),
-                ..Default::default()
+        // Phase 1: the traditional optimizer plan under a timeout.
+        traditional_attempts += 1;
+        let opts = ExecOptions {
+            deadline: Some(Instant::now() + timeout),
+            ..Default::default()
+        };
+        let out = engine.execute(query, &opts);
+        if out.completed() {
+            return HOutcome {
+                tuples: out.tuples,
+                result_count: out.result_count,
+                source: PlanSource::Traditional,
+                traditional_attempts,
+                learning_iterations,
+                wall: start.elapsed(),
             };
-            let out = self.engine.execute(query, &opts);
-            if out.completed() {
-                return HOutcome {
-                    tuples: out.tuples,
-                    num_tables: m,
-                    result_count: out.result_count,
-                    source: PlanSource::Traditional,
-                    traditional_attempts,
-                    learning_iterations,
-                    wall: start.elapsed(),
-                };
-            }
-
-            // Phase 2: learning for (at least) the same amount of time.
-            // UCT trees, batch offsets and partial results persist inside
-            // the session across rounds.
-            let learn_deadline = Instant::now() + timeout;
-            while !session.finished() && Instant::now() < learn_deadline {
-                session.step();
-                learning_iterations += 1;
-            }
-            if session.finished() {
-                let out = session.outcome();
-                return HOutcome {
-                    tuples: out.tuples,
-                    num_tables: m,
-                    result_count: out.result_count,
-                    source: PlanSource::Learned,
-                    traditional_attempts,
-                    learning_iterations,
-                    wall: start.elapsed(),
-                };
-            }
         }
 
-        // Safety valve: run the learning side to completion.
-        while !session.finished() {
+        // Phase 2: learning for (at least) the same amount of time.
+        // UCT trees, batch offsets and partial results persist inside
+        // the session across rounds.
+        let learn_deadline = Instant::now() + timeout;
+        while !session.finished() && Instant::now() < learn_deadline {
             session.step();
             learning_iterations += 1;
         }
-        let out = session.outcome();
-        HOutcome {
-            tuples: out.tuples,
-            num_tables: m,
-            result_count: out.result_count,
-            source: PlanSource::Learned,
-            traditional_attempts,
-            learning_iterations,
-            wall: start.elapsed(),
+        if session.finished() {
+            let out = session.outcome();
+            return HOutcome {
+                tuples: out.tuples,
+                result_count: out.result_count,
+                source: PlanSource::Learned,
+                traditional_attempts,
+                learning_iterations,
+                wall: start.elapsed(),
+            };
         }
+    }
+
+    // Safety valve: run the learning side to completion.
+    while !session.finished() {
+        session.step();
+        learning_iterations += 1;
+    }
+    let out = session.outcome();
+    HOutcome {
+        tuples: out.tuples,
+        result_count: out.result_count,
+        source: PlanSource::Learned,
+        traditional_attempts,
+        learning_iterations,
+        wall: start.elapsed(),
     }
 }
 
@@ -190,11 +161,7 @@ mod tests {
         let q = query(&cat);
         let engine = ColEngine::new();
         let expected = engine.execute(&q, &ExecOptions::default()).result_count;
-        let cfg = SkinnerHConfig {
-            base_timeout: Duration::from_millis(50),
-            ..Default::default()
-        };
-        let out = SkinnerH::new(&engine, cfg).run(&q);
+        let out = run_from(&engine, &q, Duration::from_millis(50));
         assert_eq!(out.result_count, expected);
         assert_eq!(out.source, PlanSource::Traditional);
         assert_eq!(out.traditional_attempts, 1);
@@ -208,11 +175,7 @@ mod tests {
         let expected = engine.execute(&q, &ExecOptions::default()).result_count;
         // With a 0ns base timeout the traditional path always times out in
         // round 0; doubling eventually lets one of the two paths finish.
-        let cfg = SkinnerHConfig {
-            base_timeout: Duration::from_nanos(1),
-            ..Default::default()
-        };
-        let out = SkinnerH::new(&engine, cfg).run(&q);
+        let out = run_from(&engine, &q, Duration::from_nanos(1));
         assert_eq!(out.result_count, expected);
         assert!(out.traditional_attempts >= 1);
     }

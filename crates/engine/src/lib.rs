@@ -49,7 +49,7 @@ pub mod reward;
 pub mod skinner_c;
 
 pub use metrics::ExecMetrics;
-pub use multiway::{Collector, ContinueResult, LimitSink, MultiwayJoin, ResultSink};
+pub use multiway::{Collector, ContinueResult, MultiwayJoin, ResultSink};
 pub use prepare::PreparedQuery;
 // The codegen tier's public surface, re-exported for drivers that
 // compile kernels or share a cross-query kernel cache.

@@ -86,11 +86,6 @@ pub struct ExecMetrics {
 }
 
 impl ExecMetrics {
-    /// Total bytes of auxiliary structures (Fig. 8d).
-    pub fn total_aux_bytes(&self) -> usize {
-        self.uct_bytes + self.tracker_bytes + self.result_bytes + self.index_bytes
-    }
-
     /// The `k` most-selected join orders with their selection share.
     pub fn top_orders(&self, k: usize) -> Vec<(Vec<TableId>, f64)> {
         let total: u64 = self.order_selections.values().sum();
@@ -134,6 +129,5 @@ mod tests {
     fn empty_metrics_are_safe() {
         let m = ExecMetrics::default();
         assert_eq!(m.top_k_share(3), 0.0);
-        assert_eq!(m.total_aux_bytes(), 0);
     }
 }

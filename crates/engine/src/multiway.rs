@@ -119,19 +119,19 @@ impl ResultSink for CountingSink {
 /// driver when [`Query::join_limit`](skinner_query::Query::join_limit)
 /// allows the join phase to stop early instead of materializing the
 /// full result.
-pub struct LimitSink<'a, C: Collector> {
+pub(crate) struct LimitSink<'a, C: Collector> {
     inner: &'a mut C,
     target: u64,
 }
 
 impl<'a, C: Collector> LimitSink<'a, C> {
     /// Wrap `inner`, reporting full at `target` distinct tuples.
-    pub fn new(inner: &'a mut C, target: u64) -> LimitSink<'a, C> {
+    pub(crate) fn new(inner: &'a mut C, target: u64) -> LimitSink<'a, C> {
         LimitSink { inner, target }
     }
 
     /// True once the target is reached.
-    pub fn full(&self) -> bool {
+    pub(crate) fn full(&self) -> bool {
         self.inner.collected() as u64 >= self.target
     }
 }
@@ -160,7 +160,7 @@ impl<C: Collector> ResultSink for LimitSink<'_, C> {
 /// tuple); deduplication goes through an open-addressing table of tuple
 /// indices hashed with the vendored Fx hasher. Duplicate inserts —
 /// the common case around join-order switches — touch no allocator at
-/// all, and [`ResultSet::into_flat`] is a move of the arena, not a copy.
+/// all, and `ResultSet::into_flat` is a move of the arena, not a copy.
 #[derive(Debug, Default)]
 pub struct ResultSet {
     /// Row ids of distinct tuples, concatenated (`len * stride` entries).
@@ -175,7 +175,7 @@ pub struct ResultSet {
     /// Number of distinct tuples.
     len: usize,
     /// Total insert attempts (including duplicates from order switches).
-    pub attempts: u64,
+    pub(crate) attempts: u64,
 }
 
 #[inline(always)]
@@ -201,7 +201,7 @@ impl ResultSet {
 
     /// Insert a tuple (base row ids in FROM order); false if duplicate.
     #[inline]
-    pub fn insert(&mut self, tuple: &[RowId]) -> bool {
+    pub(crate) fn insert(&mut self, tuple: &[RowId]) -> bool {
         self.attempts += 1;
         if self.stride == 0 {
             assert!(!tuple.is_empty(), "zero-width result tuple");
@@ -273,7 +273,7 @@ impl ResultSet {
     /// Take the flat row-major tuple arena — a move, not a copy.
     /// `stride` is validated against the width fixed by the first insert
     /// (a mismatch is a caller bug that would silently misalign tuples).
-    pub fn into_flat(self, stride: usize) -> Vec<RowId> {
+    pub(crate) fn into_flat(self, stride: usize) -> Vec<RowId> {
         assert!(
             self.data.is_empty() || stride == self.stride,
             "stride {stride} != result set stride {}",
@@ -283,7 +283,7 @@ impl ResultSet {
     }
 
     /// Approximate heap footprint in bytes (Figure 8c).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<RowId>()
             + self.slots.len() * std::mem::size_of::<u32>()
             + self.hashes.capacity() * std::mem::size_of::<u64>()
@@ -858,7 +858,8 @@ mod tests {
             assert!(round < 100_000, "no termination");
             let which = round % orders.len();
             let order = &orders[which];
-            let mut state = tracker.restore(order, &offsets);
+            let mut state = vec![0u32; 3];
+            tracker.restore_into(order, &offsets, &mut state);
             let (res, _) =
                 join.continue_join(order, &plans[which], &offsets, &mut state, 5, &mut rs);
             // offset advance for the left-most table

@@ -70,40 +70,40 @@ use std::sync::Arc;
 /// index jumps straight to rows matching the whole key.
 pub struct CompositeKeyGroup {
     /// The connected tables, `a < b`.
-    pub tables: (TableId, TableId),
+    pub(crate) tables: (TableId, TableId),
     /// Paired component columns (`cols.0[i]` of side `a` joins
     /// `cols.1[i]` of side `b`), sorted canonically.
-    pub cols: (Vec<usize>, Vec<usize>),
+    pub(crate) cols: (Vec<usize>, Vec<usize>),
     /// Indices into `join_preds` of the group's equality conjuncts.
-    pub preds: Vec<usize>,
+    pub(crate) preds: Vec<usize>,
     /// Fused keys per **base row** of each side (`None` = a NULL
     /// component; such rows never match).
-    pub keys: (Vec<Option<i64>>, Vec<Option<i64>>),
+    pub(crate) keys: (Vec<Option<i64>>, Vec<Option<i64>>),
     /// Composite indexes over each side's **filtered positions**.
-    pub indexes: (HashIndex, HashIndex),
+    pub(crate) indexes: (HashIndex, HashIndex),
 }
 
 /// One direction of a composite jump: the earlier (key-providing) side
 /// and the later (indexed, probed) side, resolved from `src_is_a`. The
 /// single source of truth for side selection — the bound plan, the
 /// generic oracle, and the jump heuristic all go through it.
-pub struct CompositeSides<'a> {
+pub(crate) struct CompositeSides<'a> {
     /// The earlier table providing the key tuple.
-    pub src_table: TableId,
+    pub(crate) src_table: TableId,
     /// The source side's fused keys per base row.
-    pub src_keys: &'a [Option<i64>],
+    pub(crate) src_keys: &'a [Option<i64>],
     /// The source side's component columns (paired order).
-    pub src_cols: &'a [usize],
+    pub(crate) src_cols: &'a [usize],
     /// The probed side's composite index (filtered positions).
-    pub index: &'a HashIndex,
+    pub(crate) index: &'a HashIndex,
     /// The probed side's component columns (paired order).
-    pub index_cols: &'a [usize],
+    pub(crate) index_cols: &'a [usize],
 }
 
 impl CompositeKeyGroup {
     /// Resolve the jump direction: `src_is_a` means the group's `a` side
     /// provides the key and the `b` side is probed.
-    pub fn sides(&self, src_is_a: bool) -> CompositeSides<'_> {
+    pub(crate) fn sides(&self, src_is_a: bool) -> CompositeSides<'_> {
         if src_is_a {
             CompositeSides {
                 src_table: self.tables.0,
@@ -144,7 +144,7 @@ pub struct PreparedQuery {
     /// table pair is connected by ≥ 2 equality conjuncts).
     pub composites: Vec<CompositeKeyGroup>,
     /// Wall time spent pre-processing.
-    pub preprocess_time: std::time::Duration,
+    pub(crate) preprocess_time: std::time::Duration,
 }
 
 impl PreparedQuery {
@@ -344,7 +344,7 @@ impl PreparedQuery {
     }
 
     /// Number of joined tables.
-    pub fn num_tables(&self) -> usize {
+    pub(crate) fn num_tables(&self) -> usize {
         self.tables.len()
     }
 
@@ -361,7 +361,7 @@ impl PreparedQuery {
 
     /// Approximate bytes held by the hash indexes (single-column and
     /// composite, including the fused key vectors).
-    pub fn index_bytes(&self) -> usize {
+    pub(crate) fn index_bytes(&self) -> usize {
         let single: usize = self.indexes.values().map(|i| i.approx_bytes()).sum();
         let composite: usize = self
             .composites
@@ -565,7 +565,7 @@ pub enum KeyCol<'a> {
 
 impl<'a> KeyCol<'a> {
     /// Choose the fastest representation for `col`.
-    pub fn bind(col: &'a Column) -> KeyCol<'a> {
+    pub(crate) fn bind(col: &'a Column) -> KeyCol<'a> {
         if col.nullable() {
             return KeyCol::Other(col);
         }
@@ -580,7 +580,7 @@ impl<'a> KeyCol<'a> {
 
     /// The 64-bit join key of `row` (`None` for NULL).
     #[inline(always)]
-    pub fn key(&self, row: RowId) -> Option<i64> {
+    pub(crate) fn key(&self, row: RowId) -> Option<i64> {
         match self {
             KeyCol::Int(v) => Some(v[row as usize]),
             KeyCol::Float(v) => Some(skinner_storage::f64_key(v[row as usize])),
@@ -596,15 +596,15 @@ impl<'a> KeyCol<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct BoundJump<'a> {
     /// The position table's hash index on the jump column.
-    pub index: &'a HashIndex,
+    pub(crate) index: &'a HashIndex,
     /// Earlier table providing the key tuple.
-    pub src_table: TableId,
+    pub(crate) src_table: TableId,
     /// Key-column accessor, specialized to the column's representation.
     pub key: KeyCol<'a>,
     /// Index (within this position's `preds`) of the equality conjunct
     /// that drives the jump — the predicate a compiled kernel may elide
     /// when the index provably implies it.
-    pub pred: usize,
+    pub(crate) pred: usize,
 }
 
 /// One fully bound position of an [`OrderPlan`]: the table's filtered
@@ -613,11 +613,11 @@ pub struct BoundJump<'a> {
 #[derive(Debug, Clone)]
 pub struct BoundPosition<'a> {
     /// The table joined at this position.
-    pub table: TableId,
+    pub(crate) table: TableId,
     /// Filtered cardinality of the table (cached from `cards`).
-    pub card: u32,
+    pub(crate) card: u32,
     /// Filtered positions → base row ids (cached from `filtered`).
-    pub base: &'a [RowId],
+    pub(crate) base: &'a [RowId],
     /// Predicates newly applicable at this position, bound to slices.
     pub preds: Vec<BoundPred<'a>>,
     /// Hash-index jump, if an equi predicate connects to earlier tables.
@@ -787,29 +787,18 @@ pub enum JumpSpec {
     },
 }
 
-impl JumpSpec {
-    /// The earlier table providing the jump key, given the prepared
-    /// query the spec was planned against.
-    pub fn src_table(&self, pq: &PreparedQuery) -> TableId {
-        match self {
-            JumpSpec::Single { src_table, .. } => *src_table,
-            JumpSpec::Composite {
-                group, src_is_a, ..
-            } => pq.composites[*group].sides(*src_is_a).src_table,
-        }
-    }
-}
+impl JumpSpec {}
 
 /// Per-position logical plan for one join order (indices into the
 /// prepared query, not yet bound to storage).
 #[derive(Debug, Clone)]
 pub struct PositionPlan {
     /// The table joined at this position.
-    pub table: TableId,
+    pub(crate) table: TableId,
     /// Indices into `join_preds` newly applicable at this position.
     pub applicable: Vec<usize>,
     /// Hash-index jump, if an equi predicate connects to earlier tables.
-    pub jump: Option<JumpSpec>,
+    pub(crate) jump: Option<JumpSpec>,
 }
 
 /// Logical per-order plan: what [`PreparedQuery::plan_order`] binds into
@@ -1048,7 +1037,7 @@ mod tests {
         // reversed order jumps through a's index
         let spec = p.plan_spec(&[1, 0]);
         let jump = spec.positions[1].jump.as_ref().expect("jump expected");
-        assert_eq!(jump.src_table(&p), 1);
+        assert!(matches!(jump, JumpSpec::Single { src_table: 1, .. }));
     }
 
     #[test]

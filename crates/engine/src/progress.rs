@@ -55,12 +55,12 @@ impl ProgressTracker {
     }
 
     /// Number of trie nodes (Figure 8b).
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
     /// Approximate heap footprint in bytes (Figure 8d).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.nodes
             .iter()
             .map(|n| {
@@ -105,18 +105,10 @@ impl ProgressTracker {
     }
 
     /// Restore the most advanced safe state for `order`, given the
-    /// current global `offsets` (indexed by table id). Returns a cursor
-    /// indexed by table id; positions of tables not in any shared prefix
-    /// start at their offsets.
-    pub fn restore(&self, order: &[TableId], offsets: &[u32]) -> Vec<u32> {
-        let mut out = vec![0u32; self.num_tables];
-        self.restore_into(order, offsets, &mut out);
-        out
-    }
-
-    /// [`restore`](ProgressTracker::restore) into a caller-owned buffer,
-    /// so the per-slice driver loop reuses one scratch cursor instead of
-    /// allocating a fresh `Vec` every slice.
+    /// current global `offsets` (indexed by table id), into `out`
+    /// (indexed by table id): positions of tables not in any shared
+    /// prefix start at their offsets. The caller owns `out`, so the
+    /// per-slice driver loop reuses one scratch cursor.
     pub fn restore_into(&self, order: &[TableId], offsets: &[u32], out: &mut [u32]) {
         let m = self.num_tables;
         debug_assert_eq!(order.len(), m);
@@ -194,12 +186,18 @@ fn lex_less(a: &[u32], b: &[u32]) -> bool {
 mod tests {
     use super::*;
 
+    fn restore(tr: &ProgressTracker, order: &[TableId], offsets: &[u32]) -> Vec<u32> {
+        let mut out = vec![0u32; tr.num_tables];
+        tr.restore_into(order, offsets, &mut out);
+        out
+    }
+
     #[test]
     fn restore_without_backup_is_offsets() {
         let tr = ProgressTracker::new(3);
-        let s = tr.restore(&[0, 1, 2], &[5, 6, 7]);
+        let s = restore(&tr, &[0, 1, 2], &[5, 6, 7]);
         assert_eq!(s, vec![5, 6, 7]);
-        let s = tr.restore(&[2, 0, 1], &[5, 6, 7]);
+        let s = restore(&tr, &[2, 0, 1], &[5, 6, 7]);
         assert_eq!(s, vec![5, 6, 7]);
     }
 
@@ -207,7 +205,7 @@ mod tests {
     fn exact_roundtrip() {
         let mut tr = ProgressTracker::new(3);
         tr.backup(&[0, 1, 2], &[4, 9, 2]);
-        let s = tr.restore(&[0, 1, 2], &[0, 0, 0]);
+        let s = restore(&tr, &[0, 1, 2], &[0, 0, 0]);
         assert_eq!(s, vec![4, 9, 2]);
     }
 
@@ -218,7 +216,7 @@ mod tests {
         tr.backup(&[0, 1, 2], &[7, 3, 5]);
         // Order B = [0,1,2]'s sibling [0,2,1] shares prefix [0]:
         // adopt position 7 for table 0, offsets elsewhere.
-        let s = tr.restore(&[0, 2, 1], &[0, 0, 0]);
+        let s = restore(&tr, &[0, 2, 1], &[0, 0, 0]);
         assert_eq!(s[0], 7);
         assert_eq!(s[1], 0);
         assert_eq!(s[2], 0);
@@ -229,7 +227,7 @@ mod tests {
         let mut tr = ProgressTracker::new(3);
         tr.backup(&[0, 1, 2], &[7, 3, 5]);
         // same first two tables, different last → shares prefix [0,1]
-        let s = tr.restore(&[0, 1, 2], &[0, 0, 0]);
+        let s = restore(&tr, &[0, 1, 2], &[0, 0, 0]);
         assert_eq!(s, vec![7, 3, 5]);
     }
 
@@ -238,7 +236,7 @@ mod tests {
         let mut tr = ProgressTracker::new(2);
         tr.backup(&[0, 1], &[2, 4]);
         // offset for table 0 advanced past the stored cursor
-        let s = tr.restore(&[0, 1], &[6, 0]);
+        let s = restore(&tr, &[0, 1], &[6, 0]);
         assert!(s[0] >= 6, "below-offset tuples are globally complete");
     }
 
@@ -247,10 +245,10 @@ mod tests {
         let mut tr = ProgressTracker::new(2);
         tr.backup(&[0, 1], &[3, 9]);
         tr.backup(&[0, 1], &[3, 2]); // behind: must not regress
-        let s = tr.restore(&[0, 1], &[0, 0]);
+        let s = restore(&tr, &[0, 1], &[0, 0]);
         assert_eq!(s, vec![3, 9]);
         tr.backup(&[0, 1], &[4, 0]); // ahead on first coordinate
-        let s = tr.restore(&[0, 1], &[0, 0]);
+        let s = restore(&tr, &[0, 1], &[0, 0]);
         assert_eq!(s, vec![4, 0]);
     }
 
@@ -259,7 +257,7 @@ mod tests {
         let mut tr = ProgressTracker::new(3);
         tr.backup(&[1, 0, 2], &[8, 8, 8]);
         // order starting with table 2 shares no prefix
-        let s = tr.restore(&[2, 1, 0], &[1, 1, 1]);
+        let s = restore(&tr, &[2, 1, 0], &[1, 1, 1]);
         assert_eq!(s, vec![1, 1, 1]);
     }
 

@@ -20,7 +20,7 @@
 
 /// The reward of a slice that took the cursor's progress from `before`
 /// to `after`.
-pub fn slice_reward(before: f64, after: f64) -> f64 {
+pub(crate) fn slice_reward(before: f64, after: f64) -> f64 {
     (after - before).clamp(0.0, 1.0)
 }
 

@@ -211,11 +211,6 @@ impl SkinnerC {
         SkinnerC { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &SkinnerCConfig {
-        &self.config
-    }
-
     /// Execute the join phase of `query` (pre-processing included;
     /// post-processing is the caller's job — see `skinner-core`).
     ///
@@ -878,7 +873,7 @@ mod tests {
         assert!(m.steps > 0);
         assert!(m.uct_nodes > 0);
         assert!(m.tracker_nodes > 0);
-        assert!(m.total_aux_bytes() > 0);
+        assert!(m.uct_bytes + m.tracker_bytes + m.result_bytes + m.index_bytes > 0);
         assert!(m.top_k_share(100) > 0.99);
         assert_eq!(m.result_tuples as u64, out.result_count);
     }

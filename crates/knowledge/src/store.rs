@@ -29,7 +29,7 @@ use skinner_uct::{ArmPriors, PriorEntry};
 pub struct KnowledgeConfig {
     /// Upper bound on entries per map (tables and edges separately).
     /// At capacity, inserting a new key evicts the least-observed entry.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Virtual visit count per seeded arm — how strongly priors bias
     /// early exploration before real rewards wash them out. Keep this
     /// *small*: Skinner-C's near-greedy UCB1 means every extra virtual
@@ -39,7 +39,7 @@ pub struct KnowledgeConfig {
     /// arms beneath it). At `1`, priors order the first trial of each
     /// arm and one real slice per arm already outvotes them — they
     /// steer exploration without ever out-shouting measurements.
-    pub prior_weight: u64,
+    pub(crate) prior_weight: u64,
 }
 
 impl Default for KnowledgeConfig {
@@ -66,7 +66,7 @@ pub struct TableStat {
 
 impl TableStat {
     /// Mean observed selectivity in `[0, 1]`.
-    pub fn mean_selectivity(&self) -> f64 {
+    pub(crate) fn mean_selectivity(&self) -> f64 {
         if self.count == 0 {
             return 1.0;
         }
@@ -99,37 +99,37 @@ pub struct EdgeStat {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableObs {
     /// Cross-template key (see [`table_fingerprint`]).
-    pub fingerprint: String,
+    pub(crate) fingerprint: String,
     /// Catalog table name.
-    pub name: String,
+    pub(crate) name: String,
     /// Catalog version of the table at run time.
-    pub version: u64,
+    pub(crate) version: u64,
     /// Rows surviving the table's unary predicates.
-    pub filtered: u64,
+    pub(crate) filtered: u64,
     /// Base row count.
-    pub base: u64,
+    pub(crate) base: u64,
 }
 
 /// One run's knowledge extract for a single join edge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeObs {
     /// Cross-template key (see [`join_edges`]).
-    pub fingerprint: String,
+    pub(crate) fingerprint: String,
     /// `(table name, version)` of both sides, in fingerprint order.
-    pub deps: Vec<(String, u64)>,
+    pub(crate) deps: Vec<(String, u64)>,
     /// First-listed side earlier: `(reward_sum, slice_count)`.
-    pub fwd: (f64, u64),
+    pub(crate) fwd: (f64, u64),
     /// Second-listed side earlier: `(reward_sum, slice_count)`.
-    pub rev: (f64, u64),
+    pub(crate) rev: (f64, u64),
 }
 
 /// Everything one finished run teaches the store.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Observation {
     /// Per-table selectivity observations.
-    pub tables: Vec<TableObs>,
+    pub(crate) tables: Vec<TableObs>,
     /// Per-edge directed reward observations.
-    pub edges: Vec<EdgeObs>,
+    pub(crate) edges: Vec<EdgeObs>,
 }
 
 /// Build an [`Observation`] from a finished run: `deps` carries the
@@ -199,17 +199,17 @@ pub struct KnowledgeStats {
     /// [`KnowledgeStore::seed`] calls with nothing to offer.
     pub no_priors: u64,
     /// Entries evicted by the capacity bound.
-    pub evicted: u64,
+    pub(crate) evicted: u64,
     /// Entries dropped by [`KnowledgeStore::invalidate_table`].
     pub invalidated: u64,
     /// Entries whose statistics were reset because their catalog
     /// versions moved between observations.
-    pub reset: u64,
+    pub(crate) reset: u64,
 }
 
 /// Sorted `(fingerprint, stat)` snapshots of both maps, as returned by
 /// [`KnowledgeStore::export`].
-pub type KnowledgeExport = (Vec<(String, TableStat)>, Vec<(String, EdgeStat)>);
+pub(crate) type KnowledgeExport = (Vec<(String, TableStat)>, Vec<(String, EdgeStat)>);
 
 /// Cross-query knowledge, keyed by the coarse fingerprints of
 /// [`skinner_query::fingerprint`].
@@ -350,7 +350,7 @@ impl KnowledgeStore {
     /// depth-1 arms get the directed share of the corresponding edge.
     ///
     /// Before returning, every signal is **cubed** and then multiplied
-    /// by the learned [`reward_scale`](Self::reward_scale). Cubing
+    /// by the learned `reward_scale`. Cubing
     /// sharpens the preference distribution: under near-greedy UCB the
     /// seeded top arm's mean converges to its *real* per-slice reward
     /// (typically a little under the scale) within a few slices, and
@@ -445,7 +445,7 @@ impl KnowledgeStore {
     /// waste at 1/16 through growing ping-pong at 1/4, 1/2, 1x), so the
     /// factor sits deep on the safe side while still leaving the cubed
     /// shares numerically distinct.
-    pub fn reward_scale(&self) -> f64 {
+    pub(crate) fn reward_scale(&self) -> f64 {
         if self.scale.1 == 0 {
             return 1.0;
         }
@@ -463,12 +463,6 @@ impl KnowledgeStore {
         let dropped = before - self.tables.len() - self.edges.len();
         self.stats.invalidated += dropped as u64;
         dropped
-    }
-
-    /// Remove everything, keeping counters.
-    pub fn clear(&mut self) {
-        self.tables.clear();
-        self.edges.clear();
     }
 
     /// Operational counters.

@@ -188,12 +188,6 @@ impl NetClient {
         }
     }
 
-    /// Cancel in-flight query `id` (fire and forget; the query answers
-    /// with an `Error{Cancelled}` if the cancellation lands in time).
-    pub fn cancel(&mut self, id: u64) -> Result<(), ClientError> {
-        self.send(&Message::Cancel { id })
-    }
-
     /// Fetch the server's counters.
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
         self.send(&Message::StatsRequest)?;

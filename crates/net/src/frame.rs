@@ -84,7 +84,7 @@ pub enum FrameType {
 
 impl FrameType {
     /// Decode an on-wire tag.
-    pub fn from_u8(tag: u8) -> Option<FrameType> {
+    pub(crate) fn from_u8(tag: u8) -> Option<FrameType> {
         Some(match tag {
             1 => FrameType::Hello,
             2 => FrameType::Welcome,

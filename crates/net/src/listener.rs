@@ -28,7 +28,7 @@ use std::time::Duration;
 /// `Shutdown` frames, the embedding binary).
 ///
 /// Unlike a bare `AtomicBool`, raising the flag *notifies* a condvar,
-/// so a loop parked in [`wait_timeout`](ShutdownFlag::wait_timeout)
+/// so a loop parked in `wait_timeout`
 /// wakes immediately — shutdown latency is bounded by in-flight work,
 /// not by a polling interval.
 #[derive(Debug, Clone, Default)]
@@ -45,12 +45,12 @@ struct ShutdownInner {
 
 impl ShutdownFlag {
     /// A fresh, un-raised flag.
-    pub fn new() -> ShutdownFlag {
+    pub(crate) fn new() -> ShutdownFlag {
         ShutdownFlag::default()
     }
 
     /// Raise the flag and wake every parked waiter.
-    pub fn raise(&self) {
+    pub(crate) fn raise(&self) {
         self.inner.raised.store(true, Ordering::Release);
         // Taking the lock before notifying closes the race with a
         // waiter that checked the flag but has not yet parked.
@@ -63,13 +63,13 @@ impl ShutdownFlag {
     }
 
     /// True once raised (never resets).
-    pub fn is_raised(&self) -> bool {
+    pub(crate) fn is_raised(&self) -> bool {
         self.inner.raised.load(Ordering::Acquire)
     }
 
     /// Park for up to `timeout`, waking early if the flag is raised.
     /// Returns [`is_raised`](ShutdownFlag::is_raised) on exit.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+    pub(crate) fn wait_timeout(&self, timeout: Duration) -> bool {
         if self.is_raised() {
             return true;
         }

@@ -25,9 +25,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct Template {
     /// Short name (reported per-template).
-    pub name: String,
+    pub(crate) name: String,
     /// The SQL text.
-    pub sql: String,
+    pub(crate) sql: String,
 }
 
 /// The four serving templates over the synthetic JOB catalog
@@ -101,8 +101,6 @@ impl Default for LoadConfig {
 /// Latency distribution over completed requests, in nanoseconds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencySummary {
-    /// Completed-request count the percentiles are over.
-    pub count: usize,
     /// Median.
     pub p50: Duration,
     /// 95th percentile.
@@ -116,7 +114,7 @@ pub struct LatencySummary {
 }
 
 /// Compute the summary from raw latencies (any order).
-pub fn summarize(mut lat: Vec<Duration>) -> LatencySummary {
+pub(crate) fn summarize(mut lat: Vec<Duration>) -> LatencySummary {
     if lat.is_empty() {
         return LatencySummary::default();
     }
@@ -124,7 +122,6 @@ pub fn summarize(mut lat: Vec<Duration>) -> LatencySummary {
     let pick = |q: f64| lat[((lat.len() - 1) as f64 * q).round() as usize];
     let total: Duration = lat.iter().sum();
     LatencySummary {
-        count: lat.len(),
         p50: pick(0.50),
         p95: pick(0.95),
         p99: pick(0.99),
@@ -315,7 +312,6 @@ mod tests {
     fn summarize_percentiles() {
         let lat: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
         let s = summarize(lat);
-        assert_eq!(s.count, 100);
         assert_eq!(s.p50, Duration::from_millis(51));
         assert_eq!(s.p95, Duration::from_millis(95));
         assert_eq!(s.p99, Duration::from_millis(99));
@@ -326,7 +322,7 @@ mod tests {
     #[test]
     fn summarize_empty_is_zero() {
         let s = summarize(Vec::new());
-        assert_eq!(s.count, 0);
+        assert_eq!(s.p50, Duration::ZERO);
         assert_eq!(s.max, Duration::ZERO);
     }
 

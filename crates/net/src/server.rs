@@ -26,7 +26,7 @@
 //!   query gets `Busy{Queries}` and the connection stays usable.
 //!
 //! Reads carry a poll timeout (so shutdown is observed within
-//! [`READ_POLL`]); writes carry [`ServerConfig::write_timeout`], so a
+//! `READ_POLL`); writes carry [`ServerConfig::write_timeout`], so a
 //! client that stops draining its socket stalls only its own
 //! connection. Row delivery happens *after* the join phase released its
 //! core grant, so a stalled client can never pin the core budget.
@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 /// Read-poll granularity: how long a blocked read waits before the
 /// reader/executor re-checks shutdown. Bounds shutdown latency for an
 /// idle connection.
-pub const READ_POLL: Duration = Duration::from_millis(100);
+pub(crate) const READ_POLL: Duration = Duration::from_millis(100);
 
 /// How long the executor waits on its frame channel per poll tick.
 const EXEC_POLL: Duration = Duration::from_millis(50);

@@ -60,7 +60,7 @@ pub fn clear() {
 }
 
 /// The active seed, if any.
-pub fn current() -> Option<u64> {
+pub(crate) fn current() -> Option<u64> {
     if ARMED.load(Ordering::Relaxed) {
         Some(SEED.load(Ordering::Relaxed))
     } else {

@@ -335,12 +335,6 @@ impl CompiledPred {
         }
     }
 
-    /// True if the fast path is active (used by tests and the bench suite
-    /// to confirm coverage of hot shapes).
-    pub fn is_fast(&self) -> bool {
-        !matches!(self.fast, Fast::Generic)
-    }
-
     /// Bind this conjunct to `tables` for repeated evaluation: resolve
     /// table/column indirections *once*, capturing raw typed column
     /// slices, so the per-tuple hot path touches only `rows` and flat
@@ -609,7 +603,7 @@ impl BoundPred<'_> {
     }
 
     /// [`Self::eval`], except that a `Udf` predicate calls
-    /// [`Udf::call_uncounted`]: the caller tallies the call and adds it
+    /// `Udf::call_uncounted`: the caller tallies the call and adds it
     /// with [`Udf::add_calls`]. Every other variant counts as `eval` does.
     #[inline(always)]
     pub fn eval_uncounted(&self, rows: &[u32]) -> bool {
@@ -769,6 +763,11 @@ fn flip(op: BinOp) -> BinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True if the conjunct compiled to a fast path (not the interpreter).
+    fn is_fast(p: &CompiledPred) -> bool {
+        !matches!(p.fast, Fast::Generic)
+    }
     use skinner_storage::{Column, ColumnDef, Schema, Table, ValueType};
     use std::sync::Arc;
 
@@ -805,7 +804,7 @@ mod tests {
     fn int_cmp_const_fast() {
         let ts = tables();
         let p = CompiledPred::compile(&Expr::col(0, 0).ge(Expr::lit(5)), &ts);
-        assert!(p.is_fast());
+        assert!(is_fast(&p));
         assert!(!p.eval(&[0, 0], &ts));
         assert!(p.eval(&[1, 0], &ts));
         assert!(p.eval(&[2, 0], &ts));
@@ -816,7 +815,7 @@ mod tests {
         let ts = tables();
         // 5 <= a.x  ≡  a.x >= 5
         let p = CompiledPred::compile(&Expr::lit(5).le(Expr::col(0, 0)), &ts);
-        assert!(p.is_fast());
+        assert!(is_fast(&p));
         assert!(!p.eval(&[0, 0], &ts));
         assert!(p.eval(&[1, 0], &ts));
     }
@@ -825,12 +824,12 @@ mod tests {
     fn str_eq_code_fast() {
         let ts = tables();
         let p = CompiledPred::compile(&Expr::col(0, 1).eq(Expr::lit("q")), &ts);
-        assert!(p.is_fast());
+        assert!(is_fast(&p));
         assert!(!p.eval(&[0, 0], &ts));
         assert!(p.eval(&[1, 0], &ts));
         // literal not in dictionary → always false
         let p = CompiledPred::compile(&Expr::col(0, 1).eq(Expr::lit("zz")), &ts);
-        assert!(p.is_fast());
+        assert!(is_fast(&p));
         assert!(!p.eval(&[0, 0], &ts));
         // NE variant
         let p = CompiledPred::compile(&Expr::col(0, 1).ne(Expr::lit("q")), &ts);
@@ -842,7 +841,7 @@ mod tests {
     fn int_cmp_int_join_fast() {
         let ts = tables();
         let p = CompiledPred::compile(&Expr::col(0, 0).eq(Expr::col(1, 0)), &ts);
-        assert!(p.is_fast());
+        assert!(is_fast(&p));
         assert!(p.eval(&[1, 0], &ts)); // a.x=5, b.y=5
         assert!(!p.eval(&[0, 0], &ts)); // 1 vs 5
         assert!(p.eval(&[0, 2], &ts)); // 1 vs 1
@@ -855,7 +854,7 @@ mod tests {
             &Expr::col(0, 0).in_list(vec![Value::Int(1), Value::Int(9)]),
             &ts,
         );
-        assert!(p.is_fast());
+        assert!(is_fast(&p));
         assert!(p.eval(&[0, 0], &ts));
         assert!(!p.eval(&[1, 0], &ts));
         assert!(p.eval(&[2, 0], &ts));
@@ -865,7 +864,7 @@ mod tests {
     fn float_cmp_fast_and_int_widening() {
         let ts = tables();
         let p = CompiledPred::compile(&Expr::col(0, 2).gt(Expr::lit(1)), &ts);
-        assert!(p.is_fast());
+        assert!(is_fast(&p));
         assert!(!p.eval(&[0, 0], &ts));
         assert!(p.eval(&[1, 0], &ts));
     }
@@ -896,7 +895,7 @@ mod tests {
         let ts = date_tables();
         // Plain date constant.
         let p = CompiledPred::compile(&Expr::col(0, 0).lt(Expr::Literal(Value::Date(151))), &ts);
-        assert!(p.is_fast());
+        assert!(is_fast(&p));
         assert!(p.eval(&[0, 0], &ts));
         assert!(p.eval(&[1, 0], &ts));
         assert!(!p.eval(&[2, 0], &ts));
@@ -904,19 +903,19 @@ mod tests {
         let arith = Expr::col(0, 0)
             .lt(Expr::Literal(Value::Date(120)).add(Expr::Literal(Value::Interval(31))));
         let p = CompiledPred::compile(&arith, &ts);
-        assert!(p.is_fast(), "folded date arithmetic must hit a fast path");
+        assert!(is_fast(&p), "folded date arithmetic must hit a fast path");
         assert!(p.eval(&[0, 0], &ts));
         assert!(p.eval(&[1, 0], &ts)); // 150 < 151
         assert!(!p.eval(&[2, 0], &ts));
         // Date = Date across tables is the exact i64 path (elidable).
         let j = CompiledPred::compile(&Expr::col(0, 0).eq(Expr::col(1, 0)), &ts);
-        assert!(j.is_fast());
+        assert!(is_fast(&j));
         assert!(j.bind(&ts).is_exact_int_eq());
         assert!(j.eval(&[1, 0], &ts)); // 150 = 150
         assert!(!j.eval(&[0, 0], &ts));
         // Mixed Date vs Int literal stays generic (lattice: always NULL).
         let mixed = CompiledPred::compile(&Expr::col(0, 0).lt(Expr::lit(999)), &ts);
-        assert!(!mixed.is_fast());
+        assert!(!is_fast(&mixed));
         assert!(!mixed.eval(&[0, 0], &ts));
         // Bound evaluation matches compiled evaluation on every row pair.
         for e in [
@@ -959,7 +958,7 @@ mod tests {
         // LIKE is not fast-pathed
         let e = Expr::col(0, 1).like("q%");
         let p = CompiledPred::compile(&e, &ts);
-        assert!(!p.is_fast());
+        assert!(!is_fast(&p));
         assert!(p.eval(&[1, 0], &ts));
         assert!(!p.eval(&[0, 0], &ts));
     }
@@ -1123,11 +1122,11 @@ mod tests {
         let mut rows = [0u32];
         // NaN compares unordered: not even `!=` holds.
         let ne = CompiledPred::compile(&Expr::col(0, 2).ne(Expr::lit(2.0)), &ts);
-        assert!(ne.is_fast());
+        assert!(is_fast(&ne));
         assert_eq!(ne.bind(&ts).select(0, 8, None, &mut rows), vec![0, 3, 4, 6]);
         // NULL >= 3 is NULL, which filters the row out.
         let ge = CompiledPred::compile(&Expr::col(0, 4).ge(Expr::lit(3)), &ts);
-        assert!(!ge.is_fast());
+        assert!(!is_fast(&ge));
         assert_eq!(
             ge.bind(&ts).select(0, 8, None, &mut rows),
             vec![0, 2, 5, 6, 7]

@@ -50,7 +50,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Is this a comparison producing a boolean?
-    pub fn is_comparison(self) -> bool {
+    pub(crate) fn is_comparison(self) -> bool {
         matches!(
             self,
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
@@ -108,12 +108,12 @@ impl TableSet {
     }
 
     /// Intersection.
-    pub fn intersect(self, other: TableSet) -> TableSet {
+    pub(crate) fn intersect(self, other: TableSet) -> TableSet {
         TableSet(self.0 & other.0)
     }
 
     /// Difference `self \ other`.
-    pub fn minus(self, other: TableSet) -> TableSet {
+    pub(crate) fn minus(self, other: TableSet) -> TableSet {
         TableSet(self.0 & !other.0)
     }
 
@@ -268,7 +268,7 @@ impl<F: Fn(ColRef) -> Value> RowContext for F {
 /// SQL LIKE matcher supporting `%` (any run) and `_` (any single
 /// Unicode scalar). A `%` in the pattern is always a wildcard, also where
 /// the text holds a `%`.
-pub fn like_match(s: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
     // Iterative two-pointer algorithm with backtracking on the last `%`,
     // over byte offsets of char boundaries, so it allocates nothing.
     let (mut si, mut pi) = (0usize, 0usize);
@@ -348,11 +348,11 @@ impl Expr {
         self.bin(BinOp::Ge, rhs)
     }
     /// `self AND rhs`
-    pub fn and(self, rhs: Expr) -> Expr {
+    pub(crate) fn and(self, rhs: Expr) -> Expr {
         self.bin(BinOp::And, rhs)
     }
     /// `self OR rhs`
-    pub fn or(self, rhs: Expr) -> Expr {
+    pub(crate) fn or(self, rhs: Expr) -> Expr {
         self.bin(BinOp::Or, rhs)
     }
     /// `self + rhs`
@@ -372,7 +372,7 @@ impl Expr {
     }
     /// `NOT self`
     #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Expr {
+    pub(crate) fn not(self) -> Expr {
         Expr::Unary {
             op: UnOp::Not,
             expr: Box::new(self),

@@ -37,17 +37,12 @@ impl JoinGraph {
     }
 
     /// Number of tables.
-    pub fn num_tables(&self) -> usize {
+    pub(crate) fn num_tables(&self) -> usize {
         self.adjacency.len()
     }
 
-    /// Tables adjacent to `t`.
-    pub fn neighbors(&self, t: TableId) -> TableSet {
-        self.adjacency[t]
-    }
-
     /// Is `t` connected to any table in `set`?
-    pub fn connected(&self, t: TableId, set: TableSet) -> bool {
+    pub(crate) fn connected(&self, t: TableId, set: TableSet) -> bool {
         !self.adjacency[t].intersect(set).is_empty()
     }
 
@@ -72,25 +67,6 @@ impl JoinGraph {
         } else {
             connected
         }
-    }
-
-    /// True if the whole query is connected (no forced Cartesian product).
-    pub fn is_connected(&self) -> bool {
-        let n = self.num_tables();
-        if n <= 1 {
-            return true;
-        }
-        let mut seen = TableSet::single(0);
-        let mut frontier = vec![0usize];
-        while let Some(t) = frontier.pop() {
-            for nb in self.adjacency[t].iter() {
-                if !seen.contains(nb) {
-                    seen.insert(nb);
-                    frontier.push(nb);
-                }
-            }
-        }
-        seen.len() == n
     }
 }
 
@@ -167,9 +143,8 @@ mod tests {
     #[test]
     fn chain_adjacency() {
         let g = JoinGraph::from_query(&chain(4));
-        assert_eq!(g.neighbors(0), TableSet::single(1));
-        assert_eq!(g.neighbors(1), [0usize, 2].into_iter().collect());
-        assert!(g.is_connected());
+        assert_eq!(g.adjacency[0], TableSet::single(1));
+        assert_eq!(g.adjacency[1], [0usize, 2].into_iter().collect());
     }
 
     #[test]
@@ -195,7 +170,6 @@ mod tests {
             ],
         );
         let g = JoinGraph::from_query(&q);
-        assert!(!g.is_connected());
         // after {t0,t1}, neither t2 nor t3 connects → both eligible
         let chosen: TableSet = [0usize, 1].into_iter().collect();
         let elig = g.eligible_next(chosen);
@@ -229,14 +203,12 @@ mod tests {
             vec![Expr::col(0, 0).add(Expr::col(1, 0)).eq(Expr::col(2, 0))],
         );
         let g = JoinGraph::from_query(&q);
-        assert!(g.is_connected());
-        assert_eq!(g.neighbors(0), [1usize, 2].into_iter().collect());
+        assert_eq!(g.adjacency[0], [1usize, 2].into_iter().collect());
     }
 
     #[test]
     fn single_table_is_connected() {
         let g = JoinGraph::from_query(&query_with_preds(1, vec![]));
-        assert!(g.is_connected());
         assert_eq!(g.eligible_next(TableSet::EMPTY), TableSet::single(0));
     }
 }

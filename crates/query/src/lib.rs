@@ -44,7 +44,7 @@ pub use expr::{BinOp, ColRef, Expr, RowContext, TableSet, UnOp};
 pub use fingerprint::{join_edges, table_fingerprint, JoinEdge};
 pub use join_graph::JoinGraph;
 pub use parser::parse;
-pub use query::{Agg, AggFunc, CompositeGroup, OrderKey, Query, SelectItem, TableBinding};
+pub use query::{Agg, AggFunc, OrderKey, Query, SelectItem, TableBinding};
 pub use template::TemplateKey;
 pub use udf::{Udf, UdfRegistry};
 

@@ -65,7 +65,7 @@ impl SelectItem {
     }
 
     /// True if this item is an aggregate.
-    pub fn is_agg(&self) -> bool {
+    pub(crate) fn is_agg(&self) -> bool {
         matches!(self, SelectItem::Agg { .. })
     }
 }
@@ -83,7 +83,7 @@ pub struct OrderKey {
 /// [`Query::composite_key_groups`]: the connected table pair (`a < b`)
 /// and the distinct paired `(a-column, b-column)` component pairs in
 /// canonical ascending order.
-pub type CompositeGroup = ((TableId, TableId), Vec<(usize, usize)>);
+pub(crate) type CompositeGroup = ((TableId, TableId), Vec<(usize, usize)>);
 
 /// A fully resolved query: SPJ core plus post-processing clauses.
 ///

@@ -32,9 +32,8 @@
 
 use crate::expr::Expr;
 use crate::query::Query;
-use skinner_storage::hash::FxHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// Normalized identity of a query template: join graph + predicate
 /// shape, constants stripped. Cheap to hash and compare; the canonical
@@ -67,13 +66,6 @@ impl TemplateKey {
     /// The canonical normalized form (for logs and cache dumps).
     pub fn canonical(&self) -> &str {
         &self.canonical
-    }
-
-    /// A stable 64-bit digest of the canonical form.
-    pub fn digest(&self) -> u64 {
-        let mut h = FxHasher::default();
-        self.canonical.hash(&mut h);
-        h.finish()
     }
 }
 
@@ -191,7 +183,6 @@ mod tests {
         let a = TemplateKey::of(&query(&cat, 5, false));
         let b = TemplateKey::of(&query(&cat, 9_999, true));
         assert_eq!(a, b);
-        assert_eq!(a.digest(), b.digest());
         assert!(a.canonical().contains('?'));
         assert!(!a.canonical().contains("9999"));
     }

@@ -7,14 +7,14 @@
 //! TPC-H/UDF variant in Figure 13/Table 7).
 //!
 //! A [`Udf`] carries an optional `cost_hint`: an abstract amount of extra
-//! work per invocation that [`Udf::call`] actually performs (a checked
+//! work per invocation that `Udf::call` actually performs (a checked
 //! arithmetic spin loop), so that expensive predicates are expensive for
 //! *every* engine in the benchmark suite, uniformly.
 //!
 //! Every UDF counts its invocations ([`Udf::call_count`]), an
-//! engine-independent effort metric that tests read. [`Udf::call`] counts
+//! engine-independent effort metric that tests read. `Udf::call` counts
 //! each call. The hot loops — the compiled join kernel and a bound
-//! predicate's filter scan — call [`Udf::call_uncounted`], tally the calls
+//! predicate's filter scan — call `Udf::call_uncounted`, tally the calls
 //! in a plain local counter, and add the tally once with
 //! [`Udf::add_calls`] when the slice or scan returns or unwinds. So the
 //! count is exact whenever no kernel slice or filter scan is running.
@@ -29,9 +29,9 @@ type UdfFn = dyn Fn(&[Value]) -> Value + Send + Sync;
 /// A named, opaque scalar function.
 pub struct Udf {
     /// Function name as referenced from SQL.
-    pub name: String,
-    /// Abstract per-invocation cost (work units burned by [`Udf::call`]).
-    pub cost_hint: u32,
+    pub(crate) name: String,
+    /// Abstract per-invocation cost (work units burned by `Udf::call`).
+    pub(crate) cost_hint: u32,
     func: Box<UdfFn>,
     calls: AtomicU64,
 }
@@ -70,7 +70,7 @@ impl Udf {
     }
 
     /// Invoke the UDF (counts the call and burns `cost_hint` work units).
-    pub fn call(&self, args: &[Value]) -> Value {
+    pub(crate) fn call(&self, args: &[Value]) -> Value {
         self.add_calls(1);
         self.call_uncounted(args)
     }
@@ -79,14 +79,14 @@ impl Udf {
     /// calls and adds them with [`Udf::add_calls`] (see the module doc).
     /// Inlined into the hot loops; the cost burn stays out of line.
     #[inline]
-    pub fn call_uncounted(&self, args: &[Value]) -> Value {
+    pub(crate) fn call_uncounted(&self, args: &[Value]) -> Value {
         if self.cost_hint > 0 {
             burn(self.cost_hint);
         }
         (self.func)(args)
     }
 
-    /// Add `n` invocations made with [`Udf::call_uncounted`] to the count.
+    /// Add `n` invocations made with `Udf::call_uncounted` to the count.
     #[inline]
     pub fn add_calls(&self, n: u64) {
         self.calls.fetch_add(n, Ordering::Relaxed);
@@ -97,11 +97,6 @@ impl Udf {
     /// their tally when they return, and also when a call unwinds.
     pub fn call_count(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Reset the invocation counter.
-    pub fn reset_calls(&self) {
-        self.calls.store(0, Ordering::Relaxed);
     }
 }
 
@@ -140,24 +135,12 @@ impl UdfRegistry {
     }
 
     /// Resolve a UDF by (case-insensitive) name.
-    pub fn get(&self, name: &str) -> Option<Arc<Udf>> {
+    pub(crate) fn get(&self, name: &str) -> Option<Arc<Udf>> {
         self.udfs
             .iter()
             .rev()
             .find(|u| u.name.eq_ignore_ascii_case(name))
             .cloned()
-    }
-
-    /// All registered UDFs.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<Udf>> {
-        self.udfs.iter()
-    }
-
-    /// Reset call counts on all registered UDFs.
-    pub fn reset_calls(&self) {
-        for u in &self.udfs {
-            u.reset_calls();
-        }
     }
 }
 
@@ -174,8 +157,6 @@ mod tests {
         assert_eq!(u.call(&[Value::Int(4)]), Value::Int(1));
         assert_eq!(u.call(&[Value::Int(5)]), Value::Int(0));
         assert_eq!(u.call_count(), 2);
-        u.reset_calls();
-        assert_eq!(u.call_count(), 0);
 
         // Through `Expr::eval`, for every argument count: arguments
         // arrive in order and each evaluation is exactly one call.
@@ -220,6 +201,6 @@ mod tests {
         r.register(Udf::new("F", |_| Value::Int(2)));
         assert_eq!(r.get("f").unwrap().call(&[]), Value::Int(2));
         assert!(r.get("g").is_none());
-        assert_eq!(r.iter().map(|u| u.call_count()).sum::<u64>(), 1);
+        assert_eq!(r.udfs.iter().map(|u| u.call_count()).sum::<u64>(), 1);
     }
 }

@@ -14,7 +14,7 @@
 //! fan-out), a busy service degrades every query toward one worker
 //! each (maximal inter-query concurrency). Grants release on drop.
 //!
-//! Waiters can give up: [`CoreBudget::acquire_with`] honors a deadline
+//! Waiters can give up: `CoreBudget::acquire_limited` honors a deadline
 //! and a cancel flag *while queued*, abandoning the ticket so the line
 //! keeps moving — a per-query timeout therefore covers admission wait,
 //! not just execution.
@@ -46,9 +46,9 @@ impl State {
     }
 }
 
-/// Why an [`CoreBudget::acquire_with`] wait ended without a grant.
+/// Why a `CoreBudget::acquire_limited` wait ended without a grant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionError {
+pub(crate) enum AdmissionError {
     /// The deadline passed while queued.
     TimedOut,
     /// The cancel flag was raised while queued.
@@ -65,7 +65,7 @@ pub struct CoreBudget {
 
 impl CoreBudget {
     /// Budget of `total` worker permits (clamped to ≥ 1).
-    pub fn new(total: usize) -> CoreBudget {
+    pub(crate) fn new(total: usize) -> CoreBudget {
         let total = total.max(1);
         CoreBudget {
             total,
@@ -101,35 +101,16 @@ impl CoreBudget {
     }
 
     /// Block (FIFO) until at least one permit is free, then take a
-    /// proportional share of the free permits. The grant returns its
-    /// permits when dropped.
-    pub fn acquire(&self) -> CoreGrant<'_> {
-        match self.acquire_with(None, None) {
-            Ok(grant) => grant,
-            // Infallible without a deadline or cancel flag.
-            Err(_) => unreachable!("uninterruptible acquire cannot fail"),
-        }
-    }
-
-    /// [`acquire`](CoreBudget::acquire), but give up if `deadline`
-    /// passes or `cancel` is raised *while still queued* — the ticket is
-    /// abandoned so later arrivals are not blocked behind a dead waiter.
-    pub fn acquire_with(
-        &self,
-        deadline: Option<Instant>,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<CoreGrant<'_>, AdmissionError> {
-        self.acquire_limited(usize::MAX, deadline, cancel)
-    }
-
-    /// [`acquire_with`](CoreBudget::acquire_with) capped at
-    /// `max_workers` permits — the pool-admission half of adaptive core
-    /// grants. A grant is `min(proportional share, max_workers)`, so a
-    /// query that needs no fan-out (a cached warm template whose best
-    /// order converged) takes one permit and leaves the rest of the pool
-    /// to cold queries, instead of hoarding an idle service's whole
-    /// budget.
-    pub fn acquire_limited(
+    /// proportional share of the free permits, capped at `max_workers`
+    /// — the pool-admission half of adaptive core grants. A grant is
+    /// `min(proportional share, max_workers)`, so a query that needs no
+    /// fan-out (a cached warm template whose best order converged) takes
+    /// one permit and leaves the rest of the pool to cold queries,
+    /// instead of hoarding an idle service's whole budget. Gives up if
+    /// `deadline` passes or `cancel` is raised *while still queued* —
+    /// the ticket is abandoned so later arrivals are not blocked behind
+    /// a dead waiter. The grant returns its permits when dropped.
+    pub(crate) fn acquire_limited(
         &self,
         max_workers: usize,
         deadline: Option<Instant>,
@@ -220,7 +201,7 @@ impl CoreBudget {
 
 /// Worker permits granted to one query execution; released on drop.
 #[derive(Debug)]
-pub struct CoreGrant<'a> {
+pub(crate) struct CoreGrant<'a> {
     budget: &'a CoreBudget,
     threads: usize,
 }
@@ -228,7 +209,7 @@ pub struct CoreGrant<'a> {
 impl CoreGrant<'_> {
     /// Number of worker threads this query may use (feeds
     /// `SkinnerCConfig.threads`).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 }
@@ -248,10 +229,10 @@ mod tests {
     #[test]
     fn idle_service_grants_everything() {
         let b = CoreBudget::new(4);
-        let g = b.acquire();
+        let g = b.acquire_limited(usize::MAX, None, None).unwrap();
         assert_eq!(g.threads(), 4);
         drop(g);
-        let g = b.acquire();
+        let g = b.acquire_limited(usize::MAX, None, None).unwrap();
         assert_eq!(g.threads(), 4);
     }
 
@@ -259,7 +240,10 @@ mod tests {
     fn zero_clamps_to_one() {
         let b = CoreBudget::new(0);
         assert_eq!(b.total(), 1);
-        assert_eq!(b.acquire().threads(), 1);
+        assert_eq!(
+            b.acquire_limited(usize::MAX, None, None).unwrap().threads(),
+            1
+        );
     }
 
     #[test]
@@ -274,7 +258,7 @@ mod tests {
             let max_seen = max_seen.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    let g = b.acquire();
+                    let g = b.acquire_limited(usize::MAX, None, None).unwrap();
                     let now = in_use.fetch_add(g.threads(), Ordering::SeqCst) + g.threads();
                     max_seen.fetch_max(now, Ordering::SeqCst);
                     std::thread::yield_now();
@@ -296,16 +280,20 @@ mod tests {
     #[test]
     fn queued_waiter_times_out_and_line_moves() {
         let b = Arc::new(CoreBudget::new(1));
-        let holder = b.acquire(); // budget fully taken
-                                  // Waiter 1: tiny deadline — must time out while queued.
+        let holder = b.acquire_limited(usize::MAX, None, None).unwrap(); // budget fully taken
+                                                                         // Waiter 1: tiny deadline — must time out while queued.
         let deadline = Instant::now() + Duration::from_millis(30);
         let b1 = b.clone();
-        let t1 = std::thread::spawn(move || b1.acquire_with(Some(deadline), None).err());
+        let t1 =
+            std::thread::spawn(move || b1.acquire_limited(usize::MAX, Some(deadline), None).err());
         assert_eq!(t1.join().expect("waiter"), Some(AdmissionError::TimedOut));
         // Waiter 2 queued *behind* the abandoned ticket must still be
         // served once the holder releases.
         let b2 = b.clone();
-        let t2 = std::thread::spawn(move || b2.acquire_with(None, None).map(|g| g.threads()));
+        let t2 = std::thread::spawn(move || {
+            b2.acquire_limited(usize::MAX, None, None)
+                .map(|g| g.threads())
+        });
         std::thread::sleep(Duration::from_millis(20));
         drop(holder);
         assert_eq!(t2.join().expect("waiter").expect("grant"), 1);
@@ -314,16 +302,19 @@ mod tests {
     #[test]
     fn queued_waiter_cancels() {
         let b = Arc::new(CoreBudget::new(1));
-        let holder = b.acquire();
+        let holder = b.acquire_limited(usize::MAX, None, None).unwrap();
         let cancel = Arc::new(AtomicBool::new(false));
         let (b1, c1) = (b.clone(), cancel.clone());
-        let t1 = std::thread::spawn(move || b1.acquire_with(None, Some(&c1)).err());
+        let t1 = std::thread::spawn(move || b1.acquire_limited(usize::MAX, None, Some(&c1)).err());
         std::thread::sleep(Duration::from_millis(10));
         cancel.store(true, Ordering::Relaxed);
         assert_eq!(t1.join().expect("waiter"), Some(AdmissionError::Cancelled));
         drop(holder);
         // The budget is healthy afterwards.
-        assert_eq!(b.acquire().threads(), 1);
+        assert_eq!(
+            b.acquire_limited(usize::MAX, None, None).unwrap().threads(),
+            1
+        );
     }
 
     #[test]
@@ -331,13 +322,16 @@ mod tests {
         let b = Arc::new(CoreBudget::new(3));
         let b2 = b.clone();
         let r = std::thread::spawn(move || {
-            let _g = b2.acquire();
+            let _g = b2.acquire_limited(usize::MAX, None, None).unwrap();
             panic!("query died mid-execution");
         })
         .join();
         assert!(r.is_err());
         assert_eq!(b.available(), 3, "panicked holder leaked its grant");
-        assert_eq!(b.acquire().threads(), 3);
+        assert_eq!(
+            b.acquire_limited(usize::MAX, None, None).unwrap().threads(),
+            3
+        );
     }
 
     #[test]
@@ -349,10 +343,10 @@ mod tests {
         skinner_engine::failpoints::config_for_current_thread("budget.acquire", "panic");
         let b = CoreBudget::new(2);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = b.acquire();
+            let _ = b.acquire_limited(usize::MAX, None, None).unwrap();
         }));
         assert!(r.is_err(), "failpoint must panic");
-        let g = b.acquire();
+        let g = b.acquire_limited(usize::MAX, None, None).unwrap();
         assert_eq!(g.threads(), 2);
         assert_eq!(b.total(), 2);
     }
@@ -380,10 +374,10 @@ mod tests {
     fn contended_grants_shrink() {
         // With a waiter queued behind, the head's grant leaves room.
         let b = Arc::new(CoreBudget::new(4));
-        let first = b.acquire(); // takes all 4
+        let first = b.acquire_limited(usize::MAX, None, None).unwrap(); // takes all 4
         let b2 = b.clone();
         let waiter = std::thread::spawn(move || {
-            let g = b2.acquire();
+            let g = b2.acquire_limited(usize::MAX, None, None).unwrap();
             let t = g.threads();
             drop(g);
             t

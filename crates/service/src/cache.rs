@@ -26,7 +26,7 @@
 //! # Bounds
 //!
 //! The cache is bounded two ways: a maximum entry count, and an optional
-//! maximum total byte footprint ([`LearningCache::with_limits`]) computed
+//! maximum total byte footprint (`LearningCache::with_limits`) computed
 //! from the snapshots' own accounting. Exceeding either evicts
 //! least-recently-used entries.
 //!
@@ -41,7 +41,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Versions of the tables a cached template touches, in FROM order:
 /// `(table name, per-table catalog version)` pairs. Equality of the
 /// whole vector is the entry's validity condition.
-pub type TableDeps = Vec<(String, u64)>;
+pub(crate) type TableDeps = Vec<(String, u64)>;
 
 /// One cached template's learned state.
 #[derive(Debug, Clone)]
@@ -70,16 +70,16 @@ pub struct CacheStats {
     /// indistinguishable from never having seen the template at all.
     pub stale_hits: u64,
     /// Entries dropped because a touched table changed under them.
-    pub invalidated: u64,
+    pub(crate) invalidated: u64,
     /// Stores (first sighting or refresh after an execution).
-    pub stores: u64,
+    pub(crate) stores: u64,
     /// Entries evicted to stay within the capacity or byte bound.
-    pub evicted: u64,
+    pub(crate) evicted: u64,
 }
 
 /// Default maximum number of cached templates (see
 /// [`LearningCache::with_capacity`]).
-pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -115,12 +115,12 @@ impl Default for LearningCache {
 
 impl LearningCache {
     /// Empty cache with the default capacity and no byte bound.
-    pub fn new() -> LearningCache {
+    pub(crate) fn new() -> LearningCache {
         LearningCache::default()
     }
 
     /// Empty cache holding at most `capacity` templates (clamped ≥ 1).
-    pub fn with_capacity(capacity: usize) -> LearningCache {
+    pub(crate) fn with_capacity(capacity: usize) -> LearningCache {
         LearningCache::with_limits(capacity, None)
     }
 
@@ -128,7 +128,7 @@ impl LearningCache {
     /// approximate heap bytes (when given). Storing past either bound
     /// evicts least-recently-used entries; an entry too large to ever
     /// fit is dropped immediately (the bound always holds).
-    pub fn with_limits(capacity: usize, max_bytes: Option<usize>) -> LearningCache {
+    pub(crate) fn with_limits(capacity: usize, max_bytes: Option<usize>) -> LearningCache {
         LearningCache {
             inner: Mutex::new(Inner::default()),
             capacity: capacity.max(1),
@@ -158,7 +158,7 @@ impl LearningCache {
     /// Learned state for `key` if present and learned against exactly
     /// the table versions in `deps`; entries with mismatched versions
     /// are dropped (counted as both an invalidation and a miss).
-    pub fn lookup(&self, key: &TemplateKey, deps: &[(String, u64)]) -> Option<LearnedState> {
+    pub(crate) fn lookup(&self, key: &TemplateKey, deps: &[(String, u64)]) -> Option<LearnedState> {
         let tick = self.tick();
         let mut inner = self.lock_inner();
         match inner.map.get_mut(key) {
@@ -189,7 +189,7 @@ impl LearningCache {
     /// snapshots carry strictly more rounds, so a concurrent execution
     /// racing an older snapshot in is harmless — whichever lands last
     /// wins and both are valid priors.
-    pub fn store(&self, key: TemplateKey, deps: TableDeps, learning: LearnedState) {
+    pub(crate) fn store(&self, key: TemplateKey, deps: TableDeps, learning: LearnedState) {
         self.stores.fetch_add(1, Ordering::Relaxed);
         self.insert_entry(key, deps, learning);
     }
@@ -197,14 +197,14 @@ impl LearningCache {
     /// [`store`](Self::store) without counting toward the `stores`
     /// statistic — used when re-seeding from a persisted snapshot, so
     /// restart warm-up does not masquerade as execution activity.
-    pub fn seed(&self, key: TemplateKey, deps: TableDeps, learning: LearnedState) {
+    pub(crate) fn seed(&self, key: TemplateKey, deps: TableDeps, learning: LearnedState) {
         self.insert_entry(key, deps, learning);
     }
 
     /// A point-in-time copy of every entry, least-recently-used first —
     /// re-seeding a fresh cache in this order reproduces the LRU
     /// ordering (the persistence layer round-trips exactly this).
-    pub fn export(&self) -> Vec<(TemplateKey, TableDeps, LearnedState)> {
+    pub(crate) fn export(&self) -> Vec<(TemplateKey, TableDeps, LearnedState)> {
         let inner = self.lock_inner();
         let mut entries: Vec<(&TemplateKey, &Entry)> = inner.map.iter().collect();
         entries.sort_by_key(|(_, e)| e.last_used);
@@ -260,7 +260,7 @@ impl LearningCache {
     /// service registers or replaces that table, so stale learning does
     /// not linger until its template happens to be looked up again).
     /// Entries over unrelated tables are untouched.
-    pub fn invalidate_table(&self, table: &str) {
+    pub(crate) fn invalidate_table(&self, table: &str) {
         let mut inner = self.lock_inner();
         let before = inner.map.len();
         let mut freed = 0usize;
@@ -287,25 +287,8 @@ impl LearningCache {
         self.len() == 0
     }
 
-    /// Drop every entry (e.g. after a bulk catalog reload).
-    pub fn clear(&self) {
-        let mut inner = self.lock_inner();
-        inner.map.clear();
-        inner.total_bytes = 0;
-    }
-
-    /// The maximum number of cached templates.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The byte bound, if one is configured.
-    pub fn max_bytes(&self) -> Option<usize> {
-        self.max_bytes
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -318,7 +301,7 @@ impl LearningCache {
 
     /// Approximate heap bytes held by cached entries (maintained
     /// incrementally; this is the quantity the byte bound limits).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.lock_inner().total_bytes
     }
 }
@@ -433,7 +416,7 @@ mod tests {
         cache.store(k.clone(), deps(&[("b", 1)]), learned());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.approx_bytes(), first);
-        cache.clear();
+        cache.invalidate_table("b");
         assert!(cache.is_empty());
         assert_eq!(cache.approx_bytes(), 0);
     }

@@ -45,7 +45,8 @@
 //!   binaries.
 //!
 //! ```
-//! use skinner_service::QueryService;
+//! use skinner_query::UdfRegistry;
+//! use skinner_service::{QueryService, ServiceConfig};
 //! use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, ValueType};
 //!
 //! let mut catalog = Catalog::new();
@@ -55,7 +56,7 @@
 //!     vec![Column::from_ints(vec![1, 2, 3])],
 //! ).unwrap());
 //!
-//! let service = QueryService::over(catalog);
+//! let service = QueryService::new(catalog, UdfRegistry::new(), ServiceConfig::default());
 //! let mut session = service.session();
 //! let result = session.execute("SELECT COUNT(*) AS n FROM t").unwrap();
 //! assert_eq!(result.table.num_rows(), 1);
@@ -74,7 +75,7 @@ pub mod persist;
 pub mod repl;
 pub mod service;
 
-pub use budget::{CoreBudget, CoreGrant};
+pub use budget::CoreBudget;
 pub use cache::{CacheStats, LearningCache};
 pub use persist::{knowledge_path, CachePersister, LoadReport, Persisted, WarmStart};
 pub use service::{

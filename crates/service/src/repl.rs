@@ -187,7 +187,11 @@ mod tests {
             )
             .unwrap(),
         );
-        QueryService::over(cat)
+        QueryService::new(
+            cat,
+            skinner_query::UdfRegistry::new(),
+            crate::service::ServiceConfig::default(),
+        )
     }
 
     #[test]

@@ -259,7 +259,6 @@ pub struct QueryService {
     in_flight: AtomicU64,
     connections_open: AtomicU64,
     connections_rejected: AtomicU64,
-    next_session: AtomicU64,
 }
 
 /// RAII in-flight gauge: decrements on drop, so the count stays right
@@ -330,7 +329,6 @@ impl QueryService {
             in_flight: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
             connections_rejected: AtomicU64::new(0),
-            next_session: AtomicU64::new(0),
         })
     }
 
@@ -375,22 +373,10 @@ impl QueryService {
         }
     }
 
-    /// Service with default configuration and no UDFs.
-    pub fn over(catalog: Catalog) -> Arc<QueryService> {
-        QueryService::new(catalog, UdfRegistry::new(), ServiceConfig::default())
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// Open a session (a cheap handle; any number may run concurrently).
     pub fn session(self: &Arc<Self>) -> Session {
         Session {
             service: self.clone(),
-            id: self.next_session.fetch_add(1, Ordering::Relaxed),
-            queries: 0,
         }
     }
 
@@ -484,12 +470,6 @@ impl QueryService {
     /// fault tests assert no grant leaks across panics).
     pub fn core_budget(&self) -> &CoreBudget {
         &self.budget
-    }
-
-    /// The kernel-shape cache shared across every execution
-    /// (introspection: memoized shapes, hit counters).
-    pub fn kernel_cache(&self) -> &KernelCache {
-        &self.kernels
     }
 
     /// The persistent morsel pool executing every query's
@@ -730,26 +710,9 @@ impl QueryService {
 #[derive(Debug)]
 pub struct Session {
     service: Arc<QueryService>,
-    id: u64,
-    queries: u64,
 }
 
 impl Session {
-    /// This session's id (stable for its lifetime).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Queries this session has submitted.
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// The owning service.
-    pub fn service(&self) -> &Arc<QueryService> {
-        &self.service
-    }
-
     /// Execute `sql` with default options, blocking until admitted and
     /// complete.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, ServiceError> {
@@ -762,7 +725,6 @@ impl Session {
         sql: &str,
         opts: &ExecuteOptions,
     ) -> Result<QueryResult, ServiceError> {
-        self.queries += 1;
         self.service.execute_inner(sql, opts)
     }
 
@@ -797,7 +759,6 @@ impl Session {
         on_schema: impl FnOnce(&[String]),
         mut on_row: impl FnMut(&[Value]) -> bool,
     ) -> Result<RunStats, ServiceError> {
-        self.queries += 1;
         let service = &self.service;
         service.isolated(move || {
             let (query, deps, start) = service.parse_sql(sql)?;
@@ -863,16 +824,20 @@ mod tests {
         cat
     }
 
+    /// A default-configured service over [`catalog`], without UDFs.
+    fn service() -> Arc<QueryService> {
+        QueryService::new(catalog(), UdfRegistry::new(), ServiceConfig::default())
+    }
+
     #[test]
     fn execute_parses_and_answers() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let r = s
             .execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k")
             .expect("query");
         assert_eq!(r.table.rows[0][0], Value::Int(64 * 4));
         assert_eq!(svc.stats().queries, 1);
-        assert_eq!(s.queries(), 1);
     }
 
     #[test]
@@ -923,7 +888,7 @@ mod tests {
 
     #[test]
     fn parse_errors_surface() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         assert!(matches!(
             s.execute("SELECT FROM nothing"),
@@ -934,7 +899,7 @@ mod tests {
 
     #[test]
     fn repeated_template_hits_cache_and_warm_starts() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let sql = "SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.v < 60";
         let cold = s.execute(sql).expect("cold");
@@ -954,7 +919,7 @@ mod tests {
 
     #[test]
     fn catalog_update_invalidates_cache() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let sql = "SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k";
         s.execute(sql).expect("cold");
@@ -983,7 +948,7 @@ mod tests {
 
     #[test]
     fn unrelated_table_registration_keeps_cache() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let sql = "SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k";
         s.execute(sql).expect("cold");
@@ -1006,7 +971,7 @@ mod tests {
 
     #[test]
     fn knowledge_priors_seed_new_templates() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         // Train on one template: records a⋈b edge rewards + table
         // selectivities into the knowledge store.
@@ -1045,7 +1010,7 @@ mod tests {
         // The held-out template's first run on a fresh service is cold
         // (its store is empty), records what it observed, and answers as
         // the seeded run did.
-        let cold_svc = QueryService::over(catalog());
+        let cold_svc = service();
         let cold = cold_svc.session().execute(sql).expect("cold");
         assert!(!cold.stats.prior_seeded);
         assert!(!cold.stats.warm_start);
@@ -1058,7 +1023,7 @@ mod tests {
 
     #[test]
     fn register_table_invalidates_knowledge() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         s.execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.v < 60")
             .expect("train");
@@ -1088,7 +1053,7 @@ mod tests {
         let dir = std::env::temp_dir().join("skinner_svc_knowledge_rt");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("knowledge.bin");
-        let trained = QueryService::over(catalog());
+        let trained = service();
         let mut s = trained.session();
         s.execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.v < 60")
             .expect("train");
@@ -1097,7 +1062,7 @@ mod tests {
 
         // A fresh service (same catalog → same table versions) restores
         // the knowledge and prior-seeds a held-out template first try.
-        let restored = QueryService::over(catalog());
+        let restored = service();
         let report = restored.load_knowledge(&path).expect("load");
         assert_eq!(report.loaded, n);
         assert_eq!(report.stale, 0);
@@ -1111,13 +1076,13 @@ mod tests {
 
     #[test]
     fn kernel_cache_shared_across_executions() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let sql = "SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k";
         s.execute(sql).expect("first");
         let misses = svc.stats().kernels.misses;
         assert!(misses > 0, "shapes must be analyzed once");
-        assert!(!svc.kernel_cache().is_empty());
+        assert!(!svc.kernels.is_empty());
         // Same template again (and even a different constant): the
         // shapes resolve from the cache.
         s.execute("SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.v < 50")
@@ -1134,7 +1099,7 @@ mod tests {
 
     #[test]
     fn limit_pushdown_counted() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let r = s
             .execute("SELECT a.v FROM a, b WHERE a.k = b.k LIMIT 3")
@@ -1146,7 +1111,7 @@ mod tests {
 
     #[test]
     fn cancel_token_stops_query() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let token = CancelToken::new();
         token.cancel(); // pre-raised: the engine stops before slice 1
@@ -1166,7 +1131,7 @@ mod tests {
 
     #[test]
     fn zero_timeout_times_out() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let err = s
             .execute_with(
@@ -1183,7 +1148,7 @@ mod tests {
 
     #[test]
     fn streaming_stops_on_false() {
-        let svc = QueryService::over(catalog());
+        let svc = service();
         let mut s = svc.session();
         let mut seen = 0;
         let stats = s

@@ -8,9 +8,8 @@
 //!   expression-tree evaluation and per-tuple value materialization. High
 //!   per-tuple cost, like a classic row store.
 //! * [`ColEngine`] ("MonetSim") — vectorized: compiled typed predicates,
-//!   late-materialized row-id intermediates, optional morsel parallelism
-//!   over the left-most table. Low per-tuple cost, fragile optimizer —
-//!   the MonetDB profile of Figure 6.
+//!   late-materialized row-id intermediates. Low per-tuple cost, fragile
+//!   optimizer — the MonetDB profile of Figure 6.
 //! * [`AdaptiveEngine`] ("ComSim") — ColEngine execution plus mid-query
 //!   re-optimization: runs under a cardinality envelope derived from its
 //!   own estimates and replans with corrected statistics when execution
@@ -84,7 +83,6 @@ impl Engine for RowEngine {
 /// MonetDB-like vectorized column store (see module docs).
 pub struct ColEngine {
     stats: Mutex<StatsCatalog>,
-    threads: usize,
 }
 
 impl Default for ColEngine {
@@ -94,103 +92,11 @@ impl Default for ColEngine {
 }
 
 impl ColEngine {
-    /// Single-threaded engine.
+    /// Column engine with an empty statistics cache.
     pub fn new() -> ColEngine {
         ColEngine {
             stats: Mutex::new(StatsCatalog::new()),
-            threads: 1,
         }
-    }
-
-    /// Engine with morsel parallelism over `threads` workers.
-    pub fn with_threads(threads: usize) -> ColEngine {
-        ColEngine {
-            stats: Mutex::new(StatsCatalog::new()),
-            threads: threads.max(1),
-        }
-    }
-
-    /// Configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn execute_order(&self, query: &Query, order: &[TableId], opts: &ExecOptions) -> ExecOutcome {
-        let preds = compile_predicates(query);
-        let pre = Prefiltered::compute(query, &preds);
-        let m = query.num_tables();
-
-        if self.threads <= 1 || m == 0 {
-            return run_left_deep(query, &pre, order, EvalMode::Compiled, opts, false);
-        }
-
-        // Morsel parallelism: partition the left-most table's filtered
-        // rows (within any caller-provided range) into per-thread chunks;
-        // each chunk is an independent left-deep execution, outcomes merge
-        // by concatenation.
-        let first = order[0];
-        let total = pre.positions[first].len();
-        let (lo, hi) = match &opts.ranges {
-            Some(rs) => (rs[first].start.min(total), rs[first].end.min(total)),
-            None => (0, total),
-        };
-        let span = hi.saturating_sub(lo);
-        let workers = self.threads.min(span.max(1));
-        let chunk = span.div_ceil(workers.max(1)).max(1);
-
-        let mut partials: Vec<Option<ExecOutcome>> = Vec::new();
-        partials.resize_with(workers, || None);
-        std::thread::scope(|scope| {
-            for (w, slot) in partials.iter_mut().enumerate() {
-                let pre = &pre;
-                let start = lo + w * chunk;
-                let end = (start + chunk).min(hi);
-                let mut sub = opts.clone();
-                let mut ranges = match &opts.ranges {
-                    Some(rs) => rs.clone(),
-                    None => vec![0..usize::MAX; m],
-                };
-                ranges[first] = start..end;
-                sub.ranges = Some(ranges);
-                scope.spawn(move || {
-                    *slot = Some(run_left_deep(
-                        query,
-                        pre,
-                        order,
-                        EvalMode::Compiled,
-                        &sub,
-                        false,
-                    ));
-                });
-            }
-        });
-
-        // Merge.
-        let mut merged = ExecOutcome {
-            tuples: Vec::new(),
-            num_tables: m,
-            result_count: 0,
-            intermediate_cardinality: 0,
-            join_order: order.to_vec(),
-            timed_out: false,
-            blown: false,
-            step_cards: vec![0; m],
-        };
-        for p in partials.into_iter().flatten() {
-            merged.result_count += p.result_count;
-            merged.intermediate_cardinality += p.intermediate_cardinality;
-            merged.timed_out |= p.timed_out;
-            merged.blown |= p.blown;
-            merged.tuples.extend(p.tuples);
-            for (slot, c) in merged.step_cards.iter_mut().zip(&p.step_cards) {
-                *slot += c;
-            }
-        }
-        if merged.timed_out || merged.blown {
-            merged.tuples.clear();
-            merged.result_count = 0;
-        }
-        merged
     }
 }
 
@@ -205,7 +111,9 @@ impl Engine for ColEngine {
 
     fn execute(&self, query: &Query, opts: &ExecOptions) -> ExecOutcome {
         let order = opts.join_order.clone().unwrap_or_else(|| self.plan(query));
-        self.execute_order(query, &order, opts)
+        let preds = compile_predicates(query);
+        let pre = Prefiltered::compute(query, &preds);
+        run_left_deep(query, &pre, &order, EvalMode::Compiled, opts, false)
     }
 }
 
@@ -218,9 +126,9 @@ pub struct AdaptiveEngine {
     stats: Mutex<StatsCatalog>,
     /// Cardinality envelope: replan when execution produces more than
     /// `envelope_factor ×` the estimated total intermediate volume.
-    pub envelope_factor: f64,
+    pub(crate) envelope_factor: f64,
     /// Maximum number of replans before running uncapped.
-    pub max_replans: usize,
+    pub(crate) max_replans: usize,
 }
 
 impl Default for AdaptiveEngine {
@@ -360,20 +268,6 @@ mod tests {
             assert!(out.completed(), "{} did not complete", engine.name());
             assert_eq!(out.result_count, expected, "{} wrong count", engine.name());
         }
-    }
-
-    #[test]
-    fn parallel_col_engine_matches_serial() {
-        let cat = catalog();
-        let q = query(&cat);
-        let serial = ColEngine::new().execute(&q, &ExecOptions::default());
-        let parallel = ColEngine::with_threads(4).execute(&q, &ExecOptions::default());
-        assert_eq!(serial.result_count, parallel.result_count);
-        let mut s: Vec<Vec<u32>> = serial.iter_tuples().map(|t| t.to_vec()).collect();
-        let mut p: Vec<Vec<u32>> = parallel.iter_tuples().map(|t| t.to_vec()).collect();
-        s.sort();
-        p.sort();
-        assert_eq!(s, p);
     }
 
     #[test]

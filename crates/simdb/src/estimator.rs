@@ -16,18 +16,17 @@ use std::sync::Arc;
 
 /// Default selectivity for predicates the estimator cannot analyze
 /// (UDFs, arbitrary expressions) — the classic System R 1/3.
-pub const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
+pub(crate) const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
 /// Default selectivity of a LIKE with a leading wildcard.
-pub const LIKE_CONTAINS_SELECTIVITY: f64 = 0.25;
+pub(crate) const LIKE_CONTAINS_SELECTIVITY: f64 = 0.25;
 /// Default selectivity of an anchored LIKE.
-pub const LIKE_PREFIX_SELECTIVITY: f64 = 0.1;
+pub(crate) const LIKE_PREFIX_SELECTIVITY: f64 = 0.1;
 /// Default selectivity of `IS NULL`.
-pub const IS_NULL_SELECTIVITY: f64 = 0.1;
+pub(crate) const IS_NULL_SELECTIVITY: f64 = 0.1;
 
 /// Cardinality estimator for one query, backed by coarse statistics.
 #[derive(Debug)]
 pub struct Estimator {
-    table_stats: Vec<Arc<TableStats>>,
     /// Estimated rows of each table after unary predicates.
     filtered: Vec<f64>,
     /// Join predicates with their table sets and estimated selectivities.
@@ -57,7 +56,6 @@ impl Estimator {
             .map(|p| (p.tables(), selectivity(p, &table_stats)))
             .collect();
         Estimator {
-            table_stats,
             filtered,
             join_preds,
             corrections: Default::default(),
@@ -65,13 +63,8 @@ impl Estimator {
     }
 
     /// Estimated post-filter cardinality of table `t`.
-    pub fn filtered_card(&self, t: TableId) -> f64 {
+    pub(crate) fn filtered_card(&self, t: TableId) -> f64 {
         self.filtered[t]
-    }
-
-    /// Statistics of table `t`.
-    pub fn stats(&self, t: TableId) -> &TableStats {
-        &self.table_stats[t]
     }
 
     /// Estimated cardinality of the join of the table set `s`: product of
@@ -92,7 +85,7 @@ impl Estimator {
 
     /// Override the filtered cardinality of one table (used by the
     /// adaptive engine after observing true cardinalities).
-    pub fn set_filtered_card(&mut self, t: TableId, card: f64) {
+    pub(crate) fn set_filtered_card(&mut self, t: TableId, card: f64) {
         self.filtered[t] = card.max(1.0);
     }
 
@@ -109,7 +102,7 @@ impl Estimator {
 }
 
 /// Estimate the selectivity of one conjunct against base-table stats.
-pub fn selectivity(pred: &Expr, stats: &[Arc<TableStats>]) -> f64 {
+pub(crate) fn selectivity(pred: &Expr, stats: &[Arc<TableStats>]) -> f64 {
     estimate(pred, stats).clamp(1e-9, 1.0)
 }
 
@@ -258,7 +251,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let stats = StatsCatalog::analyze_all(&cat);
+        let stats = StatsCatalog::new();
         (cat, stats)
     }
 
@@ -352,7 +345,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let mut stats = StatsCatalog::analyze_all(&cat);
+        let mut stats = StatsCatalog::new();
         let mut qb = QueryBuilder::new(&cat);
         qb.table("c").unwrap();
         let pa = qb.col("c.a").unwrap().eq(Expr::lit(3));

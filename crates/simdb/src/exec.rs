@@ -26,7 +26,7 @@ const DEADLINE_CHECK_INTERVAL: u64 = 4096;
 /// Safety cap on materialized intermediate tuples; a plan that exceeds it
 /// reports `blown = true` (treated as a timeout by callers). This models a
 /// real system running out of workspace memory on a catastrophic plan.
-pub const DEFAULT_MAX_INTERMEDIATE: u64 = 40_000_000;
+pub(crate) const DEFAULT_MAX_INTERMEDIATE: u64 = 40_000_000;
 
 /// Options controlling one engine invocation.
 #[derive(Debug, Clone, Default)]
@@ -49,11 +49,9 @@ pub struct ExecOptions {
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
     /// Result tuples as base-table row ids, row-major with stride
-    /// `num_tables` and slot order = FROM-list order (not join order).
-    /// Empty if `count_only` or if the run timed out.
+    /// `query.num_tables()` and slot order = FROM-list order (not join
+    /// order). Empty if `count_only` or if the run timed out.
     pub tuples: Vec<RowId>,
-    /// Number of query tables (stride of `tuples`).
-    pub num_tables: usize,
     /// Number of result tuples produced.
     pub result_count: u64,
     /// Accumulated intermediate-result cardinality (C_out): sum of the
@@ -62,9 +60,9 @@ pub struct ExecOutcome {
     /// The join order that was executed.
     pub join_order: Vec<TableId>,
     /// True if the deadline expired before completion (tuples discarded).
-    pub timed_out: bool,
+    pub(crate) timed_out: bool,
     /// True if the intermediate-size safety cap was hit.
-    pub blown: bool,
+    pub(crate) blown: bool,
     /// Output cardinality of each completed join step (step 0 = the
     /// filtered left-most table). Used by re-optimizing baselines to
     /// calibrate estimates against observations.
@@ -72,11 +70,6 @@ pub struct ExecOutcome {
 }
 
 impl ExecOutcome {
-    /// Iterate result tuples as row-id slices.
-    pub fn iter_tuples(&self) -> impl Iterator<Item = &[RowId]> {
-        self.tuples.chunks_exact(self.num_tables.max(1))
-    }
-
     /// Completed successfully (no timeout, no blow-up)?
     pub fn completed(&self) -> bool {
         !self.timed_out && !self.blown
@@ -88,7 +81,7 @@ impl ExecOutcome {
 #[derive(Debug, Clone)]
 pub struct Prefiltered {
     /// `positions[t]` = surviving base row ids of table `t`, ascending.
-    pub positions: Vec<Vec<RowId>>,
+    pub(crate) positions: Vec<Vec<RowId>>,
 }
 
 impl Prefiltered {
@@ -117,7 +110,7 @@ impl Prefiltered {
 
     /// Apply unary predicates with the *generic interpreter* (row-engine
     /// path; same results, higher per-tuple cost).
-    pub fn compute_interpreted(query: &Query) -> Prefiltered {
+    pub(crate) fn compute_interpreted(query: &Query) -> Prefiltered {
         let tables: Vec<TableRef> = query.tables.iter().map(|b| b.table.clone()).collect();
         let m = tables.len();
         let mut positions = Vec::with_capacity(m);
@@ -425,7 +418,6 @@ pub fn run_left_deep(
         if budget.timed_out || budget.blown {
             return ExecOutcome {
                 tuples: Vec::new(),
-                num_tables: m,
                 result_count: 0,
                 intermediate_cardinality: cout + out_len as u64,
                 join_order: order.to_vec(),
@@ -467,7 +459,6 @@ pub fn run_left_deep(
 
     ExecOutcome {
         tuples,
-        num_tables: m,
         result_count,
         intermediate_cardinality: cout,
         join_order: order.to_vec(),
@@ -480,6 +471,11 @@ pub fn run_left_deep(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The result tuples of a run over [`three_way`]'s three tables.
+    fn tuples(out: &ExecOutcome) -> Vec<Vec<u32>> {
+        out.tuples.chunks_exact(3).map(|t| t.to_vec()).collect()
+    }
     use skinner_query::{Expr, QueryBuilder};
     use skinner_storage::{Catalog, Column, ColumnDef, Schema, Table, ValueType};
 
@@ -558,14 +554,13 @@ mod tests {
         // result tuples: (a1,b0,c0), (a3,b2,c1), (a3,b2,c2)
         let out = run(&q, vec![0, 1, 2], EvalMode::Compiled);
         assert_eq!(out.result_count, 3);
-        let tuples: Vec<&[u32]> = out.iter_tuples().collect();
-        assert_eq!(tuples.len(), 3);
+        assert_eq!(tuples(&out).len(), 3);
         // every order must give the same result set
         for order in [vec![2usize, 1, 0], vec![1usize, 0, 2], vec![1usize, 2, 0]] {
             let o2 = run(&q, order.clone(), EvalMode::Compiled);
             assert_eq!(o2.result_count, 3, "order {order:?}");
-            let mut s1: Vec<Vec<u32>> = out.iter_tuples().map(|t| t.to_vec()).collect();
-            let mut s2: Vec<Vec<u32>> = o2.iter_tuples().map(|t| t.to_vec()).collect();
+            let mut s1 = tuples(&out);
+            let mut s2 = tuples(&o2);
             s1.sort();
             s2.sort();
             assert_eq!(s1, s2, "order {order:?}");
@@ -626,10 +621,10 @@ mod tests {
             };
             let out = run_left_deep(&q, &pre, &[0, 1, 2], EvalMode::Compiled, &opts, false);
             assert!(out.completed());
-            all.extend(out.iter_tuples().map(|t| t.to_vec()));
+            all.extend(tuples(&out));
         }
         let full = run(&q, vec![0, 1, 2], EvalMode::Compiled);
-        let mut expect: Vec<Vec<u32>> = full.iter_tuples().map(|t| t.to_vec()).collect();
+        let mut expect = tuples(&full);
         all.sort();
         expect.sort();
         assert_eq!(all, expect);

@@ -20,8 +20,8 @@
 //!   [`RowEngine`] (Postgres-like: row-at-a-time,
 //!   materializes intermediate tuples as values, interprets predicates),
 //!   [`ColEngine`] (MonetDB-like: vectorized,
-//!   late-materialized row-id intermediates, compiled predicates, optional
-//!   multithreading), and [`AdaptiveEngine`]
+//!   late-materialized row-id intermediates, compiled predicates), and
+//!   [`AdaptiveEngine`]
 //!   (ComDB-like: re-optimizes mid-query when observed cardinalities
 //!   diverge from estimates),
 //! * [`optimal`] — the true-C_out oracle computing certified-optimal

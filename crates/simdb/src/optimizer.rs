@@ -13,7 +13,7 @@ use skinner_query::{JoinGraph, Query, TableId, TableSet};
 
 /// Choose a left-deep join order minimizing *estimated* C_out.
 ///
-/// Uses exact subset DP up to [`DP_TABLE_LIMIT`] tables and a greedy
+/// Uses exact subset DP up to `DP_TABLE_LIMIT` tables and a greedy
 /// fallback beyond (the paper's largest query joins 17 tables; real
 /// optimizers switch heuristics at a similar point).
 pub fn choose_order(query: &Query, stats: &mut StatsCatalog) -> Vec<TableId> {
@@ -22,7 +22,7 @@ pub fn choose_order(query: &Query, stats: &mut StatsCatalog) -> Vec<TableId> {
 }
 
 /// Subset-DP size limit (2^20 subsets ≈ 1M entries).
-pub const DP_TABLE_LIMIT: usize = 20;
+pub(crate) const DP_TABLE_LIMIT: usize = 20;
 
 /// Like [`choose_order`], with a caller-prepared estimator (the adaptive
 /// engine injects corrected cardinalities this way).
@@ -82,7 +82,7 @@ fn dp_order(graph: &JoinGraph, est: &Estimator, m: usize) -> Vec<TableId> {
 
 /// Greedy fallback: repeatedly append the eligible table minimizing the
 /// estimated next intermediate cardinality.
-pub fn greedy_order(graph: &JoinGraph, est: &Estimator, m: usize) -> Vec<TableId> {
+pub(crate) fn greedy_order(graph: &JoinGraph, est: &Estimator, m: usize) -> Vec<TableId> {
     let mut order = Vec::with_capacity(m);
     let mut chosen = TableSet::EMPTY;
     while order.len() < m {
@@ -153,7 +153,7 @@ mod tests {
     fn dp_starts_with_small_table() {
         let cat = catalog();
         let q = chain_query(&cat);
-        let mut stats = StatsCatalog::analyze_all(&cat);
+        let mut stats = StatsCatalog::new();
         let order = choose_order(&q, &mut stats);
         assert_eq!(order.len(), 3);
         assert_eq!(order[0], 0, "optimizer should start at the small table");
@@ -163,7 +163,7 @@ mod tests {
     fn order_respects_join_graph() {
         let cat = catalog();
         let q = chain_query(&cat);
-        let mut stats = StatsCatalog::analyze_all(&cat);
+        let mut stats = StatsCatalog::new();
         let order = choose_order(&q, &mut stats);
         // small(0)-mid(1)-big(2) is a chain; 0 then 2 would be Cartesian
         let pos0 = order.iter().position(|&t| t == 0).unwrap();
@@ -179,7 +179,7 @@ mod tests {
     fn greedy_matches_dp_on_easy_case() {
         let cat = catalog();
         let q = chain_query(&cat);
-        let mut stats = StatsCatalog::analyze_all(&cat);
+        let mut stats = StatsCatalog::new();
         let est = Estimator::new(&q, &mut stats);
         let graph = JoinGraph::from_query(&q);
         let g = greedy_order(&graph, &est, 3);
@@ -203,7 +203,7 @@ mod tests {
         qb.filter(f);
         qb.select_col("small.v").unwrap();
         let q = qb.build().unwrap();
-        let mut stats = StatsCatalog::analyze_all(&cat);
+        let mut stats = StatsCatalog::new();
         let order = choose_order(&q, &mut stats);
         assert_eq!(order[0], 2, "filtered big table should lead: {order:?}");
     }
@@ -215,7 +215,7 @@ mod tests {
         qb.table("small").unwrap();
         qb.select_col("small.v").unwrap();
         let q = qb.build().unwrap();
-        let mut stats = StatsCatalog::analyze_all(&cat);
+        let mut stats = StatsCatalog::new();
         assert_eq!(choose_order(&q, &mut stats), vec![0]);
     }
 }

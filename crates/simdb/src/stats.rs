@@ -5,7 +5,7 @@
 //! [`crate::estimator`] consumes them under the independence assumption.
 
 use skinner_storage::table::TableRef;
-use skinner_storage::{Catalog, FxHashMap, FxHashSet, Table, ValueType};
+use skinner_storage::{FxHashMap, FxHashSet, Table, ValueType};
 use std::sync::Arc;
 
 /// Per-column statistics.
@@ -14,18 +14,18 @@ pub struct ColStats {
     /// Number of distinct non-NULL values.
     pub distinct: u64,
     /// Minimum (numeric columns; dictionary-code-free for strings).
-    pub min: Option<f64>,
+    pub(crate) min: Option<f64>,
     /// Maximum.
-    pub max: Option<f64>,
+    pub(crate) max: Option<f64>,
     /// NULL count.
-    pub nulls: u64,
+    pub(crate) nulls: u64,
 }
 
 /// Per-table statistics.
 #[derive(Debug, Clone)]
 pub struct TableStats {
     /// Row count.
-    pub rows: u64,
+    pub(crate) rows: u64,
     /// One entry per schema column.
     pub cols: Vec<ColStats>,
 }
@@ -87,38 +87,24 @@ pub struct StatsCatalog {
 }
 
 impl StatsCatalog {
-    /// Empty catalog (statistics computed lazily via [`Self::get`]).
+    /// Empty catalog (statistics computed lazily via `Self::get`).
     pub fn new() -> StatsCatalog {
         StatsCatalog::default()
     }
 
-    /// Analyze every table of `catalog` eagerly.
-    pub fn analyze_all(catalog: &Catalog) -> StatsCatalog {
-        let mut s = StatsCatalog::new();
-        for (_, table) in catalog.iter() {
-            s.insert(table);
-        }
-        s
-    }
-
     /// Analyze and cache one table.
-    pub fn insert(&mut self, table: &TableRef) -> Arc<TableStats> {
+    pub(crate) fn insert(&mut self, table: &TableRef) -> Arc<TableStats> {
         let stats = Arc::new(analyze(table));
         self.map.insert(table.name().to_string(), stats.clone());
         stats
     }
 
     /// Fetch cached statistics (analyzing on miss).
-    pub fn get(&mut self, table: &TableRef) -> Arc<TableStats> {
+    pub(crate) fn get(&mut self, table: &TableRef) -> Arc<TableStats> {
         if let Some(s) = self.map.get(table.name()) {
             return s.clone();
         }
         self.insert(table)
-    }
-
-    /// Fetch without analyzing on miss.
-    pub fn peek(&self, name: &str) -> Option<Arc<TableStats>> {
-        self.map.get(name).cloned()
     }
 }
 
@@ -182,7 +168,7 @@ mod tests {
         let a = sc.get(&t);
         let b = sc.get(&t);
         assert!(Arc::ptr_eq(&a, &b));
-        assert!(sc.peek("t").is_some());
-        assert!(sc.peek("u").is_none());
+        assert!(sc.map.contains_key("t"));
+        assert!(!sc.map.contains_key("u"));
     }
 }

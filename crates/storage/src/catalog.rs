@@ -38,16 +38,6 @@ impl Catalog {
         self.tables.contains_key(name)
     }
 
-    /// Number of registered tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// True if the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
     /// Iterate over registered tables (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &TableRef)> {
         self.tables.iter().map(|(k, v)| (k.as_str(), v))
@@ -92,7 +82,7 @@ mod tests {
         c.register(t("a"));
         let prev = c.register(t("a"));
         assert!(prev.is_some());
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.table_names(), vec!["a"]);
     }
 
     #[test]

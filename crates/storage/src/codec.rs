@@ -167,7 +167,7 @@ impl<'a> Cursor<'a> {
 
     /// A little-endian two's-complement `i64`.
     #[inline]
-    pub fn i64(&mut self) -> Option<i64> {
+    pub(crate) fn i64(&mut self) -> Option<i64> {
         Some(self.u64()? as i64)
     }
 

@@ -29,7 +29,7 @@ pub struct StrDict {
 
 impl StrDict {
     /// Intern `s`, returning its (possibly fresh) code.
-    pub fn intern(&mut self, s: &str) -> u32 {
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
         if let Some(&code) = self.lookup.get(s) {
             return code;
         }
@@ -46,18 +46,8 @@ impl StrDict {
     }
 
     /// The string for `code`.
-    pub fn resolve(&self, code: u32) -> &Arc<str> {
+    pub(crate) fn resolve(&self, code: u32) -> &Arc<str> {
         &self.values[code as usize]
-    }
-
-    /// Number of distinct strings.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if no strings have been interned.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -298,52 +288,6 @@ impl Column {
             ColumnData::Str { codes, dict } => str_key(dict.resolve(codes[i])),
         })
     }
-
-    /// The join key a literal [`Value`] would have in this column, used to
-    /// translate predicate constants once per query instead of per row.
-    pub fn join_key_of_value(&self, v: &Value) -> Option<i64> {
-        match (&self.data, v) {
-            (_, Value::Null) => None,
-            (ColumnData::Int(_), Value::Int(x)) => Some(*x),
-            (ColumnData::Float(_), Value::Float(x)) => Some(f64_key(*x)),
-            (ColumnData::Float(_), Value::Int(x)) => Some(f64_key(*x as f64)),
-            (ColumnData::Str { .. }, Value::Str(s)) => Some(str_key(s)),
-            (ColumnData::Date(_), Value::Date(d)) => Some(*d),
-            (ColumnData::Interval(_), Value::Interval(d)) => Some(*d),
-            _ => None,
-        }
-    }
-
-    /// Gather the rows at `positions` into a new column (used by the
-    /// simulated engines when materializing intermediate results).
-    pub fn gather(&self, positions: &[u32]) -> Column {
-        let validity = self.validity.as_ref().map(|v| {
-            let mut out = Bitmap::zeros(positions.len());
-            for (new, &old) in positions.iter().enumerate() {
-                out.set(new, v.get(old as usize));
-            }
-            out
-        });
-        let data = match &self.data {
-            ColumnData::Int(v) => {
-                ColumnData::Int(positions.iter().map(|&p| v[p as usize]).collect())
-            }
-            ColumnData::Float(v) => {
-                ColumnData::Float(positions.iter().map(|&p| v[p as usize]).collect())
-            }
-            ColumnData::Str { codes, dict } => ColumnData::Str {
-                codes: positions.iter().map(|&p| codes[p as usize]).collect(),
-                dict: dict.clone(),
-            },
-            ColumnData::Date(v) => {
-                ColumnData::Date(positions.iter().map(|&p| v[p as usize]).collect())
-            }
-            ColumnData::Interval(v) => {
-                ColumnData::Interval(positions.iter().map(|&p| v[p as usize]).collect())
-            }
-        };
-        Column { data, validity }
-    }
 }
 
 /// Fused composite join key of `row` across `cols`: `None` when any
@@ -460,7 +404,7 @@ mod tests {
         assert_eq!(c.str_code(0), c.str_code(2));
         assert_ne!(c.str_code(0), c.str_code(1));
         assert_eq!(c.get(3), Value::str("c"));
-        assert_eq!(c.dict().unwrap().len(), 3);
+        assert_eq!(c.dict().unwrap().code_of("c"), Some(c.str_code(3)));
     }
 
     #[test]
@@ -472,18 +416,6 @@ mod tests {
         assert_eq!(a.join_key(0), b.join_key(1));
         assert_eq!(a.join_key(1), b.join_key(0));
         assert_ne!(a.join_key(0), a.join_key(1));
-    }
-
-    #[test]
-    fn join_key_of_value_matches_row_keys() {
-        let c = Column::from_strs(["hello", "world"]);
-        assert_eq!(c.join_key_of_value(&Value::str("world")), c.join_key(1));
-        let f = Column::from_floats(vec![1.5]);
-        assert_eq!(f.join_key_of_value(&Value::Float(1.5)), f.join_key(0));
-        assert_eq!(
-            f.join_key_of_value(&Value::Int(1)),
-            Some(1.0f64.to_bits() as i64)
-        );
     }
 
     #[test]
@@ -525,10 +457,6 @@ mod tests {
         assert_eq!(c.ints(), None, "dates are not plain ints");
         // Join keys are the exact day counts.
         assert_eq!(c.join_key(2), Some(days[2]));
-        assert_eq!(c.join_key_of_value(&Value::Date(days[0])), Some(days[0]));
-        // The lattice holds at the key-translation layer too: an Int
-        // literal has no key in a Date column.
-        assert_eq!(c.join_key_of_value(&Value::Int(days[0])), None);
         // Builder path with NULLs.
         let mut b = ColumnBuilder::new(ValueType::Date);
         b.push(&Value::Date(days[0]));
@@ -572,19 +500,5 @@ mod tests {
         let i1 = Column::from_ints(vec![7, 8]);
         let i2 = Column::from_ints(vec![8, 7]);
         assert_eq!(fused_join_key([&s, &i1], 1), fused_join_key([&s2, &i2], 0));
-    }
-
-    #[test]
-    fn gather_preserves_values_and_nulls() {
-        let mut b = ColumnBuilder::new(ValueType::Str);
-        b.push(&Value::str("a"));
-        b.push(&Value::Null);
-        b.push(&Value::str("c"));
-        let c = b.finish();
-        let g = c.gather(&[2, 1, 0, 2]);
-        assert_eq!(g.len(), 4);
-        assert_eq!(g.get(0), Value::str("c"));
-        assert_eq!(g.get(1), Value::Null);
-        assert_eq!(g.get(3), Value::str("c"));
     }
 }

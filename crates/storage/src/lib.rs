@@ -44,14 +44,13 @@ pub mod index;
 pub mod table;
 pub mod value;
 
-pub use bitmap::Bitmap;
 pub use catalog::Catalog;
 pub use column::{f64_key, fused_join_key, Column, ColumnBuilder};
 pub use error::StorageError;
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::HashIndex;
 pub use table::{ColumnDef, Schema, Table};
-pub use value::{days_from_ymd, parse_date, ymd_from_days, Value, ValueType};
+pub use value::{days_from_ymd, parse_date, Value, ValueType};
 
 /// Row identifier within a single table (32 bits: tables in this system are
 /// main-memory resident and comfortably below 4 B rows).

@@ -1,9 +1,9 @@
 //! Tables: named collections of equal-length columns.
 
-use crate::column::{Column, ColumnBuilder};
+use crate::column::Column;
 use crate::error::StorageError;
 use crate::index::HashIndex;
-use crate::value::{Value, ValueType};
+use crate::value::ValueType;
 use std::sync::{Arc, OnceLock};
 
 /// A column's name and type.
@@ -155,77 +155,6 @@ impl Table {
     pub fn join_index(&self, col: usize) -> &Arc<HashIndex> {
         self.join_indexes[col].get_or_init(|| Arc::new(HashIndex::build(&self.columns[col], None)))
     }
-
-    /// Materialize a full row (edge-of-system path only).
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(i)).collect()
-    }
-
-    /// Build a new table containing only the rows at `positions`.
-    pub fn gather(&self, positions: &[u32], name: impl Into<String>) -> Table {
-        Table {
-            name: name.into(),
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.gather(positions)).collect(),
-            rows: positions.len(),
-            join_indexes: empty_slots(self.columns.len()),
-        }
-    }
-}
-
-/// Row-oriented table construction (used by generators and tests).
-#[derive(Debug)]
-pub struct TableBuilder {
-    name: String,
-    schema: Schema,
-    builders: Vec<ColumnBuilder>,
-    rows: usize,
-}
-
-impl TableBuilder {
-    /// Start a table with the given schema.
-    pub fn new(name: impl Into<String>, schema: Schema) -> TableBuilder {
-        let builders = schema
-            .columns()
-            .iter()
-            .map(|d| ColumnBuilder::new(d.ty))
-            .collect();
-        TableBuilder {
-            name: name.into(),
-            schema,
-            builders,
-            rows: 0,
-        }
-    }
-
-    /// Append a row; the slice length must match the schema.
-    pub fn push_row(&mut self, row: &[Value]) {
-        assert_eq!(row.len(), self.builders.len(), "row arity mismatch");
-        for (b, v) in self.builders.iter_mut().zip(row) {
-            b.push(v);
-        }
-        self.rows += 1;
-    }
-
-    /// Number of rows appended so far.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Finish construction.
-    pub fn finish(self) -> Table {
-        Table {
-            name: self.name,
-            schema: self.schema,
-            join_indexes: empty_slots(self.builders.len()),
-            columns: self
-                .builders
-                .into_iter()
-                .map(ColumnBuilder::finish)
-                .collect(),
-            rows: self.rows,
-        }
-    }
 }
 
 /// Shared table handle as stored in the catalog.
@@ -234,6 +163,8 @@ pub type TableRef = Arc<Table>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnBuilder;
+    use crate::value::Value;
 
     fn sample() -> Table {
         Table::new(
@@ -256,7 +187,7 @@ mod tests {
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.schema().index_of("name"), Some(1));
         assert_eq!(t.column(0).int(2), 3);
-        assert_eq!(t.row(1), vec![Value::Int(2), Value::str("b")]);
+        assert_eq!(t.column(1).get(1), Value::str("b"));
     }
 
     #[test]
@@ -294,27 +225,27 @@ mod tests {
 
     #[test]
     fn builder_roundtrip() {
-        let mut b = TableBuilder::new(
+        let mut x = ColumnBuilder::new(ValueType::Int);
+        let mut y = ColumnBuilder::new(ValueType::Float);
+        for (a, b) in [
+            (Value::Int(1), Value::Float(0.5)),
+            (Value::Int(2), Value::Null),
+        ] {
+            x.push(&a);
+            y.push(&b);
+        }
+        let t = Table::new(
             "b",
             Schema::new([
                 ColumnDef::new("x", ValueType::Int),
                 ColumnDef::new("y", ValueType::Float),
             ]),
-        );
-        b.push_row(&[Value::Int(1), Value::Float(0.5)]);
-        b.push_row(&[Value::Int(2), Value::Null]);
-        let t = b.finish();
+            vec![x.finish(), y.finish()],
+        )
+        .unwrap();
         assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.column(1).get(0), Value::Float(0.5));
         assert_eq!(t.column(1).get(1), Value::Null);
-    }
-
-    #[test]
-    fn gather_rows() {
-        let t = sample();
-        let g = t.gather(&[2, 0], "g");
-        assert_eq!(g.num_rows(), 2);
-        assert_eq!(g.row(0), vec![Value::Int(3), Value::str("c")]);
-        assert_eq!(g.row(1), vec![Value::Int(1), Value::str("a")]);
     }
 
     #[test]
@@ -348,15 +279,13 @@ mod tests {
 
     #[test]
     fn join_index_equals_unfiltered_build() {
-        let mut b = TableBuilder::new(
-            "mixed",
-            Schema::new([
-                ColumnDef::new("i", ValueType::Int),
-                ColumnDef::new("n", ValueType::Int),
-                ColumnDef::new("s", ValueType::Str),
-                ColumnDef::new("f", ValueType::Float),
-            ]),
-        );
+        let types = [
+            ValueType::Int,
+            ValueType::Int,
+            ValueType::Str,
+            ValueType::Float,
+        ];
+        let mut b = types.map(ColumnBuilder::new);
         for r in 0..40i64 {
             let n = if r % 3 == 0 {
                 Value::Null
@@ -368,9 +297,22 @@ mod tests {
             } else {
                 Value::str(format!("s{}", r % 6))
             };
-            b.push_row(&[Value::Int(r % 9), n, s, Value::Float((r % 4) as f64 * 0.5)]);
+            let row = [Value::Int(r % 9), n, s, Value::Float((r % 4) as f64 * 0.5)];
+            for (b, v) in b.iter_mut().zip(&row) {
+                b.push(v);
+            }
         }
-        let t = b.finish();
+        let t = Table::new(
+            "mixed",
+            Schema::new(
+                ["i", "n", "s", "f"]
+                    .iter()
+                    .zip(types)
+                    .map(|(n, ty)| ColumnDef::new(*n, ty)),
+            ),
+            b.map(ColumnBuilder::finish).to_vec(),
+        )
+        .unwrap();
         for c in 0..t.columns().len() {
             let col = t.column(c);
             let memo = t.join_index(c);
@@ -391,10 +333,6 @@ mod tests {
         let t = sample();
         t.join_index(0);
         t.join_index(1);
-        let g = t.gather(&[0, 2], "g");
-        assert!(slots_empty(&g));
-        assert_eq!(g.join_index(0).probe(3), &[1]);
-
         let mut cat = crate::Catalog::new();
         cat.register(sample());
         let old = cat.get("t").unwrap();

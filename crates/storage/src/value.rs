@@ -54,7 +54,7 @@ pub fn days_from_ymd(y: i64, m: u32, d: u32) -> i64 {
 }
 
 /// Inverse of [`days_from_ymd`]: `(year, month, day)` for a day count.
-pub fn ymd_from_days(days: i64) -> (i64, u32, u32) {
+pub(crate) fn ymd_from_days(days: i64) -> (i64, u32, u32) {
     let z = days + 719468;
     let era = if z >= 0 { z } else { z - 146096 } / 146097;
     let doe = z - era * 146097; // [0, 146096]
@@ -109,23 +109,6 @@ impl Value {
     /// Build a string value.
     pub fn str(s: impl AsRef<str>) -> Value {
         Value::Str(Arc::from(s.as_ref()))
-    }
-
-    /// Build a date from a proleptic-Gregorian `(year, month, day)`.
-    pub fn date(y: i64, m: u32, d: u32) -> Value {
-        Value::Date(days_from_ymd(y, m, d))
-    }
-
-    /// The value's type, or `None` for NULL.
-    pub fn value_type(&self) -> Option<ValueType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(ValueType::Int),
-            Value::Float(_) => Some(ValueType::Float),
-            Value::Str(_) => Some(ValueType::Str),
-            Value::Date(_) => Some(ValueType::Date),
-            Value::Interval(_) => Some(ValueType::Interval),
-        }
     }
 
     /// Is this SQL NULL?
@@ -275,14 +258,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn type_of() {
-        assert_eq!(Value::Int(1).value_type(), Some(ValueType::Int));
-        assert_eq!(Value::Float(1.0).value_type(), Some(ValueType::Float));
-        assert_eq!(Value::str("x").value_type(), Some(ValueType::Str));
-        assert_eq!(Value::Null.value_type(), None);
-    }
-
-    #[test]
     fn sql_cmp_null_propagates() {
         assert_eq!(Value::Null.sql_cmp(&Value::Int(1)), None);
         assert_eq!(Value::Int(1).sql_cmp(&Value::Null), None);
@@ -371,8 +346,8 @@ mod tests {
 
     #[test]
     fn date_interval_lattice() {
-        let a = Value::date(2019, 3, 4);
-        let b = Value::date(2019, 3, 14);
+        let a = Value::Date(days_from_ymd(2019, 3, 4));
+        let b = Value::Date(days_from_ymd(2019, 3, 14));
         assert_eq!(a.sql_cmp(&b), Some(Ordering::Less));
         assert_eq!(a.sql_eq(&a.clone()), Some(true));
         // Dates never compare with numbers or strings.
@@ -389,8 +364,6 @@ mod tests {
         assert_eq!(a.to_string(), "2019-03-04");
         assert_eq!(Value::Interval(90).to_string(), "90 days");
         // Type tags.
-        assert_eq!(a.value_type(), Some(ValueType::Date));
-        assert_eq!(Value::Interval(1).value_type(), Some(ValueType::Interval));
         assert_eq!(ValueType::Date.to_string(), "DATE");
     }
 }

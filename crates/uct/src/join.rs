@@ -20,29 +20,6 @@ impl JoinOrderSpace {
             num_tables: query.num_tables(),
         }
     }
-
-    /// The underlying join graph.
-    pub fn graph(&self) -> &JoinGraph {
-        &self.graph
-    }
-
-    /// Is `order` a valid complete join order in this space?
-    pub fn is_valid_order(&self, order: &[TableId]) -> bool {
-        if order.len() != self.num_tables {
-            return false;
-        }
-        let mut chosen = TableSet::EMPTY;
-        for &t in order {
-            if t >= self.num_tables || chosen.contains(t) {
-                return false;
-            }
-            if !self.graph.eligible_next(chosen).contains(t) {
-                return false;
-            }
-            chosen.insert(t);
-        }
-        true
-    }
 }
 
 impl SearchSpace for JoinOrderSpace {
@@ -65,6 +42,24 @@ mod tests {
     use skinner_query::{Expr, Query, SelectItem, TableBinding};
     use skinner_storage::{Column, ColumnDef, Schema, Table, ValueType};
     use std::sync::Arc;
+
+    /// Is `order` a valid complete join order in `space`?
+    fn is_valid_order(space: &JoinOrderSpace, order: &[TableId]) -> bool {
+        if order.len() != space.num_tables {
+            return false;
+        }
+        let mut chosen = TableSet::EMPTY;
+        for &t in order {
+            if t >= space.num_tables || chosen.contains(t) {
+                return false;
+            }
+            if !space.graph.eligible_next(chosen).contains(t) {
+                return false;
+            }
+            chosen.insert(t);
+        }
+        true
+    }
 
     fn chain_query(n: usize) -> Query {
         let tables = (0..n)
@@ -110,11 +105,11 @@ mod tests {
     #[test]
     fn validity_check() {
         let space = JoinOrderSpace::new(&chain_query(4));
-        assert!(space.is_valid_order(&[0, 1, 2, 3]));
-        assert!(space.is_valid_order(&[2, 1, 0, 3]));
-        assert!(!space.is_valid_order(&[0, 2, 1, 3])); // 0→2 is a Cartesian jump
-        assert!(!space.is_valid_order(&[0, 1, 2])); // incomplete
-        assert!(!space.is_valid_order(&[0, 0, 1, 2])); // repeat
+        assert!(is_valid_order(&space, &[0, 1, 2, 3]));
+        assert!(is_valid_order(&space, &[2, 1, 0, 3]));
+        assert!(!is_valid_order(&space, &[0, 2, 1, 3])); // 0→2 is a Cartesian jump
+        assert!(!is_valid_order(&space, &[0, 1, 2])); // incomplete
+        assert!(!is_valid_order(&space, &[0, 0, 1, 2])); // repeat
     }
 
     #[test]
@@ -124,7 +119,7 @@ mod tests {
         let mut tree = UctTree::new(space, UctConfig::default());
         for _ in 0..200 {
             let order = tree.choose();
-            assert!(check.is_valid_order(&order), "invalid {order:?}");
+            assert!(is_valid_order(&check, &order), "invalid {order:?}");
             // Reward join orders starting at the chain's left end.
             let r = if order[0] == 0 { 1.0 } else { 0.2 };
             tree.update(&order, r);

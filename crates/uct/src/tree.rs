@@ -380,19 +380,9 @@ impl<S: SearchSpace> UctTree<S> {
         }
     }
 
-    /// The underlying search space.
-    pub fn space(&self) -> &S {
-        &self.space
-    }
-
     /// Number of materialized nodes (reported in Figures 7a / 8a).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Completed choose/update rounds.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
     }
 
     /// Select a complete path (join order) for the next time slice.
@@ -500,16 +490,6 @@ impl<S: SearchSpace> UctTree<S> {
         }
     }
 
-    /// Mean reward observed at the root (the tree-wide average).
-    pub fn mean_reward(&self) -> f64 {
-        let root = &self.nodes[0];
-        if root.visits == 0 {
-            0.0
-        } else {
-            root.reward_sum / root.visits as f64
-        }
-    }
-
     /// The current greedy path: at every materialized node follow the
     /// most-visited child (the standard UCT recommendation policy). The
     /// path is completed randomly below the frontier. This is the "final
@@ -565,6 +545,12 @@ impl<S: SearchSpace> UctTree<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean reward observed at the root (the tree-wide average).
+    fn mean_reward<S: SearchSpace>(tree: &UctTree<S>) -> f64 {
+        let root = &tree.nodes[0];
+        root.reward_sum / root.visits as f64
+    }
 
     /// A flat bandit: depth 1, `n` arms.
     struct Bandit {
@@ -634,7 +620,7 @@ mod tests {
         }
         let snap = tree.snapshot();
         let (nodes, rounds) = snap.to_parts();
-        assert_eq!(rounds, snap.rounds());
+        assert_eq!(rounds, snap.rounds);
         assert_eq!(nodes.len(), snap.num_nodes());
         let rebuilt = TreeSnapshot::from_parts(nodes.clone(), rounds)
             .expect("round-tripped snapshot must be well-formed");
@@ -643,7 +629,7 @@ mod tests {
         let mut a = UctTree::with_snapshot(Perms { n: 4 }, UctConfig::default(), &snap);
         let mut b = UctTree::with_snapshot(Perms { n: 4 }, UctConfig::default(), &rebuilt);
         assert_eq!(a.num_nodes(), b.num_nodes());
-        assert_eq!(a.rounds(), b.rounds());
+        assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.best_path(), b.best_path());
 
         // Corruption defenses: out-of-range child, arity mismatch, empty.
@@ -768,7 +754,7 @@ mod tests {
             tree.update(&p, r);
         }
         assert_eq!(tree.best_path()[0], 2);
-        assert!(tree.mean_reward() > 0.5);
+        assert!(mean_reward(&tree) > 0.5);
     }
 
     #[test]
@@ -776,10 +762,10 @@ mod tests {
         let mut tree = UctTree::new(Bandit { arms: 2 }, UctConfig::default());
         let p = tree.choose();
         tree.update(&p, 17.0);
-        assert!(tree.mean_reward() <= 1.0);
+        assert!(mean_reward(&tree) <= 1.0);
         let p = tree.choose();
         tree.update(&p, -5.0);
-        assert!(tree.mean_reward() >= 0.0);
+        assert!(mean_reward(&tree) >= 0.0);
     }
 
     #[test]
@@ -820,14 +806,14 @@ mod tests {
         }
         let snap = tree.snapshot();
         assert_eq!(snap.num_nodes(), tree.num_nodes());
-        assert_eq!(snap.rounds(), tree.rounds());
+        assert_eq!(snap.rounds, tree.rounds);
         assert!(snap.approx_bytes() > 0);
 
         // A warm-started tree recommends the learned best arm immediately
         // and keeps exploiting it.
         let mut warm = UctTree::with_snapshot(Bandit { arms: 5 }, UctConfig::default(), &snap);
         assert_eq!(warm.best_path(), vec![3]);
-        assert_eq!(warm.rounds(), snap.rounds());
+        assert_eq!(warm.rounds, snap.rounds);
         let mut hits = 0;
         for _ in 0..50 {
             let p = warm.choose();
@@ -850,7 +836,7 @@ mod tests {
         // Different root arity: the snapshot must be rejected.
         let warm = UctTree::with_snapshot(Bandit { arms: 7 }, UctConfig::default(), &snap);
         assert_eq!(warm.num_nodes(), 1);
-        assert_eq!(warm.rounds(), 0);
+        assert_eq!(warm.rounds, 0);
     }
 
     fn priors(entries: Vec<(Vec<usize>, f64)>, weight: u64) -> ArmPriors<usize> {
@@ -886,7 +872,7 @@ mod tests {
             },
             &p,
         );
-        assert_eq!(tree.rounds(), 0, "priors must not count as rounds");
+        assert_eq!(tree.rounds, 0, "priors must not count as rounds");
         assert_eq!(tree.num_nodes(), 6, "all five arms materialized");
         let mut hits = 0;
         for _ in 0..20 {
@@ -965,7 +951,7 @@ mod tests {
         let zero = priors(vec![(vec![1], 0.9)], 0);
         let tree = UctTree::with_priors(Bandit { arms: 3 }, UctConfig::default(), &zero);
         assert_eq!(tree.num_nodes(), 1);
-        assert_eq!(tree.rounds(), 0);
+        assert_eq!(tree.rounds, 0);
     }
 
     #[test]

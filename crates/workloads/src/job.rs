@@ -3,7 +3,7 @@
 //! The real JOB runs 113 queries over the 3.6 GB IMDB snapshot; its
 //! difficulty comes from *correlated, skewed* real data that breaks the
 //! independence assumption ("How good are query optimizers, really?",
-//! Leis et al., VLDB 2015). This generator reproduces those pathologies
+//! Leis et al., VLDB 2015). This generator plants those pathologies
 //! synthetically:
 //!
 //! * **Skew** — foreign keys are Zipf-distributed (a few blockbuster
@@ -12,13 +12,19 @@
 //!   `movie_info.info_val` correlates with both its `info_type_id` and
 //!   the movie's year; company country correlates with company id;
 //!   `cast_info.role_id` correlates with the person's gender. Conjuncts
-//!   over these columns are exactly where independence-based estimates go
-//!   wrong by orders of magnitude.
+//!   over these columns break the independence assumption.
+//!
+//! Measured, the planted pathologies barely mislead the simulated
+//! optimizer: summed over the 33 queries, the join orders it picks take
+//! 1.19×, 1.06×, 1.06×, 1.05× and 1.02× the steps of the optimal orders
+//! at scales 0.3, 1.0, 1.5, 2.0 and 2.5. It is off by more than 2.3×
+//! only on queries whose optimal order takes under 23 000 steps. Real
+//! IMDB data misleads estimates by orders of magnitude; this data does
+//! not.
 //!
 //! 33 query templates (one per JOB template family shape) join 3–8
-//! tables with MIN aggregates, matching the benchmark's profile: most
-//! queries are easy, a handful punish bad join orders catastrophically
-//! (the Figure 6 profile).
+//! tables with MIN aggregates: most queries are easy, and a handful of
+//! heavy 4-table joins dominate the run time.
 
 use crate::util::zipf;
 use crate::NamedQuery;

@@ -7,7 +7,7 @@ use skinner_storage::Value;
 
 /// Sample from a Zipf-like distribution over `0..n` with exponent `s`
 /// (inverse-CDF approximation; deterministic given the RNG).
-pub fn zipf(rng: &mut SmallRng, n: usize, s: f64) -> usize {
+pub(crate) fn zipf(rng: &mut SmallRng, n: usize, s: f64) -> usize {
     debug_assert!(n > 0);
     // Inverse transform on the continuous approximation of the Zipf CDF.
     let u: f64 = rng.gen_range(0.0..1.0);
@@ -25,7 +25,7 @@ pub fn zipf(rng: &mut SmallRng, n: usize, s: f64) -> usize {
 /// UDF call with identical semantics. The optimizer sees a black box with
 /// default selectivity; execution burns `cost` work units per call — the
 /// paper's recipe for the TPC-UDF variant and the torture benchmarks.
-pub fn wrap_predicate_as_udf(name: &str, expr: &Expr, cost: u32) -> Expr {
+pub(crate) fn wrap_predicate_as_udf(name: &str, expr: &Expr, cost: u32) -> Expr {
     let mut refs: Vec<ColRef> = Vec::new();
     expr.col_refs(&mut refs);
     refs.sort_by_key(|c| (c.table, c.column));
@@ -63,7 +63,7 @@ pub fn wrap_predicate_as_udf(name: &str, expr: &Expr, cost: u32) -> Expr {
 
 /// Always-true black-box join predicate between two columns ("bad"
 /// predicate of the UDF torture benchmark).
-pub fn udf_always_true(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
+pub(crate) fn udf_always_true(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
     Expr::Udf {
         udf: Udf::with_cost(name, cost, |_| Value::Int(1)),
         args: vec![Expr::Col(a), Expr::Col(b)],
@@ -72,7 +72,7 @@ pub fn udf_always_true(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
 
 /// Never-true black-box join predicate ("good" predicate: the join
 /// result is empty, so starting with this edge finishes instantly).
-pub fn udf_always_false(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
+pub(crate) fn udf_always_false(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
     Expr::Udf {
         udf: Udf::with_cost(name, cost, |_| Value::Int(0)),
         args: vec![Expr::Col(a), Expr::Col(b)],
@@ -81,7 +81,7 @@ pub fn udf_always_false(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
 
 /// Equality as an opaque UDF (trivial-optimization benchmark: "UDF
 /// equality predicates").
-pub fn udf_equality(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
+pub(crate) fn udf_equality(name: &str, a: ColRef, b: ColRef, cost: u32) -> Expr {
     Expr::Udf {
         udf: Udf::with_cost(name, cost, |args: &[Value]| {
             Value::from(args[0].sql_eq(&args[1]) == Some(true))

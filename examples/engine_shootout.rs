@@ -6,7 +6,7 @@
 //! cargo run --release --example engine_shootout
 //! ```
 
-use skinnerdb::baselines::{Eddy, EddyConfig, Reoptimizer};
+use skinnerdb::baselines::{Eddy, Reoptimizer};
 use skinnerdb::prelude::*;
 use skinnerdb::workloads::torture::correlation_torture;
 use std::sync::Arc;
@@ -37,10 +37,10 @@ fn main() {
 
     // Baselines.
     let t = Instant::now();
-    let out = Eddy::new(EddyConfig::default()).run(query);
+    let out = Eddy::new().run(query);
     report.push(("Eddy".into(), t.elapsed(), out.result_count));
     let t = Instant::now();
-    let out = Reoptimizer::default().run(query, &ExecOptions::default());
+    let out = Reoptimizer.run(query, &ExecOptions::default());
     report.push(("Reoptimizer".into(), t.elapsed(), out.result_count));
 
     // Skinner variants.
@@ -49,10 +49,10 @@ fn main() {
     report.push(("Skinner-C".into(), t.elapsed(), out.stats.result_count));
     let engine = Arc::new(ColEngine::new());
     let t = Instant::now();
-    let out = SkinnerDB::skinner_g(engine.clone(), SkinnerGConfig::default()).execute(query);
+    let out = SkinnerDB::skinner_g(engine.clone()).execute(query);
     report.push(("Skinner-G(MDB)".into(), t.elapsed(), out.stats.result_count));
     let t = Instant::now();
-    let out = SkinnerDB::skinner_h(engine, SkinnerHConfig::default()).execute(query);
+    let out = SkinnerDB::skinner_h(engine).execute(query);
     report.push(("Skinner-H(MDB)".into(), t.elapsed(), out.stats.result_count));
 
     println!("{:<24} {:>12} {:>10}", "strategy", "time", "results");

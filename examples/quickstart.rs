@@ -70,11 +70,11 @@ fn main() {
     for (label, db) in [
         (
             "Skinner-G(columnar engine)",
-            SkinnerDB::skinner_g(engine.clone(), SkinnerGConfig::default()),
+            SkinnerDB::skinner_g(engine.clone()),
         ),
         (
             "Skinner-H(columnar engine)",
-            SkinnerDB::skinner_h(engine.clone(), SkinnerHConfig::default()),
+            SkinnerDB::skinner_h(engine.clone()),
         ),
     ] {
         let r = db.execute(&query);

@@ -97,10 +97,7 @@ pub use skinner_workloads as workloads;
 
 /// Common imports for applications.
 pub mod prelude {
-    pub use skinner_core::{
-        postprocess, run_engine, QueryResult, ResultTable, SkinnerDB, SkinnerGConfig,
-        SkinnerHConfig, Variant,
-    };
+    pub use skinner_core::{postprocess, run_engine, QueryResult, ResultTable, SkinnerDB, Variant};
     pub use skinner_engine::{SkinnerC, SkinnerCConfig, SkinnerOutcome};
     pub use skinner_query::{parse, AggFunc, Expr, Query, QueryBuilder, Udf, UdfRegistry};
     pub use skinner_service::{QueryService, ServiceConfig, Session};

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: every execution strategy must produce
 //! the same results on the same queries (Theorems 5.1–5.3).
 
-use skinnerdb::baselines::{Eddy, EddyConfig, Reoptimizer};
+use skinnerdb::baselines::{Eddy, Reoptimizer};
 use skinnerdb::prelude::*;
 use skinnerdb::workloads::{job, torture, tpch};
 use std::sync::Arc;
@@ -40,9 +40,9 @@ fn job_queries_all_strategies_agree() {
         let truth = ground_truth(&nq.query);
         let c = SkinnerDB::skinner_c(SkinnerCConfig::default()).execute(&nq.query);
         rows_match(&c.table, &truth, &format!("{} skinner-c", nq.id));
-        let g = SkinnerDB::skinner_g(engine.clone(), SkinnerGConfig::default()).execute(&nq.query);
+        let g = SkinnerDB::skinner_g(engine.clone()).execute(&nq.query);
         rows_match(&g.table, &truth, &format!("{} skinner-g", nq.id));
-        let h = SkinnerDB::skinner_h(engine.clone(), SkinnerHConfig::default()).execute(&nq.query);
+        let h = SkinnerDB::skinner_h(engine.clone()).execute(&nq.query);
         rows_match(&h.table, &truth, &format!("{} skinner-h", nq.id));
     }
 }
@@ -98,8 +98,8 @@ fn torture_cases_all_strategies_agree() {
         rows_match(&c.table, &truth, &case.query.id);
         // Eddy and reoptimizer report join counts, not post-processed
         // tables; compare the raw result count via COUNT(*) queries.
-        let eddy = Eddy::new(EddyConfig::default()).run(q);
-        let reopt = Reoptimizer::default().run(q, &ExecOptions::default());
+        let eddy = Eddy::new().run(q);
+        let reopt = Reoptimizer.run(q, &ExecOptions::default());
         let engine_raw = ColEngine::new().execute(q, &ExecOptions::default());
         assert_eq!(
             eddy.result_count, engine_raw.result_count,
