@@ -66,7 +66,9 @@ struct Memo {
 /// and never invalidated: a shape resolves the same way regardless of
 /// catalog contents, so unlike the learning cache this cache survives
 /// table replacement. Both the entry count and the accounted bytes are
-/// bounded (see `KernelCache::with_limits`).
+/// bounded (see `KernelCache::with_limits`). Every non-empty shape
+/// compiles, so the memo saves nothing: it is kept only for
+/// `benchmark/`, whose ROADMAP item 2 `[benchmark]` commit removes it.
 #[derive(Debug)]
 pub struct KernelCache {
     memo: Mutex<Memo>,
@@ -219,11 +221,11 @@ mod tests {
     fn memoizes_and_counts() {
         let cache = KernelCache::new();
         let a = key(&[JumpKind::Scan, JumpKind::Int]);
-        let b = key(&[JumpKind::Scan, JumpKind::Other]);
+        let b = key(&[JumpKind::Scan, JumpKind::Float]);
         assert!(cache.resolve(&a, || true));
         // Hit: the closure must not run again.
         assert!(cache.resolve(&a, || panic!("analyzed twice")));
-        // Unsupported shapes are memoized too.
+        // A refusal is memoized too.
         assert!(!cache.resolve(&b, || false));
         assert!(!cache.resolve(&b, || panic!("analyzed twice")));
         let s = cache.stats();

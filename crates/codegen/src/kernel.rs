@@ -1,18 +1,16 @@
 //! The compiled join kernel: one straight-line DFS loop per join order,
 //! specialized on the order's shape.
 //!
-//! The plan-bound kernel in `skinner-engine` already resolves every
-//! table/column/index indirection at plan time, but its inner loop is
-//! still one generic routine: each tuple advance re-dispatches on
-//! `Option<BoundJump>` and the `KeyCol` variant, and each index jump
-//! re-probes the join index and binary-searches the posting list. The
-//! kernel here goes the rest of the way to the paper's §6 compilation:
+//! The engine binds each chosen order once into compiled positions
+//! (typed key slices, direct index references, the jump decided), and
+//! every order — a single table included — runs here. The kernel is the
+//! safe-Rust stand-in for the paper's §6 compilation:
 //!
 //! * **Whole orders of any arity** — one kernel covers every position of
-//!   an order of [`MIN_KERNEL_TABLES`](crate::MIN_KERNEL_TABLES) or more tables; its candidate
-//!   cursors are sized to the order at run time. The cursor it persists
-//!   therefore covers the whole order, and every slice stops at its step
-//!   budget — the unit the paper's regret bound counts.
+//!   an order; its candidate cursors are sized to the order at run time.
+//!   The cursor it persists therefore covers the whole order, and every
+//!   slice stops at its step budget — the unit the paper's regret bound
+//!   counts.
 //! * **Jump dispatch only on descent** — descending into a position
 //!   matches its jump kind once to establish a candidate cursor; every
 //!   later advance at that position is dispatch-free (it only branches
@@ -28,23 +26,24 @@
 //!   provably satisfy the driving equality predicate; the kernel
 //!   evaluates only the remaining predicates. Float keys match by bit
 //!   pattern, which over-approximates IEEE equality on NaN, so float
-//!   positions keep full re-verification (exactly like the bound
-//!   kernel's float jumps). Fused composite keys and string/nullable
-//!   keys ([`KernelJump::FusedEq`], [`KernelJump::KeyEq`]) are
-//!   hash-derived, so they are **never** elided: the posting cursor only
-//!   narrows the candidate set, and every driving conjunct is
+//!   positions keep full re-verification. Fused composite keys and
+//!   string/nullable keys ([`KernelJump::FusedEq`], [`KernelJump::KeyEq`])
+//!   are hash-derived, so they are **never** elided: the posting cursor
+//!   only narrows the candidate set, and every driving conjunct is
 //!   re-verified. NULL keys (`None`) reject outright — no candidates —
-//!   which is exactly the plan-bound kernel's `None => pos.card`
-//!   null-reject, so three-valued equality is preserved.
+//!   so three-valued equality is preserved.
 //!
-//! Soundness relative to the plan-bound kernel: both enumerate the same
-//! depth-first candidate sequence — the posting-list cursor yields
-//! exactly the positions `next_ge` would visit (postings are sorted
-//! ascending, and candidates the bound kernel visits but rejects on the
-//! jump predicate are precisely the non-postings the cursor skips) — so
-//! accepted tuples, their order, and the suspend/resume cursor contract
-//! are identical. The differential properties in `tests/property.rs`
-//! check this byte for byte.
+//! Soundness relative to the engine's generic reference kernel
+//! (`MultiwayJoin::continue_join_generic`), which re-resolves every
+//! predicate and advances an index-driven position by `next_ge` on the
+//! `(table, column)` index map: both enumerate the same depth-first
+//! candidate sequence — the posting-list cursor yields exactly the
+//! positions `next_ge` visits, because postings are sorted ascending —
+//! so accepted tuples and their emit order are identical. The only
+//! difference is step accounting: the generic kernel backtracks inside
+//! an advance, while this kernel spends one step on each exhausted
+//! position, the left-most one included. The differential properties in
+//! `tests/property.rs` check the tuples byte for byte.
 
 use crate::key::{JumpKind, KernelKey};
 use crate::sink::{ContinueResult, ResultSink};
@@ -170,14 +169,10 @@ pub struct KernelScratch<'a> {
 
 impl<'a> CompiledKernel<'a> {
     /// Assemble a kernel from compiled positions, one per join-order
-    /// position. Returns `None` when the shape has no compiled kernel
-    /// (see [`KernelKey::supported`]: fewer than [`MIN_KERNEL_TABLES`](crate::MIN_KERNEL_TABLES)
-    /// tables, or a reserved [`JumpKind::Other`] position).
-    pub fn new(key: KernelKey, positions: Vec<KernelPosition<'a>>) -> Option<CompiledKernel<'a>> {
-        debug_assert_eq!(key.tables(), positions.len());
-        if !key.supported() {
-            return None;
-        }
+    /// position (at least one).
+    pub fn new(positions: Vec<KernelPosition<'a>>) -> CompiledKernel<'a> {
+        debug_assert!(!positions.is_empty(), "an empty order has no kernel");
+        let key = KernelKey::of(&positions);
         let mut udfs = Vec::new();
         let udf_slot = positions
             .iter()
@@ -194,12 +189,12 @@ impl<'a> CompiledKernel<'a> {
                 }
             })
             .collect();
-        Some(CompiledKernel {
+        CompiledKernel {
             key,
             positions,
             udfs,
             udf_slot,
-        })
+        }
     }
 
     /// The shape key this kernel was compiled for.
@@ -221,9 +216,8 @@ impl<'a> CompiledKernel<'a> {
     /// id, filtered positions) for at most `budget` outer-loop steps.
     /// Result tuples go to `results`; `offsets` are the global per-table
     /// floors; `rows` is the caller's per-table base-row scratch and
-    /// `scratch` its cursor and tally scratch. Semantics — including the
-    /// suspend/resume cursor contract and emit order — match the
-    /// engine's plan-bound kernel exactly.
+    /// `scratch` its cursor and tally scratch. Emit order matches the
+    /// engine's generic reference kernel exactly.
     ///
     /// Bound UDF predicates are called uncounted and tallied per slot;
     /// each UDF's [`Udf::call_count`] gets its slice's calls in one add
@@ -377,8 +371,7 @@ impl CandCur<'_> {
 /// descent and [`CompiledKernel::progress`]. `None` for a scan
 /// (consecutive filtered positions); otherwise the sorted posting list
 /// for the predecessor's key. A NULL fused or string key (`None`) yields
-/// **no** candidates — the same null-reject as the plan-bound kernel's
-/// `None => pos.card` (three-valued equality: NULL never matches, not
+/// **no** candidates (three-valued equality: NULL never matches, not
 /// even NULL).
 #[inline(always)]
 fn probe<'a>(pos: &KernelPosition<'a>, rows: &[RowId]) -> Option<&'a [u32]> {
@@ -446,8 +439,8 @@ fn next(pos: &KernelPosition<'_>, cur: &mut CandCur<'_>) -> u32 {
 /// (`TALLY`). `slots` and `calls` are read only when `TALLY` is set, so
 /// the `false` instance is the plain predicate loop.
 ///
-/// Cursor contract (identical to the engine's plan-bound kernel): on
-/// entry `state` holds restored per-table coordinates; on `BudgetSpent`
+/// Cursor contract: on entry `state` holds restored per-table
+/// coordinates; on `BudgetSpent`
 /// it holds the exact resume point (the not-yet-evaluated candidate at
 /// the active position, floors below it); on `Exhausted` the left-most
 /// coordinate is at or past its cardinality.
@@ -637,12 +630,7 @@ mod tests {
                 elided: elide,
             },
         ];
-        let key = KernelKey::new(
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        CompiledKernel::new(key, positions).expect("supported")
+        CompiledKernel::new(positions)
     }
 
     #[test]
@@ -793,12 +781,7 @@ mod tests {
                 elided: false,
             },
         ];
-        let key = KernelKey::new(
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        let scan = CompiledKernel::new(key, positions).expect("supported");
+        let scan = CompiledKernel::new(positions);
         let offsets = vec![0u32; 2];
         let mut rows = vec![0u32; 2];
         let mut run = |k: &CompiledKernel<'_>| {
@@ -856,12 +839,7 @@ mod tests {
                 elided: false,
             },
         ];
-        let key = KernelKey::new(
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        let k = CompiledKernel::new(key, positions).expect("supported");
+        let k = CompiledKernel::new(positions);
         assert_eq!(k.key().jumps()[1], JumpKind::Float);
         let offsets = vec![0u32; 2];
         let mut state = vec![0u32; 2];
@@ -903,12 +881,7 @@ mod tests {
                 elided: false,
             },
         ];
-        let key = KernelKey::new(
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        CompiledKernel::new(key, positions).expect("fused shapes compile")
+        CompiledKernel::new(positions)
     }
 
     #[test]
@@ -965,12 +938,7 @@ mod tests {
                 elided: false,
             },
         ];
-        let key = KernelKey::new(
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        let k = CompiledKernel::new(key, positions).expect("string keys compile");
+        let k = CompiledKernel::new(positions);
         assert_eq!(k.key().jumps()[1], JumpKind::Key);
         let offsets = vec![0u32; 2];
         let mut state = vec![0u32; 2];
@@ -998,8 +966,7 @@ mod tests {
                 elided: false,
             })
             .collect();
-        let key = KernelKey::new(positions.iter().map(|p| (p.jump.kind(), &[][..], false)));
-        CompiledKernel::new(key, positions).expect("scan shapes compile")
+        CompiledKernel::new(positions)
     }
 
     #[test]
@@ -1149,12 +1116,7 @@ mod tests {
                 elided: false,
             },
         ];
-        let key = KernelKey::new(
-            positions
-                .iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
-        );
-        CompiledKernel::new(key, positions).expect("scan shapes compile")
+        CompiledKernel::new(positions)
     }
 
     /// `odd(b.k)`, which rejects rows 0 and 2 of `b`, and `lt(a.k, b.k)`.
@@ -1291,25 +1253,5 @@ mod tests {
             &mut Collect::default(),
         );
         assert_eq!(boom.call_count(), 7 + 16);
-    }
-
-    #[test]
-    fn unsupported_shapes_refuse_to_build() {
-        let ts = tables();
-        let b0 = base(4);
-        let one = vec![KernelPosition {
-            table: 0,
-            card: 4,
-            base: &b0,
-            preds: vec![],
-            jump: KernelJump::Scan,
-            elided: false,
-        }];
-        let key = KernelKey::new(
-            one.iter()
-                .map(|p| (p.jump.kind(), p.preds.as_slice(), false)),
-        );
-        assert!(CompiledKernel::new(key, one).is_none());
-        let _ = ts;
     }
 }

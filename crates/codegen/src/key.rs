@@ -10,18 +10,19 @@
 //! warm service-layer template produces the same keys as its first
 //! execution).
 
+use crate::kernel::KernelPosition;
 use skinner_query::BoundPred;
 use skinner_storage::hash::FxHasher;
 use std::fmt;
 use std::hash::Hasher;
 
-/// Smallest join-order arity with a compiled kernel. There is no
-/// largest: one kernel covers a whole order of any length.
-pub const MIN_KERNEL_TABLES: usize = 2;
+/// Smallest join-order arity with a compiled kernel: every non-empty
+/// order compiles, a single table to a one-position scan. Kept only for
+/// `benchmark/`, whose ROADMAP item 2 `[benchmark]` commit removes it.
+pub const MIN_KERNEL_TABLES: usize = 1;
 
-/// The kind of tuple advance at one join-order position, as seen by the
-/// kernel compiler (the shape-level projection of the engine's bound
-/// `KeyCol`).
+/// The kind of tuple advance at one join-order position: the shape-level
+/// projection of a [`KernelJump`](crate::KernelJump).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum JumpKind {
     /// No hash-index jump: candidates are consecutive filtered positions.
@@ -47,10 +48,6 @@ pub enum JumpKind {
     /// per-column and incomparable across tables), so predicates are
     /// always re-verified; a `None` key (NULL) yields no candidates.
     Key,
-    /// Reserved escape hatch for key sources with no compiled jump: the
-    /// whole order falls back to the plan-bound kernel. No current plan
-    /// binder produces it — every `KeyCol` variant now compiles.
-    Other,
 }
 
 /// Shape identity of a compiled kernel: per-position jump kinds (their
@@ -65,10 +62,19 @@ pub struct KernelKey {
 }
 
 impl KernelKey {
+    /// The key of an order's compiled positions.
+    pub fn of(positions: &[KernelPosition<'_>]) -> KernelKey {
+        KernelKey::new(
+            positions
+                .iter()
+                .map(|p| (p.jump.kind(), p.preds.as_slice(), p.elided)),
+        )
+    }
+
     /// Build the key of an order from its per-position `(jump kind,
     /// predicate set, jump-predicate elided)` descriptions, one per
     /// join-order position.
-    pub fn new<'a, I>(positions: I) -> KernelKey
+    pub(crate) fn new<'a, I>(positions: I) -> KernelKey
     where
         I: IntoIterator<Item = (JumpKind, &'a [BoundPred<'a>], bool)>,
     {
@@ -101,10 +107,10 @@ impl KernelKey {
         &self.jumps
     }
 
-    /// Whether a compiled kernel exists for this shape: at least
-    /// [`MIN_KERNEL_TABLES`] tables and no [`JumpKind::Other`] position.
+    /// Whether a compiled kernel exists for this shape: every shape of
+    /// at least one table has one.
     pub fn supported(&self) -> bool {
-        self.tables() >= MIN_KERNEL_TABLES && !self.jumps.contains(&JumpKind::Other)
+        !self.jumps.is_empty()
     }
 }
 
@@ -118,7 +124,6 @@ impl fmt::Display for KernelKey {
                 JumpKind::Float => 'f',
                 JumpKind::Fused => 'u',
                 JumpKind::Key => 'k',
-                JumpKind::Other => 'o',
             };
             f.write_fmt(format_args!("{c}"))?;
         }
@@ -138,16 +143,13 @@ mod tests {
     fn supported_range_and_kinds() {
         assert!(key(&[JumpKind::Scan, JumpKind::Int]).supported());
         assert!(key(&[JumpKind::Scan; 6]).supported());
-        assert!(!key(&[JumpKind::Scan]).supported());
+        // A single table compiles to a one-position scan; only the empty
+        // order has no kernel.
+        assert!(key(&[JumpKind::Scan]).supported());
         assert!(!key(&[]).supported());
         // No arity ceiling: long orders compile as one kernel.
         assert!(key(&[JumpKind::Scan; 7]).supported());
         assert!(key(&[JumpKind::Int; 12]).supported());
-        assert!(!key(&[JumpKind::Scan, JumpKind::Other, JumpKind::Int]).supported());
-        // `Other` anywhere refuses, including past the sixth position.
-        let mut late_other = vec![JumpKind::Int; 9];
-        late_other[8] = JumpKind::Other;
-        assert!(!key(&late_other).supported());
         // Fused and string/nullable keys compile.
         assert!(key(&[JumpKind::Scan, JumpKind::Fused]).supported());
         assert!(key(&[JumpKind::Scan, JumpKind::Key, JumpKind::Fused]).supported());

@@ -13,27 +13,25 @@
 //!   key-column kind (whose count is the table count) and a
 //!   predicate-shape fingerprint.
 //! * [`CompiledKernel`] — a bound order compiled into one DFS loop over
-//!   the whole order (see [`kernel`]): any arity of
-//!   [`MIN_KERNEL_TABLES`] or more, posting-list cursors instead of
-//!   per-advance index probes, and elision of index-implied equality
-//!   predicates.
+//!   the whole order (see [`kernel`]): any arity from one table up,
+//!   posting-list cursors instead of per-advance index probes, and
+//!   elision of index-implied equality predicates.
 //! * [`KernelCache`] — memoizes shape resolutions across slices, orders,
-//!   queries, and service sessions, so repeated shapes (including warm
-//!   service-layer templates) skip kernel-construction analysis. The
-//!   cache is byte-accounted and LRU-bounded, so a long-lived server
-//!   seeing unbounded shape diversity stays within budget.
+//!   queries, and service sessions. The cache is byte-accounted and
+//!   LRU-bounded, so a long-lived server seeing unbounded shape
+//!   diversity stays within budget. Every non-empty shape compiles, so
+//!   the memo saves nothing; it is kept only for `benchmark/`, whose
+//!   ROADMAP item 2 `[benchmark]` commit removes it.
 //!
-//! The engine (`skinner-engine`) runs every order of
-//! [`MIN_KERNEL_TABLES`] or more tables on a compiled kernel and a
-//! single-table order on its plan-bound kernel; its generic reference
-//! kernel is the differential oracle. Every multi-table jump shape
-//! compiles: integer and float keys, fused composite keys
-//! ([`KernelJump::FusedEq`]), and string/nullable keys
+//! The engine (`skinner-engine`) runs every join order on a compiled
+//! kernel; its generic reference kernel is the differential oracle.
+//! Every jump shape compiles: integer and float keys, fused composite
+//! keys ([`KernelJump::FusedEq`]), and string/nullable keys
 //! ([`KernelJump::KeyEq`], with an explicit null-reject), at any order
 //! length — the compiled kernel's cursor covers the whole order, so
-//! every time slice stops at its step budget. All three kernels speak
-//! the [`ResultSink`] protocol defined here and produce byte-for-byte
-//! identical results; the differential properties in the workspace's
+//! every time slice stops at its step budget. Both kernels speak the
+//! [`ResultSink`] protocol defined here and emit identical tuples in
+//! identical order; the differential properties in the workspace's
 //! `tests/property.rs` and `tests/fuzz_differential.rs` enforce that.
 
 #![forbid(unsafe_code)]

@@ -24,12 +24,11 @@
 //!
 //! Each chosen order is bound once into an
 //! [`OrderPlan`](prepare::OrderPlan) (typed slices, direct index
-//! references). An order of two or more tables then runs on a compiled
-//! kernel from [`skinner_codegen`] (one loop over the whole order at any
-//! arity, posting-list cursors, elided index-implied predicates); a
-//! single-table order runs on the plan-bound kernel. The generic
-//! reference kernel is the differential oracle; all three produce
-//! byte-for-byte identical results (see `ARCHITECTURE.md`).
+//! references) and runs on its compiled kernel from [`skinner_codegen`]
+//! (one loop over the whole order at any arity, a single table included;
+//! posting-list cursors, elided index-implied predicates). The generic
+//! reference kernel is the differential oracle; the two emit identical
+//! tuples in identical order (see `ARCHITECTURE.md`).
 //!
 //! As in the paper's implementation, only pre-processing runs in
 //! parallel: the per-table filter scans ([`prepare`]) are morsels on
@@ -51,12 +50,12 @@ pub mod skinner_c;
 pub use metrics::ExecMetrics;
 pub use multiway::{Collector, ContinueResult, MultiwayJoin, ResultSink};
 pub use prepare::PreparedQuery;
-// The codegen tier's public surface, re-exported for drivers that
-// compile kernels or share a cross-query kernel cache.
 pub use progress::ProgressTracker;
 pub use skinner_c::{
     LearnedState, OrderPolicy, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason,
 };
+// The codegen tier's public surface, re-exported for drivers that
+// compile kernels or share a cross-query kernel cache.
 pub use skinner_codegen::{
     CompiledKernel, JumpKind, KernelCache, KernelCacheStats, KernelJump, KernelKey, KernelPosition,
 };

@@ -46,16 +46,15 @@ pub struct ExecMetrics {
     /// can compare the two precedence directions of each edge.
     pub edge_rewards: FxHashMap<(TableId, TableId), (f64, u64)>,
     /// Join orders compiled to the codegen tier (one specialized kernel
-    /// over the whole order, at any length).
+    /// over the whole order, at any length): every bound order.
     pub codegen_orders: usize,
-    /// Join orders that fell back to the plan-bound kernel because no
-    /// compiled kernel exists for their shape. Every multi-table jump
-    /// shape compiles (integer, float, fused composite, and
-    /// string/nullable keys, at any order length), so this stays 0
-    /// unless a plan produces the reserved escape-hatch jump kind. Only
-    /// counted when the codegen tier is enabled.
+    /// Always 0: every join order runs on a compiled kernel. Kept only
+    /// for `benchmark/`, whose ROADMAP item 2 `[benchmark]` commit
+    /// removes it.
     pub fallback_orders: usize,
-    /// Slices executed on a compiled kernel (the rest ran plan-bound).
+    /// Slices executed on a compiled kernel: always every slice. Kept
+    /// only for `benchmark/`, whose ROADMAP item 2 `[benchmark]` commit
+    /// removes it.
     pub codegen_slices: u64,
     /// Wall time in pre-processing.
     pub preprocess_time: Duration,

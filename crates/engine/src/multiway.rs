@@ -8,40 +8,40 @@
 //! walking down from position 0, re-verifying the restored coordinates'
 //! predicates (O(m) work), then continues the lexicographic scan.
 //!
-//! # Bound-plan architecture
+//! # One compiled kernel, one oracle
 //!
 //! SkinnerDB's regret bounds only pay off if per-tuple overhead is tiny;
 //! the paper's Skinner-C compiles each query into specialized code (§6).
 //! Our safe-Rust analogue is *plan-time binding*: an [`OrderPlan`]
-//! resolves every indirection once per (query, order) —
+//! resolves every indirection once per (query, order) into the compiled
+//! positions of a `skinner-codegen` kernel —
 //!
 //! * predicates are [`BoundPred`](skinner_query::BoundPred)s holding raw
 //!   typed column slices and an accepted-ordering bitmask, so a predicate
 //!   eval is slice reads plus one AND, with no table/column re-resolution
 //!   and no operator dispatch;
 //! * index jumps hold a direct [`HashIndex`](skinner_storage::HashIndex)
-//!   reference and a specialized key-column accessor, so a tuple advance
-//!   probes the index without the former `(table, column)` map lookup
-//!   (the §4.5 extension for equality predicates: jump to the next
-//!   position whose key matches, via `next_ge`);
+//!   reference and the key column in its physical representation, and
+//!   walk a posting-list cursor (the §4.5 extension for equality
+//!   predicates: jump to the next position whose key matches);
 //! * per-position cardinalities and filtered-position slices are cached
 //!   in the plan, so the inner loop never touches the prepared query.
 //!
-//! The executor itself owns reusable `rows` and kernel scratch, and
-//! [`ResultSet`] stores tuples in one flat arena with an open-addressing
-//! dedup table — a result insert (including duplicate attempts from order
-//! switches) allocates nothing in the steady state.
+//! Every join order, a single table included, runs on that kernel
+//! ([`MultiwayJoin::continue_join_compiled`]). The executor owns the
+//! reusable `rows` and kernel scratch, and [`ResultSet`] stores tuples in
+//! one flat arena with an open-addressing dedup table — a result insert
+//! (including duplicate attempts from order switches) allocates nothing
+//! in the steady state.
 //!
-//! The pre-refactor interpreted kernel survives as
+//! The pre-specialization interpreted kernel survives as
 //! [`MultiwayJoin::continue_join_generic`]: it re-resolves columns through
 //! [`CompiledPred::eval`](skinner_query::CompiledPred::eval) and probes
-//! the index map per advance. It is the differential-testing oracle. The
-//! compiled kernel of `skinner-codegen` runs every order of two or more
-//! tables and [`MultiwayJoin::continue_join`] the single-table ones;
-//! vectorized join kernels and a JIT are parked in ROADMAP.md until a
+//! the index map per advance. It is the differential-testing oracle.
+//! Vectorized join kernels and a JIT are parked in ROADMAP.md until a
 //! profile asks for them.
 
-use crate::prepare::{BoundPosition, OrderPlan, OrderSpec, PreparedQuery};
+use crate::prepare::{OrderPlan, OrderSpec, PreparedQuery};
 use skinner_codegen::{CompiledKernel, KernelScratch};
 // The sink protocol moved to `skinner-codegen` (every execution tier
 // speaks it); re-exported here under the historical paths.
@@ -313,33 +313,40 @@ impl<'a> MultiwayJoin<'a> {
         }
     }
 
-    /// Execute the bound `plan` from cursor `state` (indexed by table id,
-    /// filtered positions) for at most `budget` outer-loop steps.
-    /// `offsets` are the global per-table floors. Result tuples are
-    /// inserted into `results`.
-    ///
-    /// Returns the slice outcome and the number of steps consumed.
+    /// Compile `plan` and run it for one slice, as
+    /// [`continue_join_compiled`](MultiwayJoin::continue_join_compiled)
+    /// does; the order is read from `plan`. Kept only for `benchmark/`,
+    /// whose ROADMAP item 2 `[benchmark]` commit removes it.
     pub fn continue_join<R: ResultSink>(
         &mut self,
-        order: &[TableId],
+        _order: &[TableId],
         plan: &OrderPlan<'_>,
         offsets: &[u32],
         state: &mut [u32],
         budget: u64,
         results: &mut R,
     ) -> (ContinueResult, u64) {
-        let positions = plan.positions.as_slice();
-        debug_assert_eq!(order.len(), positions.len());
-        debug_assert!(order.iter().zip(positions).all(|(&t, p)| p.table == t));
-        run_plan_kernel(positions, offsets, state, budget, &mut self.rows, results)
+        let kernel = plan
+            .compile_kernel(None)
+            .expect("a join order is never empty");
+        let mut scratch = KernelScratch::default();
+        kernel.run(
+            offsets,
+            state,
+            budget,
+            &mut self.rows,
+            &mut scratch,
+            results,
+        )
     }
 
-    /// Execute a *compiled* kernel (the codegen tier — see
-    /// `skinner-codegen`) from cursor `state`, with the same slice
-    /// semantics and cursor contract as
-    /// [`continue_join`](MultiwayJoin::continue_join). The caller
-    /// guarantees `kernel` was compiled from the same prepared query and
-    /// order as the plan it replaces.
+    /// Execute a compiled kernel (see `skinner-codegen`) from cursor
+    /// `state` (indexed by table id, filtered positions) for at most
+    /// `budget` outer-loop steps. `offsets` are the global per-table
+    /// floors. Result tuples are inserted into `results`. The caller
+    /// guarantees `kernel` was compiled from this prepared query.
+    ///
+    /// Returns the slice outcome and the number of steps consumed.
     pub fn continue_join_compiled<R: ResultSink>(
         &mut self,
         kernel: &CompiledKernel<'a>,
@@ -360,10 +367,10 @@ impl<'a> MultiwayJoin<'a> {
     }
 
     /// Forwards to [`continue_join_compiled`](MultiwayJoin::continue_join_compiled);
-    /// `plan` is unused. Kept only for callers that still branch on
-    /// `kernel.num_tables() < order.len()`, such as the replay in
-    /// `benchmark/src/layers.rs`. Every compiled kernel covers its whole
-    /// order, so that branch is never taken.
+    /// `plan` is unused. Every compiled kernel covers its whole order, so
+    /// the branch of `benchmark/src/layers.rs` that calls this is never
+    /// taken. Kept only for `benchmark/`, whose ROADMAP item 2
+    /// `[benchmark]` commit removes it.
     pub fn continue_join_split<R: ResultSink>(
         &mut self,
         kernel: &CompiledKernel<'a>,
@@ -435,111 +442,6 @@ impl<'a> MultiwayJoin<'a> {
                 return (ContinueResult::Exhausted, steps);
             }
         }
-    }
-}
-
-/// The order-specialized inner loop: executes bound `positions` from
-/// cursor `state` for at most `budget` steps.
-fn run_plan_kernel<R: ResultSink>(
-    positions: &[BoundPosition<'_>],
-    offsets: &[u32],
-    state: &mut [u32],
-    budget: u64,
-    rows: &mut [RowId],
-    results: &mut R,
-) -> (ContinueResult, u64) {
-    let m = positions.len();
-    let mut i = 0usize;
-    let mut steps: u64 = 0;
-
-    // Immediate exhaustion (restored past the end).
-    if state[positions[0].table] >= positions[0].card {
-        return (ContinueResult::Exhausted, 0);
-    }
-    // A sink fills only on insert, and every insert is checked below, so
-    // one check on entry covers a slice that starts on a full sink.
-    if results.is_full() {
-        return (ContinueResult::BudgetSpent, 0);
-    }
-
-    loop {
-        steps += 1;
-        if steps > budget {
-            return (ContinueResult::BudgetSpent, steps - 1);
-        }
-        let pos = &positions[i];
-        let t = pos.table;
-        let s = state[t];
-        if s >= pos.card {
-            // Restored coordinate beyond the end: backtrack.
-            match next_tuple(positions, offsets, state, &mut i, rows, true) {
-                true => continue,
-                false => return (ContinueResult::Exhausted, steps),
-            }
-        }
-        rows[t] = pos.base[s as usize];
-        let ok = pos.preds.iter().all(|p| p.eval(rows));
-        if ok {
-            if i + 1 == m {
-                results.insert(rows);
-                if !next_tuple(positions, offsets, state, &mut i, rows, false) {
-                    return (ContinueResult::Exhausted, steps);
-                }
-                if results.is_full() {
-                    // Sink-driven early exit (LIMIT pushdown): suspend as
-                    // if the budget ran out. The cursor was advanced past
-                    // the emitted tuple *first*, so a resumed slice always
-                    // makes progress.
-                    return (ContinueResult::BudgetSpent, steps);
-                }
-            } else {
-                i += 1;
-            }
-        } else if !next_tuple(positions, offsets, state, &mut i, rows, false) {
-            return (ContinueResult::Exhausted, steps);
-        }
-    }
-}
-
-/// Advance the cursor at position `i` of the bound plan (with index
-/// jumps where available), backtracking on exhaustion. Returns false
-/// when the left-most table is exhausted (the join is complete).
-/// `skip_advance` is used when the current coordinate is already past
-/// the end.
-#[inline]
-fn next_tuple(
-    positions: &[BoundPosition<'_>],
-    offsets: &[u32],
-    state: &mut [u32],
-    i: &mut usize,
-    rows: &[RowId],
-    mut skip_advance: bool,
-) -> bool {
-    loop {
-        let pos = &positions[*i];
-        let t = pos.table;
-        if !skip_advance || state[t] < pos.card {
-            state[t] = match &pos.jump {
-                Some(jump) if !skip_advance => {
-                    // Jump to the next position matching the equality
-                    // key of the current predecessor tuple.
-                    match jump.key.key(rows[jump.src_table]) {
-                        Some(k) => jump.index.next_ge(k, state[t] + 1).unwrap_or(pos.card),
-                        None => pos.card,
-                    }
-                }
-                _ => state[t].saturating_add(1),
-            };
-        }
-        skip_advance = false;
-        if state[t] < pos.card {
-            return true;
-        }
-        if *i == 0 {
-            return false;
-        }
-        state[t] = offsets[t];
-        *i -= 1;
     }
 }
 
@@ -673,26 +575,14 @@ mod tests {
         qb.build().unwrap()
     }
 
-    /// Run one order to completion in a single giant slice.
+    /// Run one order to completion in a single giant slice of its
+    /// compiled kernel.
     fn run_order(q: &Query, order: &[usize], indexes: bool) -> Vec<Vec<u32>> {
         let pq = PreparedQuery::new(q, indexes, 1);
-        let plan = pq.plan_order(order);
-        let mut join = MultiwayJoin::new(&pq);
-        let offsets = vec![0u32; pq.num_tables()];
-        let mut state = offsets.clone();
-        let mut rs = ResultSet::new();
-        let (res, _) = join.continue_join(order, &plan, &offsets, &mut state, u64::MAX, &mut rs);
-        assert_eq!(res, ContinueResult::Exhausted);
-        let mut out: Vec<Vec<u32>> = rs.iter().map(|t| t.to_vec()).collect();
-        out.sort();
-        out
-    }
-
-    /// Same, through the compiled (codegen-tier) kernel.
-    fn run_order_compiled(q: &Query, order: &[usize], indexes: bool) -> Vec<Vec<u32>> {
-        let pq = PreparedQuery::new(q, indexes, 1);
-        let plan = pq.plan_order(order);
-        let kernel = plan.compile_kernel(None).expect("supported shape");
+        let kernel = pq
+            .plan_order(order)
+            .compile_kernel(None)
+            .expect("non-empty order");
         let mut join = MultiwayJoin::new(&pq);
         let offsets = vec![0u32; pq.num_tables()];
         let mut state = offsets.clone();
@@ -725,7 +615,7 @@ mod tests {
     fn all_orders_same_result() {
         let cat = catalog();
         let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
+        let expected = run_order_generic(&q, &[0, 1, 2], true);
         assert_eq!(expected.len(), 3);
         for order in [
             vec![0usize, 1, 2],
@@ -754,26 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn compiled_kernel_matches_specialized_all_orders() {
-        let cat = catalog();
-        let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
-        for order in [vec![0usize, 1, 2], vec![1, 0, 2], vec![2, 1, 0]] {
-            for indexes in [true, false] {
-                assert_eq!(
-                    run_order_compiled(&q, &order, indexes),
-                    expected,
-                    "codegen divergence: order {order:?} indexes {indexes}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn compiled_kernel_slicing_preserves_results() {
         let cat = catalog();
         let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
+        let expected = run_order_generic(&q, &[0, 1, 2], true);
         let pq = PreparedQuery::new(&q, true, 1);
         let plan = pq.plan_order(&[0, 1, 2]);
         let kernel = plan.compile_kernel(None).expect("supported shape");
@@ -814,10 +688,10 @@ mod tests {
     fn slicing_preserves_results() {
         let cat = catalog();
         let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
-        // run the same order in 1-step slices with state persistence
+        let expected = run_order_generic(&q, &[0, 1, 2], true);
+        // run the same order in 3-step slices with state persistence
         let pq = PreparedQuery::new(&q, true, 1);
-        let plan = pq.plan_order(&[0, 1, 2]);
+        let kernel = pq.plan_order(&[0, 1, 2]).compile_kernel(None).unwrap();
         let mut join = MultiwayJoin::new(&pq);
         let offsets = vec![0u32; 3];
         let mut state = vec![0u32; 3];
@@ -827,7 +701,7 @@ mod tests {
             slices += 1;
             assert!(slices < 10_000, "no termination");
             let (res, steps) =
-                join.continue_join(&[0, 1, 2], &plan, &offsets, &mut state, 3, &mut rs);
+                join.continue_join_compiled(&kernel, &offsets, &mut state, 3, &mut rs);
             assert!(steps <= 3);
             if res == ContinueResult::Exhausted {
                 break;
@@ -843,11 +717,14 @@ mod tests {
     fn switching_orders_with_offsets_preserves_results() {
         let cat = catalog();
         let q = three_way(&cat);
-        let expected = run_order(&q, &[0, 1, 2], true);
+        let expected = run_order_generic(&q, &[0, 1, 2], true);
         let pq = PreparedQuery::new(&q, true, 1);
         let mut join = MultiwayJoin::new(&pq);
         let orders: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![1, 2, 0], vec![2, 1, 0]];
-        let plans: Vec<_> = orders.iter().map(|o| pq.plan_order(o)).collect();
+        let kernels: Vec<_> = orders
+            .iter()
+            .map(|o| pq.plan_order(o).compile_kernel(None).unwrap())
+            .collect();
         let tracker = &mut crate::progress::ProgressTracker::new(3);
         let mut offsets = vec![0u32; 3];
         let mut rs = ResultSet::new();
@@ -861,7 +738,7 @@ mod tests {
             let mut state = vec![0u32; 3];
             tracker.restore_into(order, &offsets, &mut state);
             let (res, _) =
-                join.continue_join(order, &plans[which], &offsets, &mut state, 5, &mut rs);
+                join.continue_join_compiled(&kernels[which], &offsets, &mut state, 5, &mut rs);
             // offset advance for the left-most table
             let t0 = order[0];
             if res == ContinueResult::Exhausted {
@@ -896,6 +773,7 @@ mod tests {
         let q = qb.build().unwrap();
         let got = run_order(&q, &[0], true);
         assert_eq!(got, vec![vec![1u32], vec![3u32]]);
+        assert_eq!(run_order_generic(&q, &[0], true), got);
     }
 
     #[test]
@@ -903,14 +781,14 @@ mod tests {
         let cat = catalog();
         let q = three_way(&cat);
         let pq = PreparedQuery::new(&q, true, 1);
-        let plan = pq.plan_order(&[0, 1, 2]);
+        let kernel = pq.plan_order(&[0, 1, 2]).compile_kernel(None).unwrap();
         let mut join = MultiwayJoin::new(&pq);
         // offset past a.id=1 (filtered position 0) excludes its result
         let offsets = vec![1u32, 0, 0];
         let mut state = vec![1u32, 0, 0];
         let mut rs = ResultSet::new();
         let (res, _) =
-            join.continue_join(&[0, 1, 2], &plan, &offsets, &mut state, u64::MAX, &mut rs);
+            join.continue_join_compiled(&kernel, &offsets, &mut state, u64::MAX, &mut rs);
         assert_eq!(res, ContinueResult::Exhausted);
         assert_eq!(rs.len(), 2); // only the a.id=3 tuples
     }
@@ -954,11 +832,6 @@ mod tests {
                 );
                 assert_eq!(
                     run_order(&q, &order, indexes),
-                    expected,
-                    "bound: order {order:?} indexes {indexes}"
-                );
-                assert_eq!(
-                    run_order_compiled(&q, &order, indexes),
                     expected,
                     "compiled: order {order:?} indexes {indexes}"
                 );
@@ -1007,7 +880,7 @@ mod tests {
                 assert_eq!(
                     run_order(&q, &order, indexes),
                     expected,
-                    "bound: order {order:?} indexes {indexes}"
+                    "compiled: order {order:?} indexes {indexes}"
                 );
             }
         }
@@ -1039,13 +912,13 @@ mod tests {
         let q = qb.build().unwrap();
 
         let pq = PreparedQuery::new(&q, true, 1);
+        let kernel = pq.plan_order(&[0, 1]).compile_kernel(None).unwrap();
         let total = {
-            let plan = pq.plan_order(&[0, 1]);
             let mut join = MultiwayJoin::new(&pq);
             let offsets = vec![0u32; 2];
             let mut state = offsets.clone();
             let mut rs = ResultSet::new();
-            join.continue_join(&[0, 1], &plan, &offsets, &mut state, u64::MAX, &mut rs);
+            join.continue_join_compiled(&kernel, &offsets, &mut state, u64::MAX, &mut rs);
             rs.len() as u64
         };
         assert!(total > 10);
@@ -1053,7 +926,6 @@ mod tests {
         // Targets below the total suspend mid-slice and resume; the
         // exact total suspends on the last tuple.
         for target in [1, total / 2, total] {
-            let plan = pq.plan_order(&[0, 1]);
             let mut join = MultiwayJoin::new(&pq);
             let offsets = vec![0u32; 2];
             let mut state = offsets.clone();
@@ -1067,7 +939,7 @@ mod tests {
                 );
                 let mut sink = LimitSink::new(&mut rs, target);
                 let (res, _) =
-                    join.continue_join(&[0, 1], &plan, &offsets, &mut state, 64, &mut sink);
+                    join.continue_join_compiled(&kernel, &offsets, &mut state, 64, &mut sink);
                 if res == ContinueResult::Exhausted || rs.len() as u64 >= target {
                     break;
                 }
@@ -1128,7 +1000,7 @@ mod tests {
         // Two link tables joined on a two-column composite key plus a
         // third table chained on one of the components: the composite
         // jump, the single-column jump and the scan path all in one
-        // query. Every kernel (generic / plan-bound, one-shot / sliced)
+        // query. Both kernels (generic / compiled, one-shot / sliced)
         // must produce the same tuple set, with and without indexes.
         let mut cat = Catalog::new();
         cat.register(
@@ -1201,13 +1073,13 @@ mod tests {
                 assert_eq!(
                     run_order(&q, &order, indexes),
                     expected,
-                    "bound diverged: order {order:?} indexes {indexes}"
+                    "compiled diverged: order {order:?} indexes {indexes}"
                 );
             }
         }
 
         // Sliced execution resumes composite cursors losslessly.
-        let plan = pq.plan_order(&[1, 0, 2]);
+        let kernel = pq.plan_order(&[1, 0, 2]).compile_kernel(None).unwrap();
         let mut join = MultiwayJoin::new(&pq);
         let offsets = vec![0u32; 3];
         let mut state = offsets.clone();
@@ -1216,7 +1088,7 @@ mod tests {
         loop {
             slices += 1;
             assert!(slices < 10_000, "no termination");
-            let (res, _) = join.continue_join(&[1, 0, 2], &plan, &offsets, &mut state, 12, &mut rs);
+            let (res, _) = join.continue_join_compiled(&kernel, &offsets, &mut state, 12, &mut rs);
             if res == ContinueResult::Exhausted {
                 break;
             }

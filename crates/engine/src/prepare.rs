@@ -32,28 +32,29 @@
 //! 1. [`PreparedQuery::plan_spec`] derives the *logical* [`OrderSpec`]:
 //!    per position, which join conjuncts become applicable (indices into
 //!    `join_preds`) and which equality predicate can drive a hash-index
-//!    jump ([`JumpSpec`], as `(table, column)` ids).
+//!    jump ([`JumpSpec`], as `(table, column)` ids). The generic
+//!    reference kernel runs on it.
 //! 2. [`PreparedQuery::plan_order`] *binds* that spec into an
-//!    [`OrderPlan`]: each position caches its filtered cardinality and
-//!    base-row slice, each predicate is specialized into a [`BoundPred`]
-//!    over raw typed column slices, and each jump holds a direct
-//!    [`HashIndex`] reference plus a [`KeyCol`] accessor specialized to
-//!    the key column's representation.
+//!    [`OrderPlan`] of compiled [`KernelPosition`]s: each position caches
+//!    its filtered cardinality and base-row slice, each predicate is
+//!    specialized into a [`BoundPred`] over raw typed column slices, and
+//!    each jump becomes a [`KernelJump`] holding a direct [`HashIndex`]
+//!    reference and the key column in its physical representation. How a
+//!    key is read, and whether an exact integer equality is elided, is
+//!    decided here, once.
 //!
-//! The bound plan is what the multi-way join kernel executes: the
-//! closest safe-Rust stand-in for the paper's §6 per-query code
-//! generation. Orders are bound once and cached across time slices, so
-//! the thousands of join-order switches per second never re-resolve a
-//! table, column, or index; [`OrderPlan::compile_kernel`] turns a bound
-//! plan into the compiled kernel.
+//! The bound plan is what the compiled join kernel executes: the closest
+//! safe-Rust stand-in for the paper's §6 per-query code generation.
+//! Orders are bound once and cached across time slices, so the thousands
+//! of join-order switches per second never re-resolve a table, column,
+//! or index; [`OrderPlan::compile_kernel`] wraps a bound plan into its
+//! kernel.
 
-use skinner_codegen::{
-    CompiledKernel, JumpKind, KernelCache, KernelJump, KernelKey, KernelPosition,
-};
+use skinner_codegen::{CompiledKernel, KernelCache, KernelJump, KernelKey, KernelPosition};
 use skinner_pool::WorkerPool;
 use skinner_query::{compile_predicates, BoundPred, CompiledPred, Query, TableId, TableSet};
 use skinner_storage::table::TableRef;
-use skinner_storage::{fused_join_key, Column, FxHashMap, HashIndex, RowId};
+use skinner_storage::{fused_join_key, FxHashMap, HashIndex, RowId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -482,11 +483,12 @@ impl PreparedQuery {
         OrderSpec { positions }
     }
 
-    /// Compile one join order into a fully *bound* execution plan: every
-    /// table/column/index indirection is resolved now, at plan time, so
-    /// the multi-way join's inner loop touches only raw slices and direct
-    /// index references. This is the plan-time specialization that stands
-    /// in for the paper's per-query code generation (§6).
+    /// Bind one join order into its compiled positions: every
+    /// table/column/index indirection is resolved now, at plan time, and
+    /// so is each position's jump and whether its driving equality is
+    /// elided, so the kernel's inner loop touches only raw slices and
+    /// direct index references. This is the plan-time specialization that
+    /// stands in for the paper's per-query code generation (§6).
     pub fn plan_order(&self, order: &[TableId]) -> OrderPlan<'_> {
         let spec = self.plan_spec(order);
         let positions = spec
@@ -494,51 +496,64 @@ impl PreparedQuery {
             .iter()
             .map(|p| {
                 let t = p.table;
-                let preds = p
+                let mut preds: Vec<BoundPred<'_>> = p
                     .applicable
                     .iter()
                     .map(|&pi| self.join_preds[pi].bind(&self.tables))
                     .collect();
-                let jump = p.jump.as_ref().map(|j| match j {
-                    JumpSpec::Single {
+                let (jump, elided) = match &p.jump {
+                    None => (KernelJump::Scan, false),
+                    Some(JumpSpec::Single {
                         index_col,
                         src_table,
                         src_col,
                         pred,
-                    } => {
-                        let src = self.tables[*src_table].column(*src_col);
-                        BoundJump {
-                            index: &self.indexes[&(t, *index_col)],
-                            src_table: *src_table,
-                            key: KeyCol::bind(src),
-                            pred: *pred,
+                    }) => {
+                        let (src, index) = (*src_table, &*self.indexes[&(t, *index_col)]);
+                        let col = self.tables[src].column(*src_col);
+                        let exact = !col.nullable();
+                        match (col.i64s(), col.floats()) {
+                            // Integer keys are the values themselves: the
+                            // postings imply the driving equality when it
+                            // compiled to the exact integer fast path.
+                            (Some(keys), _) if exact => {
+                                let elided = preds[*pred].is_exact_int_eq();
+                                if elided {
+                                    preds.remove(*pred);
+                                }
+                                (KernelJump::IntEq { keys, src, index }, elided)
+                            }
+                            (_, Some(keys)) if exact => {
+                                (KernelJump::FloatEq { keys, src, index }, false)
+                            }
+                            // Strings and nullable columns: content-hash
+                            // keys (`None` for NULL), always re-verified.
+                            _ => (KernelJump::KeyEq { col, src, index }, false),
                         }
                     }
-                    JumpSpec::Composite {
-                        group,
-                        src_is_a,
-                        preds,
-                    } => {
-                        // The index lives on this position's table; the
-                        // key vector on the earlier (source) side.
+                    Some(JumpSpec::Composite {
+                        group, src_is_a, ..
+                    }) => {
+                        // The index lives on this position's table, the
+                        // key vector on the earlier (source) side. Fused
+                        // keys are hashes: no conjunct is ever implied,
+                        // so the whole group is re-verified.
                         let sides = self.composites[*group].sides(*src_is_a);
-                        BoundJump {
+                        let jump = KernelJump::FusedEq {
+                            keys: sides.src_keys,
+                            src: sides.src_table,
                             index: sides.index,
-                            src_table: sides.src_table,
-                            key: KeyCol::Fused(sides.src_keys),
-                            // Fused keys are hashes: no conjunct is ever
-                            // implied, so this drives no elision (the
-                            // compiled jump re-verifies the whole group).
-                            pred: preds[0],
-                        }
+                        };
+                        (jump, false)
                     }
-                });
-                BoundPosition {
+                };
+                KernelPosition {
                     table: t,
                     card: self.cards[t],
                     base: &self.filtered[t],
                     preds,
                     jump,
+                    elided,
                 }
             })
             .collect();
@@ -546,209 +561,37 @@ impl PreparedQuery {
     }
 }
 
-/// Join-key source for an index jump, specialized at plan time to the
-/// key column's physical representation.
-#[derive(Debug, Clone, Copy)]
-pub enum KeyCol<'a> {
-    /// Non-nullable i64-backed column (`Int`, `Date`, `Interval`): the
-    /// key is the exact value itself.
-    Int(&'a [i64]),
-    /// Non-nullable float column: the key is the value's bit pattern.
-    Float(&'a [f64]),
-    /// Fused composite key vector precomputed per base row (see
-    /// [`CompositeKeyGroup`]); `None` entries are NULL components. Keys
-    /// are hashes, so the driving conjuncts are always re-verified.
-    Fused(&'a [Option<i64>]),
-    /// Strings and nullable columns: fall back to [`Column::join_key`].
-    Other(&'a Column),
-}
-
-impl<'a> KeyCol<'a> {
-    /// Choose the fastest representation for `col`.
-    pub(crate) fn bind(col: &'a Column) -> KeyCol<'a> {
-        if col.nullable() {
-            return KeyCol::Other(col);
-        }
-        if let Some(i64s) = col.i64s() {
-            KeyCol::Int(i64s)
-        } else if let Some(floats) = col.floats() {
-            KeyCol::Float(floats)
-        } else {
-            KeyCol::Other(col)
-        }
-    }
-
-    /// The 64-bit join key of `row` (`None` for NULL).
-    #[inline(always)]
-    pub(crate) fn key(&self, row: RowId) -> Option<i64> {
-        match self {
-            KeyCol::Int(v) => Some(v[row as usize]),
-            KeyCol::Float(v) => Some(skinner_storage::f64_key(v[row as usize])),
-            KeyCol::Fused(v) => v[row as usize],
-            KeyCol::Other(col) => col.join_key(row as usize),
-        }
-    }
-}
-
-/// Bound equality-predicate jump at one join-order position: a direct
-/// reference to the hash index plus the specialized key-column source —
-/// no `(table, column)` map probe per tuple advance.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundJump<'a> {
-    /// The position table's hash index on the jump column.
-    pub(crate) index: &'a HashIndex,
-    /// Earlier table providing the key tuple.
-    pub(crate) src_table: TableId,
-    /// Key-column accessor, specialized to the column's representation.
-    pub key: KeyCol<'a>,
-    /// Index (within this position's `preds`) of the equality conjunct
-    /// that drives the jump — the predicate a compiled kernel may elide
-    /// when the index provably implies it.
-    pub(crate) pred: usize,
-}
-
-/// One fully bound position of an [`OrderPlan`]: the table's filtered
-/// cardinality and base-row slice, the newly applicable predicates bound
-/// to raw column slices, and the optional index jump.
-#[derive(Debug, Clone)]
-pub struct BoundPosition<'a> {
-    /// The table joined at this position.
-    pub(crate) table: TableId,
-    /// Filtered cardinality of the table (cached from `cards`).
-    pub(crate) card: u32,
-    /// Filtered positions → base row ids (cached from `filtered`).
-    pub(crate) base: &'a [RowId],
-    /// Predicates newly applicable at this position, bound to slices.
-    pub preds: Vec<BoundPred<'a>>,
-    /// Hash-index jump, if an equi predicate connects to earlier tables.
-    pub jump: Option<BoundJump<'a>>,
-}
-
-/// Fully bound per-order execution plan, borrowing the prepared query.
-/// Produced once per (query, order) by [`PreparedQuery::plan_order`] and
-/// cached across time slices.
+/// One join order bound for execution, borrowing the prepared query:
+/// one compiled [`KernelPosition`] per join-order position. Produced once
+/// per (query, order) by [`PreparedQuery::plan_order`] and cached across
+/// time slices.
 #[derive(Debug, Clone)]
 pub struct OrderPlan<'a> {
     /// One entry per join-order position.
-    pub positions: Vec<BoundPosition<'a>>,
+    pub positions: Vec<KernelPosition<'a>>,
 }
 
 impl<'a> OrderPlan<'a> {
-    /// The shape key of this plan (see `skinner-codegen`): table count,
-    /// per-position key-column kind, predicate-shape fingerprint. Two
-    /// plans with equal keys execute on the same compiled kernel
-    /// instance, so the key is what the cross-query
-    /// [`KernelCache`] memoizes.
+    /// The shape key of this plan (see `skinner-codegen`): per-position
+    /// jump kind and predicate-shape fingerprint.
     pub fn kernel_key(&self) -> KernelKey {
-        KernelKey::new(self.positions.iter().map(|p| {
-            let kind = match &p.jump {
-                None => JumpKind::Scan,
-                Some(j) => match j.key {
-                    KeyCol::Int(_) => JumpKind::Int,
-                    KeyCol::Float(_) => JumpKind::Float,
-                    // Hash-derived keys: compiled, never elided.
-                    KeyCol::Fused(_) => JumpKind::Fused,
-                    KeyCol::Other(_) => JumpKind::Key,
-                },
-            };
-            let elided = kind == JumpKind::Int
-                && p.jump
-                    .as_ref()
-                    .is_some_and(|j| p.preds[j.pred].is_exact_int_eq());
-            (kind, p.preds.as_slice(), elided)
-        }))
+        KernelKey::of(&self.positions)
     }
 
-    /// Compile this plan into a specialized kernel (the codegen
-    /// execution tier) covering every position of the order, or `None`
-    /// when the shape has no compiled kernel — a single-table order, or
-    /// a reserved [`JumpKind::Other`] position (no current binder
-    /// produces one) — in which case the caller keeps executing the
-    /// plan-bound kernel.
-    ///
-    /// Every multi-table jump shape compiles, at any order length:
-    /// integer and float keys, fused composite keys, and string/nullable
-    /// keys (hash-driven posting cursors with an explicit null-reject;
-    /// never elided, so every driving conjunct is re-verified).
-    ///
-    /// `cache` (when given) memoizes the shape resolution across
-    /// queries: a hit skips the support analysis. The returned kernel
-    /// borrows the same prepared-query data as the plan itself.
+    /// Compile this plan into the kernel covering every position of the
+    /// order, or `None` for the empty order. `cache` (when given) counts
+    /// the shape's resolution. The returned kernel borrows the same
+    /// prepared-query data as the plan itself. Every non-empty order
+    /// compiles, so the `Option` and the cache are kept only for
+    /// `benchmark/`, whose ROADMAP item 2 `[benchmark]` commit removes
+    /// them.
     pub fn compile_kernel(&self, cache: Option<&KernelCache>) -> Option<CompiledKernel<'a>> {
         let key = self.kernel_key();
         let supported = match cache {
             Some(cache) => cache.resolve(&key, || key.supported()),
             None => key.supported(),
         };
-        if !supported {
-            return None;
-        }
-        let positions = self
-            .positions
-            .iter()
-            .map(|p| {
-                let (jump, elided) = match &p.jump {
-                    None => (KernelJump::Scan, false),
-                    Some(j) => match j.key {
-                        KeyCol::Int(keys) => (
-                            KernelJump::IntEq {
-                                keys,
-                                src: j.src_table,
-                                index: j.index,
-                            },
-                            p.preds[j.pred].is_exact_int_eq(),
-                        ),
-                        KeyCol::Float(keys) => (
-                            KernelJump::FloatEq {
-                                keys,
-                                src: j.src_table,
-                                index: j.index,
-                            },
-                            false,
-                        ),
-                        // Hash-derived keys: compiled posting cursors
-                        // with full residual re-verification (a fused
-                        // or content-hash key narrows candidates, never
-                        // proves the conjunct) and NULL-reject begin.
-                        KeyCol::Fused(keys) => (
-                            KernelJump::FusedEq {
-                                keys,
-                                src: j.src_table,
-                                index: j.index,
-                            },
-                            false,
-                        ),
-                        KeyCol::Other(col) => (
-                            KernelJump::KeyEq {
-                                col,
-                                src: j.src_table,
-                                index: j.index,
-                            },
-                            false,
-                        ),
-                    },
-                };
-                let preds = match (&p.jump, elided) {
-                    (Some(j), true) => p
-                        .preds
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != j.pred)
-                        .map(|(_, p)| *p)
-                        .collect(),
-                    _ => p.preds.clone(),
-                };
-                KernelPosition {
-                    table: p.table,
-                    card: p.card,
-                    base: p.base,
-                    preds,
-                    jump,
-                    elided,
-                }
-            })
-            .collect();
-        CompiledKernel::new(key, positions)
+        supported.then(|| CompiledKernel::new(self.positions.clone()))
     }
 }
 
@@ -786,8 +629,6 @@ pub enum JumpSpec {
         preds: Vec<usize>,
     },
 }
-
-impl JumpSpec {}
 
 /// Per-position logical plan for one join order (indices into the
 /// prepared query, not yet bound to storage).
@@ -1051,22 +892,27 @@ mod tests {
         assert_eq!(plan.positions[0].card, 3);
         assert_eq!(plan.positions[0].base, &[1, 2, 3]);
         assert!(plan.positions[0].preds.is_empty());
-        assert!(plan.positions[0].jump.is_none());
+        assert!(matches!(plan.positions[0].jump, KernelJump::Scan));
         let pos1 = &plan.positions[1];
         assert_eq!(pos1.table, 1);
         assert_eq!(pos1.card, 4);
-        assert_eq!(pos1.preds.len(), 1);
-        let jump = pos1.jump.as_ref().expect("bound jump");
-        assert_eq!(jump.src_table, 0);
+        // The int equality drives the jump and is implied by it: elided.
+        assert!(pos1.elided);
+        assert!(pos1.preds.is_empty());
+        let KernelJump::IntEq { keys, src, index } = pos1.jump else {
+            panic!("expected an int jump, got {:?}", pos1.jump);
+        };
+        assert_eq!(src, 0);
         // key source is a's id column — non-nullable INT slice
-        assert_eq!(jump.key.key(0), Some(1));
-        assert_eq!(jump.key.key(3), Some(4));
+        assert_eq!((keys[0], keys[3]), (1, 4));
         // the bound index is b's index: base row of b with a_id=3 is row 1
-        assert_eq!(jump.index.probe(3), &[1, 2]);
-        // no indexes ⇒ no jumps in the bound plan either
+        assert_eq!(index.probe(3), &[1, 2]);
+        // no indexes ⇒ no jumps (and no elision) in the bound plan either
         let p2 = PreparedQuery::new(&q, false, 1);
         let plan2 = p2.plan_order(&[0, 1]);
-        assert!(plan2.positions[1].jump.is_none());
+        assert!(matches!(plan2.positions[1].jump, KernelJump::Scan));
+        assert!(!plan2.positions[1].elided);
+        assert_eq!(plan2.positions[1].preds.len(), 1);
     }
 
     fn composite_catalog() -> Catalog {
@@ -1147,14 +993,13 @@ mod tests {
                 other => panic!("expected composite jump, got {other:?}"),
             }
             // The bound plan carries the fused key source and composite
-            // index — and the shape compiles: fused keys drive a
-            // posting-cursor jump (re-verified, never elided).
+            // index: a posting-cursor jump, re-verified, never elided.
             let plan = p.plan_order(&order);
-            let bound = plan.positions[1].jump.as_ref().expect("bound jump");
-            assert!(matches!(bound.key, KeyCol::Fused(_)));
-            assert!(plan.kernel_key().supported());
+            let pos = &plan.positions[1];
+            assert!(matches!(pos.jump, KernelJump::FusedEq { .. }));
+            assert!(!pos.elided);
+            assert_eq!(pos.preds.len(), 2);
             let kernel = plan.compile_kernel(None).expect("fused shape compiles");
-            assert_eq!(kernel.positions()[1].jump.kind(), JumpKind::Fused);
             assert_eq!(kernel.num_tables(), 2);
         }
 
@@ -1212,14 +1057,13 @@ mod tests {
         let p = PreparedQuery::new(&q, true, 1);
         assert_eq!(p.composites.len(), 1, "the group itself still exists");
         let plan = p.plan_order(&[0, 1]);
-        let jump = plan.positions[1].jump.as_ref().expect("jump");
         assert!(
-            matches!(jump.key, KeyCol::Int(_)),
+            matches!(plan.positions[1].jump, KernelJump::IntEq { .. }),
             "unique component must keep the exact single-column jump"
         );
         assert!(
-            plan.kernel_key().supported(),
-            "single jump keeps the codegen tier"
+            plan.positions[1].elided,
+            "the exact jump elides its equality"
         );
     }
 

@@ -16,8 +16,8 @@
 //! at random.
 
 use crate::metrics::ExecMetrics;
-use crate::multiway::{Collector, ContinueResult, LimitSink, MultiwayJoin, ResultSet, ResultSink};
-use crate::prepare::{OrderPlan, PreparedQuery};
+use crate::multiway::{Collector, ContinueResult, LimitSink, MultiwayJoin, ResultSet};
+use crate::prepare::PreparedQuery;
 use crate::progress::ProgressTracker;
 use crate::reward::slice_reward;
 use rand::rngs::SmallRng;
@@ -137,9 +137,10 @@ pub struct RunOptions<'a> {
     /// `deadline`. Exceeding it stops the run with
     /// [`StopReason::MemoryExceeded`]; the tuples produced so far are a
     /// valid distinct prefix. `None` (the default) is unbounded. The cap
-    /// counts what the run's sink holds ([`ResultSink::approx_bytes`]):
-    /// a sink that folds tuples instead of storing them (a global
-    /// MIN/MAX, see `SkinnerC::run_into`) holds no arena and never trips.
+    /// counts what the run's sink holds
+    /// ([`ResultSink::approx_bytes`](crate::ResultSink::approx_bytes)): a
+    /// sink that folds tuples instead of storing them (a global MIN/MAX,
+    /// see `SkinnerC::run_into`) holds no arena and never trips.
     pub max_result_bytes: Option<usize>,
     /// Capture a [`LearnedState`] in the outcome for the learning cache.
     pub capture_learning: bool,
@@ -346,10 +347,9 @@ impl SkinnerC {
         let mut tracker = ProgressTracker::new(m);
         let mut offsets = vec![0u32; m];
         let mut join = MultiwayJoin::new(&pq);
-        // Per-order execution state: the bound plan plus, for orders of
-        // two or more tables, the compiled kernel. Bound once per order,
-        // reused across every slice.
-        let mut plan_cache: FxHashMap<Vec<TableId>, PlannedOrder<'_>> = FxHashMap::default();
+        // Per-order execution state: the compiled kernel. Bound once per
+        // order, reused across every slice.
+        let mut plan_cache: FxHashMap<Vec<TableId>, CompiledKernel<'_>> = FxHashMap::default();
         for order in opts.planned_orders {
             if is_permutation(order, m) && !plan_cache.contains_key(order.as_slice()) {
                 plan_cache.insert(
@@ -426,27 +426,18 @@ impl SkinnerC {
                     bind_order(&pq, opts.kernel_cache, &order, &mut metrics),
                 );
             }
-            let planned = &plan_cache[order.as_slice()];
+            let kernel = &plan_cache[order.as_slice()];
 
             tracker.restore_into(&order, &offsets, &mut state);
-            let before = planned.progress(&order, &state, &pq.cards, &mut rows);
+            let before = kernel.progress(&state, &mut rows);
 
-            if planned.kernel.is_some() {
-                metrics.codegen_slices += 1;
-            }
+            metrics.codegen_slices += 1;
             let (res, steps) = match opts.target_rows {
                 Some(target) => {
                     let mut limited = LimitSink::new(&mut *sink, target);
-                    planned.run_slice(
-                        &mut join,
-                        &order,
-                        &offsets,
-                        &mut state,
-                        budget,
-                        &mut limited,
-                    )
+                    join.continue_join_compiled(kernel, &offsets, &mut state, budget, &mut limited)
                 }
-                None => planned.run_slice(&mut join, &order, &offsets, &mut state, budget, sink),
+                None => join.continue_join_compiled(kernel, &offsets, &mut state, budget, sink),
             };
             metrics.steps += steps;
 
@@ -463,7 +454,7 @@ impl SkinnerC {
             }
 
             if cfg.policy == OrderPolicy::Uct {
-                let after = planned.progress(&order, &state, &pq.cards, &mut rows);
+                let after = kernel.progress(&state, &mut rows);
                 let r = slice_reward(before, after);
                 tree.update(&order, r);
                 // Knowledge capture: credit this slice's reward to the
@@ -551,71 +542,18 @@ impl SkinnerC {
     }
 }
 
-/// One join order's bound execution state: the bound plan plus the
-/// compiled kernel over it (none for a single-table order).
-struct PlannedOrder<'a> {
-    plan: OrderPlan<'a>,
-    kernel: Option<CompiledKernel<'a>>,
-}
-
-impl<'a> PlannedOrder<'a> {
-    /// Run one slice on the compiled kernel when the order has one,
-    /// plan-bound otherwise.
-    fn run_slice<R: ResultSink>(
-        &self,
-        join: &mut MultiwayJoin<'a>,
-        order: &[TableId],
-        offsets: &[u32],
-        state: &mut [u32],
-        budget: u64,
-        results: &mut R,
-    ) -> (ContinueResult, u64) {
-        match &self.kernel {
-            Some(kernel) => join.continue_join_compiled(kernel, offsets, state, budget, results),
-            None => join.continue_join(order, &self.plan, offsets, state, budget, results),
-        }
-    }
-
-    /// The cursor's progress through this order (see [`crate::reward`]):
-    /// the compiled kernel's, or the left-most table's row position
-    /// otherwise. An order without a kernel has one table, where the two
-    /// agree.
-    fn progress(&self, order: &[TableId], state: &[u32], cards: &[u32], rows: &mut [RowId]) -> f64 {
-        match &self.kernel {
-            Some(kernel) => kernel.progress(state, rows),
-            None => {
-                let t = order[0];
-                state[t].min(cards[t]) as f64 / cards[t].max(1) as f64
-            }
-        }
-    }
-}
-
-/// Bind one join order for execution and compile every order of
-/// [`MIN_KERNEL_TABLES`](skinner_codegen::MIN_KERNEL_TABLES) or more
-/// tables (counted into the metrics). Every multi-table shape compiles
-/// at any order length — integer, float, fused composite, and
-/// string/nullable keys — so `fallback_orders` only counts the reserved
-/// escape hatch no current binder produces. A single-table order has no
-/// join loop to compile: it runs plan-bound and is not a fallback.
+/// Bind one join order and compile it (counted into the metrics). Every
+/// non-empty order compiles, whatever its length and key types.
 fn bind_order<'p>(
     pq: &'p PreparedQuery,
     kernel_cache: Option<&KernelCache>,
     order: &[TableId],
     metrics: &mut ExecMetrics,
-) -> PlannedOrder<'p> {
-    let plan = pq.plan_order(order);
-    let kernel = (order.len() >= skinner_codegen::MIN_KERNEL_TABLES)
-        .then(|| plan.compile_kernel(kernel_cache));
-    match &kernel {
-        Some(Some(_)) => metrics.codegen_orders += 1,
-        Some(None) => metrics.fallback_orders += 1,
-        None => {}
-    }
-    PlannedOrder {
-        plan,
-        kernel: kernel.flatten(),
-    }
+) -> CompiledKernel<'p> {
+    metrics.codegen_orders += 1;
+    pq.plan_order(order)
+        .compile_kernel(kernel_cache)
+        .expect("a join order is never empty")
 }
 
 /// Is `order` a permutation of `0..m`? Guards plan pre-binding against
@@ -687,18 +625,11 @@ mod tests {
         qb.build().unwrap()
     }
 
-    /// Ground truth via the simple nested-loop semantics of the multiway
-    /// join run to completion under one order.
+    /// Ground truth: the generic reference kernel run to completion
+    /// under one order.
     fn ground_truth(q: &Query) -> u64 {
-        let pq = PreparedQuery::new(q, true, 1);
         let order: Vec<usize> = (0..q.num_tables()).collect();
-        let plan = pq.plan_order(&order);
-        let mut join = MultiwayJoin::new(&pq);
-        let offsets = vec![0u32; q.num_tables()];
-        let mut state = offsets.clone();
-        let mut rs = ResultSet::new();
-        join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs);
-        rs.len() as u64
+        generic_tuples(q, &order, u64::MAX).len() as u64
     }
 
     #[test]
@@ -878,17 +809,18 @@ mod tests {
         assert_eq!(m.result_tuples as u64, out.result_count);
     }
 
-    /// The sorted distinct tuples of `q` from the plan-bound kernel alone:
-    /// `order` resumed slice by slice (`budget` steps) until exhausted.
-    fn plan_bound_tuples(q: &Query, order: &[TableId], budget: u64) -> Vec<Vec<RowId>> {
+    /// The sorted distinct tuples of `q` from the generic reference
+    /// kernel alone: `order` resumed slice by slice (`budget` steps) until
+    /// exhausted.
+    fn generic_tuples(q: &Query, order: &[TableId], budget: u64) -> Vec<Vec<RowId>> {
         let pq = PreparedQuery::new(q, true, 1);
-        let plan = pq.plan_order(order);
+        let spec = pq.plan_spec(order);
         let mut join = MultiwayJoin::new(&pq);
         let offsets = vec![0u32; q.num_tables()];
         let mut state = offsets.clone();
         let mut rs = ResultSet::new();
         while join
-            .continue_join(order, &plan, &offsets, &mut state, budget, &mut rs)
+            .continue_join_generic(order, &spec, &offsets, &mut state, budget, &mut rs)
             .0
             != ContinueResult::Exhausted
         {}
@@ -909,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn codegen_tier_runs_and_agrees_with_plan_bound() {
+    fn codegen_tier_runs_and_agrees_with_generic() {
         let cat = fk_catalog(64);
         let q = chain_query(&cat, 4);
         let expected = ground_truth(&q);
@@ -923,19 +855,19 @@ mod tests {
         assert!(out.metrics.codegen_orders > 0);
         assert_eq!(out.metrics.fallback_orders, 0);
         assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
-        // Same distinct tuples as the plan-bound kernel over the learned
+        // Same distinct tuples as the generic kernel over the learned
         // order.
         assert_eq!(
             sorted_tuples(&out),
-            plan_bound_tuples(&q, &out.final_order, 64)
+            generic_tuples(&q, &out.final_order, 64)
         );
     }
 
     #[test]
     fn string_keyed_join_compiles_and_stays_correct() {
-        // String join keys bind to `KeyCol::Other` and compile to the
-        // KeyEq jump (content-hash posting cursors, re-verified): the
-        // codegen tier carries every slice and the answer is unchanged.
+        // String join keys bind to the KeyEq jump (content-hash posting
+        // cursors, re-verified): the codegen tier carries every slice and
+        // the answer is unchanged.
         let mut cat = Catalog::new();
         cat.register(
             Table::new(
@@ -1004,7 +936,7 @@ mod tests {
     #[test]
     fn seven_table_chain_compiles_whole_order_and_stays_correct() {
         // One compiled kernel covers all seven positions, and its slices
-        // stop at the budget; counted as a codegen order, not a fallback.
+        // stop at the budget; counted as a codegen order.
         let (_cat, q) = seven_table_chain();
         let pq = PreparedQuery::new(&q, true, 1);
         let order: Vec<usize> = (0..7).collect();
@@ -1038,8 +970,8 @@ mod tests {
     }
 
     #[test]
-    fn seven_table_chain_compiled_agrees_with_plan_bound() {
-        // The whole-order kernel checked against the plan-bound kernel on
+    fn seven_table_chain_compiled_agrees_with_generic() {
+        // The whole-order kernel checked against the generic kernel on
         // the same 7-table query, with a budget small enough to force
         // many suspend/resume cycles on both.
         let (_cat, q) = seven_table_chain();
@@ -1049,9 +981,9 @@ mod tests {
         })
         .run(&q);
         assert_eq!(compiled.result_count, 3 * 128);
-        let plan_bound = plan_bound_tuples(&q, &compiled.final_order, 64);
-        assert_eq!(plan_bound.len(), 3 * 128);
-        assert_eq!(sorted_tuples(&compiled), plan_bound);
+        let generic = generic_tuples(&q, &compiled.final_order, 64);
+        assert_eq!(generic.len(), 3 * 128);
+        assert_eq!(sorted_tuples(&compiled), generic);
         assert_eq!(compiled.metrics.fallback_orders, 0);
         assert_eq!(compiled.metrics.codegen_slices, compiled.metrics.slices);
     }
@@ -1429,5 +1361,8 @@ mod tests {
         let q = qb.build().unwrap();
         let out = SkinnerC::default().run(&q);
         assert_eq!(out.result_count, 5);
+        // The one-table order runs on its compiled one-position kernel.
+        assert_eq!(out.metrics.codegen_orders, 1);
+        assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
     }
 }

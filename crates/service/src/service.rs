@@ -163,16 +163,19 @@ pub struct ServiceStats {
     /// `skinner-knowledge`).
     pub knowledge: KnowledgeStats,
     /// Kernel-shape cache counters (codegen tier, see `skinner-codegen`).
+    /// Kept only for `benchmark/`, whose ROADMAP item 2 `[benchmark]`
+    /// commit removes them with the cache.
     pub kernels: KernelCacheStats,
     /// Join orders executed on a compiled kernel (one kernel over the
-    /// whole order, at any length).
+    /// whole order, at any length): every bound order.
     pub codegen_orders: u64,
-    /// Join orders that fell back to the plan-bound tier with codegen
-    /// enabled. Only the reserved escape-hatch jump shape falls back,
-    /// so this is expected to stay 0.
+    /// Always 0: every join order runs on a compiled kernel. Kept only
+    /// for `benchmark/`, whose ROADMAP item 2 `[benchmark]` commit
+    /// removes it.
     pub fallback_orders: u64,
-    /// Time slices executed on a compiled kernel (split prefixes
-    /// included).
+    /// Time slices executed on a compiled kernel: always every slice.
+    /// Kept only for `benchmark/`, whose ROADMAP item 2 `[benchmark]`
+    /// commit removes it.
     pub codegen_slices: u64,
 }
 
@@ -627,10 +630,9 @@ impl QueryService {
         if prior_seeded {
             self.prior_seeded.fetch_add(1, Ordering::Relaxed);
         }
-        // Codegen-tier accounting, service-wide: which orders compiled
-        // (or hit the reserved escape hatch) and how many slices the
-        // compiled kernels carried. Surfaced via `\stats` and the wire
-        // Stats frame.
+        // Codegen-tier accounting, service-wide: how many orders compiled
+        // and how many slices the compiled kernels carried. Surfaced via
+        // `\stats` and the wire Stats frame.
         self.codegen_orders
             .fetch_add(out.metrics.codegen_orders as u64, Ordering::Relaxed);
         self.fallback_orders
@@ -1089,8 +1091,7 @@ mod tests {
             .expect("second");
         let st = svc.stats().kernels;
         assert!(st.hits > 0, "repeated shapes must hit");
-        // The codegen tier actually ran: orders compiled, nothing fell
-        // back to the plan-bound tier.
+        // The codegen tier actually ran: orders compiled, none fell back.
         let st = svc.stats();
         assert!(st.codegen_orders > 0, "orders must compile");
         assert_eq!(st.fallback_orders, 0, "no order may fall back");

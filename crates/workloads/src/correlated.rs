@@ -20,11 +20,11 @@
 //!   components (popular movies attract popular people), so the
 //!   single-column fallback pays a real fan-out cost.
 //!
-//! The composite-key joins bind `KeyCol::Fused` jumps, which the codegen
-//! tier compiles to `FusedEq` posting cursors (hash-derived, so the
-//! driving conjuncts are always re-verified) — these queries exercise
-//! the composite and compiled wins *composed*, with zero fallbacks,
-//! asserted via `ExecMetrics::fallback_orders` in the tests below.
+//! The composite-key joins bind `FusedEq` posting cursors in the compiled
+//! kernel (hash-derived, so the driving conjuncts are always
+//! re-verified) — these queries exercise the composite and compiled wins
+//! *composed*, every order on the compiled kernel, as the tests below
+//! assert.
 //!
 //! All generators are seeded and deterministic. [`generate_case`]
 //! produces small randomized single-query cases for the differential
@@ -434,10 +434,9 @@ mod tests {
     }
 
     /// The acceptance criterion: a composite-key join produces identical
-    /// results across all three kernel tiers — generic reference,
-    /// plan-bound, and the codegen tier, which compiles the fused
-    /// composite jump (zero fallbacks: the composite and compilation
-    /// wins compose).
+    /// results across three tiers — the generic reference kernel, the
+    /// compiled kernel with its fused composite jump, sliced, and the
+    /// Skinner-C engine switching orders on compiled kernels.
     #[test]
     fn composite_join_identical_across_three_tiers() {
         let wl = generate(0.03, 41);
@@ -462,21 +461,19 @@ mod tests {
             &mut rs_generic,
         );
 
-        // Tier 2: plan-bound kernel (the composite fused jump), sliced.
-        let plan = pq.plan_order(&order);
+        // Tier 2: the compiled kernel (the composite fused jump), sliced.
+        let kernel = pq.plan_order(&order).compile_kernel(None).unwrap();
         let mut state = offsets.clone();
-        let mut rs_bound = ResultSet::new();
+        let mut rs_compiled = ResultSet::new();
         loop {
             let (res, _) =
-                join.continue_join(&order, &plan, &offsets, &mut state, 64, &mut rs_bound);
+                join.continue_join_compiled(&kernel, &offsets, &mut state, 64, &mut rs_compiled);
             if res == ContinueResult::Exhausted {
                 break;
             }
         }
 
-        // Tier 3: fused keys compile — every order runs on the codegen
-        // tier and no fallback is counted.
-        assert!(plan.compile_kernel(None).is_some());
+        // Tier 3: the engine, every order on the codegen tier.
         let out = SkinnerC::new(SkinnerCConfig {
             budget: 64,
             ..Default::default()
@@ -490,13 +487,13 @@ mod tests {
         assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
 
         let mut a: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
-        let mut b: Vec<Vec<u32>> = rs_bound.iter().map(|t| t.to_vec()).collect();
+        let mut b: Vec<Vec<u32>> = rs_compiled.iter().map(|t| t.to_vec()).collect();
         let mut c: Vec<Vec<u32>> = out.tuples.chunks_exact(m).map(|t| t.to_vec()).collect();
         a.sort();
         b.sort();
         c.sort();
-        assert_eq!(a, b, "generic vs plan-bound divergence");
-        assert_eq!(a, c, "generic vs engine (fallback tier) divergence");
+        assert_eq!(a, b, "generic vs compiled divergence");
+        assert_eq!(a, c, "generic vs engine divergence");
         assert!(!a.is_empty(), "composite join must produce matches");
     }
 
@@ -529,31 +526,22 @@ mod tests {
         let pq = PreparedQuery::new(q, true, 1);
         let order = vec![0usize, 1];
 
-        let steps_with = {
-            let plan = pq.plan_order(&order);
-            let mut join = MultiwayJoin::new(&pq);
+        let steps = |pq: &PreparedQuery| {
+            let kernel = pq.plan_order(&order).compile_kernel(None).unwrap();
+            let mut join = MultiwayJoin::new(pq);
             let offsets = vec![0u32; 2];
             let mut state = offsets.clone();
             let mut rs = ResultSet::new();
-            let (_, steps) =
-                join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs);
-            steps
+            join.continue_join_compiled(&kernel, &offsets, &mut state, u64::MAX, &mut rs)
+                .1
         };
+        let steps_with = steps(&pq);
         // Single-column baseline: the pre-composite execution shape
         // (jump on movie_id only, person_id as a residual check).
         let single_q = single_key_variant(&wl.catalog);
         let pq_single = PreparedQuery::new(&single_q, true, 1);
         assert!(pq_single.composites.is_empty());
-        let steps_without = {
-            let plan = pq_single.plan_order(&order);
-            let mut join = MultiwayJoin::new(&pq_single);
-            let offsets = vec![0u32; 2];
-            let mut state = offsets.clone();
-            let mut rs = ResultSet::new();
-            let (_, steps) =
-                join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs);
-            steps
-        };
+        let steps_without = steps(&pq_single);
         assert!(
             steps_with * 3 < steps_without * 2,
             "composite jump should cut kernel steps by at least a third \

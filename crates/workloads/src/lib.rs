@@ -18,17 +18,17 @@
 //!   selective join at parameterized position `m`), and the trivial
 //!   optimization benchmark (all non-Cartesian plans equivalent).
 //! * [`nulls`] — NULL-heavy, string-join stress: nullable
-//!   dictionary-encoded string keys exercising the engine's
-//!   `KeyCol::Other` fallback (hash-verified string keys, NULL
-//!   semantics through joins, indexes and aggregates).
+//!   dictionary-encoded string keys exercising the compiled kernel's
+//!   `KeyEq` jumps (hash-verified string keys, NULL semantics through
+//!   joins, indexes and aggregates).
 //! * [`wide`] — wide-schema stress: dozen-plus-column tables,
 //!   high-cardinality string dictionaries, and non-nullable **Float**
-//!   join keys exercising the engine's `KeyCol::Float` jumps and the
-//!   codegen tier's `FloatEq` posting cursors.
+//!   join keys exercising the compiled kernel's `FloatEq` posting
+//!   cursors.
 //! * [`correlated`] — JOB-shaped link tables with **composite**
-//!   `(movie_id, person_id)` join keys (the engine's fused `KeyCol::
-//!   Fused` jumps; the codegen tier takes its fallback) and `DATE`
-//!   columns with TPC-H-style date-range predicates.
+//!   `(movie_id, person_id)` join keys (the compiled kernel's fused
+//!   `FusedEq` jumps) and `DATE` columns with TPC-H-style date-range
+//!   predicates.
 //!
 //! All generators are seeded and deterministic.
 

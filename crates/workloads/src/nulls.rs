@@ -2,8 +2,8 @@
 //!
 //! Every other workload in this crate joins on dense non-nullable
 //! integer keys — the fast path the engine's plan-time specialization
-//! targets (`KeyCol::Int`). This workload deliberately exercises the
-//! `KeyCol::Other` shape, which the codegen tier compiles to `KeyEq`
+//! targets (`KernelJump::IntEq`). This workload deliberately exercises
+//! the string/nullable key shape, which the engine binds to `KeyEq`
 //! posting cursors: dictionary-encoded **string** join keys (whose
 //! 64-bit join keys are content hashes that may collide and must be
 //! re-verified by the predicate) and **nullable** columns (NULL never
@@ -439,8 +439,8 @@ mod tests {
 
     #[test]
     fn generated_cases_have_nullable_string_keys() {
-        // The property-test generator must actually hit the KeyCol::Other
-        // path: string key columns, frequently nullable.
+        // The property-test generator must actually hit the KeyEq path:
+        // string key columns, frequently nullable.
         let mut saw_nullable = false;
         for seed in 0..20 {
             let (cat, q) = generate_case(seed);

@@ -69,8 +69,8 @@
 //! | [`storage`] | column store, catalog, join indexes (offset array for dense keys, hash map otherwise), the record codec |
 //! | [`query`] | expressions, UDFs, SQL parser, join graphs |
 //! | [`uct`] | the UCT bandit-tree learner |
-//! | [`engine`] | Skinner-C: parallel pre-processing, specialized single-threaded multi-way join, compiled kernels per join order, progress sharing (§4.5) |
-//! | [`codegen`] | per-query compiled join kernels (§6): shape keys, one runtime-arity kernel per join order, cross-query kernel cache |
+//! | [`engine`] | Skinner-C: parallel pre-processing, single-threaded multi-way join on one compiled kernel per join order (the generic kernel as its oracle), progress sharing (§4.5) |
+//! | [`codegen`] | per-query compiled join kernels (§6): shape keys, one runtime-arity kernel per join order of one or more tables |
 //! | [`simdb`] | simulated traditional engines + optimizer + C_out oracle |
 //! | [`core`] | Skinner-G/H, pyramid timeouts, post-processing, facade |
 //! | [`baselines`] | Eddies, re-optimizer |

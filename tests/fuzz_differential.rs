@@ -7,12 +7,9 @@
 //! filter. Every case is executed by every kernel tier and compared:
 //!
 //! * the generic reference kernel (one shot) is the oracle,
-//! * the plan-bound kernel runs in small slices,
-//! * the codegen tier runs on **every** multi-table shape — integer,
-//!   float, fused composite, string and nullable keys all compile, at
-//!   any order length, as one kernel whose slices stop at their step
-//!   budget — asserted below (a refusal to compile is a test failure,
-//!   not a fallback),
+//! * the compiled kernel runs in small slices on **every** shape —
+//!   integer, float, fused composite, string and nullable keys, at any
+//!   order length, as one kernel whose slices stop at their step budget,
 //! * the full Skinner-C engine (heavy order switching) is checked
 //!   against the vectorized column engine,
 //! * a global MIN/MAX, folded while the join runs, is checked against
@@ -35,7 +32,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skinnerdb::engine::multiway::{ContinueResult, ResultSet};
 use skinnerdb::engine::{
-    schedule, MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig, WorkerPool,
+    schedule, KernelJump, MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig, WorkerPool,
 };
 use skinnerdb::prelude::*;
 use skinnerdb::query::{JoinGraph, TableSet};
@@ -132,8 +129,7 @@ fn arb_fuzz_case() -> impl Strategy<Value = (Catalog, Query)> {
         let m = rng.gen_range(2..5usize);
         let base_rows = rng.gen_range(4..22usize);
         let space = rng.gen_range(2..6i64);
-        // Nullable keys bind KeyCol::Other (compiled as KeyEq jumps
-        // with NULL-reject); keep the probability mixed so both the
+        // Nullable keys bind KeyEq jumps (with NULL-reject); keep the probability mixed so both the
         // exact-int and hash-key jump paths appear.
         let null_pct = [0, 0, 10, 30][rng.gen_range(0..4)];
 
@@ -383,63 +379,26 @@ proptest! {
             );
             let oracle = sorted_tuples(&rs_generic);
 
-            // Plan-bound kernel, sliced.
-            let run_bound = || -> Vec<Vec<u32>> {
-                let mut join = MultiwayJoin::new(&pq);
-                let mut state = offsets.clone();
-                let mut rs = ResultSet::new();
-                let mut slices = 0u64;
-                loop {
-                    slices += 1;
-                    assert!(slices < 5_000_000, "no termination");
-                    let (res, _) = join.continue_join(
-                        &order, &plan, &offsets, &mut state, budget, &mut rs,
-                    );
-                    if res == ContinueResult::Exhausted {
-                        break;
-                    }
+            // The compiled kernel, sliced: every shape compiles (fused
+            // composite, string, and nullable keys included).
+            let kernel = plan.compile_kernel(None).expect("non-empty order");
+            let mut state = offsets.clone();
+            let mut rs = ResultSet::new();
+            let mut slices = 0u64;
+            loop {
+                slices += 1;
+                prop_assert!(slices < 5_000_000, "no termination");
+                let (res, _) = join.continue_join_compiled(
+                    &kernel, &offsets, &mut state, budget, &mut rs,
+                );
+                if res == ContinueResult::Exhausted {
+                    break;
                 }
-                sorted_tuples(&rs)
-            };
-            prop_assert_eq!(
-                &run_bound(), &oracle,
-                "plan-bound/generic divergence: order {:?} indexes {}", order, indexes
-            );
-
-            // Codegen: every multi-table shape compiles now (fused
-            // composite, string, and nullable keys included), and the
-            // compiled kernel must agree byte-for-byte.
-            if let Some(kernel) = plan.compile_kernel(None) {
-                let run_compiled = || -> Vec<Vec<u32>> {
-                    let mut join = MultiwayJoin::new(&pq);
-                    let mut state = offsets.clone();
-                    let mut rs = ResultSet::new();
-                    let mut slices = 0u64;
-                    loop {
-                        slices += 1;
-                        assert!(slices < 5_000_000, "no termination");
-                        let (res, _) = join.continue_join_compiled(
-                            &kernel, &offsets, &mut state, budget, &mut rs,
-                        );
-                        if res == ContinueResult::Exhausted {
-                            break;
-                        }
-                    }
-                    sorted_tuples(&rs)
-                };
-                prop_assert_eq!(
-                    &run_compiled(), &oracle,
-                    "codegen/generic divergence: order {:?} indexes {}", order, indexes
-                );
-            } else {
-                // The fallback gap is closed: every multi-table shape
-                // must compile, indexed or not.
-                prop_assert!(
-                    false,
-                    "kernel refused shape {} (order {:?} indexes {})",
-                    plan.kernel_key(), order, indexes
-                );
             }
+            prop_assert_eq!(
+                &sorted_tuples(&rs), &oracle,
+                "codegen/generic divergence: order {:?} indexes {}", order, indexes
+            );
         }
     }
 
@@ -731,17 +690,10 @@ proptest! {
         let mut saw_fused = false;
         for order in &orders {
             let plan = pq.plan_order(order);
-            saw_fused |= plan.positions.iter().any(|p| {
-                matches!(
-                    p.jump.as_ref().map(|j| &j.key),
-                    Some(skinnerdb::engine::prepare::KeyCol::Fused(_))
-                )
-            });
-            prop_assert!(
-                plan.compile_kernel(None).is_some(),
-                "shape {} must compile (order {:?})",
-                plan.kernel_key(), order
-            );
+            saw_fused |= plan
+                .positions
+                .iter()
+                .any(|p| matches!(p.jump, KernelJump::FusedEq { .. }));
         }
 
         let truth = ColEngine::new()
@@ -825,9 +777,7 @@ proptest! {
         join.continue_join_generic(&order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic);
         let oracle = sorted_tuples(&rs_generic);
 
-        let kernel = plan.compile_kernel(None);
-        prop_assert!(kernel.is_some(), "long order must compile");
-        let kernel = kernel.unwrap();
+        let kernel = plan.compile_kernel(None).expect("non-empty order");
         prop_assert_eq!(kernel.num_tables(), m);
 
         let run_compiled = || -> (Vec<Vec<u32>>, u64) {

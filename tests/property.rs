@@ -3,9 +3,10 @@
 //! * Skinner-C produces exactly the same result set as a direct engine
 //!   on arbitrary generated schemas/queries (Theorem 5.3),
 //! * every valid join order yields the same multi-way join result,
-//! * the specialized kernel, run in small slices, produces exactly the
-//!   result set of the generic reference kernel, for random catalogs,
-//!   orders and budgets,
+//! * the compiled kernel, run in small slices, emits exactly the tuples
+//!   of the generic reference kernel, in the same order, for random
+//!   catalogs, orders and budgets — single-table orders included, under
+//!   offset floors and into a LIMIT sink,
 //! * a compiled kernel calling bound UDF join predicates takes exactly
 //!   the steps, UDF calls and tuples of one interpreting them,
 //! * the progress tracker never loses results under arbitrary
@@ -22,7 +23,7 @@
 
 use proptest::prelude::*;
 use skinnerdb::core::PyramidTimeouts;
-use skinnerdb::engine::multiway::{ContinueResult, ResultSet};
+use skinnerdb::engine::multiway::{ContinueResult, ResultSet, ResultSink};
 use skinnerdb::engine::{CompiledKernel, MultiwayJoin, PreparedQuery, SkinnerC, SkinnerCConfig};
 use skinnerdb::prelude::*;
 use skinnerdb::query::{compile_predicates, BoundPred, JoinGraph, TableSet};
@@ -284,6 +285,63 @@ fn udf_join_case(seed: u64) -> (Query, [Arc<Udf>; 3]) {
     (qb.build().expect("query"), udfs)
 }
 
+/// The tuples `order` emits on the generic reference kernel, one shot
+/// from the floors `offsets`, in emit order.
+fn generic_emits(pq: &PreparedQuery, order: &[usize], offsets: &[u32]) -> Vec<Vec<u32>> {
+    let spec = pq.plan_spec(order);
+    let mut state = offsets.to_vec();
+    let mut rs = ResultSet::new();
+    MultiwayJoin::new(pq).continue_join_generic(
+        order,
+        &spec,
+        offsets,
+        &mut state,
+        u64::MAX,
+        &mut rs,
+    );
+    rs.iter().map(<[u32]>::to_vec).collect()
+}
+
+/// The tuples `order` emits on its compiled kernel, resumed in
+/// `budget`-step slices from zero floors until exhausted, in emit order.
+fn compiled_emits(pq: &PreparedQuery, order: &[usize], budget: u64) -> Vec<Vec<u32>> {
+    let kernel = pq
+        .plan_order(order)
+        .compile_kernel(None)
+        .expect("non-empty order");
+    let mut join = MultiwayJoin::new(pq);
+    let offsets = vec![0u32; order.len()];
+    let mut state = offsets.clone();
+    let mut rs = ResultSet::new();
+    let mut slices = 0u64;
+    loop {
+        slices += 1;
+        assert!(slices < 5_000_000, "no termination");
+        let (res, _) = join.continue_join_compiled(&kernel, &offsets, &mut state, budget, &mut rs);
+        if res == ContinueResult::Exhausted {
+            break;
+        }
+    }
+    rs.iter().map(<[u32]>::to_vec).collect()
+}
+
+/// A sink that reports full at `limit` distinct tuples, as the engine's
+/// LIMIT pushdown does.
+struct LimitSink {
+    rs: ResultSet,
+    limit: usize,
+}
+
+impl ResultSink for LimitSink {
+    fn insert(&mut self, tuple: &[u32]) -> bool {
+        ResultSink::insert(&mut self.rs, tuple)
+    }
+
+    fn is_full(&self) -> bool {
+        self.rs.len() >= self.limit
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -322,81 +380,103 @@ proptest! {
             }
         }
         rec(&graph, m, &mut Vec::new(), &mut orders);
+        // Each order's count on its compiled kernel and on the generic
+        // oracle.
         let mut counts = Vec::new();
         for order in &orders {
-            let plan = pq.plan_order(order);
-            let mut join = MultiwayJoin::new(&pq);
-            let offsets = vec![0u32; m];
-            let mut state = offsets.clone();
-            let mut rs = ResultSet::new();
-            join.continue_join(order, &plan, &offsets, &mut state, u64::MAX, &mut rs);
-            counts.push(rs.len());
+            counts.push(compiled_emits(&pq, order, u64::MAX).len());
+            counts.push(generic_emits(&pq, order, &vec![0u32; m]).len());
         }
         prop_assert!(counts.windows(2).all(|w| w[0] == w[1]), "counts {:?}", counts);
     }
 
     #[test]
     fn specialized_kernel_matches_generic_eval(
-        (_cat, q) in arb_chain_case(),
-        oseed in any::<u64>(),
-        budget in 3u64..48,
+        (cat, _q) in arb_chain_case(),
+        fseed in any::<u64>(),
+        budget in 1u64..8,
     ) {
-        // Differential test: the order-specialized bound-plan kernel
-        // (typed slices, direct index refs, arena result set), run in
-        // small slices, must produce exactly the result set of the
-        // generic `CompiledPred::eval` reference kernel run in one shot —
-        // for random catalogs, random valid orders, with and without
-        // hash indexes.
+        // Single-table orders: the compiled kernel (a one-position scan)
+        // must emit exactly the generic reference kernel's tuples, in the
+        // same order — sliced at a budget that divides the filtered
+        // cardinality exactly, under an offset floor, and into a LIMIT
+        // sink. (Multi-table orders: `sliced_join_matches_generic`.)
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        let graph = JoinGraph::from_query(&q);
-        let m = q.num_tables();
-        let mut rng = SmallRng::seed_from_u64(oseed);
-        let mut order: Vec<usize> = Vec::with_capacity(m);
-        let mut chosen = TableSet::EMPTY;
-        while order.len() < m {
-            let elig: Vec<usize> = graph.eligible_next(chosen).iter().collect();
-            let t = elig[rng.gen_range(0..elig.len())];
-            order.push(t);
-            chosen.insert(t);
-        }
-        for indexes in [true, false] {
-            let pq = PreparedQuery::new(&q, indexes, 1);
-            prop_assume!(!pq.any_empty());
-            let plan = pq.plan_order(&order);
-            let spec = pq.plan_spec(&order);
-            let offsets = vec![0u32; m];
-            let mut join = MultiwayJoin::new(&pq);
+        let mut rng = SmallRng::seed_from_u64(fseed);
+        let mut qb = QueryBuilder::new(&cat);
+        qb.table("t0").expect("register table");
+        let f = qb.col("t0.v").expect("col").lt(Expr::lit(rng.gen_range(0..11i64)));
+        qb.filter(f);
+        qb.select_col("t0.v").expect("select");
+        let q = qb.build().expect("query");
+        let pq = PreparedQuery::new(&q, true, 1);
+        let card = pq.cards[0];
+        prop_assume!(card > 0);
+        let order = [0usize];
+        let spec = pq.plan_spec(&order);
+        let kernel = pq.plan_order(&order).compile_kernel(None).expect("one table compiles");
+        let mut join = MultiwayJoin::new(&pq);
+        let all = generic_emits(&pq, &order, &[0]);
+        prop_assert_eq!(all.len(), card as usize);
 
-            let mut state = offsets.clone();
-            let mut rs_generic = ResultSet::new();
-            join.continue_join_generic(
-                &order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic,
-            );
-
-            let mut state = offsets.clone();
-            let mut rs_special = ResultSet::new();
-            let mut slices = 0u64;
-            // A budget below the walk-down depth live-locks (the re-walk
-            // repeats without advancing); clamp like the Skinner-C driver.
-            let budget = budget.max(4 * m as u64);
+        // Sliced at a budget `b` dividing the cardinality: every slice
+        // emits `b` rows, the one ending on the last row included. The
+        // compiled kernel spends one more step to see exhaustion, in a
+        // slice of its own that emits nothing; the generic kernel sees it
+        // on the last row's step.
+        let card64 = u64::from(card);
+        let b = (1..=budget.min(card64)).rev().find(|&d| card64.is_multiple_of(d)).expect("1 divides");
+        let full = card64 / b;
+        let mut slice_ends = |compiled: bool| {
+            let (mut state, mut rs, mut ends) = (vec![0u32], ResultSet::new(), Vec::new());
             loop {
-                slices += 1;
-                prop_assert!(slices < 5_000_000, "no termination");
-                let (res, _) = join.continue_join(
-                    &order, &plan, &offsets, &mut state, budget, &mut rs_special,
-                );
-                if res == ContinueResult::Exhausted {
+                let before = rs.len() as u64;
+                let (res, steps) = if compiled {
+                    join.continue_join_compiled(&kernel, &[0], &mut state, b, &mut rs)
+                } else {
+                    join.continue_join_generic(&order, &spec, &[0], &mut state, b, &mut rs)
+                };
+                ends.push((res, steps, rs.len() as u64 - before));
+                if res == ContinueResult::Exhausted || ends.len() as u64 > full + 1 {
                     break;
                 }
             }
+            (ends, rs.iter().map(<[u32]>::to_vec).collect::<Vec<_>>())
+        };
+        let spent = (ContinueResult::BudgetSpent, b, b);
+        let (ends, emitted) = slice_ends(true);
+        let mut want = vec![spent; full as usize];
+        want.push((ContinueResult::Exhausted, 0, 0));
+        prop_assert_eq!(ends, want, "compiled slices, budget {}", b);
+        prop_assert_eq!(&emitted, &all);
+        let (ends, emitted) = slice_ends(false);
+        let mut want = vec![spent; full as usize - 1];
+        want.push((ContinueResult::Exhausted, b, b));
+        prop_assert_eq!(ends, want, "generic slices, budget {}", b);
+        prop_assert_eq!(&emitted, &all);
 
-            let mut a: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
-            let mut b: Vec<Vec<u32>> = rs_special.iter().map(|t| t.to_vec()).collect();
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b, "kernel divergence: order {:?} indexes {}", order, indexes);
-        }
+        // Under an offset floor: only the rows from the floor on.
+        let floor = rng.gen_range(0..card + 1);
+        let mut state = vec![floor];
+        let mut rs = ResultSet::new();
+        let (res, _) =
+            join.continue_join_compiled(&kernel, &[floor], &mut state, u64::MAX, &mut rs);
+        prop_assert_eq!(res, ContinueResult::Exhausted);
+        let emitted: Vec<Vec<u32>> = rs.iter().map(<[u32]>::to_vec).collect();
+        prop_assert_eq!(&emitted, &generic_emits(&pq, &order, &[floor]));
+        prop_assert_eq!(&emitted[..], &all[floor as usize..]);
+
+        // Into a LIMIT sink: the slice suspends on the `limit`-th tuple,
+        // which is the generic kernel's `limit`-th.
+        let limit = rng.gen_range(1..card as usize + 1);
+        let mut sink = LimitSink { rs: ResultSet::new(), limit };
+        let mut state = vec![0u32];
+        let (res, _) =
+            join.continue_join_compiled(&kernel, &[0], &mut state, u64::MAX, &mut sink);
+        prop_assert_eq!(res, ContinueResult::BudgetSpent);
+        let emitted: Vec<Vec<u32>> = sink.rs.iter().map(<[u32]>::to_vec).collect();
+        prop_assert_eq!(&emitted[..], &all[..limit]);
     }
 
     #[test]
@@ -405,7 +485,7 @@ proptest! {
         oseed in any::<u64>(),
         budget in 3u64..48,
     ) {
-        // The specialized kernel, run in small slices so budget
+        // The compiled kernel, run in small slices so budget
         // exhaustion hits mid-enumeration constantly, must produce
         // exactly the result set of the generic reference kernel run in
         // one shot — for random catalogs, random valid orders and random
@@ -426,42 +506,12 @@ proptest! {
         for indexes in [true, false] {
             let pq = PreparedQuery::new(&q, indexes, 1);
             prop_assume!(!pq.any_empty());
-            let plan = pq.plan_order(&order);
-            let spec = pq.plan_spec(&order);
-            let offsets = vec![0u32; m];
             let budget = budget.max(4 * m as u64);
-
-            // (b) generic oracle, one shot
-            let mut join = MultiwayJoin::new(&pq);
-            let mut state = offsets.clone();
-            let mut rs_generic = ResultSet::new();
-            join.continue_join_generic(
-                &order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic,
-            );
-
-            // the specialized kernel in `budget`-sized slices to exhaustion
-            let run_sliced = || -> Vec<Vec<u32>> {
-                let mut join = MultiwayJoin::new(&pq);
-                let mut state = offsets.clone();
-                let mut rs = ResultSet::new();
-                let mut slices = 0u64;
-                loop {
-                    slices += 1;
-                    assert!(slices < 5_000_000, "no termination");
-                    let (res, _) = join.continue_join(
-                        &order, &plan, &offsets, &mut state, budget, &mut rs,
-                    );
-                    if res == ContinueResult::Exhausted {
-                        break;
-                    }
-                }
-                let mut out: Vec<Vec<u32>> = rs.iter().map(|t| t.to_vec()).collect();
-                out.sort();
-                out
-            };
-            let sequential = run_sliced();
-
-            let mut oracle: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
+            // The compiled kernel in `budget`-sized slices to exhaustion
+            // against the generic oracle, one shot.
+            let mut sequential = compiled_emits(&pq, &order, budget);
+            sequential.sort();
+            let mut oracle = generic_emits(&pq, &order, &vec![0u32; m]);
             oracle.sort();
             prop_assert_eq!(
                 &sequential, &oracle,
@@ -477,12 +527,11 @@ proptest! {
         budget in 3u64..48,
     ) {
         // Differential test for the codegen tier: the compiled kernel
-        // (const-generic arity, posting-list cursors, elided
-        // index-implied equality predicates), run in small slices, must
-        // produce byte-for-byte the result sequence of the plan-bound
-        // kernel and the same set as the generic reference kernel — for
-        // random catalogs, random valid orders, with and without hash
-        // indexes.
+        // (runtime arity, posting-list cursors, elided index-implied
+        // equality predicates), bound from the order's plan and run in
+        // small slices, must emit byte-for-byte the result sequence of
+        // the generic reference kernel — for random catalogs, random
+        // valid orders, with and without hash indexes.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let graph = JoinGraph::from_query(&q);
@@ -499,56 +548,11 @@ proptest! {
         for indexes in [true, false] {
             let pq = PreparedQuery::new(&q, indexes, 1);
             prop_assume!(!pq.any_empty());
-            let plan = pq.plan_order(&order);
-            let spec = pq.plan_spec(&order);
-            // 2..=5-table int chains always have a compiled kernel.
-            let kernel = plan.compile_kernel(None).expect("supported shape");
-            let offsets = vec![0u32; m];
             let budget = budget.max(4 * m as u64);
-
-            // Oracles: generic one-shot and plan-bound one-shot (the
-            // bound kernel's emit order is the byte-for-byte reference).
-            let mut join = MultiwayJoin::new(&pq);
-            let mut state = offsets.clone();
-            let mut rs_generic = ResultSet::new();
-            join.continue_join_generic(
-                &order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic,
-            );
-            let mut state = offsets.clone();
-            let mut rs_bound = ResultSet::new();
-            join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs_bound);
-
-            // Compiled kernel, sliced to exhaustion.
-            let run_compiled = || -> Vec<Vec<u32>> {
-                let mut join = MultiwayJoin::new(&pq);
-                let mut state = offsets.clone();
-                let mut rs = ResultSet::new();
-                let mut slices = 0u64;
-                loop {
-                    slices += 1;
-                    assert!(slices < 5_000_000, "no termination");
-                    let (res, _) = join.continue_join_compiled(
-                        &kernel, &offsets, &mut state, budget, &mut rs,
-                    );
-                    if res == ContinueResult::Exhausted {
-                        break;
-                    }
-                }
-                rs.iter().map(|t| t.to_vec()).collect()
-            };
-
             // Byte-for-byte including emit order.
-            let mut compiled = run_compiled();
-            let bound: Vec<Vec<u32>> = rs_bound.iter().map(|t| t.to_vec()).collect();
             prop_assert_eq!(
-                &compiled, &bound,
-                "codegen/bound divergence: order {:?} indexes {}", order, indexes
-            );
-            compiled.sort();
-            let mut oracle: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
-            oracle.sort();
-            prop_assert_eq!(
-                &compiled, &oracle,
+                compiled_emits(&pq, &order, budget),
+                generic_emits(&pq, &order, &vec![0u32; m]),
                 "codegen/generic divergence: order {:?} indexes {}", order, indexes
             );
         }
@@ -574,64 +578,31 @@ proptest! {
 
     #[test]
     fn wide_float_kernels_agree(seed in any::<u64>(), budget in 3u64..48) {
-        // Differential: compiled (sliced) vs plan-bound (one shot) vs
-        // generic (one shot) on wide Float-keyed chains, with and
-        // without hash indexes.
+        // Differential: compiled (sliced) vs generic (one shot) on wide
+        // Float-keyed chains, byte for byte, with and without hash
+        // indexes.
         let (_cat, q) = skinnerdb::workloads::wide::generate_case(seed);
         let m = q.num_tables();
         let order: Vec<usize> = (0..m).collect();
         for indexes in [true, false] {
             let pq = PreparedQuery::new(&q, indexes, 1);
             prop_assume!(!pq.any_empty());
-            let plan = pq.plan_order(&order);
-            let spec = pq.plan_spec(&order);
-            let kernel = plan.compile_kernel(None).expect("float shapes compile");
-            let offsets = vec![0u32; m];
             let budget = budget.max(4 * m as u64);
-            let mut join = MultiwayJoin::new(&pq);
-
-            let mut state = offsets.clone();
-            let mut rs_generic = ResultSet::new();
-            join.continue_join_generic(
-                &order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic,
+            prop_assert_eq!(
+                compiled_emits(&pq, &order, budget),
+                generic_emits(&pq, &order, &vec![0u32; m]),
+                "codegen/generic divergence, indexes {}", indexes
             );
-            let mut state = offsets.clone();
-            let mut rs_bound = ResultSet::new();
-            join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs_bound);
-
-            let mut state = offsets.clone();
-            let mut rs_compiled = ResultSet::new();
-            let mut slices = 0u64;
-            loop {
-                slices += 1;
-                prop_assert!(slices < 5_000_000, "no termination");
-                let (res, _) = join.continue_join_compiled(
-                    &kernel, &offsets, &mut state, budget, &mut rs_compiled,
-                );
-                if res == ContinueResult::Exhausted {
-                    break;
-                }
-            }
-
-            let bound: Vec<Vec<u32>> = rs_bound.iter().map(|t| t.to_vec()).collect();
-            let compiled: Vec<Vec<u32>> = rs_compiled.iter().map(|t| t.to_vec()).collect();
-            prop_assert_eq!(&compiled, &bound, "codegen/bound divergence, indexes {}", indexes);
-            let mut a: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
-            let mut b = compiled;
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b, "codegen/generic divergence, indexes {}", indexes);
         }
     }
 
     #[test]
     fn null_string_codegen_compiles_everywhere(seed in any::<u64>()) {
-        // String/nullable key columns bind `KeyCol::Other` jumps, which
-        // compile to KeyEq posting cursors (content-hash keys with
-        // NULL-reject, predicates always re-verified) — and the same
-        // query *without* indexes is a pure scan, which also compiles
-        // (generic predicate evaluation, three-valued logic and all).
-        // Both must agree with the oracle; neither may fall back.
+        // String/nullable key columns bind KeyEq posting cursors
+        // (content-hash keys with NULL-reject, predicates always
+        // re-verified) — and the same query *without* indexes is a pure
+        // scan (generic predicate evaluation, three-valued logic and
+        // all). Both must agree with the oracle.
         let (_cat, q) = skinnerdb::workloads::nulls::generate_case(seed);
         let m = q.num_tables();
         let order: Vec<usize> = (0..m).collect();
@@ -639,13 +610,6 @@ proptest! {
             .execute(&q, &ExecOptions { count_only: true, ..Default::default() })
             .result_count;
 
-        // Indexed: KeyCol::Other jumps compile (KeyEq posting cursors).
-        let pq = PreparedQuery::new(&q, true, 1);
-        let plan = pq.plan_order(&order);
-        prop_assert!(
-            plan.compile_kernel(None).is_some(),
-            "string/nullable-keyed shapes must compile"
-        );
         // End-to-end with codegen enabled: every order compiles and the
         // answer is still exact.
         let out = SkinnerC::new(SkinnerCConfig {
@@ -663,27 +627,20 @@ proptest! {
             prop_assert_eq!(out.metrics.codegen_slices, out.metrics.slices);
         }
 
-        // Scan mode (no indexes): the shape compiles and must agree.
+        // Scan mode (no indexes): the compiled kernel must agree with
+        // the generic oracle.
         let pq = PreparedQuery::new(&q, false, 1);
         prop_assume!(!pq.any_empty());
-        let plan = pq.plan_order(&order);
-        let kernel = plan.compile_kernel(None).expect("scan shapes compile");
-        let offsets = vec![0u32; m];
-        let mut join = MultiwayJoin::new(&pq);
-        let mut state = offsets.clone();
-        let mut rs_bound = ResultSet::new();
-        join.continue_join(&order, &plan, &offsets, &mut state, u64::MAX, &mut rs_bound);
-        let mut state = offsets.clone();
-        let mut rs_compiled = ResultSet::new();
-        join.continue_join_compiled(&kernel, &offsets, &mut state, u64::MAX, &mut rs_compiled);
-        let bound: Vec<Vec<u32>> = rs_bound.iter().map(|t| t.to_vec()).collect();
-        let compiled: Vec<Vec<u32>> = rs_compiled.iter().map(|t| t.to_vec()).collect();
-        prop_assert_eq!(compiled, bound, "scan-mode codegen divergence");
+        prop_assert_eq!(
+            compiled_emits(&pq, &order, u64::MAX),
+            generic_emits(&pq, &order, &vec![0u32; m]),
+            "scan-mode codegen divergence"
+        );
     }
 
     #[test]
     fn null_string_joins_match_engine(seed in any::<u64>()) {
-        // NULL-heavy, string-keyed chains (`KeyCol::Other` jumps:
+        // NULL-heavy, string-keyed chains (KeyEq jumps:
         // hash-verified string join keys, NULL equality semantics):
         // Skinner-C under heavy order switching must agree with a direct
         // engine execution.
@@ -702,7 +659,7 @@ proptest! {
 
     #[test]
     fn null_string_kernels_agree(seed in any::<u64>(), budget in 3u64..48) {
-        // Differential: the specialized kernel (sliced) vs the generic
+        // Differential: the compiled kernel (sliced) vs the generic
         // reference kernel (one shot) on nullable string-keyed chains,
         // with and without hash indexes (indexes skip NULL keys; the
         // no-index path must filter them through predicate evaluation).
@@ -712,34 +669,9 @@ proptest! {
         for indexes in [true, false] {
             let pq = PreparedQuery::new(&q, indexes, 1);
             prop_assume!(!pq.any_empty());
-            let plan = pq.plan_order(&order);
-            let spec = pq.plan_spec(&order);
-            let offsets = vec![0u32; m];
-            let mut join = MultiwayJoin::new(&pq);
-
-            let mut state = offsets.clone();
-            let mut rs_generic = ResultSet::new();
-            join.continue_join_generic(
-                &order, &spec, &offsets, &mut state, u64::MAX, &mut rs_generic,
-            );
-
-            let mut state = offsets.clone();
-            let mut rs_special = ResultSet::new();
             let budget = budget.max(4 * m as u64);
-            let mut slices = 0u64;
-            loop {
-                slices += 1;
-                prop_assert!(slices < 5_000_000, "no termination");
-                let (res, _) = join.continue_join(
-                    &order, &plan, &offsets, &mut state, budget, &mut rs_special,
-                );
-                if res == ContinueResult::Exhausted {
-                    break;
-                }
-            }
-
-            let mut a: Vec<Vec<u32>> = rs_generic.iter().map(|t| t.to_vec()).collect();
-            let mut b: Vec<Vec<u32>> = rs_special.iter().map(|t| t.to_vec()).collect();
+            let mut a = generic_emits(&pq, &order, &vec![0u32; m]);
+            let mut b = compiled_emits(&pq, &order, budget);
             a.sort();
             b.sort();
             prop_assert_eq!(a, b, "kernel divergence on NULL/string case, indexes {}", indexes);
@@ -882,14 +814,24 @@ proptest! {
                 let mut interpreted = plan.clone();
                 let mut swapped = 0;
                 for (pos, spec) in interpreted.positions.iter_mut().zip(&spec.positions) {
-                    for (p, &pi) in pos.preds.iter_mut().zip(&spec.applicable) {
-                        if let BoundPred::Udf { .. } = p {
-                            *p = BoundPred::Generic {
-                                pred: &pq.join_preds[pi],
-                                tables: &pq.tables,
-                            };
-                            swapped += 1;
-                        }
+                    // Elision drops only an exact integer equality, so the
+                    // bound UDF predicates keep the order of the
+                    // position's applicable UDF conjuncts.
+                    let udf_preds = spec
+                        .applicable
+                        .iter()
+                        .map(|&pi| &pq.join_preds[pi])
+                        .filter(|p| matches!(p.expr(), Expr::Udf { .. }));
+                    let bound_udfs = pos
+                        .preds
+                        .iter_mut()
+                        .filter(|p| matches!(p, BoundPred::Udf { .. }));
+                    for (p, pred) in bound_udfs.zip(udf_preds) {
+                        *p = BoundPred::Generic {
+                            pred,
+                            tables: &pq.tables,
+                        };
+                        swapped += 1;
                     }
                 }
                 let udf_edges = pq
