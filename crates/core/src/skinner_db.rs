@@ -56,8 +56,8 @@ pub struct RunStats {
     /// Served through the service layer's template cache (the query's
     /// normalized template had a live cache entry).
     pub cache_hit: bool,
-    /// The execution warm-started from cached learned state (UCT tree
-    /// snapshot + pre-bound orders) instead of exploring from scratch.
+    /// The execution warm-started from its template's cached UCT tree
+    /// snapshot instead of exploring from scratch.
     pub warm_start: bool,
     /// The execution had no exact-template cache entry but its cold UCT
     /// tree was seeded with cross-query knowledge priors (mutually

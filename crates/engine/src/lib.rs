@@ -52,7 +52,7 @@ pub use multiway::{Collector, ContinueResult, MultiwayJoin, ResultSink};
 pub use prepare::PreparedQuery;
 pub use progress::ProgressTracker;
 pub use skinner_c::{
-    LearnedState, OrderPolicy, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason,
+    OrderPolicy, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome, StopReason,
 };
 // The codegen tier's public surface, re-exported for drivers that
 // compile kernels or share a cross-query kernel cache.

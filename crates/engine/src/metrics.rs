@@ -60,8 +60,6 @@ pub struct ExecMetrics {
     pub preprocess_time: Duration,
     /// Wall time in the join phase.
     pub join_time: Duration,
-    /// Wall time in post-processing (set by the caller).
-    pub postprocess_time: Duration,
     /// Selection count per join order (Fig. 7b).
     pub order_selections: FxHashMap<Vec<TableId>, u64>,
     /// Final UCT tree node count (Fig. 8a).

@@ -121,9 +121,6 @@ pub struct RunOptions<'a> {
     /// shift exploration order without pruning, so results are
     /// identical to a cold run's.
     pub arm_priors: Option<&'a ArmPriors<TableId>>,
-    /// Join orders to pre-bind into the plan cache (the orders a prior
-    /// execution materialized). Non-permutations are skipped.
-    pub planned_orders: &'a [Vec<TableId>],
     /// Cooperative cancel flag, checked at every slice boundary.
     pub cancel: Option<&'a AtomicBool>,
     /// Wall-clock deadline, checked at every slice boundary.
@@ -142,11 +139,12 @@ pub struct RunOptions<'a> {
     /// sink that folds tuples instead of storing them (a global MIN/MAX,
     /// see `SkinnerC::run_into`) holds no arena and never trips.
     pub max_result_bytes: Option<usize>,
-    /// Capture a [`LearnedState`] in the outcome for the learning cache.
+    /// Capture the UCT tree's snapshot in the outcome for the learning
+    /// cache.
     pub capture_learning: bool,
     /// Cross-query kernel cache (see `skinner-codegen`): memoizes
-    /// kernel-shape resolutions so repeated shapes — including the
-    /// pre-bound orders of a warm service-layer template — skip
+    /// kernel-shape resolutions so repeated shapes — across the
+    /// executions of one service-layer template, say — skip
     /// kernel-construction analysis. `None` resolves shapes locally.
     pub kernel_cache: Option<&'a KernelCache>,
     /// Worker pool executing the pre-processing filter morsels. The
@@ -155,18 +153,6 @@ pub struct RunOptions<'a> {
     /// global pool. Irrelevant when `threads <= 1` (pre-processing then
     /// runs on the calling thread and never touches a pool).
     pub pool: Option<Arc<WorkerPool>>,
-}
-
-/// Learned join-order state captured from one execution, reusable by a
-/// later execution of the same query template.
-#[derive(Debug, Clone)]
-pub struct LearnedState {
-    /// The UCT tree at termination.
-    pub snapshot: TreeSnapshot<TableId>,
-    /// The most-visited (recommended) join order.
-    pub best_order: Vec<TableId>,
-    /// Every order that was bound into the plan cache.
-    pub planned_orders: Vec<Vec<TableId>>,
 }
 
 /// Result of a Skinner-C join phase.
@@ -188,9 +174,10 @@ pub struct SkinnerOutcome {
     /// Why the run ended ([`StopReason::Completed`] unless a
     /// [`RunOptions`] control fired).
     pub stop: StopReason,
-    /// Learned state for the cross-query cache (present iff
-    /// [`RunOptions::capture_learning`] was set).
-    pub learning: Option<LearnedState>,
+    /// The UCT tree at termination, for the cross-query cache (present
+    /// iff [`RunOptions::capture_learning`] was set). A later run of the
+    /// same template warm-starts from it through [`RunOptions::prior`].
+    pub learning: Option<TreeSnapshot<TableId>>,
     /// Execution metrics.
     pub metrics: ExecMetrics,
 }
@@ -252,11 +239,11 @@ impl SkinnerC {
         self.run_with(query, &RunOptions::default())
     }
 
-    /// [`run`](SkinnerC::run) with per-run controls: UCT warm start and
-    /// plan pre-binding from a prior execution of the same template,
-    /// cooperative cancel / deadline checks at slice boundaries, a
-    /// distinct-tuple target for LIMIT pushdown, and capture of the
-    /// learned state for the service layer's cross-query cache.
+    /// [`run`](SkinnerC::run) with per-run controls: UCT warm start from
+    /// a prior execution of the same template, cooperative cancel /
+    /// deadline checks at slice boundaries, a distinct-tuple target for
+    /// LIMIT pushdown, and capture of the UCT snapshot for the service
+    /// layer's cross-query cache.
     pub fn run_with(&self, query: &Query, opts: &RunOptions<'_>) -> SkinnerOutcome {
         self.run_into(query, opts, &mut ResultSet::new())
     }
@@ -347,17 +334,9 @@ impl SkinnerC {
         let mut tracker = ProgressTracker::new(m);
         let mut offsets = vec![0u32; m];
         let mut join = MultiwayJoin::new(&pq);
-        // Per-order execution state: the compiled kernel. Bound once per
-        // order, reused across every slice.
+        // Per-order execution state: the compiled kernel. Bound on the
+        // order's first selection, reused across every later slice.
         let mut plan_cache: FxHashMap<Vec<TableId>, CompiledKernel<'_>> = FxHashMap::default();
-        for order in opts.planned_orders {
-            if is_permutation(order, m) && !plan_cache.contains_key(order.as_slice()) {
-                plan_cache.insert(
-                    order.clone(),
-                    bind_order(&pq, opts.kernel_cache, order, &mut metrics),
-                );
-            }
-        }
 
         // Scratch cursor and progress rows owned by the run loop, reused
         // across slices.
@@ -519,15 +498,7 @@ impl SkinnerC {
             }
         };
 
-        let learning = if opts.capture_learning {
-            Some(LearnedState {
-                snapshot: tree.snapshot(),
-                best_order: final_order.clone(),
-                planned_orders: plan_cache.keys().cloned().collect(),
-            })
-        } else {
-            None
-        };
+        let learning = opts.capture_learning.then(|| tree.snapshot());
 
         let result_count = sink.collected() as u64;
         SkinnerOutcome {
@@ -554,22 +525,6 @@ fn bind_order<'p>(
     pq.plan_order(order)
         .compile_kernel(kernel_cache)
         .expect("a join order is never empty")
-}
-
-/// Is `order` a permutation of `0..m`? Guards plan pre-binding against
-/// stale cached orders from a differently-shaped query.
-fn is_permutation(order: &[TableId], m: usize) -> bool {
-    if order.len() != m || m > 64 {
-        return false;
-    }
-    let mut seen = 0u64;
-    for &t in order {
-        if t >= m || seen >> t & 1 == 1 {
-            return false;
-        }
-        seen |= 1 << t;
-    }
-    true
 }
 
 fn random_order(space: &JoinOrderSpace, rng: &mut SmallRng) -> Vec<TableId> {
@@ -1213,21 +1168,24 @@ mod tests {
         );
         assert_eq!(cold.result_count, expected);
         let learned = cold.learning.expect("learning captured");
-        assert!(learned.snapshot.num_nodes() > 1);
-        assert!(!learned.planned_orders.is_empty());
-        assert_eq!(learned.best_order, cold.final_order);
+        assert!(learned.num_nodes() > 1);
 
         let warm = SkinnerC::new(cfg).run_with(
             &q,
             &RunOptions {
-                prior: Some(&learned.snapshot),
-                planned_orders: &learned.planned_orders,
+                prior: Some(&learned),
                 capture_learning: true,
                 ..Default::default()
             },
         );
         assert_eq!(warm.result_count, expected, "warm result differs");
-        assert_eq!(warm.metrics.warm_start_nodes, learned.snapshot.num_nodes());
+        assert_eq!(warm.metrics.warm_start_nodes, learned.num_nodes());
+        // The snapshot alone warm-starts the run: it compiles exactly the
+        // orders it selects, on first selection, and nothing ahead.
+        assert_eq!(
+            warm.metrics.codegen_orders,
+            warm.metrics.order_selections.len()
+        );
         assert!(
             warm.metrics.slices < cold.metrics.slices,
             "warm start should converge in fewer slices (warm {} vs cold {})",
@@ -1236,7 +1194,7 @@ mod tests {
         );
         // Learning keeps accumulating across executions.
         let relearned = warm.learning.expect("learning captured");
-        assert!(relearned.snapshot.rounds() > learned.snapshot.rounds());
+        assert!(relearned.rounds() > learned.rounds());
     }
 
     #[test]
@@ -1318,7 +1276,7 @@ mod tests {
         let both = SkinnerC::new(cfg).run_with(
             &q,
             &RunOptions {
-                prior: Some(&learned.snapshot),
+                prior: Some(&learned),
                 arm_priors: Some(&priors),
                 ..Default::default()
             },
@@ -1326,28 +1284,6 @@ mod tests {
         assert_eq!(both.result_count, expected);
         assert!(both.metrics.warm_start_nodes > 0);
         assert_eq!(both.metrics.prior_seeded_nodes, 0);
-    }
-
-    #[test]
-    fn bogus_planned_orders_are_skipped() {
-        let cat = fk_catalog(32);
-        let q = chain_query(&cat, 3);
-        let expected = ground_truth(&q);
-        // Stale orders from a different template: wrong arity, out-of-
-        // range ids, duplicates. None may panic or corrupt the run.
-        let stale = vec![vec![0usize, 1], vec![0, 1, 7], vec![0, 0, 1], vec![2, 1, 0]];
-        let out = SkinnerC::new(SkinnerCConfig {
-            budget: 50,
-            ..Default::default()
-        })
-        .run_with(
-            &q,
-            &RunOptions {
-                planned_orders: &stale,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.result_count, expected);
     }
 
     #[test]

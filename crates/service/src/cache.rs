@@ -1,13 +1,12 @@
-//! The cross-query learning cache: template key → learned join-order
-//! state.
+//! The cross-query learning cache: template key → UCT tree snapshot.
 //!
 //! SkinnerDB learns a near-optimal join order *while a query runs*; this
 //! cache keeps that knowledge alive *between* runs. Entries are keyed by
 //! the normalized query template ([`TemplateKey`]: join graph +
 //! predicate shape, constants stripped) and hold the terminal UCT tree
-//! snapshot, the recommended order, and the set of orders that were
-//! bound into plans — everything a later execution of the same template
-//! needs to warm-start instead of re-exploring.
+//! snapshot — everything a later execution of the same template needs
+//! to warm-start instead of re-exploring: restored, the tree runs the
+//! learned order from slice 1.
 //!
 //! # Invalidation
 //!
@@ -25,16 +24,17 @@
 //!
 //! # Bounds
 //!
-//! The cache is bounded two ways: a maximum entry count, and an optional
-//! maximum total byte footprint (`LearningCache::with_limits`) computed
-//! from the snapshots' own accounting. Exceeding either evicts
-//! least-recently-used entries.
+//! The cache holds at most a fixed number of templates
+//! (`DEFAULT_CACHE_CAPACITY` in a service); storing past it evicts the
+//! least-recently-used entry. A snapshot is kilobytes, so the count
+//! bounds the bytes too.
 //!
 //! [`register_table`]: crate::QueryService::register_table
 
-use skinner_engine::LearnedState;
-use skinner_query::TemplateKey;
+use crate::persist::PersistRecord;
+use skinner_query::{TableId, TemplateKey};
 use skinner_storage::FxHashMap;
+use skinner_uct::TreeSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -46,12 +46,9 @@ pub(crate) type TableDeps = Vec<(String, u64)>;
 /// One cached template's learned state.
 #[derive(Debug, Clone)]
 struct Entry {
-    learning: LearnedState,
-    /// Per-table versions the state was learned against.
+    snapshot: TreeSnapshot<TableId>,
+    /// Per-table versions the snapshot was learned against.
     deps: TableDeps,
-    /// Approximate heap footprint, fixed at store time.
-    bytes: usize,
-    executions: u64,
     /// Logical clock of the last hit/store (LRU eviction order).
     last_used: u64,
 }
@@ -73,7 +70,7 @@ pub struct CacheStats {
     pub(crate) invalidated: u64,
     /// Stores (first sighting or refresh after an execution).
     pub(crate) stores: u64,
-    /// Entries evicted to stay within the capacity or byte bound.
+    /// Entries evicted to stay within the capacity.
     pub(crate) evicted: u64,
 }
 
@@ -81,23 +78,14 @@ pub struct CacheStats {
 /// [`LearningCache::with_capacity`]).
 pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: FxHashMap<TemplateKey, Entry>,
-    /// Sum of `Entry::bytes` over `map` (kept incrementally; the byte
-    /// bound must not cost a full scan per store).
-    total_bytes: usize,
-}
-
-/// Thread-safe template-keyed learning cache, bounded by entry count and
-/// (optionally) by total bytes, with least-recently-used eviction. UCT
-/// snapshots are small — kilobytes — but a service fed endlessly varying
-/// generated query shapes must not grow without bound.
+/// Thread-safe template-keyed learning cache, bounded by entry count
+/// with least-recently-used eviction. UCT snapshots are small —
+/// kilobytes — but a service fed endlessly varying generated query
+/// shapes must not grow without bound.
 #[derive(Debug)]
 pub struct LearningCache {
-    inner: Mutex<Inner>,
+    map: Mutex<FxHashMap<TemplateKey, Entry>>,
     capacity: usize,
-    max_bytes: Option<usize>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -114,25 +102,16 @@ impl Default for LearningCache {
 }
 
 impl LearningCache {
-    /// Empty cache with the default capacity and no byte bound.
+    /// Empty cache with the default capacity.
     pub(crate) fn new() -> LearningCache {
         LearningCache::default()
     }
 
     /// Empty cache holding at most `capacity` templates (clamped ≥ 1).
     pub(crate) fn with_capacity(capacity: usize) -> LearningCache {
-        LearningCache::with_limits(capacity, None)
-    }
-
-    /// Empty cache bounded by `capacity` entries *and* `max_bytes` total
-    /// approximate heap bytes (when given). Storing past either bound
-    /// evicts least-recently-used entries; an entry too large to ever
-    /// fit is dropped immediately (the bound always holds).
-    pub(crate) fn with_limits(capacity: usize, max_bytes: Option<usize>) -> LearningCache {
         LearningCache {
-            inner: Mutex::new(Inner::default()),
+            map: Mutex::default(),
             capacity: capacity.max(1),
-            max_bytes,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -147,30 +126,32 @@ impl LearningCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Lock the map, recovering from poisoning: every mutation keeps
-    /// `total_bytes` in sync within one critical section, so state under
-    /// a poisoned guard is still consistent — and a service that caught
-    /// a query panic must keep its cache, not lose it to the poison bit.
-    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Lock the map, recovering from poisoning: every mutation is one
+    /// map operation, so state under a poisoned guard is still
+    /// consistent — and a service that caught a query panic must keep
+    /// its cache, not lose it to the poison bit.
+    fn lock_map(&self) -> MutexGuard<'_, FxHashMap<TemplateKey, Entry>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Learned state for `key` if present and learned against exactly
+    /// The snapshot for `key` if present and learned against exactly
     /// the table versions in `deps`; entries with mismatched versions
     /// are dropped (counted as both an invalidation and a miss).
-    pub(crate) fn lookup(&self, key: &TemplateKey, deps: &[(String, u64)]) -> Option<LearnedState> {
+    pub(crate) fn lookup(
+        &self,
+        key: &TemplateKey,
+        deps: &[(String, u64)],
+    ) -> Option<TreeSnapshot<TableId>> {
         let tick = self.tick();
-        let mut inner = self.lock_inner();
-        match inner.map.get_mut(key) {
+        let mut map = self.lock_map();
+        match map.get_mut(key) {
             Some(e) if e.deps == deps => {
-                e.executions += 1;
                 e.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.learning.clone())
+                Some(e.snapshot.clone())
             }
             Some(_) => {
-                let e = inner.map.remove(key).expect("entry present");
-                inner.total_bytes -= e.bytes;
+                map.remove(key);
                 self.stale_hits.fetch_add(1, Ordering::Relaxed);
                 self.invalidated.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -183,76 +164,63 @@ impl LearningCache {
         }
     }
 
-    /// Store (or refresh) the learned state for `key`, learned against
-    /// the table versions in `deps`, then evict least-recently-used
-    /// entries until both the capacity and the byte bound hold. Later
-    /// snapshots carry strictly more rounds, so a concurrent execution
-    /// racing an older snapshot in is harmless — whichever lands last
-    /// wins and both are valid priors.
-    pub(crate) fn store(&self, key: TemplateKey, deps: TableDeps, learning: LearnedState) {
+    /// Store (or refresh) the snapshot for `key`, learned against the
+    /// table versions in `deps`, then evict the least-recently-used
+    /// entry if the capacity is exceeded. Later snapshots carry
+    /// strictly more rounds, so a concurrent execution racing an older
+    /// snapshot in is harmless — whichever lands last wins and both are
+    /// valid priors.
+    pub(crate) fn store(&self, key: TemplateKey, deps: TableDeps, snapshot: TreeSnapshot<TableId>) {
         self.stores.fetch_add(1, Ordering::Relaxed);
-        self.insert_entry(key, deps, learning);
+        self.insert_entry(key, deps, snapshot);
     }
 
     /// [`store`](Self::store) without counting toward the `stores`
     /// statistic — used when re-seeding from a persisted snapshot, so
     /// restart warm-up does not masquerade as execution activity.
-    pub(crate) fn seed(&self, key: TemplateKey, deps: TableDeps, learning: LearnedState) {
-        self.insert_entry(key, deps, learning);
+    pub(crate) fn seed(&self, key: TemplateKey, deps: TableDeps, snapshot: TreeSnapshot<TableId>) {
+        self.insert_entry(key, deps, snapshot);
     }
 
     /// A point-in-time copy of every entry, least-recently-used first —
     /// re-seeding a fresh cache in this order reproduces the LRU
     /// ordering (the persistence layer round-trips exactly this).
-    pub(crate) fn export(&self) -> Vec<(TemplateKey, TableDeps, LearnedState)> {
-        let inner = self.lock_inner();
-        let mut entries: Vec<(&TemplateKey, &Entry)> = inner.map.iter().collect();
+    pub(crate) fn export(&self) -> Vec<PersistRecord> {
+        let map = self.lock_map();
+        let mut entries: Vec<(&TemplateKey, &Entry)> = map.iter().collect();
         entries.sort_by_key(|(_, e)| e.last_used);
         entries
             .into_iter()
-            .map(|(k, e)| (k.clone(), e.deps.clone(), e.learning.clone()))
+            .map(|(k, e)| PersistRecord {
+                key: k.clone(),
+                deps: e.deps.clone(),
+                snapshot: e.snapshot.clone(),
+            })
             .collect()
     }
 
-    fn insert_entry(&self, key: TemplateKey, deps: TableDeps, learning: LearnedState) {
+    fn insert_entry(&self, key: TemplateKey, deps: TableDeps, snapshot: TreeSnapshot<TableId>) {
         let tick = self.tick();
-        let bytes = entry_bytes(&key, &deps, &learning);
-        let mut inner = self.lock_inner();
-        let executions = inner.map.get(&key).map_or(0, |e| e.executions);
-        if let Some(old) = inner.map.insert(
+        let mut map = self.lock_map();
+        map.insert(
             key.clone(),
             Entry {
-                learning,
+                snapshot,
                 deps,
-                bytes,
-                executions,
                 last_used: tick,
             },
-        ) {
-            inner.total_bytes -= old.bytes;
-        }
-        inner.total_bytes += bytes;
-
-        let over = |inner: &Inner| {
-            inner.map.len() > self.capacity || self.max_bytes.is_some_and(|b| inner.total_bytes > b)
-        };
-        // Evict coldest-first, sparing the fresh key until it is the
-        // only entry left (then the byte bound wins and it goes too).
-        while over(&inner) {
-            let coldest = inner
-                .map
+        );
+        // Evict the coldest entry, sparing the fresh key (capacity ≥ 1,
+        // so an over-capacity map holds another).
+        if map.len() > self.capacity {
+            let coldest = map
                 .iter()
-                .filter(|(k, _)| **k != key || inner.map.len() == 1)
+                .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match coldest {
-                Some(k) => {
-                    let e = inner.map.remove(&k).expect("coldest present");
-                    inner.total_bytes -= e.bytes;
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
+                .map(|(k, _)| k.clone())
+                .expect("an over-capacity map holds another entry");
+            map.remove(&coldest);
+            self.evicted.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -261,25 +229,17 @@ impl LearningCache {
     /// not linger until its template happens to be looked up again).
     /// Entries over unrelated tables are untouched.
     pub(crate) fn invalidate_table(&self, table: &str) {
-        let mut inner = self.lock_inner();
-        let before = inner.map.len();
-        let mut freed = 0usize;
-        inner.map.retain(|_, e| {
-            let touches = e.deps.iter().any(|(t, _)| t == table);
-            if touches {
-                freed += e.bytes;
-            }
-            !touches
-        });
-        let dropped = before - inner.map.len();
-        inner.total_bytes -= freed;
+        let mut map = self.lock_map();
+        let before = map.len();
+        map.retain(|_, e| e.deps.iter().all(|(t, _)| t != table));
+        let dropped = before - map.len();
         self.invalidated
             .fetch_add(dropped as u64, Ordering::Relaxed);
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.lock_inner().map.len()
+        self.lock_map().len()
     }
 
     /// True if no entries are cached.
@@ -299,32 +259,14 @@ impl LearningCache {
         }
     }
 
-    /// Approximate heap bytes held by cached entries (maintained
-    /// incrementally; this is the quantity the byte bound limits).
+    /// Approximate heap bytes held by the cached snapshots, summed on
+    /// demand (the REPL's `\cache` line reports it).
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.lock_inner().total_bytes
+        self.lock_map()
+            .values()
+            .map(|e| e.snapshot.approx_bytes())
+            .sum()
     }
-}
-
-/// Approximate heap footprint of one entry: the snapshot's own
-/// accounting plus the planned orders, the key string, and the
-/// dependency list.
-fn entry_bytes(key: &TemplateKey, deps: &TableDeps, learning: &LearnedState) -> usize {
-    let orders: usize = learning
-        .planned_orders
-        .iter()
-        .map(|o| std::mem::size_of::<Vec<usize>>() + o.len() * std::mem::size_of::<usize>())
-        .sum();
-    let deps_bytes: usize = deps
-        .iter()
-        .map(|(t, _)| t.len() + std::mem::size_of::<(String, u64)>())
-        .sum();
-    learning.snapshot.approx_bytes()
-        + orders
-        + learning.best_order.len() * std::mem::size_of::<usize>()
-        + key.canonical().len()
-        + deps_bytes
-        + std::mem::size_of::<Entry>()
 }
 
 #[cfg(test)]
@@ -347,17 +289,13 @@ mod tests {
         }
     }
 
-    fn learned() -> LearnedState {
+    fn learned() -> TreeSnapshot<TableId> {
         let mut tree = UctTree::new(TwoArms, UctConfig::default());
         for _ in 0..10 {
             let p = tree.choose();
             tree.update(&p, 0.5);
         }
-        LearnedState {
-            snapshot: tree.snapshot(),
-            best_order: vec![0],
-            planned_orders: vec![vec![0], vec![1]],
-        }
+        tree.snapshot()
     }
 
     fn deps(pairs: &[(&str, u64)]) -> TableDeps {
@@ -440,46 +378,6 @@ mod tests {
         assert!(cache.lookup(&b, &d).is_none(), "LRU entry survived");
         assert!(cache.lookup(&c, &d).is_some(), "fresh entry evicted");
         assert_eq!(cache.stats().evicted, 1);
-    }
-
-    #[test]
-    fn byte_bound_holds_under_insert_pressure() {
-        // Budget for roughly three entries; insert forty distinct
-        // templates and check the bound after every store.
-        let one = {
-            let probe = LearningCache::new();
-            probe.store(
-                template_key_for_test("probe"),
-                deps(&[("probe", 1)]),
-                learned(),
-            );
-            probe.approx_bytes()
-        };
-        let budget = one * 3;
-        let cache = LearningCache::with_limits(1024, Some(budget));
-        for i in 0..40 {
-            let name = format!("t{i}");
-            cache.store(template_key_for_test(&name), deps(&[(&name, 1)]), learned());
-            assert!(
-                cache.approx_bytes() <= budget,
-                "byte bound violated after store {i}: {} > {budget}",
-                cache.approx_bytes()
-            );
-        }
-        assert!(cache.len() >= 2, "bound should still admit small entries");
-        assert!(cache.stats().evicted > 0, "pressure must evict");
-        // The most recent entry survives (LRU evicts the cold tail).
-        assert!(cache
-            .lookup(&template_key_for_test("t39"), &deps(&[("t39", 1)]))
-            .is_some());
-    }
-
-    #[test]
-    fn oversized_entry_is_dropped_entirely() {
-        let cache = LearningCache::with_limits(1024, Some(8));
-        cache.store(template_key_for_test("big"), deps(&[("big", 1)]), learned());
-        assert!(cache.is_empty(), "entry larger than the bound must go");
-        assert!(cache.approx_bytes() <= 8);
     }
 
     /// Build a real TemplateKey from a one-table query over a throwaway

@@ -1,7 +1,7 @@
 //! Crash-safe persistence of the learning cache.
 //!
-//! SkinnerDB's accumulated learning — the per-template UCT snapshots
-//! and planned join orders — is only an asset if it survives restarts.
+//! SkinnerDB's accumulated learning — the per-template UCT snapshots —
+//! is only an asset if it survives restarts.
 //! This module serializes the [`LearningCache`](crate::cache::LearningCache)
 //! to one checksummed record file ([`skinner_storage::codec`]: atomic
 //! save, tolerant load) and loads it back on startup so a restarted
@@ -12,14 +12,16 @@
 //! # Payload
 //!
 //! ```text
-//! magic "SKLC", format version 1; one record per cache entry:
+//! magic "SKLC", format version 2; one record per cache entry:
 //! payload: template canonical string
 //!          table deps        (name, version)*
-//!          best order        table ids
-//!          planned orders    id lists
 //!          snapshot          rounds + nodes (visits, reward bits,
 //!                            actions, children; u64::MAX = unexpanded)
 //! ```
+//!
+//! A file of another version (version 1 records also held join orders)
+//! loads nothing and reports `format_mismatch`: the service starts cold
+//! and its next flush writes version 2.
 //!
 //! Fault-injection sites: `persist.read`, `persist.write`,
 //! `persist.fsync`, `persist.rename` (see
@@ -27,7 +29,6 @@
 
 use crate::cache::TableDeps;
 use crate::service::QueryService;
-use skinner_engine::LearnedState;
 use skinner_query::{TableId, TemplateKey};
 pub use skinner_storage::codec::LoadReport;
 use skinner_storage::codec::{put_f64, put_str, put_u32, put_u64, Cursor, RecordFile};
@@ -40,49 +41,35 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The learning-cache file: magic "SKinner Learning Cache", format
-/// version 1 (bump on any change to the bytes), payloads capped at
+/// version 2 (bump on any change to the bytes), payloads capped at
 /// 64 MiB.
 const FILE: RecordFile = RecordFile {
     magic: *b"SKLC",
-    version: 1,
+    version: 2,
     max_record_bytes: 64 << 20,
     sites: "persist",
 };
 
-/// One persisted cache entry.
+/// One learning-cache entry, as saved and as loaded.
 #[derive(Debug, Clone)]
 pub struct PersistRecord {
     /// The template key (round-tripped via its canonical string).
     pub key: TemplateKey,
-    /// Per-table versions the learning was captured against.
+    /// Per-table versions the snapshot was learned against.
     pub deps: TableDeps,
-    /// The learned state itself.
-    pub learning: LearnedState,
+    /// The template's UCT tree, the whole of its learned state.
+    pub snapshot: TreeSnapshot<TableId>,
 }
 
-type Entry = (TemplateKey, TableDeps, LearnedState);
-
-fn put_ids(out: &mut Vec<u8>, ids: &[TableId]) {
-    put_u32(out, ids.len() as u32);
-    for &id in ids {
-        put_u64(out, id as u64);
-    }
-}
-
-fn encode_record((key, deps, learning): &Entry) -> Vec<u8> {
+fn encode_record(r: &PersistRecord) -> Vec<u8> {
     let mut p = Vec::with_capacity(256);
-    put_str(&mut p, key.canonical());
-    put_u32(&mut p, deps.len() as u32);
-    for (name, version) in deps {
+    put_str(&mut p, r.key.canonical());
+    put_u32(&mut p, r.deps.len() as u32);
+    for (name, version) in &r.deps {
         put_str(&mut p, name);
         put_u64(&mut p, *version);
     }
-    put_ids(&mut p, &learning.best_order);
-    put_u32(&mut p, learning.planned_orders.len() as u32);
-    for order in &learning.planned_orders {
-        put_ids(&mut p, order);
-    }
-    let (nodes, rounds) = learning.snapshot.to_parts();
+    let (nodes, rounds) = r.snapshot.to_parts();
     put_u64(&mut p, rounds);
     put_u32(&mut p, nodes.len() as u32);
     for n in &nodes {
@@ -99,13 +86,8 @@ fn encode_record((key, deps, learning): &Entry) -> Vec<u8> {
     p
 }
 
-fn encode_entries(entries: &[Entry]) -> Vec<Vec<u8>> {
+fn encode_entries(entries: &[PersistRecord]) -> Vec<Vec<u8>> {
     entries.iter().map(encode_record).collect()
-}
-
-fn get_ids(c: &mut Cursor<'_>) -> Option<Vec<TableId>> {
-    let n = c.count(8)?;
-    (0..n).map(|_| usize::try_from(c.u64()?).ok()).collect()
 }
 
 fn decode_record(payload: &[u8]) -> Option<PersistRecord> {
@@ -115,11 +97,6 @@ fn decode_record(payload: &[u8]) -> Option<PersistRecord> {
     let n_deps = c.count(12)?;
     let deps = (0..n_deps)
         .map(|_| Some((c.str()?, c.u64()?)))
-        .collect::<Option<_>>()?;
-    let best_order = get_ids(&mut c)?;
-    let n_orders = c.count(4)?;
-    let planned_orders = (0..n_orders)
-        .map(|_| get_ids(&mut c))
         .collect::<Option<_>>()?;
     let rounds = c.u64()?;
     // visits + reward + action count = 20 bytes minimum per node.
@@ -156,20 +133,13 @@ fn decode_record(payload: &[u8]) -> Option<PersistRecord> {
     Some(PersistRecord {
         key,
         deps,
-        learning: LearnedState {
-            snapshot,
-            best_order,
-            planned_orders,
-        },
+        snapshot,
     })
 }
 
 /// Serialize `entries` to `path` atomically (see
 /// [`RecordFile::save`]). Returns the record count written.
-pub fn save_entries(
-    path: &Path,
-    entries: &[(TemplateKey, TableDeps, LearnedState)],
-) -> io::Result<usize> {
+pub fn save_entries(path: &Path, entries: &[PersistRecord]) -> io::Result<usize> {
     FILE.save(path, &encode_entries(entries))?;
     Ok(entries.len())
 }
@@ -216,7 +186,7 @@ impl QueryService {
                 report.stale += 1;
                 continue;
             }
-            self.learning_cache().seed(r.key, r.deps, r.learning);
+            self.learning_cache().seed(r.key, r.deps, r.snapshot);
         }
         Ok(report)
     }
@@ -430,38 +400,27 @@ mod tests {
         }
     }
 
-    fn learned(seed_rounds: usize) -> LearnedState {
+    fn entry(name: &str, seed_rounds: usize) -> PersistRecord {
         let mut tree = UctTree::new(Perms { n: 3 }, UctConfig::default());
         for _ in 0..seed_rounds {
             let p = tree.choose();
             let r = if p[0] == 1 { 0.9 } else { 0.2 };
             tree.update(&p, r);
         }
-        LearnedState {
-            best_order: tree.best_path(),
+        PersistRecord {
+            key: TemplateKey::from_canonical(format!("[{name}]|{name}.x=?")),
+            deps: vec![(name.to_string(), 3)],
             snapshot: tree.snapshot(),
-            planned_orders: vec![vec![0, 1, 2], vec![1, 0, 2]],
         }
-    }
-
-    fn entry(name: &str, rounds: usize) -> Entry {
-        (
-            TemplateKey::from_canonical(format!("[{name}]|{name}.x=?")),
-            vec![(name.to_string(), 3)],
-            learned(rounds),
-        )
     }
 
     #[test]
     fn record_round_trips() {
         let e = entry("t", 50);
         let r = decode_record(&encode_record(&e)).expect("decode");
-        let (key, deps, learning) = e;
-        assert_eq!(r.key, key);
-        assert_eq!(r.deps, deps);
-        assert_eq!(r.learning.best_order, learning.best_order);
-        assert_eq!(r.learning.planned_orders, learning.planned_orders);
-        assert_eq!(r.learning.snapshot.to_parts(), learning.snapshot.to_parts());
+        assert_eq!(r.key, e.key);
+        assert_eq!(r.deps, e.deps);
+        assert_eq!(r.snapshot.to_parts(), e.snapshot.to_parts());
     }
 
     #[test]

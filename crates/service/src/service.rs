@@ -13,13 +13,14 @@ use crate::cache::{CacheStats, LearningCache, TableDeps};
 use skinner_core::{postprocess, project_tuple, MinMaxFold, QueryResult, RunStats};
 use skinner_engine::multiway::ResultSet;
 use skinner_engine::{
-    Collector, KernelCache, KernelCacheStats, LearnedState, RunOptions, SkinnerC, SkinnerCConfig,
-    SkinnerOutcome, StopReason, WorkerPool,
+    Collector, KernelCache, KernelCacheStats, RunOptions, SkinnerC, SkinnerCConfig, SkinnerOutcome,
+    StopReason, WorkerPool,
 };
 use skinner_knowledge::{observe, KnowledgeConfig, KnowledgeStats, KnowledgeStore};
-use skinner_query::{parse, Query, QueryError, TemplateKey, UdfRegistry};
+use skinner_query::{parse, Query, QueryError, TableId, TemplateKey, UdfRegistry};
 use skinner_storage::table::TableRef;
 use skinner_storage::{Catalog, FxHashMap, Table, Value};
+use skinner_uct::TreeSnapshot;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -221,10 +222,9 @@ const CONVERGED_MIN_ROUNDS: u64 = 64;
 /// Admission uses this to decide whether a warm template takes one
 /// permit (it will finish in a few slices anyway) or the proportional
 /// grant (warm start helps, but substantial exploration/work remains).
-fn learning_converged(learning: &LearnedState) -> bool {
-    learning.snapshot.rounds() >= CONVERGED_MIN_ROUNDS
-        && learning
-            .snapshot
+fn learning_converged(snapshot: &TreeSnapshot<TableId>) -> bool {
+    snapshot.rounds() >= CONVERGED_MIN_ROUNDS
+        && snapshot
             .root_best_share()
             .is_some_and(|share| share >= CONVERGED_ROOT_SHARE)
 }
@@ -587,12 +587,8 @@ impl QueryService {
         engine_cfg.threads = grant.threads();
 
         let run_opts = RunOptions {
-            prior: cached.as_ref().map(|c| &c.snapshot),
+            prior: cached.as_ref(),
             arm_priors: priors.as_ref(),
-            planned_orders: cached
-                .as_ref()
-                .map(|c| c.planned_orders.as_slice())
-                .unwrap_or(&[]),
             cancel,
             deadline,
             target_rows: query.join_limit(),
@@ -643,8 +639,8 @@ impl QueryService {
         // state is sound at every slice boundary), so even a
         // memory-exceeded run warms its template — a retry with a bigger
         // budget converges faster.
-        if let Some(learning) = out.learning.take() {
-            self.cache.store(key, deps.clone(), learning);
+        if let Some(snapshot) = out.learning.take() {
+            self.cache.store(key, deps.clone(), snapshot);
         }
         // Feed the knowledge store: selectivity and edge-reward
         // observations generalize across templates, so learned runs
@@ -873,19 +869,14 @@ mod tests {
             )
             .unwrap()
         };
-        let learned = |snapshot| LearnedState {
-            snapshot,
-            best_order: vec![0, 1],
-            planned_orders: vec![],
-        };
         // Converged: many rounds, 90% of root visits on one child —
         // this warm template takes a 1-permit grant.
-        assert!(learning_converged(&learned(snap([90, 10], 100))));
+        assert!(learning_converged(&snap([90, 10], 100)));
         // Warm but still exploring: cache presence alone must NOT cap
         // the grant.
-        assert!(!learning_converged(&learned(snap([60, 40], 100))));
+        assert!(!learning_converged(&snap([60, 40], 100)));
         // Too few rounds to trust even a lopsided share.
-        assert!(!learning_converged(&learned(snap([9, 1], 10))));
+        assert!(!learning_converged(&snap([9, 1], 10)));
     }
 
     #[test]

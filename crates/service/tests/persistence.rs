@@ -318,8 +318,10 @@ fn restored_knowledge_speeds_up_held_out_templates() {
     // A service trained on the JOB-like workload saves its knowledge
     // store; fresh services that load it run templates never executed
     // before prior-seeded, with the cold answers, and most of them in
-    // fewer slices than a cold service. Measured at a 4-core budget:
-    // 4 of 4 improve (1 of 4 at one core).
+    // fewer slices than a cold service. Measured: 4 of 4 improve
+    // (slices 17 → 10, 28 → 17, 12 → 9, 154 → 150), at this 4-core
+    // budget and at one core alike, since `threads` changes only
+    // pre-processing.
     let wl = skinner_workloads::job::generate(0.03, 42);
     let engine = SkinnerCConfig {
         budget: 64,

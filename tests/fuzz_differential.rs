@@ -532,13 +532,12 @@ proptest! {
                 );
             }
 
-            // Resume: warm-start from the interrupted run's learning and
-            // run to completion. The tuple set must equal the
+            // Resume: warm-start from the interrupted run's snapshot alone
+            // and run to completion. The tuple set must equal the
             // uninterrupted run's byte for byte.
-            let learning = interrupted.learning.expect("capture_learning set");
+            let snapshot = interrupted.learning.expect("capture_learning set");
             let resumed = engine.run_with(&q, &RunOptions {
-                prior: Some(&learning.snapshot),
-                planned_orders: &learning.planned_orders,
+                prior: Some(&snapshot),
                 ..Default::default()
             });
             prop_assert_eq!(resumed.stop, StopReason::Completed);
